@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import expr as ex
@@ -46,6 +47,26 @@ class _UsageError(ValueError):
     pass
 
 
+def _checked(convert, ok, expected: str):
+    """argparse type: convert the text, then require ok(value)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
+
+
+_NODES = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_STEP = _checked(float, lambda v: math.isfinite(v) and v > 0,
+                 "a finite number > 0")
+_TOL = _checked(float, lambda v: math.isfinite(v) and v >= 0,
+                "a finite number >= 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="jetvar", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -63,9 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", metavar="PATH",
                         help="write output to PATH instead of stdout")
         if numeric:
-            sp.add_argument("--nodes", type=int, metavar="N")
-            sp.add_argument("--step", type=float, metavar="H")
-            sp.add_argument("--tol", type=float, metavar="T")
+            sp.add_argument("--nodes", type=_NODES, metavar="N")
+            sp.add_argument("--step", type=_STEP, metavar="H")
+            sp.add_argument("--tol", type=_TOL, metavar="T")
 
     common(sub.add_parser("el", help="Euler-Lagrange source form"))
     common(sub.add_parser("jacobi", help="vertical differential, its adjoint, "
@@ -148,9 +169,9 @@ def _numeric_config(pf: ProblemFile, args) -> NumericConfig:
     if cfg is None:
         raise SemanticError("this command needs a numeric block in the "
                             "problem file")
-    nodes = getattr(args, "nodes", None) or cfg.nodes
-    step = getattr(args, "step", None) or cfg.step
-    tol = getattr(args, "tol", None) or cfg.tol
+    nodes = cfg.nodes if args.nodes is None else args.nodes
+    step = cfg.step if args.step is None else args.step
+    tol = cfg.tol if args.tol is None else args.tol
     return NumericConfig(cfg.domain, nodes, step, tol)
 
 
@@ -326,7 +347,7 @@ def _cmd_adjoint(pf: ProblemFile, args) -> str:
             text = fh.read()
     try:
         form = parse_structured(text, pf.ctx)
-    except (ValueError, KeyError) as err:
+    except ValueError as err:
         raise SemanticError(f"cannot read bilinear form: {err}") from None
     from .variational import BilinearForm
     if not isinstance(form, BilinearForm):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .multiindex import MultiIndex
 
@@ -47,9 +47,17 @@ class UnknownCoordinate(ExprError):
 
 
 class Atom:
-    """Atomic multiplicative generator.  Immutable, ordered by sort_key."""
+    """Atomic multiplicative generator.  Immutable, ordered by sort_key.
+
+    ``args`` holds the JetExpr arguments of a function atom; coordinates
+    and constants have none.  Function atoms also define ``d_arg(slot)``,
+    the derivative with respect to one argument, and ``rebuild(args)``,
+    the same function applied to new arguments.
+    """
 
     __slots__ = ("_key", "_hash")
+
+    args: tuple["JetExpr", ...] = ()
 
     def sort_key(self):
         return self._key
@@ -128,6 +136,16 @@ class ElemFn(Atom):
         self._key = (3, fn, arg.sort_key())
         self._hash = hash(self._key)
 
+    @property
+    def args(self) -> tuple["JetExpr", ...]:
+        return (self.arg,)
+
+    def d_arg(self, slot: int) -> "JetExpr":
+        return _ELEM_DERIVATIVE[self.fn](self.arg)
+
+    def rebuild(self, args: tuple["JetExpr", ...]) -> "JetExpr":
+        return elem(self.fn, args[0])
+
 
 class OpaqueFn(Atom):
     """Opaque smooth function symbol, possibly formally differentiated.
@@ -151,10 +169,14 @@ class OpaqueFn(Atom):
         self._key = (4, name, orders, tuple(a.sort_key() for a in args))
         self._hash = hash(self._key)
 
-    def differentiated(self, slot: int) -> "OpaqueFn":
+    def d_arg(self, slot: int) -> "JetExpr":
         orders = list(self.orders)
         orders[slot] += 1
-        return OpaqueFn(self.name, self.argnames, tuple(orders), self.args)
+        return atom_expr(OpaqueFn(self.name, self.argnames, tuple(orders),
+                                  self.args))
+
+    def rebuild(self, args: tuple["JetExpr", ...]) -> "JetExpr":
+        return atom_expr(OpaqueFn(self.name, self.argnames, self.orders, args))
 
 
 class InvSum(Atom):
@@ -170,6 +192,16 @@ class InvSum(Atom):
         self.body = body
         self._key = (5, body.sort_key())
         self._hash = hash(self._key)
+
+    @property
+    def args(self) -> tuple["JetExpr", ...]:
+        return (self.body,)
+
+    def d_arg(self, slot: int) -> "JetExpr":
+        return -atom_pow(self, 2)
+
+    def rebuild(self, args: tuple["JetExpr", ...]) -> "JetExpr":
+        return div(ONE, args[0])
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +273,6 @@ class JetExpr:
         if len(self._terms) == 1 and not self._terms[0][0]:
             return self._terms[0][1]
         return None
-
-    def atoms(self) -> Iterator[Atom]:
-        """Top-level atoms of each monomial (not recursing into arguments)."""
-        seen = set()
-        for m, _ in self._terms:
-            for a, _e in m:
-                if a not in seen:
-                    seen.add(a)
-                    yield a
 
     def sort_key(self):
         if self._key is None:
@@ -565,6 +588,34 @@ def simplify(e: JetExpr) -> JetExpr:
     return e
 
 
+def derive(e: JetExpr, on_coord: Callable[[Atom], JetExpr]) -> JetExpr:
+    """The derivation of e that sends each argument-free atom a (a
+    coordinate or a constant) to on_coord(a): Leibniz over every
+    monomial, and the chain rule through function arguments."""
+
+    def d_atom(atom: Atom) -> JetExpr:
+        if not atom.args:
+            return on_coord(atom)
+        pieces = []
+        for slot, arg in enumerate(atom.args):
+            da = derive(arg, on_coord)
+            if not da.is_zero:
+                pieces.append(mul(atom.d_arg(slot), da))
+        return add_many(pieces)
+
+    pieces: list[JetExpr] = []
+    for m, coeff in e.terms:
+        for idx, (atom, k) in enumerate(m):
+            da = d_atom(atom)
+            if da.is_zero:
+                continue
+            rest = m[:idx] + m[idx + 1:]
+            piece = JetExpr(((rest, coeff * k),))
+            piece = mul(piece, atom_pow(atom, k - 1))
+            pieces.append(mul(piece, da))
+    return add_many(pieces)
+
+
 def partial(e: JetExpr, coord: Atom) -> JetExpr:
     """Formal partial derivative with respect to one coordinate.
 
@@ -575,17 +626,7 @@ def partial(e: JetExpr, coord: Atom) -> JetExpr:
     """
     if not isinstance(coord, (BaseCoord, JetCoord)):
         raise ExprError("partial derivative target must be a coordinate")
-    pieces: list[JetExpr] = []
-    for m, coeff in e.terms:
-        for idx, (atom, k) in enumerate(m):
-            da = _atom_partial(atom, coord)
-            if da.is_zero:
-                continue
-            rest = m[:idx] + m[idx + 1:]
-            piece = JetExpr(((rest, coeff * k),))
-            piece = mul(piece, atom_pow(atom, k - 1))
-            pieces.append(mul(piece, da))
-    return add_many(pieces)
+    return derive(e, lambda a: ONE if a == coord else ZERO)
 
 
 _ELEM_DERIVATIVE: dict[str, Callable[[JetExpr], JetExpr]] = {
@@ -598,33 +639,6 @@ _ELEM_DERIVATIVE: dict[str, Callable[[JetExpr], JetExpr]] = {
 }
 
 
-def _atom_partial(atom: Atom, coord: Atom) -> JetExpr:
-    if isinstance(atom, (BaseCoord, JetCoord)):
-        return ONE if atom == coord else ZERO
-    if isinstance(atom, ConstSym):
-        return ZERO
-    if isinstance(atom, ElemFn):
-        du = partial(atom.arg, coord)
-        if du.is_zero:
-            return ZERO
-        return mul(_ELEM_DERIVATIVE[atom.fn](atom.arg), du)
-    if isinstance(atom, OpaqueFn):
-        pieces = []
-        for slot, arg in enumerate(atom.args):
-            da = partial(arg, coord)
-            if da.is_zero:
-                continue
-            pieces.append(mul(atom_expr(atom.differentiated(slot)), da))
-        return add_many(pieces)
-    if isinstance(atom, InvSum):
-        dp = partial(atom.body, coord)
-        if dp.is_zero:
-            return ZERO
-        inv = atom_expr(atom)
-        return -mul(dp, mul(inv, inv))
-    raise ExprError(f"unhandled atom {atom!r}")
-
-
 def substitute(e: JetExpr, bindings: Mapping[Atom, JetExpr]) -> JetExpr:
     """Simultaneous substitution of coordinates, then renormalization."""
     if not bindings:
@@ -632,36 +646,22 @@ def substitute(e: JetExpr, bindings: Mapping[Atom, JetExpr]) -> JetExpr:
     for key in bindings:
         if not isinstance(key, (BaseCoord, JetCoord)):
             raise ExprError("substitution keys must be coordinates")
+
+    def subst_atom(atom: Atom) -> JetExpr:
+        if not atom.args:
+            return bindings.get(atom, atom_expr(atom))
+        args = tuple(substitute(a, bindings) for a in atom.args)
+        return atom_expr(atom) if args == atom.args else atom.rebuild(args)
+
     pieces: list[JetExpr] = []
     for m, coeff in e.terms:
         term = JetExpr.constant(coeff)
         for atom, k in m:
-            term = mul(term, pow_int(_subst_atom(atom, bindings), k))
+            term = mul(term, pow_int(subst_atom(atom), k))
             if term.is_zero:
                 break
         pieces.append(term)
     return add_many(pieces)
-
-
-def _subst_atom(atom: Atom, bindings: Mapping[Atom, JetExpr]) -> JetExpr:
-    if isinstance(atom, (BaseCoord, JetCoord)):
-        return bindings.get(atom, atom_expr(atom))
-    if isinstance(atom, ElemFn):
-        arg = substitute(atom.arg, bindings)
-        if arg == atom.arg:
-            return atom_expr(atom)
-        return elem(atom.fn, arg)
-    if isinstance(atom, OpaqueFn):
-        args = tuple(substitute(a, bindings) for a in atom.args)
-        if args == atom.args:
-            return atom_expr(atom)
-        return atom_expr(OpaqueFn(atom.name, atom.argnames, atom.orders, args))
-    if isinstance(atom, InvSum):
-        body = substitute(atom.body, bindings)
-        if body == atom.body:
-            return atom_expr(atom)
-        return div(ONE, body)
-    return atom_expr(atom)
 
 
 # ---------------------------------------------------------------------------
@@ -669,25 +669,16 @@ def _subst_atom(atom: Atom, bindings: Mapping[Atom, JetExpr]) -> JetExpr:
 # ---------------------------------------------------------------------------
 
 
-def _walk_atoms(e: JetExpr, seen: set[Atom]) -> None:
-    for m, _c in e.terms:
-        for atom, _k in m:
-            if atom in seen:
-                continue
-            seen.add(atom)
-            if isinstance(atom, ElemFn):
-                _walk_atoms(atom.arg, seen)
-            elif isinstance(atom, OpaqueFn):
-                for a in atom.args:
-                    _walk_atoms(a, seen)
-            elif isinstance(atom, InvSum):
-                _walk_atoms(atom.body, seen)
-
-
 def all_atoms(e: JetExpr) -> set[Atom]:
     """Every atom occurring anywhere in e, including function arguments."""
     seen: set[Atom] = set()
-    _walk_atoms(e, seen)
+    todo = [e]
+    while todo:
+        for m, _c in todo.pop().terms:
+            for atom, _k in m:
+                if atom not in seen:
+                    seen.add(atom)
+                    todo.extend(atom.args)
     return seen
 
 
@@ -696,16 +687,6 @@ def jet_coords(e: JetExpr) -> list[JetCoord]:
     out = [a for a in all_atoms(e) if isinstance(a, JetCoord)]
     out.sort(key=lambda a: a.sort_key())
     return out
-
-
-def base_coords(e: JetExpr) -> list[BaseCoord]:
-    out = [a for a in all_atoms(e) if isinstance(a, BaseCoord)]
-    out.sort(key=lambda a: a.sort_key())
-    return out
-
-
-def has_opaque(e: JetExpr) -> bool:
-    return any(isinstance(a, OpaqueFn) for a in all_atoms(e))
 
 
 def jet_order(e: JetExpr) -> int:
@@ -1005,6 +986,3 @@ class JetContext:
             return self.jet_atom(designator)
         field, sigma = designator
         return self.jet_atom(field, sigma)
-
-    def pi(self) -> JetExpr:
-        return atom_expr(ConstSym("pi"))

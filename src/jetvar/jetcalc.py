@@ -1,18 +1,20 @@
 """Total derivatives, prolongation of vertical fields, and the
 horizontal/vertical differentials of functions on jet space.
 
-The total derivative along the lam-th base direction acts on a function f
-as D_lam f = partial_lam f + sum over occurring jet coordinates of
-y^j_{sigma+lam} * partial^sigma_j f; the sum is finitely supported, so
-only coordinates actually present in f are visited.
+The total derivative along the lam-th base direction is the derivation
+D_lam f = partial_lam f + sum over jet coordinates of
+y^j_{sigma+lam} * partial^sigma_j f.  It is computed in a single pass over
+f (``expr.derive``): each jet coordinate y^j_sigma goes to its lift
+y^j_{sigma+lam}, the base coordinate x^lam to 1, and function applications
+follow by the chain rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import (JetContext, JetExpr, add_many, atom_expr, jet_coords,
-                   jet_order, mul, partial)
+from .expr import (ONE, ZERO, Atom, JetContext, JetCoord, JetExpr, atom_expr,
+                   derive, jet_coords, jet_order, partial)
 from .multiindex import MultiIndex
 
 
@@ -41,13 +43,14 @@ class VerticalField:
 def total_derivative(e: JetExpr, axis: int | str, ctx: JetContext) -> JetExpr:
     """Total (formal) derivative D_lam of an expression."""
     ax = axis if isinstance(axis, int) else ctx.axis(axis)
-    pieces = [partial(e, ctx.base_atom(ax))]
-    for jc in jet_coords(e):
-        p = partial(e, jc)
-        if p.is_zero:
-            continue
-        pieces.append(mul(atom_expr(jc.lifted(ax)), p))
-    return add_many(pieces)
+    base = ctx.base_atom(ax)
+
+    def on_coord(a: Atom) -> JetExpr:
+        if isinstance(a, JetCoord):
+            return atom_expr(a.lifted(ax))
+        return ONE if a == base else ZERO
+
+    return derive(e, on_coord)
 
 
 def total_derivative_multi(e: JetExpr, sigma: MultiIndex, ctx: JetContext

@@ -457,7 +457,12 @@ def object_from_dict(d: dict, ctx: JetContext):
 
 
 def parse_structured(text: str, ctx: JetContext):
-    return object_from_dict(json.loads(text), ctx)
+    """Read a structured payload; a malformed one raises ValueError."""
+    try:
+        return object_from_dict(json.loads(text), ctx)
+    except (AttributeError, ArithmeticError, KeyError, RecursionError,
+            TypeError) as err:
+        raise ValueError(f"malformed structured payload: {err!r}") from None
 
 
 # ---------------------------------------------------------------------------

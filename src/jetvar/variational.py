@@ -17,6 +17,15 @@ plus index transpose) has components
 
 with C the per-axis product of binomial coefficients; the adjoint is an
 involution.
+
+Every morphism is built from one linearization: ``linearize`` takes a
+source form to its fibre linearization V, with V^sigma_{ij} = d^sigma_j e_i.
+The vertical differential of the Euler-Lagrange morphism is V, the Jacobi
+morphism is V*, and the Helmholtz form is H = (V - V*)^T: a source form is
+locally variational iff its linearization is formally self-adjoint
+(Olver, Applications of Lie Groups to Differential Equations, ch. 5).
+Partial derivatives d^sigma_j are taken only at the jet coordinates that
+occur in an expression (``jetcalc.d_v``).
 """
 
 from __future__ import annotations
@@ -25,10 +34,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+# ``partial`` is not called here; perfbench's tracing tests look it up as
+# ``variational.partial``.
 from .expr import (JetContext, JetCoord, JetExpr, ZERO, add, add_many,
                    jet_order, mul, partial, substitute)
-from .jetcalc import VerticalField, total_derivative, total_derivative_multi
-from .multiindex import MultiIndex, enumerate_up_to
+from .jetcalc import VerticalField, d_v, total_derivative, total_derivative_multi
+from .multiindex import MultiIndex
 
 
 @dataclass(frozen=True)
@@ -144,59 +155,19 @@ class BilinearForm:
 def euler_lagrange(lag: Lagrangian) -> SourceForm:
     """Euler-Lagrange source form: e_i = sum (-1)^{|sigma|} D_sigma(d^sigma_i L)."""
     ctx = lag.ctx
-    r = lag.order
-    sigmas = enumerate_up_to(ctx.n, r)
-    comps = []
-    for i in range(ctx.m):
-        pieces = []
-        for sigma in sigmas:
-            p = partial(lag.density, ctx.jet_atom(i, sigma))
-            if p.is_zero:
-                continue
-            t = total_derivative_multi(p, sigma, ctx)
-            if sigma.order() % 2:
-                t = -t
-            pieces.append(t)
-        comps.append(add_many(pieces))
-    return SourceForm(ctx, tuple(comps))
+    pieces: list[list[JetExpr]] = [[] for _ in range(ctx.m)]
+    for (i, sigma), p in d_v(lag.density, ctx).items():
+        t = total_derivative_multi(p, sigma, ctx)
+        pieces[i].append(-t if sigma.order() % 2 else t)
+    return SourceForm(ctx, tuple(add_many(ps) for ps in pieces))
 
 
 def helmholtz(src: SourceForm) -> BilinearForm:
-    """Local-variationality obstruction of a source form.
-
-    Components:
-
-        H^sigma_{ij} = d^sigma_i e_j
-            - sum over rho of (-1)^{|sigma u rho|} C(sigma u rho, rho)
-              D_rho(d^{sigma u rho}_j e_i)
-
-    where the rho-sum runs up to order(e) + 1 - |sigma|, which covers
-    every nonzero term for source forms of any order (partials beyond
-    order(e) vanish).  C is the per-axis binomial product; the source
-    form is locally variational iff every component is identically zero.
-    """
-    ctx = src.ctx
-    bound = src.order + 1
-    comps: dict[tuple[MultiIndex, int, int], JetExpr] = {}
-    for sigma in enumerate_up_to(ctx.n, src.order):
-        for i in range(ctx.m):
-            for j in range(ctx.m):
-                lead = partial(src.components[j], ctx.jet_atom(i, sigma))
-                pieces = []
-                for rho in enumerate_up_to(ctx.n, bound - sigma.order()):
-                    tau = sigma.union(rho)
-                    p = partial(src.components[i], ctx.jet_atom(j, tau))
-                    if p.is_zero:
-                        continue
-                    c = Fraction(tau.binom(rho))
-                    if tau.order() % 2:
-                        c = -c
-                    pieces.append(mul(JetExpr.constant(c),
-                                      total_derivative_multi(p, rho, ctx)))
-                val = lead - add_many(pieces)
-                if not val.is_zero:
-                    comps[(sigma, i, j)] = val
-    return BilinearForm(ctx, comps)
+    """Local-variationality obstruction H = (V - V*)^T of a source form,
+    with V its linearization: the source form is locally variational iff
+    V is formally self-adjoint, i.e. iff every component vanishes."""
+    ve = linearize(src)
+    return (ve - adjoint(ve)).transpose()
 
 
 def helmholtz_skew(src: SourceForm) -> BilinearForm:
@@ -228,15 +199,9 @@ def linearize(src: SourceForm) -> BilinearForm:
     """Fiber linearization of a source form:
     components V^sigma_{ij} = d^sigma_j e_i, so that
     contract(xi1, xi2, V) = sum xi1^i D_sigma(xi2^j) d^sigma_j e_i."""
-    ctx = src.ctx
-    comps: dict[tuple[MultiIndex, int, int], JetExpr] = {}
-    for i in range(ctx.m):
-        for sigma in enumerate_up_to(ctx.n, jet_order(src.components[i])):
-            for j in range(ctx.m):
-                p = partial(src.components[i], ctx.jet_atom(j, sigma))
-                if not p.is_zero:
-                    comps[(sigma, i, j)] = p
-    return BilinearForm(ctx, comps)
+    return BilinearForm(src.ctx, {
+        (sigma, i, j): p for i, e in enumerate(src.components)
+        for (j, sigma), p in d_v(e, src.ctx).items()})
 
 
 def vertical_differential(lag: Lagrangian) -> BilinearForm:
@@ -306,32 +271,37 @@ def second_variation_decomposition(lag: Lagrangian, xi1: VerticalField,
     fields into the adjoint of the vertical differential.
     """
     ctx = lag.ctx
-    e = euler_lagrange(lag)
-    mu = contract_source(xi2, e)
-    bound = max([jet_order(mu), e.order]
-                + [jet_order(c) for c in xi2.components])
-    s1_pieces = []
-    s2_pieces = []
-    for j in range(ctx.m):
+    e = euler_lagrange(lag).components
+    inner1 = {key: add_many(mul(p, e[i]) for i, p in ps)
+              for key, ps in _partials_by_coordinate(xi2.components, ctx)}
+    inner2 = {key: add_many(mul(xi2.components[i], p) for i, p in ps)
+              for key, ps in _partials_by_coordinate(e, ctx)}
+    return (_contract_first(xi1, inner1, ctx),
+            _contract_first(xi1, inner2, ctx))
+
+
+def _partials_by_coordinate(exprs: Sequence[JetExpr], ctx: JetContext):
+    """The nonzero d^sigma_j exprs[i], grouped by coordinate: pairs
+    ((j, sigma), [(i, d^sigma_j exprs[i]), ...])."""
+    out: dict[tuple[int, MultiIndex], list[tuple[int, JetExpr]]] = {}
+    for i, f in enumerate(exprs):
+        for key, p in d_v(f, ctx).items():
+            out.setdefault(key, []).append((i, p))
+    return out.items()
+
+
+def _contract_first(xi1: VerticalField,
+                    inner: Mapping[tuple[int, MultiIndex], JetExpr],
+                    ctx: JetContext) -> Lagrangian:
+    """sum over (j, sigma) of (-1)^{|sigma|} xi1^j D_sigma(inner[(j, sigma)])."""
+    pieces = []
+    for (j, sigma), f in inner.items():
         xj = xi1.components[j]
-        if xj.is_zero:
+        if xj.is_zero or f.is_zero:
             continue
-        for sigma in enumerate_up_to(ctx.n, bound):
-            coord = ctx.jet_atom(j, sigma)
-            inner1 = add_many(mul(partial(xi2.components[i], coord),
-                                  e.components[i]) for i in range(ctx.m))
-            inner2 = add_many(mul(xi2.components[i],
-                                  partial(e.components[i], coord))
-                              for i in range(ctx.m))
-            sign = -1 if sigma.order() % 2 else 1
-            if not inner1.is_zero:
-                t = total_derivative_multi(inner1, sigma, ctx)
-                s1_pieces.append(mul(JetExpr.constant(sign), mul(xj, t)))
-            if not inner2.is_zero:
-                t = total_derivative_multi(inner2, sigma, ctx)
-                s2_pieces.append(mul(JetExpr.constant(sign), mul(xj, t)))
-    return (Lagrangian(ctx, add_many(s1_pieces)),
-            Lagrangian(ctx, add_many(s2_pieces)))
+        t = mul(xj, total_derivative_multi(f, sigma, ctx))
+        pieces.append(-t if sigma.order() % 2 else t)
+    return Lagrangian(ctx, add_many(pieces))
 
 
 def first_summand_certificate(lag: Lagrangian, xi1: VerticalField,
@@ -341,27 +311,18 @@ def first_summand_certificate(lag: Lagrangian, xi1: VerticalField,
     c[(i, rho)] with S1 = sum c[(i, rho)] * D_rho(e_i), obtained from the
     Leibniz expansion of the D_sigma in S1."""
     ctx = lag.ctx
-    e = euler_lagrange(lag)
-    mu = contract_source(xi2, e)
-    bound = max([jet_order(mu), e.order]
-                + [jet_order(c) for c in xi2.components])
     acc: dict[tuple[int, MultiIndex], list[JetExpr]] = {}
-    for j in range(ctx.m):
+    for (j, sigma), ps in _partials_by_coordinate(xi2.components, ctx):
         xj = xi1.components[j]
         if xj.is_zero:
             continue
-        for sigma in enumerate_up_to(ctx.n, bound):
-            coord = ctx.jet_atom(j, sigma)
-            sign = -1 if sigma.order() % 2 else 1
-            for i in range(ctx.m):
-                f = partial(xi2.components[i], coord)
-                if f.is_zero:
-                    continue
-                for rho in sigma.subindices():
-                    c = Fraction(sign * sigma.binom(rho))
-                    t = mul(JetExpr.constant(c),
-                            total_derivative_multi(f, sigma.sub(rho), ctx))
-                    acc.setdefault((i, rho), []).append(mul(xj, t))
+        sign = -1 if sigma.order() % 2 else 1
+        for i, f in ps:
+            for rho in sigma.subindices():
+                c = Fraction(sign * sigma.binom(rho))
+                t = mul(JetExpr.constant(c),
+                        total_derivative_multi(f, sigma.sub(rho), ctx))
+                acc.setdefault((i, rho), []).append(mul(xj, t))
     out = {}
     for key, pieces in acc.items():
         total = add_many(pieces)

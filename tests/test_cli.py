@@ -1,14 +1,17 @@
+import io
 import json
+import pathlib
+
+import pytest
 
 from jetvar import BilinearForm, JetContext
 from jetvar.cli import main
 from jetvar.multiindex import MultiIndex
 from jetvar.textio import print_object
 
-OSC = "problems/oscillator.vp"
-FLAT = "problems/geodesic_flat.vp"
-BEAM = "problems/beam.vp"
-METRIC = "problems/geodesic_metric.vp"
+PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
+OSC = str(PROBLEMS / "oscillator.vp")
+BEAM = str(PROBLEMS / "beam.vp")
 
 
 def run(capsys, *argv):
@@ -259,3 +262,39 @@ def test_nodes_override(capsys, problems_dir):
                        path(problems_dir, "geodesic_flat.vp"),
                        "--section", "line", "--nodes", "16")
     assert code == 0
+
+
+BAD_BILINEAR = (
+    "[]",
+    '{"type": "bilinear_form", "entries": 5}',
+    '{"type": "bilinear_form", "entries": [{"sigma": [0], "i": "y", '
+    '"j": "y", "value": {"terms": [{"coeff": "1/0", "factors": []}]}}]}',
+)
+
+
+@pytest.mark.parametrize("argv, stdin, code", [
+    (["check-critical", OSC, "--section", "sol", "--nodes", "-1"], None, 1),
+    (["check-critical", OSC, "--section", "sol", "--fields", "b1",
+      "--step=-1e-3"], None, 1),
+    (["check-critical", OSC, "--section", "sol", "--nodes", "0"], None, 1),
+    (["check-critical", OSC, "--section", "sol", "--step", "0"], None, 1),
+    (["check-critical", OSC, "--section", "sol", "--step", "inf"], None, 1),
+    (["check-critical", OSC, "--section", "sol", "--tol=nan"], None, 1),
+    (["check-critical", OSC, "--section", "sol", "--tol=-1"], None, 1),
+    (["second-var", BEAM, "--section", "cubic", "--fields", "b1,b2",
+      "--nodes", "x"], None, 1),
+    *((["adjoint", OSC, "--bilinear", "-"], text, 2) for text in BAD_BILINEAR),
+])
+def test_exit_code_contract(capsys, monkeypatch, argv, stdin, code):
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    got, _out, err = run(capsys, *argv)
+    assert got == code
+    assert "Traceback" not in err
+
+
+def test_explicit_zero_tolerance_is_not_replaced(capsys):
+    code, out, _ = run(capsys, "check-critical", OSC, "--section", "sol",
+                       "--tol", "0")
+    assert code == 0
+    assert "critical (tol 0): yes" in out

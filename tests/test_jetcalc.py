@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from jetvar import (JetContext, VerticalField, d_h, d_v, prolong,
                     total_derivative, total_derivative_multi)
-from jetvar.expr import cos, sin
+from jetvar.expr import cos, elem, sin
 from jetvar.multiindex import MultiIndex
 from jetvar.randgen import random_polynomial
 
@@ -116,3 +116,59 @@ def test_total_derivative_is_a_derivation(seed):
 def test_vertical_field_arity(plane_ctx):
     with pytest.raises(ValueError):
         VerticalField(plane_ctx, (plane_ctx.fiber("q1"),))
+
+
+def _to_sympy(e, ctx, sp):
+    """The expression with each jet coordinate y^i_sigma read as the
+    derivative D_sigma of a function y^i(x), so that sympy.diff along a
+    base variable is the total derivative."""
+    from jetvar.expr import BaseCoord, ConstSym, ElemFn, InvSum, JetCoord
+    xs = [sp.Symbol(nm) for nm in ctx.base_names]
+
+    def atom(a):
+        if isinstance(a, BaseCoord):
+            return xs[a.axis]
+        if isinstance(a, JetCoord):
+            f = sp.Function(a.field)(*xs)
+            return sp.diff(f, *[(x, c) for x, c in zip(xs, a.sigma.counts)])
+        if isinstance(a, ConstSym):
+            return sp.pi
+        if isinstance(a, ElemFn):
+            return getattr(sp, a.fn)(_to_sympy(a.arg, ctx, sp))
+        if isinstance(a, InvSum):
+            return 1 / _to_sympy(a.body, ctx, sp)
+        raise AssertionError(f"no sympy image for {a!r}")
+
+    return sp.Add(*(sp.Rational(c.numerator, c.denominator)
+                    * sp.Mul(*(atom(a) ** k for a, k in m))
+                    for m, c in e.terms))
+
+
+def _random_quotient(rng, ctx):
+    """polynomial * f(polynomial) / multi-term polynomial, f elementary."""
+    def poly(**kw):
+        return random_polynomial(rng, ctx, max_order=1, max_monomials=3,
+                                 max_factors=2, **kw)
+
+    arg = poly()
+    while arg.constant_value() is not None:
+        arg = poly()
+    den = poly()
+    while len(den.terms) < 2:
+        den = poly()
+    fn = rng.choice(["sin", "cos", "exp", "log", "sqrt"])
+    return poly() * elem(fn, arg) / den
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_total_derivative_matches_sympy(seed):
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    ctx = rng.choice([JetContext.make("t", "y"), JetContext.make("t", "y z"),
+                      JetContext.make("x1 x2", "y"),
+                      JetContext.make("x1 x2", "y z")])
+    e = _random_quotient(rng, ctx)
+    lhs = _to_sympy(e, ctx, sp)
+    for ax, name in enumerate(ctx.base_names):
+        got = _to_sympy(total_derivative(e, ax, ctx), ctx, sp)
+        assert sp.cancel(got - sp.diff(lhs, sp.Symbol(name))) == 0
