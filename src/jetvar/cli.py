@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import expr as ex
@@ -19,7 +18,7 @@ from .numeric import (NotCritical, NumericConfig, NumericError,
                       NumericSection, check_critical, check_onshell_symmetry,
                       first_variation_pair, second_variation_check)
 from .textio import (ParseError, ProblemFile, object_to_dict, parse_problem_file,
-                     parse_structured, print_object)
+                     parse_setting, parse_structured, print_object)
 from .variational import (Lagrangian, SourceForm, adjoint, euler_lagrange,
                           helmholtz, helmholtz_skew, jacobi,
                           quotient_variation, vertical_differential)
@@ -47,24 +46,14 @@ class _UsageError(ValueError):
     pass
 
 
-def _checked(convert, ok, expected: str):
-    """argparse type: convert the text, then require ok(value)."""
+def _checked(name: str):
+    """argparse type for the numeric setting ``name``."""
     def parse(text: str):
         try:
-            value = convert(text)
-            if ok(value):
-                return value
-        except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+            return parse_setting(name, text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
     return parse
-
-
-_NODES = _checked(int, lambda v: v >= 1, "an integer >= 1")
-_STEP = _checked(float, lambda v: math.isfinite(v) and v > 0,
-                 "a finite number > 0")
-_TOL = _checked(float, lambda v: math.isfinite(v) and v >= 0,
-                "a finite number >= 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,9 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", metavar="PATH",
                         help="write output to PATH instead of stdout")
         if numeric:
-            sp.add_argument("--nodes", type=_NODES, metavar="N")
-            sp.add_argument("--step", type=_STEP, metavar="H")
-            sp.add_argument("--tol", type=_TOL, metavar="T")
+            sp.add_argument("--nodes", type=_checked("nodes"), metavar="N")
+            sp.add_argument("--step", type=_checked("step"), metavar="H")
+            sp.add_argument("--tol", type=_checked("tol"), metavar="T")
 
     common(sub.add_parser("el", help="Euler-Lagrange source form"))
     common(sub.add_parser("jacobi", help="vertical differential, its adjoint, "

@@ -702,40 +702,6 @@ def jet_order(e: JetExpr) -> int:
 # ---------------------------------------------------------------------------
 
 
-def evaluate(e: JetExpr, env: Mapping[Atom, float]) -> float:
-    """Float evaluation with full coordinate grounding.
-
-    Opaque function symbols have no numeric value and raise; a missing
-    coordinate raises UnknownCoordinate.
-    """
-    total = 0.0
-    for m, c in e.terms:
-        p = c.numerator / c.denominator
-        for atom, k in m:
-            p *= _eval_atom(atom, env) ** k
-        total += p
-    return total
-
-
-def _eval_atom(atom: Atom, env: Mapping[Atom, float]) -> float:
-    if isinstance(atom, (BaseCoord, JetCoord)):
-        try:
-            return env[atom]
-        except KeyError:
-            raise UnknownCoordinate(
-                f"unbound coordinate {atom!r} in numeric evaluation") from None
-    if isinstance(atom, ConstSym):
-        return KNOWN_CONSTANTS[atom.name]
-    if isinstance(atom, ElemFn):
-        return getattr(math, atom.fn)(evaluate(atom.arg, env))
-    if isinstance(atom, InvSum):
-        return 1.0 / evaluate(atom.body, env)
-    if isinstance(atom, OpaqueFn):
-        raise ExprError(
-            f"opaque function {atom.name!r} has no numeric value")
-    raise ExprError(f"unhandled atom {atom!r}")
-
-
 def evaluate_exact(e: JetExpr, env: Mapping[Atom, Fraction]) -> Fraction:
     """Exact rational evaluation; only for expressions free of elementary
     and opaque function applications."""

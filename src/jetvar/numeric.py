@@ -2,29 +2,32 @@
 integrals by Gauss-Legendre quadrature, finite-difference variations of
 the action under flows, criticality and on-shell symmetry checks.
 
-Sections are closed-form expressions in the base coordinates; their
-prolongations use exact symbolic partials, evaluated in double
-precision.  Variation fields are multiplied by a polynomial bump factor
-vanishing to fourth order on the domain boundary, so divergence terms
-drop from every integration by parts arising here.
-"""
+Evaluation is composition, L o j^r s: an integrand L is compiled once
+with the jet coordinates as inputs, each jet entry d_sigma s^i it needs
+is compiled from exact partials of the section's closed form, and both
+run as numpy arrays at the Gauss nodes.  Each compiled piece is first
+rewritten exactly in the box's scaled coordinates s = (x - mid)/half:
+in raw coordinates the bump factor below, which variation fields carry
+so that divergence terms drop from every integration by parts, has huge
+cancelling coefficients away from the origin.  Faults and non-finite
+values raise NumericError."""
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
+import numpy as np
 import numpy.polynomial.legendre as _leg
 
 from . import expr as ex
-from .expr import (BaseCoord, ConstSym, ElemFn, InvSum, JetContext, JetCoord,
-                   JetExpr, OpaqueFn, jet_coords, partial, substitute)
-from .jetcalc import VerticalField
-from .multiindex import MultiIndex
-from .variational import (Lagrangian, contract, contract_source,
-                          euler_lagrange, jacobi, vertical_differential)
+from .expr import (Atom, BaseCoord, ConstSym, ElemFn, InvSum, JetContext,
+                   JetCoord, JetExpr, jet_coords, partial, substitute)
+from .variational import (BilinearForm, Lagrangian, euler_lagrange, jacobi,
+                          vertical_differential)
 
 
 class NumericError(RuntimeError):
@@ -66,41 +69,63 @@ def rel_close(a: float, b: float, rel: float = 1e-6, floor: float = 1e-8) -> boo
 # ---------------------------------------------------------------------------
 
 
-def _code(e: JetExpr) -> str:
+@contextmanager
+def _float_guard():
+    """Trap floating-point faults; report them as NumericError."""
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            yield
+    except (ArithmeticError, ValueError) as err:
+        raise NumericError(f"numeric evaluation failed: {err}") from None
+
+
+def _code(e: JetExpr, names: dict[Atom, str]) -> str:
     if e.is_zero:
         return "0.0"
     parts = []
     for m, c in e.terms:
         factors = [f"({c.numerator}/{c.denominator})"]
         for atom, k in m:
-            factors.append(f"({_atom_code(atom)})**{k}" if k != 1
-                           else _atom_code(atom))
+            code = _atom_code(atom, names)
+            factors.append(f"({code})**{k}" if k != 1 else code)
         parts.append("*".join(factors))
     return " + ".join(parts)
 
 
-def _atom_code(atom) -> str:
-    if isinstance(atom, BaseCoord):
-        return f"b[{atom.axis}]"
+def _atom_code(atom: Atom, names: dict[Atom, str]) -> str:
+    if isinstance(atom, (BaseCoord, JetCoord)):
+        return names.setdefault(atom, f"v[_a{len(names)}]")
     if isinstance(atom, ConstSym):
-        return f"_m.{atom.name}"
+        return repr(ex.KNOWN_CONSTANTS[atom.name])
     if isinstance(atom, ElemFn):
-        return f"_m.{atom.fn}({_code(atom.arg)})"
+        return f"_np.{atom.fn}({_code(atom.arg, names)})"
     if isinstance(atom, InvSum):
-        return f"1.0/({_code(atom.body)})"
-    if isinstance(atom, JetCoord):
-        raise NumericError(
-            f"jet coordinate {atom!r} left unbound; evaluate along a section")
-    if isinstance(atom, OpaqueFn):
-        raise NumericError(
-            f"opaque function {atom.name!r} has no numeric value")
-    raise NumericError(f"cannot compile atom {atom!r}")
+        return f"1.0/({_code(atom.body, names)})"
+    raise NumericError(f"opaque function {atom!r} has no numeric value")
 
 
-def compile_expr(e: JetExpr) -> Callable[[Sequence[float]], float]:
-    """Compile a base-coordinate expression to a python function of the
-    base point; reentrant and deterministic."""
-    return eval(f"lambda b, _m=_math: {_code(e)}", {"_math": math})
+def compile_expr(e: JetExpr) -> Callable[[Mapping[Atom, Any]], Any]:
+    """Compile e to a numpy function of a mapping from its coordinates to
+    floats or arrays.  Faults, non-finite values and unbound coordinates
+    raise NumericError.  Reentrant and deterministic."""
+    names: dict[Atom, str] = {}
+    with _float_guard():    # a coefficient too long to write out
+        code = _code(e, names)
+    raw = eval(f"lambda v: {code}",
+               {"_np": np, **{f"_a{k}": a for k, a in enumerate(names)}})
+
+    @_float_guard()
+    def run(env: Mapping[Atom, Any]):
+        try:
+            out = raw(env)
+        except KeyError as err:
+            raise NumericError(f"coordinate {err.args[0]!r} left unbound") \
+                from None
+        if not np.all(np.isfinite(out)):
+            raise NumericError("evaluation gave a value that is not finite")
+        return out
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -109,14 +134,10 @@ def compile_expr(e: JetExpr) -> Callable[[Sequence[float]], float]:
 
 
 class NumericSection:
-    """Closed-form section with quadrature configuration.
-
-    ``exprs`` holds one base-coordinate expression per field; the
-    prolongation table (j_r s)^i_sigma = d_sigma s^i is built from exact
-    symbolic partials on demand.  When ``prolong_order`` is given,
-    evaluating an expression of higher jet order raises
-    InsufficientProlongation.
-    """
+    """Closed-form section, one base-coordinate expression per field,
+    with quadrature configuration.  When ``prolong_order`` is given,
+    binding an expression of higher jet order raises
+    InsufficientProlongation."""
 
     def __init__(self, ctx: JetContext, exprs: Sequence[JetExpr],
                  domain: Sequence[tuple[float, float]], nodes: int = 64,
@@ -139,134 +160,94 @@ class NumericSection:
         self.domain = tuple((float(lo), float(hi)) for lo, hi in domain)
         self.nodes = nodes
         self.prolong_order = prolong_order
-        self._derivs: dict[tuple[int, MultiIndex], JetExpr] = {}
-        self._bound: dict[JetExpr, Callable] = {}
-        self._grid: tuple[tuple[tuple[float, ...], ...], tuple[float, ...]] | None = None
+        self._axes = tuple(ctx.base_atom(ax) for ax in range(ctx.n))
         # exact affine map to the Gauss-native cube: x = mid + half * s
         self._mid = tuple((Fraction(lo) + Fraction(hi)) / 2
                           for lo, hi in self.domain)
         self._half = tuple((Fraction(hi) - Fraction(lo)) / 2
                            for lo, hi in self.domain)
-
-    @staticmethod
-    def from_config(ctx: JetContext, exprs: Sequence[JetExpr],
-                    config: NumericConfig, prolong_order: int | None = None
-                    ) -> "NumericSection":
-        return NumericSection(ctx, exprs, config.domain, config.nodes,
-                              prolong_order)
-
-    def replaced(self, exprs: Sequence[JetExpr]) -> "NumericSection":
-        sec = NumericSection(self.ctx, exprs, self.domain, self.nodes,
-                             self.prolong_order)
-        sec._grid = self._grid
-        return sec
+        self._scaled_exprs = tuple(self._scaled(e) for e in self.exprs)
+        self._jets: dict[JetCoord, Callable] = {}
+        self._bound: dict[JetExpr, Callable] = {}
+        self._grid: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- prolongation ---------------------------------------------------
 
-    def derivative(self, i: int, sigma: MultiIndex) -> JetExpr:
-        key = (i, sigma)
-        got = self._derivs.get(key)
+    def _scaled(self, e: JetExpr) -> JetExpr:
+        """e rewritten exactly in the scaled coordinates of the box."""
+        return substitute(e, {
+            a: JetExpr.constant(m) + JetExpr.constant(h) * ex.atom_expr(a)
+            for a, m, h in zip(self._axes, self._mid, self._half)})
+
+    def _jet(self, jc: JetCoord) -> Callable:
+        """The compiled jet entry d_sigma s^i for jc = y^i_sigma, taken in
+        scaled coordinates, where d/dx = (1/half) d/ds."""
+        got = self._jets.get(jc)
+        if got is None:
+            if self.prolong_order is not None and jc.order > self.prolong_order:
+                raise InsufficientProlongation(
+                    f"jet coordinate {jc!r} exceeds the section's "
+                    f"prolongation order {self.prolong_order}")
+            d = self._scaled_exprs[jc.index]
+            for a, h, count in zip(self._axes, self._half, jc.sigma.counts):
+                for _ in range(count):
+                    d = partial(d, a) / JetExpr.constant(h)
+            got = self._jets[jc] = compile_expr(d)
+        return got
+
+    def bind(self, e: JetExpr) -> Callable[[Sequence[Any]], Any]:
+        """Evaluator of e along the prolonged section, as a function of
+        the base point (one float or array per axis): e compiled once with
+        the jet coordinates as inputs, composed with its jet entries."""
+        got = self._bound.get(e)
         if got is not None:
             return got
-        if sigma.order() == 0:
-            out = self.exprs[i]
-        else:
-            ax = next(a for a, c in enumerate(sigma.counts) if c > 0)
-            lower = MultiIndex(tuple(
-                c - 1 if a == ax else c for a, c in enumerate(sigma.counts)))
-            out = partial(self.derivative(i, lower), self.ctx.base_atom(ax))
-        self._derivs[key] = out
-        return out
+        entries = [(jc, self._jet(jc)) for jc in jet_coords(e)]
+        f = compile_expr(self._scaled(e))
 
-    def along(self, e: JetExpr) -> JetExpr:
-        """Substitute the prolongation table into e, leaving a closed-form
-        expression in the base coordinates."""
-        coords = jet_coords(e)
-        if self.prolong_order is not None:
-            worst = max((jc.order for jc in coords), default=0)
-            if worst > self.prolong_order:
-                raise InsufficientProlongation(
-                    f"expression of jet order {worst} exceeds the section's "
-                    f"prolongation order {self.prolong_order}")
-        bindings = {jc: self.derivative(jc.index, jc.sigma) for jc in coords}
-        return substitute(e, bindings)
+        def got(x):
+            env = {a: (xa - float(m)) / float(h) for a, m, h, xa
+                   in zip(self._axes, self._mid, self._half, x)}
+            for jc, g in entries:
+                env[jc] = g(env)
+            return f(env)
 
-    def bind(self, e: JetExpr) -> Callable[[Sequence[float]], float]:
-        """Compiled evaluator of e along the prolonged section, as a
-        function of the physical base point.
-
-        Internally the polynomial part is rewritten in the per-axis
-        scaled coordinates s = (x - mid)/half before compilation: the
-        expanded monomial form in the raw coordinates can carry huge
-        mutually-cancelling coefficients (bump factors and their
-        derivatives), while in scaled coordinates it stays balanced.
-        """
-        got = self._bound.get(e)
-        if got is None:
-            rescale = {
-                self.ctx.base_atom(ax):
-                    JetExpr.constant(self._mid[ax])
-                    + JetExpr.constant(self._half[ax]) * self.ctx.base(ax)
-                for ax in range(self.ctx.n)}
-            f = compile_expr(substitute(self.along(e), rescale))
-            mids = tuple(float(m) for m in self._mid)
-            halves = tuple(float(h) for h in self._half)
-
-            def wrapper(p, _f=f, _m=mids, _h=halves):
-                return _f(tuple((x - m) / h
-                                for x, m, h in zip(p, _m, _h)))
-
-            got = wrapper
-            self._bound[e] = got
+        self._bound[e] = got
         return got
 
     # -- quadrature -------------------------------------------------------
 
-    def grid(self) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]]:
-        """Tensor-product Gauss-Legendre points and weights over the box,
-        in a fixed row-major order."""
+    def grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """Tensor-product Gauss-Legendre points over the box, one row per
+        node in row-major order, and their weights."""
         if self._grid is None:
             xs, ws = _leg.leggauss(self.nodes)
-            per_axis = []
-            for lo, hi in self.domain:
-                half = (hi - lo) / 2.0
-                mid = (hi + lo) / 2.0
-                per_axis.append([(float(mid + half * x), float(half * w))
-                                 for x, w in zip(xs, ws)])
-            points: list[tuple[float, ...]] = []
-            weights: list[float] = []
-
-            def rec(axis, pt, w):
-                if axis == len(per_axis):
-                    points.append(tuple(pt))
-                    weights.append(w)
-                    return
-                for x, wx in per_axis[axis]:
-                    rec(axis + 1, pt + [x], w * wx)
-
-            rec(0, [], 1.0)
-            self._grid = (tuple(points), tuple(weights))
+            halves = [(hi - lo) / 2.0 for lo, hi in self.domain]
+            points = np.meshgrid(*[(hi + lo) / 2.0 + h * xs for h, (lo, hi)
+                                   in zip(halves, self.domain)], indexing="ij")
+            weights = np.meshgrid(*[h * ws for h in halves], indexing="ij")
+            self._grid = (np.column_stack([p.ravel() for p in points]),
+                          np.multiply.reduce(weights).ravel())
         return self._grid
+
+    def _at_nodes(self, e: JetExpr):
+        """e along the prolonged section at every quadrature node."""
+        return self.bind(e)(self.grid()[0].T)
+
+    @_float_guard()
+    def _integral(self, values) -> float:
+        """Quadrature of values at the nodes, as a compensated sum."""
+        return math.fsum(self.grid()[1] * values)
 
 
 def eval_on_section(e: JetExpr, section: NumericSection,
                     point: Sequence[float]) -> float:
     """Value of e along the prolonged section at a base point."""
-    f = section.bind(e)
-    try:
-        return f(tuple(point))
-    except (ValueError, ZeroDivisionError, OverflowError) as err:
-        raise NumericError(f"evaluation failed at {tuple(point)}: {err}") \
-            from None
+    return float(section.bind(e)(point))
 
 
 def integrate_on_section(e: JetExpr, section: NumericSection) -> float:
-    f = section.bind(e)
-    points, weights = section.grid()
-    try:
-        return math.fsum(w * f(p) for p, w in zip(points, weights))
-    except (ValueError, ZeroDivisionError, OverflowError) as err:
-        raise NumericError(f"quadrature evaluation failed: {err}") from None
+    return section._integral(section._at_nodes(e))
 
 
 def action(lag: Lagrangian, section: NumericSection) -> float:
@@ -358,7 +339,10 @@ def _varied_section(section: NumericSection, flows: Sequence[Flow],
     exprs = section.exprs
     for flow, t in zip(flows, ts):
         exprs = flow(t, exprs)
-    return section.replaced(exprs)
+    varied = NumericSection(section.ctx, exprs, section.domain, section.nodes,
+                            section.prolong_order)
+    varied._grid = section.grid()
+    return varied
 
 
 def finite_diff_variation(lag: Lagrangian, section: NumericSection,
@@ -383,12 +367,26 @@ def finite_diff_variation(lag: Lagrangian, section: NumericSection,
     return (4 * diff(h / 2) - diff(h)) / 3
 
 
-def bumped_fields(ctx: JetContext, domain, *component_tuples
-                  ) -> list[VerticalField]:
-    """Vertical fields from base-coordinate components, times the bump."""
-    bump = bump_factor(ctx, domain)
-    return [VerticalField(ctx, tuple(bump * c for c in comps))
-            for comps in component_tuples]
+def _field_section(section: NumericSection, comps: tuple[JetExpr, ...]
+                   ) -> NumericSection:
+    """The bumped field as a section over the same box: its jet entries
+    are the derivatives D_sigma(bump * xi), to any order."""
+    bump = bump_factor(section.ctx, section.domain)
+    field = NumericSection(section.ctx, tuple(bump * c for c in comps),
+                           section.domain, section.nodes)
+    field._grid = section.grid()
+    return field
+
+
+def _contraction(a: BilinearForm, section: NumericSection,
+                 f1: NumericSection, f2: NumericSection):
+    """sum A^sigma_ij xi1^i D_sigma xi2^j at the nodes, factor by factor."""
+    ctx = section.ctx
+    factors = [(section._at_nodes(val), f1._at_nodes(ctx.fiber(i)),
+                f2._at_nodes(ctx.jet(j, sigma)))
+               for (sigma, i, j), val in a.entries()]
+    with _float_guard():
+        return sum(v * p * q for v, p, q in factors)
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +408,9 @@ class CriticalityReport:
 def check_critical(lag: Lagrangian, section: NumericSection,
                    tol: float = 1e-8) -> CriticalityReport:
     """Max over quadrature nodes of |e_i| along the prolonged section."""
-    e = euler_lagrange(lag)
-    points, _w = section.grid()
-    per = []
-    for comp in e.components:
-        f = section.bind(comp)
-        per.append(max(abs(f(p)) for p in points) if points else 0.0)
-    return CriticalityReport(max(per), tuple(per), tol)
+    per = tuple(float(np.max(np.abs(section._at_nodes(c))))
+                for c in euler_lagrange(lag).components)
+    return CriticalityReport(max(per), per, tol)
 
 
 @dataclass(frozen=True)
@@ -445,16 +439,13 @@ def check_onshell_symmetry(lag: Lagrangian, section: NumericSection,
     crit = check_critical(lag, section, crit_tol)
     if not crit.is_critical:
         raise NotCritical(crit)
-    ctx = section.ctx
-    f1, f2 = bumped_fields(ctx, section.domain, xi1, xi2)
+    f1, f2 = _field_section(section, xi1), _field_section(section, xi2)
     ve = vertical_differential(lag)
-    e12 = contract(f1, f2, ve)
-    e21 = contract(f2, f1, ve)
-    lhs = integrate_on_section(e12, section)
-    rhs = integrate_on_section(e21, section)
-    g = section.bind(e12 - e21)
-    points, _w = section.grid()
-    pointwise = max(abs(g(p)) for p in points)
+    e12 = _contraction(ve, section, f1, f2)
+    e21 = _contraction(ve, section, f2, f1)
+    lhs, rhs = section._integral(e12), section._integral(e21)
+    with _float_guard():
+        pointwise = float(np.max(np.abs(e12 - e21)))
     return OnshellSymmetryReport(lhs, rhs, lhs - rhs, pointwise,
                                  crit.max_residual)
 
@@ -483,13 +474,12 @@ def second_variation_check(lag: Lagrangian, section: NumericSection,
     crit = check_critical(lag, section, crit_tol)
     if not crit.is_critical:
         raise NotCritical(crit)
-    ctx = section.ctx
     vc = VariationConfig(fields=(xi1, xi2), step=step)
     fd = finite_diff_variation(lag, section, vc, 2)
-    f1, f2 = bumped_fields(ctx, section.domain, xi1, xi2)
-    ive = integrate_on_section(contract(f1, f2, vertical_differential(lag)),
-                               section)
-    ijac = integrate_on_section(contract(f1, f2, jacobi(lag)), section)
+    f1, f2 = _field_section(section, xi1), _field_section(section, xi2)
+    ive = section._integral(
+        _contraction(vertical_differential(lag), section, f1, f2))
+    ijac = section._integral(_contraction(jacobi(lag), section, f1, f2))
     return SecondVariationReport(fd, ive, ijac, crit.max_residual)
 
 
@@ -499,9 +489,11 @@ def first_variation_pair(lag: Lagrangian, section: NumericSection,
     """(finite-difference first variation, integral of xi | E along the
     section) for a bump-localized field; the two agree as step -> 0 and
     both vanish on critical sections."""
-    ctx = section.ctx
     vc = VariationConfig(fields=(xi,), step=step)
     fd = finite_diff_variation(lag, section, vc, 1)
-    (f,) = bumped_fields(ctx, section.domain, xi)
-    sym = integrate_on_section(contract_source(f, euler_lagrange(lag)), section)
-    return fd, sym
+    f = _field_section(section, xi)
+    factors = [(f._at_nodes(section.ctx.fiber(i)), section._at_nodes(c))
+               for i, c in enumerate(euler_lagrange(lag).components)]
+    with _float_guard():
+        pairing = sum(p * e for p, e in factors)
+    return fd, section._integral(pairing)

@@ -22,6 +22,7 @@ interface; its schema is documented in the README.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -30,7 +31,7 @@ from . import expr as ex
 from .expr import (ConstSym, BaseCoord, ElemFn, InvSum, JetContext, JetCoord,
                    JetExpr, OpaqueFn, atom_expr, jet_coords, to_plain)
 from .multiindex import MultiIndex
-from .numeric import NumericConfig
+from .numeric import NumericConfig, NumericError, compile_expr
 from .variational import BilinearForm, Lagrangian, SourceForm
 
 
@@ -631,11 +632,32 @@ def _parse_components(ctx: JetContext, body, *, what: str, require_all: bool,
     return tuple(comps.get(i, ex.ZERO) for i in range(ctx.m))
 
 
+# Accepted values of the numeric block's settings, shared with the
+# command-line flags: (conversion, condition, description).
+SETTINGS = {
+    "nodes": (int, lambda v: v >= 1, "an integer >= 1"),
+    "step": (float, lambda v: math.isfinite(v) and v > 0,
+             "a finite number > 0"),
+    "tol": (float, lambda v: math.isfinite(v) and v >= 0,
+            "a finite number >= 0"),
+}
+
+
+def parse_setting(name: str, text: str):
+    """The value of the numeric setting ``name`` written as text;
+    ValueError when it is not accepted."""
+    convert, ok, expected = SETTINGS[name]
+    try:
+        if ok(value := convert(text)):
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"expected {expected}, got {text!r}")
+
+
 def _parse_numeric_block(ctx: JetContext, body, block_line: int) -> NumericConfig:
     domain: dict[int, tuple[float, float]] = {}
-    nodes = 64
-    step = 1e-3
-    tol = 1e-6
+    settings = {}
     for ln, line in body:
         words = line.split()
         head = words[0]
@@ -650,12 +672,13 @@ def _parse_numeric_block(ctx: JetContext, body, block_line: int) -> NumericConfi
             if not lo < hi:
                 raise ParseError("domain bounds must satisfy lo < hi", ln, 1)
             domain[axis] = (lo, hi)
-        elif head == "nodes":
-            nodes = int(words[1])
-        elif head == "step":
-            step = float(words[1])
-        elif head == "tol":
-            tol = float(words[1])
+        elif head in SETTINGS:
+            if len(words) != 2:
+                raise ParseError(f"{head} lines read '{head} value'", ln, 1)
+            try:
+                settings[head] = parse_setting(head, words[1])
+            except ValueError as err:
+                raise ParseError(f"{head}: {err}", ln, 1) from None
         else:
             raise ParseError(f"unknown numeric entry {head!r}", ln, 1)
     missing = [ctx.base_names[a] for a in range(ctx.n) if a not in domain]
@@ -664,16 +687,16 @@ def _parse_numeric_block(ctx: JetContext, body, block_line: int) -> NumericConfi
             f"numeric block must give a domain for every base variable; "
             f"missing {', '.join(missing)}", block_line, 1)
     return NumericConfig(domain=tuple(domain[a] for a in range(ctx.n)),
-                         nodes=nodes, step=step, tol=tol)
+                         **settings)
 
 
 def _const_value(text: str, ctx: JetContext, line: int) -> float:
     value = parse_expr(text, ctx, line=line)
     try:
-        return ex.evaluate(value, {})
-    except ex.ExprError:
-        raise ParseError(f"domain bound {text!r} is not a constant", line, 1) \
-            from None
+        return float(compile_expr(value)({}))
+    except NumericError:
+        raise ParseError(f"domain bound {text!r} is not a finite constant",
+                         line, 1) from None
 
 
 def parse_problem_file(text: str) -> ProblemFile:

@@ -36,8 +36,8 @@ from typing import Mapping, Sequence
 
 # ``partial`` is not called here; perfbench's tracing tests look it up as
 # ``variational.partial``.
-from .expr import (JetContext, JetCoord, JetExpr, ZERO, add, add_many,
-                   jet_order, mul, partial, substitute)
+from .expr import (ExprError, JetContext, JetCoord, JetExpr, ZERO, add,
+                   add_many, jet_order, mul, partial, substitute)
 from .jetcalc import VerticalField, d_v, total_derivative, total_derivative_multi
 from .multiindex import MultiIndex
 
@@ -377,10 +377,12 @@ def reduce_onshell(e: JetExpr, relations: Mapping[JetCoord, JetExpr],
     prolongations needed to cover every derivative occurring in e."""
     full = prolong_relations(ctx, relations, max(jet_order(e), 0))
     out = substitute(e, full)
-    # one pass suffices when the solved forms are reduced; guard anyway
+    # one pass suffices when the solved forms are reduced; a few more
+    # cover chains, and relations that never settle are refused
     for _ in range(4):
         nxt = substitute(out, full)
         if nxt == out:
             return out
         out = nxt
-    return out
+    raise ExprError("on-shell reduction reached no fixed point in four "
+                    "passes; the relations are not in solved form")

@@ -272,6 +272,32 @@ BAD_BILINEAR = (
 )
 
 
+class _Edited:
+    """oscillator.vp with one line replaced, written out when a test runs."""
+
+    def __init__(self, old: str, new: str):
+        self.old, self.new = old, new
+
+    def write(self, directory: pathlib.Path) -> str:
+        text = pathlib.Path(OSC).read_text()
+        assert self.old in text
+        target = directory / "edited.vp"
+        target.write_text(text.replace(self.old, self.new))
+        return str(target)
+
+
+NUMERIC_BLOCK_EDITS = (
+    ("nodes 64", "nodes 0"),
+    ("nodes 64", "nodes x"),
+    ("step 1e-3", "step"),
+    ("step 1e-3", "step nan"),
+    ("tol 1e-6", "tol -1"),
+    ("domain t 0 pi", "domain t log(0) pi"),
+    ("domain t 0 pi", "domain t sqrt(0-1) pi"),
+    ("domain t 0 pi", "domain t 0 exp(1000)"),
+)
+
+
 @pytest.mark.parametrize("argv, stdin, code", [
     (["check-critical", OSC, "--section", "sol", "--nodes", "-1"], None, 1),
     (["check-critical", OSC, "--section", "sol", "--fields", "b1",
@@ -284,8 +310,13 @@ BAD_BILINEAR = (
     (["second-var", BEAM, "--section", "cubic", "--fields", "b1,b2",
       "--nodes", "x"], None, 1),
     *((["adjoint", OSC, "--bilinear", "-"], text, 2) for text in BAD_BILINEAR),
+    *((["check-critical", _Edited(old, bad), "--section", "sol"], None, 1)
+      for old, bad in NUMERIC_BLOCK_EDITS),
+    *((["check-critical", _Edited("1/2*(y_t^2 - y^2)", f"{big}*(y_t^2 - y^2)"),
+        "--section", "bad"], None, 2) for big in ("10^400", "10^5000")),
 ])
-def test_exit_code_contract(capsys, monkeypatch, argv, stdin, code):
+def test_exit_code_contract(capsys, monkeypatch, tmp_path, argv, stdin, code):
+    argv = [a.write(tmp_path) if isinstance(a, _Edited) else a for a in argv]
     if stdin is not None:
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     got, _out, err = run(capsys, *argv)

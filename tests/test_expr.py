@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from jetvar import JetContext, JetExpr, jet_order, partial, simplify, \
     substitute, to_plain
 from jetvar.expr import (DivisionByZeroExpr, ExprError, ONE, UnknownCoordinate,
-                         ZERO, atom_pow, cos, evaluate, evaluate_exact,
+                         ZERO, atom_pow, cos, evaluate_exact,
                          jet_coords, pow_int, sin)
 from jetvar.randgen import random_polynomial
 
@@ -123,22 +123,13 @@ def test_division_extracts_monomial_content(ode_ctx):
     assert a == b
 
 
-def test_evaluate(ode_ctx):
+def test_evaluate_exact_needs_bound_polynomial(ode_ctx):
     t = ode_ctx.base("t")
     y = ode_ctx.fiber("y")
-    e = 2 * y ** 2 + sin(t)
-    env = {ode_ctx.base_atom("t"): 0.0, ode_ctx.jet_atom("y"): 3.0}
-    assert evaluate(e, env) == 18.0
     with pytest.raises(UnknownCoordinate):
-        evaluate(e, {ode_ctx.base_atom("t"): 0.0})
+        evaluate_exact(2 * y ** 2 + t, {ode_ctx.base_atom("t"): Fraction(0)})
     with pytest.raises(ExprError):
         evaluate_exact(sin(t), {ode_ctx.base_atom("t"): Fraction(1)})
-
-
-def test_opaque_has_no_numeric_value():
-    ctx = JetContext.make("t", "q", opaque={"g": ["q"]})
-    with pytest.raises(ExprError):
-        evaluate(ctx.opaque("g"), {ctx.jet_atom("q"): 1.0})
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,7 +9,7 @@ from jetvar import (BilinearForm, JetContext, Lagrangian, SourceForm,
                     is_locally_variational, jacobi, quotient_variation,
                     second_variation_decomposition, total_derivative,
                     total_derivative_multi, vertical_differential)
-from jetvar.expr import ONE, ZERO, partial
+from jetvar.expr import ONE, ZERO, ExprError, partial
 from jetvar.multiindex import MultiIndex, enumerate_up_to
 from jetvar.randgen import (random_bilinear_form, random_current,
                             random_lagrangian, random_vertical_field)
@@ -451,6 +451,12 @@ def test_split_first_summand_dies_onshell_with_fiber_fields(ode_ctx):
     assert not diff.is_zero
     relations = {ode_ctx.jet_atom("y", "tt"): 3 * y ** 2}
     assert reduce_onshell(diff, relations, ode_ctx).is_zero
+
+
+def test_reduce_onshell_refuses_relations_without_fixed_point(ode_ctx):
+    y = ode_ctx.fiber("y")
+    with pytest.raises(ExprError, match="fixed point"):
+        reduce_onshell(y, {ode_ctx.jet_atom("y"): y ** 2}, ode_ctx)
 
 
 def test_prolong_relations(ode_ctx):
