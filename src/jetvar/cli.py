@@ -134,9 +134,10 @@ def _source(pf: ProblemFile, args) -> SourceForm:
 
 
 def _field_names(args) -> list[str]:
-    if not args.fields:
+    names = [w.strip() for w in (args.fields or "").split(",") if w.strip()]
+    if not names:
         raise SemanticError("this command needs --fields NAME[,NAME...]")
-    return [w.strip() for w in args.fields.split(",") if w.strip()]
+    return names
 
 
 def _variations(pf: ProblemFile, args, count: int | None = None
@@ -385,6 +386,8 @@ def main(argv=None) -> int:
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except SystemExit:   # argparse has printed the --help text
+        return EXIT_OK
     try:
         _emit(args, run(args))
         return EXIT_OK

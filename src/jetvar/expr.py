@@ -17,6 +17,7 @@ generators exactly when they compare equal.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -772,6 +773,17 @@ def _render_factor(atom: Atom, k: int) -> str:
     return f"{s}^{k}"
 
 
+def coeff_text(c: Number) -> str:
+    """Decimal text of a rational; one with more digits than the
+    interpreter converts raises ExprError."""
+    try:
+        return str(c)
+    except ValueError:
+        raise ExprError(f"a coefficient has more than "
+                        f"{sys.get_int_max_str_digits()} digits and cannot "
+                        f"be printed") from None
+
+
 def to_plain(e: JetExpr) -> str:
     """Plain-text rendering in the canonical term order; parseable back."""
     if e.is_zero:
@@ -782,11 +794,11 @@ def to_plain(e: JetExpr) -> str:
         mag = -c if neg else c
         factors = [_render_factor(a, k) for a, k in m]
         if not factors:
-            body = str(mag)
+            body = coeff_text(mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = str(mag) + "*" + "*".join(factors)
+            body = coeff_text(mag) + "*" + "*".join(factors)
         if not parts:
             parts.append(("-" if neg else "") + body)
         else:

@@ -1,16 +1,19 @@
 """Numerical verification along prolonged sections: evaluation, action
 integrals by Gauss-Legendre quadrature, finite-difference variations of
-the action under flows, criticality and on-shell symmetry checks.
+the action along linear variations, criticality and on-shell symmetry
+checks.
 
 Evaluation is composition, L o j^r s: an integrand L is compiled once
 with the jet coordinates as inputs, each jet entry d_sigma s^i it needs
 is compiled from exact partials of the section's closed form, and both
 run as numpy arrays at the Gauss nodes.  Each compiled piece is first
-rewritten exactly in the box's scaled coordinates s = (x - mid)/half:
-in raw coordinates the bump factor below, which variation fields carry
-so that divergence terms drop from every integration by parts, has huge
-cancelling coefficients away from the origin.  Faults and non-finite
-values raise NumericError."""
+rewritten exactly in the box's scaled coordinates s = (x - mid)/half,
+and the bump factor below, which variation fields carry so that
+divergence terms drop from every integration by parts, is written there
+directly: in raw coordinates it has huge cancelling coefficients away
+from the origin.  A finite-difference action is the compiled integrand
+applied to jet arrays, since j(s + t phi) = j s + t j phi.  Faults and
+non-finite values raise NumericError."""
 
 from __future__ import annotations
 
@@ -169,6 +172,7 @@ class NumericSection:
         self._scaled_exprs = tuple(self._scaled(e) for e in self.exprs)
         self._jets: dict[JetCoord, Callable] = {}
         self._bound: dict[JetExpr, Callable] = {}
+        self._fields: dict[tuple[JetExpr, ...], NumericSection] = {}
         self._grid: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- prolongation ---------------------------------------------------
@@ -206,13 +210,40 @@ class NumericSection:
         f = compile_expr(self._scaled(e))
 
         def got(x):
-            env = {a: (xa - float(m)) / float(h) for a, m, h, xa
-                   in zip(self._axes, self._mid, self._half, x)}
+            env = self._scaled_point(x)
             for jc, g in entries:
                 env[jc] = g(env)
             return f(env)
 
         self._bound[e] = got
+        return got
+
+    def _scaled_point(self, x) -> dict[Atom, Any]:
+        """The scaled coordinates of a base point (one float or array per
+        axis), keyed by the axis atoms."""
+        return {a: (xa - float(m)) / float(h) for a, m, h, xa
+                in zip(self._axes, self._mid, self._half, x)}
+
+    def _field(self, comps: Sequence[JetExpr]) -> "NumericSection":
+        """The bumped field bump * xi as a section over the same box, built
+        once per field: its jet entries are the derivatives
+        D_sigma(bump * xi), to any order.  The bump is written directly in
+        scaled coordinates, prod_axis (1 - s^2)^4, which is bump_factor
+        rescaled exactly; the field section's exprs stay the unbumped xi,
+        since evaluation reads only the scaled forms."""
+        comps = tuple(comps)
+        got = self._fields.get(comps)
+        if got is None:
+            if len(comps) != self.ctx.m:
+                raise ValueError(
+                    f"variation fields need {self.ctx.m} components")
+            got = NumericSection(self.ctx, comps, self.domain, self.nodes)
+            bump = ex.ONE
+            for a in self._axes:
+                bump = bump * (1 - ex.atom_expr(a) ** 2) ** 4
+            got._scaled_exprs = tuple(bump * e for e in got._scaled_exprs)
+            got._grid = self.grid()
+            self._fields[comps] = got
         return got
 
     # -- quadrature -------------------------------------------------------
@@ -270,9 +301,6 @@ def action_report(lag: Lagrangian, section: NumericSection
 # variations
 # ---------------------------------------------------------------------------
 
-Flow = Callable[[float, tuple[JetExpr, ...]], tuple[JetExpr, ...]]
-
-
 def bump_factor(ctx: JetContext, domain: Sequence[tuple[float, float]]
                 ) -> JetExpr:
     """prod_axis ((x-a)(b-x))^4, normalized to peak value 1.  Vanishes to
@@ -291,13 +319,12 @@ def bump_factor(ctx: JetContext, domain: Sequence[tuple[float, float]]
 @dataclass
 class VariationConfig:
     """Variation fields (closed forms in the base coordinates; the bump
-    factor is multiplied in by the engine), the finite-difference step,
-    and optional explicit flows for fiber-dependent variations."""
+    factor is multiplied in by the engine) and the finite-difference
+    step."""
 
     fields: Sequence[tuple[JetExpr, ...]] = ()
     step: float = 1e-3
     richardson: bool = False
-    flows: Sequence[Flow] | None = None
 
     def __post_init__(self):
         if self.step <= 0:
@@ -307,54 +334,33 @@ class VariationConfig:
                 if jet_coords(c):
                     raise ValueError(
                         "variation fields must be closed forms in the base "
-                        "coordinates; use an explicit flow otherwise")
-
-
-def _linear_flows(ctx: JetContext, vc: VariationConfig,
-                  domain: Sequence[tuple[float, float]], count: int
-                  ) -> list[Flow]:
-    if vc.flows is not None:
-        if len(vc.flows) < count:
-            raise ValueError(f"need {count} flows, got {len(vc.flows)}")
-        return list(vc.flows[:count])
-    if len(vc.fields) < count:
-        raise ValueError(f"need {count} variation fields, got {len(vc.fields)}")
-    bump = bump_factor(ctx, domain)
-    flows = []
-    for comps in vc.fields[:count]:
-        if len(comps) != ctx.m:
-            raise ValueError(f"variation fields need {ctx.m} components")
-        bumped = tuple(bump * c for c in comps)
-
-        def flow(t, exprs, _bumped=bumped):
-            ft = Fraction(t)
-            return tuple(e + ft * c for e, c in zip(exprs, _bumped))
-
-        flows.append(flow)
-    return flows
-
-
-def _varied_section(section: NumericSection, flows: Sequence[Flow],
-                    ts: Sequence[float]) -> NumericSection:
-    exprs = section.exprs
-    for flow, t in zip(flows, ts):
-        exprs = flow(t, exprs)
-    varied = NumericSection(section.ctx, exprs, section.domain, section.nodes,
-                            section.prolong_order)
-    varied._grid = section.grid()
-    return varied
+                        "coordinates")
 
 
 def finite_diff_variation(lag: Lagrangian, section: NumericSection,
                           vc: VariationConfig, i: int) -> float:
-    """i-th variation of the action as a central finite difference of the
-    flow parameters at 0 (i in {1, 2})."""
+    """i-th variation of the action along s + sum_k t_k * bump * xi_k, as a
+    central finite difference at t = 0 (i in {1, 2}).  Prolongation is
+    linear in the fibre, j(s + t phi) = j s + t j phi, so each action is
+    the compiled integrand applied to the jet arrays of the section plus
+    t_k times those of each bumped field, at the Gauss nodes."""
     if i not in (1, 2):
         raise ValueError("only first and second variations are supported")
-    flows = _linear_flows(section.ctx, vc, section.domain, i)
+    if len(vc.fields) < i:
+        raise ValueError(f"need {i} variation fields, got {len(vc.fields)}")
+    fields = [section._field(comps) for comps in vc.fields[:i]]
+    f = compile_expr(section._scaled(lag.density))
+    scaled = section._scaled_point(section.grid()[0].T)
+    jets = [(jc, section._jet(jc)(scaled), [fs._jet(jc)(scaled)
+                                            for fs in fields])
+            for jc in jet_coords(lag.density)]
 
+    @_float_guard()
     def a(*ts: float) -> float:
-        return action(lag, _varied_section(section, flows, ts))
+        env = dict(scaled)
+        for jc, j0, js in jets:
+            env[jc] = j0 + sum(t * j for t, j in zip(ts, js))
+        return section._integral(f(env))
 
     def diff(h: float) -> float:
         if i == 1:
@@ -365,17 +371,6 @@ def finite_diff_variation(lag: Lagrangian, section: NumericSection,
     if not vc.richardson:
         return diff(h)
     return (4 * diff(h / 2) - diff(h)) / 3
-
-
-def _field_section(section: NumericSection, comps: tuple[JetExpr, ...]
-                   ) -> NumericSection:
-    """The bumped field as a section over the same box: its jet entries
-    are the derivatives D_sigma(bump * xi), to any order."""
-    bump = bump_factor(section.ctx, section.domain)
-    field = NumericSection(section.ctx, tuple(bump * c for c in comps),
-                           section.domain, section.nodes)
-    field._grid = section.grid()
-    return field
 
 
 def _contraction(a: BilinearForm, section: NumericSection,
@@ -439,7 +434,7 @@ def check_onshell_symmetry(lag: Lagrangian, section: NumericSection,
     crit = check_critical(lag, section, crit_tol)
     if not crit.is_critical:
         raise NotCritical(crit)
-    f1, f2 = _field_section(section, xi1), _field_section(section, xi2)
+    f1, f2 = section._field(xi1), section._field(xi2)
     ve = vertical_differential(lag)
     e12 = _contraction(ve, section, f1, f2)
     e21 = _contraction(ve, section, f2, f1)
@@ -476,7 +471,7 @@ def second_variation_check(lag: Lagrangian, section: NumericSection,
         raise NotCritical(crit)
     vc = VariationConfig(fields=(xi1, xi2), step=step)
     fd = finite_diff_variation(lag, section, vc, 2)
-    f1, f2 = _field_section(section, xi1), _field_section(section, xi2)
+    f1, f2 = section._field(xi1), section._field(xi2)
     ive = section._integral(
         _contraction(vertical_differential(lag), section, f1, f2))
     ijac = section._integral(_contraction(jacobi(lag), section, f1, f2))
@@ -491,7 +486,7 @@ def first_variation_pair(lag: Lagrangian, section: NumericSection,
     both vanish on critical sections."""
     vc = VariationConfig(fields=(xi,), step=step)
     fd = finite_diff_variation(lag, section, vc, 1)
-    f = _field_section(section, xi)
+    f = section._field(xi)
     factors = [(f._at_nodes(section.ctx.fiber(i)), section._at_nodes(c))
                for i, c in enumerate(euler_lagrange(lag).components)]
     with _float_guard():

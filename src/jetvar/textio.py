@@ -23,13 +23,15 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from . import expr as ex
 from .expr import (ConstSym, BaseCoord, ElemFn, InvSum, JetContext, JetCoord,
-                   JetExpr, OpaqueFn, atom_expr, jet_coords, to_plain)
+                   JetExpr, OpaqueFn, atom_expr, coeff_text, jet_coords,
+                   to_plain)
 from .multiindex import MultiIndex
 from .numeric import NumericConfig, NumericError, compile_expr
 from .variational import BilinearForm, Lagrangian, SourceForm
@@ -192,7 +194,7 @@ class _Parser:
         t = self.expect("NUM")
         if any(c in t.text for c in ".eE"):
             self.fail("exponent must be an integer", t)
-        k = int(t.text)
+        k = self.number(t, int)
         try:
             return base ** (-k if neg else k)
         except ex.DivisionByZeroExpr:
@@ -207,10 +209,17 @@ class _Parser:
             return node
         if t.kind == "NUM":
             self.next()
-            return JetExpr.constant(Fraction(t.text))
+            return JetExpr.constant(self.number(t, Fraction))
         if t.kind == "IDENT":
             return self.identifier()
         self.fail(f"expected an expression, found {t.text or 'end of input'!r}")
+
+    def number(self, t: _Token, kind):
+        try:
+            return kind(t.text)
+        except ValueError:   # beyond the int-from-str digit limit
+            self.fail(f"number literal has more than "
+                      f"{sys.get_int_max_str_digits()} digits", t)
 
     def identifier(self) -> JetExpr:
         t = self.next()
@@ -299,8 +308,9 @@ _LATEX_FN = {"sin": r"\sin", "cos": r"\cos", "exp": r"\exp", "log": r"\log"}
 
 def _latex_coeff(c: Fraction) -> str:
     if c.denominator == 1:
-        return str(c.numerator)
-    return rf"\frac{{{c.numerator}}}{{{c.denominator}}}"
+        return coeff_text(c.numerator)
+    num, den = coeff_text(c.numerator), coeff_text(c.denominator)
+    return rf"\frac{{{num}}}{{{den}}}"
 
 
 def _latex_atom(atom) -> str:
@@ -384,7 +394,7 @@ def _expr_to_dict(e: JetExpr) -> dict:
     terms = []
     for m, c in e.terms:
         terms.append({
-            "coeff": str(c),
+            "coeff": coeff_text(c),
             "factors": [{"atom": _atom_to_dict(a), "power": k} for a, k in m],
         })
     return {"terms": terms}

@@ -1,8 +1,10 @@
+import contextlib
 import io
 import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetvar import BilinearForm, JetContext
 from jetvar.cli import main
@@ -314,6 +316,13 @@ NUMERIC_BLOCK_EDITS = (
       for old, bad in NUMERIC_BLOCK_EDITS),
     *((["check-critical", _Edited("1/2*(y_t^2 - y^2)", f"{big}*(y_t^2 - y^2)"),
         "--section", "bad"], None, 2) for big in ("10^400", "10^5000")),
+    *(([cmd, _Edited("1/2*(y_t^2 - y^2)", "10^5000*(y_t^2 - y^2)"), *more,
+        "--format", fmt], None, 2)
+      for cmd, *more in (["el"], ["jacobi"], ["hessian", "--fields", "b1,b1"],
+                         ["variation", "--fields", "b1"])
+      for fmt in ("plain", "structured")),
+    (["helmholtz", _Edited("1/2*(y_t^2 - y^2)", "1" * 4400 + "*y_t^2")],
+     None, 1),
 ])
 def test_exit_code_contract(capsys, monkeypatch, tmp_path, argv, stdin, code):
     argv = [a.write(tmp_path) if isinstance(a, _Edited) else a for a in argv]
@@ -329,3 +338,125 @@ def test_explicit_zero_tolerance_is_not_replaced(capsys):
                        "--tol", "0")
     assert code == 0
     assert "critical (tol 0): yes" in out
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract as a property
+# ---------------------------------------------------------------------------
+
+# Leaves carry their powers, so generated expressions stay small.
+_LEAVES = ("y", "y_t", "y_tt", "t", "0", "1", "2", "1/2", "pi", "y^2",
+           "y_t^-1", "(1 + y)^-2", "t^3")
+_expressions = st.recursive(
+    st.sampled_from(_LEAVES),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+            lambda p: f"({p[0]} {p[1]} {p[2]})"),
+        st.tuples(st.sampled_from(("sin", "cos", "exp", "log", "sqrt")),
+                  inner).map(lambda p: f"{p[0]}({p[1]})")),
+    max_leaves=5)
+# Junk lines can spell no keyword, and in 8 characters no costly power.
+_junk = st.text(alphabet="yt12+-*/^()_ ,.e=#{}", max_size=8)
+_OSC_LINES = pathlib.Path(OSC).read_text().splitlines()
+
+
+@st.composite
+def _problem_texts(draw):
+    lines = list(_OSC_LINES)
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(lines) - 1))
+        head, eq, _rhs = lines[k].partition("=")
+        expr = draw(_expressions)
+        lines[k] = draw(st.one_of(
+            st.just(f"{head}= {expr}" if eq else f"  {expr}"), _junk,
+            st.sampled_from(("", "  nodes 4", "  nodes 0", "  step 0.5",
+                             "  tol nan", "  domain t 1 2", "  domain t 2 1",
+                             "section s", "variation v", "lagrangian osc"))))
+    return "\n".join(lines) + "\n"
+
+
+# Values repeat to weight the draws toward commands that get past parsing.
+_OPTIONS = {
+    "--format": ("plain", "latex", "structured", "yaml"),
+    "--lagrangian": ("osc", "osc", "nope"),
+    "--source": ("drift", "curvature", "nope"),
+    "--section": ("sol", "sol", "bad", "bad", "nope"),
+    "--fields": ("b1", "b1,b2", "b3,b1", "b3,b1", "b2,b3,b1", "nope", ","),
+    "--nodes": ("4", "16", "16", "1", "0", "x"),
+    "--step": ("1e-3", "1e-3", "0.5", "0", "nan"),
+    "--tol": ("1e-6", "1e-6", "0", "-1"),
+    "--bilinear": ("{bilinear}",),
+    "--output": ("{output}",),
+}
+_COMMON = ("--format", "--lagrangian", "--source", "--section", "--fields",
+           "--output")
+_NUMERIC = _COMMON + ("--nodes", "--step", "--tol")
+_FLAGS = {"el": _COMMON, "helmholtz": _COMMON, "hessian": _COMMON,
+          "variation": _COMMON, "jacobi": _NUMERIC, "check-critical": _NUMERIC,
+          "second-var": _NUMERIC, "adjoint": _COMMON + ("--bilinear",),
+          "nope": _COMMON}
+_commands = st.sampled_from(sorted(_FLAGS)).flatmap(lambda cmd: st.tuples(
+    st.just(cmd),
+    st.fixed_dictionaries({}, optional={
+        flag: st.sampled_from(_OPTIONS[flag]) for flag in _FLAGS[cmd]}),
+    st.sampled_from(((),) * 6 + (("-h",), ("--bogus",), ("--nodes",)))))
+_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+              st.sampled_from(("y", "1/2", "1/0", "x", ""))),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.sampled_from(
+                                ("type", "entries", "terms", "coeff")),
+                                inner, max_size=3)),
+    max_leaves=6)
+_entries = st.fixed_dictionaries({
+    "sigma": st.one_of(st.sampled_from(([0], [1], [2], [], [-1])), _json),
+    "i": st.sampled_from(("y", "z", 0)),
+    "j": st.sampled_from(("y", "z", 0)),
+    "value": st.one_of(_json, st.fixed_dictionaries({"terms": st.lists(
+        st.fixed_dictionaries({
+            "coeff": st.sampled_from(("1", "-1/2", "1/0", "x", 2)),
+            "factors": st.lists(st.fixed_dictionaries({
+                "atom": st.sampled_from(({"kind": "jet", "field": "y",
+                                          "counts": [1]},
+                                         {"kind": "base", "name": "t"},
+                                         {"kind": "elem", "fn": "sin"},
+                                         {"kind": "opaque"})),
+                "power": st.sampled_from((1, 2, -1, "2"))}), max_size=2)}),
+        max_size=2)}))})
+_payloads = st.one_of(
+    _json.map(json.dumps),
+    st.lists(_entries, max_size=2).map(lambda es: json.dumps(
+        {"type": "bilinear_form", "entries": es})),
+    st.just("{"))
+
+
+@pytest.fixture(scope="module")
+def property_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("exit_codes")
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=_commands,
+       source=st.one_of(_problem_texts(), st.sampled_from(
+           (PROBLEMS / "oscillator.vp", PROBLEMS / "beam.vp",
+            PROBLEMS / "missing.vp"))),
+       payload=_payloads)
+def test_main_returns_an_exit_code_and_never_raises(property_dir, command,
+                                                   source, payload):
+    """For any argv, problem-file text and --bilinear payload, main()
+    returns 0, 1, 2 or 3; it never raises."""
+    problem = source
+    if isinstance(source, str):
+        problem = property_dir / "problem.vp"
+        problem.write_text(source)
+    bilinear = property_dir / "bilinear.json"
+    bilinear.write_text(payload)
+    name, flags, extra = command
+    argv = [name, str(problem), *extra]
+    for flag, value in flags.items():
+        argv += [flag, value.format(bilinear=bilinear,
+                                    output=property_dir / "out.txt")]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)

@@ -118,32 +118,6 @@ def test_vertical_field_arity(plane_ctx):
         VerticalField(plane_ctx, (plane_ctx.fiber("q1"),))
 
 
-def _to_sympy(e, ctx, sp):
-    """The expression with each jet coordinate y^i_sigma read as the
-    derivative D_sigma of a function y^i(x), so that sympy.diff along a
-    base variable is the total derivative."""
-    from jetvar.expr import BaseCoord, ConstSym, ElemFn, InvSum, JetCoord
-    xs = [sp.Symbol(nm) for nm in ctx.base_names]
-
-    def atom(a):
-        if isinstance(a, BaseCoord):
-            return xs[a.axis]
-        if isinstance(a, JetCoord):
-            f = sp.Function(a.field)(*xs)
-            return sp.diff(f, *[(x, c) for x, c in zip(xs, a.sigma.counts)])
-        if isinstance(a, ConstSym):
-            return sp.pi
-        if isinstance(a, ElemFn):
-            return getattr(sp, a.fn)(_to_sympy(a.arg, ctx, sp))
-        if isinstance(a, InvSum):
-            return 1 / _to_sympy(a.body, ctx, sp)
-        raise AssertionError(f"no sympy image for {a!r}")
-
-    return sp.Add(*(sp.Rational(c.numerator, c.denominator)
-                    * sp.Mul(*(atom(a) ** k for a, k in m))
-                    for m, c in e.terms))
-
-
 def _random_quotient(rng, ctx):
     """polynomial * f(polynomial) / multi-term polynomial, f elementary."""
     def poly(**kw):
@@ -161,14 +135,14 @@ def _random_quotient(rng, ctx):
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_total_derivative_matches_sympy(seed):
+def test_total_derivative_matches_sympy(seed, to_sympy):
     sp = pytest.importorskip("sympy")
     rng = random.Random(seed)
     ctx = rng.choice([JetContext.make("t", "y"), JetContext.make("t", "y z"),
                       JetContext.make("x1 x2", "y"),
                       JetContext.make("x1 x2", "y z")])
     e = _random_quotient(rng, ctx)
-    lhs = _to_sympy(e, ctx, sp)
+    lhs = to_sympy(e, ctx, sp)
     for ax, name in enumerate(ctx.base_names):
-        got = _to_sympy(total_derivative(e, ax, ctx), ctx, sp)
+        got = to_sympy(total_derivative(e, ax, ctx), ctx, sp)
         assert sp.cancel(got - sp.diff(lhs, sp.Symbol(name))) == 0

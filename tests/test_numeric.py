@@ -239,47 +239,46 @@ def test_variation_config_validation(ode_ctx):
         VariationConfig(fields=(), step=0.0)
 
 
-def test_explicit_flows_match_linear_fields(ode_ctx, oscillator, sin_section):
-    """Explicit flows implementing the default linear shifts reproduce
-    the field-based second variation exactly."""
+@pytest.mark.parametrize("domain", [(0.0, 1.0), (100.0, 101.0)])
+def test_fd_matches_actions_of_varied_sections(ode_ctx, domain):
+    """The engine's finite differences of jet arrays equal central
+    differences of the actions of explicitly built sections
+    s + sum_k t_k * bump * xi_k, on a non-quadratic action; the field
+    bump, written in scaled coordinates, is bump_factor rescaled."""
     t = ode_ctx.base("t")
+    y, yt = ode_ctx.fiber("y"), ode_ctx.jet("y", "t")
+    lag = Lagrangian(ode_ctx, y ** 4 + yt ** 2 / 2)
+    sec = NumericSection(ode_ctx, (sin(t),), [domain])
+    bump = bump_factor(ode_ctx, [domain])
     fields = ((ONE,), (t,))
-    from jetvar.numeric import bump_factor
-    bump = bump_factor(ode_ctx, sin_section.domain)
+    assert sec._field(fields[1])._scaled_exprs == (sec._scaled(bump * t),)
 
-    def make_flow(comps):
-        bumped = tuple(bump * c for c in comps)
+    def a(*ts):
+        varied = sin(t)
+        for u, xi in zip(ts, fields):
+            varied = varied + Fraction(u) * bump * xi[0]
+        return action(lag, NumericSection(ode_ctx, (varied,), [domain]))
 
-        def flow(u, exprs):
-            fu = Fraction(u)
-            return tuple(e + fu * c for e, c in zip(exprs, bumped))
+    def diff(i, h):
+        if i == 1:
+            return (a(h) - a(-h)) / (2 * h)
+        return (a(h, h) - a(h, -h) - a(-h, h) + a(-h, -h)) / (4 * h * h)
 
-        return flow
+    h = 1e-2
+    for i in (1, 2):
+        for richardson in (False, True):
+            vc = VariationConfig(fields=fields, step=h, richardson=richardson)
+            ref = (4 * diff(i, h / 2) - diff(i, h)) / 3 if richardson \
+                else diff(i, h)
+            got = finite_diff_variation(lag, sec, vc, i)
+            assert rel_close(got, ref, rel=1e-9, floor=0.0), (i, richardson)
 
-    vc_fields = VariationConfig(fields=fields, step=1e-3)
-    vc_flows = VariationConfig(flows=[make_flow(f) for f in fields],
-                               step=1e-3)
-    fd_fields = finite_diff_variation(oscillator, sin_section, vc_fields, 2)
-    fd_flows = finite_diff_variation(oscillator, sin_section, vc_flows, 2)
-    assert fd_fields == fd_flows
 
-
-def test_user_supplied_flow(ode_ctx):
-    """Fiber-dependent variation (xi = y d/dy) through its exact flow
-    y -> exp(u) y: for L = y_t^2/2 along y = t on [0,1] the action is
-    exp(2u)/2, so the first variation is 1."""
-    t = ode_ctx.base("t")
-    yt = ode_ctx.jet("y", "t")
-    lag = Lagrangian(ode_ctx, yt ** 2 / 2)
-    sec = NumericSection(ode_ctx, (t,), [(0.0, 1.0)])
-
-    def flow(u, exprs):
-        scale = Fraction(math.exp(u))
-        return tuple(scale * e for e in exprs)
-
-    vc = VariationConfig(flows=[flow], step=1e-4)
-    fd = finite_diff_variation(lag, sec, vc, 1)
-    assert fd == pytest.approx(1.0, rel=1e-6)
+def test_scaled_bump_is_the_rescaled_bump_factor(pde_ctx):
+    domain = [(0.1, 0.7), (-3.0, 5.5)]
+    sec = NumericSection(pde_ctx, (pde_ctx.base("u"),), domain)
+    assert sec._field((ONE,))._scaled_exprs == \
+        (sec._scaled(bump_factor(pde_ctx, domain)),)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,38 @@
+"""The experiment scripts run end to end: the finite-difference
+convergence table shows the central-difference and Richardson rates, and
+the oscillator walkthrough completes."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _run(script: str) -> subprocess.CompletedProcess:
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_fd_convergence_rates():
+    """Halving the step divides the error by 4 (central differences) and
+    by 16 (Richardson) over the first four halvings."""
+    done = _run("fd_convergence.py")
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()
+            if line.split() and line.split()[0][0].isdigit()]
+    rates = [(float(r[2]), float(r[4])) for r in rows[1:5]]
+    assert len(rates) == 4
+    for plain, rich in rates:
+        assert plain == pytest.approx(4, abs=0.1)
+        assert rich == pytest.approx(16, abs=1)
+
+
+def test_oscillator_demo_runs():
+    done = _run("oscillator_demo.py")
+    assert done.returncode == 0, done.stderr

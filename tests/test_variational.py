@@ -12,7 +12,8 @@ from jetvar import (BilinearForm, JetContext, Lagrangian, SourceForm,
 from jetvar.expr import ONE, ZERO, ExprError, partial
 from jetvar.multiindex import MultiIndex, enumerate_up_to
 from jetvar.randgen import (random_bilinear_form, random_current,
-                            random_lagrangian, random_vertical_field)
+                            random_lagrangian, random_polynomial,
+                            random_vertical_field)
 from jetvar.variational import (first_summand_certificate, prolong_relations,
                                 reconstruct_from_certificate, reduce_onshell)
 
@@ -102,6 +103,28 @@ def test_el_order_bound(seed):
     lag = random_lagrangian(rng, ctx, max_order=2, max_monomials=4)
     e = euler_lagrange(lag)
     assert e.order <= 2 * lag.order
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_euler_lagrange_matches_sympy(seed, to_sympy):
+    """euler_lagrange agrees with sympy's euler_equations on random
+    polynomial Lagrangians with up to three base variables and jet order
+    up to three."""
+    sp = pytest.importorskip("sympy")
+    from sympy.calculus.euler import euler_equations
+    rng = random.Random(seed)
+    n = rng.randint(1, 3)
+    ctx = JetContext.make(["x1", "x2", "x3"][:n],
+                          ["y", "z"][:rng.randint(1, 2)])
+    lag = Lagrangian(ctx, random_polynomial(
+        rng, ctx, max_order=rng.randint(1, 3), max_monomials=4))
+    xs = [sp.Symbol(nm) for nm in ctx.base_names]
+    funcs = [sp.Function(nm)(*xs) for nm in ctx.fiber_names]
+    density = to_sympy(lag.density, ctx, sp)
+    for f, ours in zip(funcs, euler_lagrange(lag).components):
+        # sympy returns no equation for a field the density lacks
+        ref = [eq.lhs - eq.rhs for eq in euler_equations(density, f, xs)]
+        assert sp.expand(sum(ref) - to_sympy(ours, ctx, sp)) == 0
 
 
 # ---------------------------------------------------------------------------
