@@ -323,6 +323,8 @@ NUMERIC_BLOCK_EDITS = (
       for fmt in ("plain", "structured")),
     (["helmholtz", _Edited("1/2*(y_t^2 - y^2)", "1" * 4400 + "*y_t^2")],
      None, 1),
+    (["check-critical", OSC, "--section", "sol", "--nodes", "10000000"],
+     None, 2),
 ])
 def test_exit_code_contract(capsys, monkeypatch, tmp_path, argv, stdin, code):
     argv = [a.write(tmp_path) if isinstance(a, _Edited) else a for a in argv]
@@ -382,7 +384,7 @@ _OPTIONS = {
     "--source": ("drift", "curvature", "nope"),
     "--section": ("sol", "sol", "bad", "bad", "nope"),
     "--fields": ("b1", "b1,b2", "b3,b1", "b3,b1", "b2,b3,b1", "nope", ","),
-    "--nodes": ("4", "16", "16", "1", "0", "x"),
+    "--nodes": ("4", "16", "16", "1", "0", "x", "10000000"),
     "--step": ("1e-3", "1e-3", "0.5", "0", "nan"),
     "--tol": ("1e-6", "1e-6", "0", "-1"),
     "--bilinear": ("{bilinear}",),
