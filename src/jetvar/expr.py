@@ -1,11 +1,15 @@
 """Canonical symbolic expressions over jet-space coordinates.
 
 Every ``JetExpr`` is kept in normal form at all times: a sum of monomials
-with exact ``Fraction`` coefficients, where a monomial is a product of
+with exact rational coefficients, where a monomial is a product of
 integer powers of atomic factors.  Atomic factors are base coordinates
 ``x^lam``, jet coordinates ``y^i_sigma``, known constants (``pi``),
 elementary function applications, opaque smooth function symbols and
 their formal partial derivatives, and inverses of multi-term sums.
+
+A coefficient is an ``int`` while its denominator is 1 and a ``Fraction``
+otherwise.  Every division goes through ``Fraction``, so no coefficient
+is ever a float.
 
 Canonicalization is ring-level only: no trigonometric or radical
 identities are applied, function applications are atomic generators.
@@ -221,6 +225,19 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
         return m2
     if not m2:
         return m1
+    if len(m2) == 1:
+        # one factor: merge it into the sorted m1 in a single scan
+        ((a2, e2),) = m2
+        k2 = a2.sort_key()
+        for i, (a, e) in enumerate(m1):
+            k = a.sort_key()
+            if k == k2:
+                if e + e2 == 0:
+                    return m1[:i] + m1[i + 1:]
+                return m1[:i] + ((a, e + e2),) + m1[i + 1:]
+            if k2 < k:
+                return m1[:i] + m2 + m1[i:]
+        return m1 + m2
     merged: dict[Atom, int] = {}
     for a, e in m1:
         merged[a] = merged.get(a, 0) + e
@@ -235,7 +252,7 @@ class JetExpr:
 
     __slots__ = ("_terms", "_hash", "_key", "_order")
 
-    def __init__(self, terms: tuple[tuple[Monomial, Fraction], ...]):
+    def __init__(self, terms: tuple[tuple[Monomial, Number], ...]):
         # terms must already be canonical (sorted, nonzero coefficients)
         self._terms = terms
         self._hash = None
@@ -245,8 +262,10 @@ class JetExpr:
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def _from_dict(d: dict[Monomial, Fraction]) -> "JetExpr":
-        items = [(m, c) for m, c in d.items() if c != 0]
+    def _from_dict(d: dict[Monomial, Number]) -> "JetExpr":
+        """Canonical sum of the nonzero entries, coefficients demoted to
+        ``int`` where the denominator is 1."""
+        items = [(m, _demote(c)) for m, c in d.items() if c != 0]
         items.sort(key=lambda mc: _mono_key(mc[0]))
         return JetExpr(tuple(items))
 
@@ -255,22 +274,24 @@ class JetExpr:
         c = Fraction(value)
         if c == 0:
             return ZERO
-        return JetExpr((((), c),))
+        return JetExpr((((), _demote(c)),))
 
     # -- structure ----------------------------------------------------------
 
     @property
-    def terms(self) -> tuple[tuple[Monomial, Fraction], ...]:
+    def terms(self) -> tuple[tuple[Monomial, Number], ...]:
+        """(monomial, coefficient) pairs in canonical order; a coefficient
+        is an ``int`` when its denominator is 1, else a ``Fraction``."""
         return self._terms
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
-    def constant_value(self) -> Fraction | None:
+    def constant_value(self) -> Number | None:
         """The value if the expression is a bare rational, else None."""
         if not self._terms:
-            return Fraction(0)
+            return 0
         if len(self._terms) == 1 and not self._terms[0][0]:
             return self._terms[0][1]
         return None
@@ -349,7 +370,14 @@ class JetExpr:
 
 
 ZERO = JetExpr(())
-ONE = JetExpr((((), Fraction(1)),))
+ONE = JetExpr((((), 1),))
+
+
+def _demote(c: Number) -> Number:
+    """An integral ``Fraction`` as an ``int``; anything else unchanged."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
 
 
 def _coerce(x):
@@ -361,7 +389,7 @@ def _coerce(x):
 
 
 def atom_expr(a: Atom) -> JetExpr:
-    return JetExpr(((((a, 1),), Fraction(1)),))
+    return JetExpr(((((a, 1),), 1),))
 
 
 def atom_pow(a: Atom, k: int) -> JetExpr:
@@ -369,7 +397,7 @@ def atom_pow(a: Atom, k: int) -> JetExpr:
         return ONE
     if isinstance(a, InvSum) and k < 0:
         return pow_int(a.body, -k)
-    return JetExpr(((((a, k),), Fraction(1)),))
+    return JetExpr(((((a, k),), 1),))
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +412,7 @@ def add(a: JetExpr, b: JetExpr) -> JetExpr:
         return a
     d = {m: c for m, c in a.terms}
     for m, c in b.terms:
-        nc = d.get(m, Fraction(0)) + c
+        nc = d.get(m, 0) + c
         if nc == 0:
             d.pop(m, None)
         else:
@@ -393,10 +421,10 @@ def add(a: JetExpr, b: JetExpr) -> JetExpr:
 
 
 def add_many(exprs: Iterable[JetExpr]) -> JetExpr:
-    d: dict[Monomial, Fraction] = {}
+    d: dict[Monomial, Number] = {}
     for e in exprs:
         for m, c in e.terms:
-            nc = d.get(m, Fraction(0)) + c
+            nc = d.get(m, 0) + c
             if nc == 0:
                 d.pop(m, None)
             else:
@@ -407,11 +435,11 @@ def add_many(exprs: Iterable[JetExpr]) -> JetExpr:
 def mul(a: JetExpr, b: JetExpr) -> JetExpr:
     if a.is_zero or b.is_zero:
         return ZERO
-    d: dict[Monomial, Fraction] = {}
+    d: dict[Monomial, Number] = {}
     for m1, c1 in a.terms:
         for m2, c2 in b.terms:
             m = _mono_mul(m1, m2)
-            nc = d.get(m, Fraction(0)) + c1 * c2
+            nc = d.get(m, 0) + c1 * c2
             if nc == 0:
                 d.pop(m, None)
             else:
@@ -446,7 +474,7 @@ def div(a: JetExpr, b: JetExpr) -> JetExpr:
         return ZERO
     if len(b.terms) == 1:
         m, c = b.terms[0]
-        out = mul(a, JetExpr.constant(1 / c))
+        out = mul(a, JetExpr.constant(Fraction(1, c)))
         for atom, e in m:
             if isinstance(atom, InvSum):
                 out = mul(out, pow_int(atom.body, e))
@@ -457,7 +485,7 @@ def div(a: JetExpr, b: JetExpr) -> JetExpr:
     if q is not None:
         return q
     content, mono, body = _factor_sum(b)
-    out = mul(a, JetExpr.constant(1 / content))
+    out = mul(a, JetExpr.constant(Fraction(1, content)))
     for atom, e in mono:
         if isinstance(atom, InvSum):
             out = mul(out, pow_int(atom.body, e))
@@ -466,7 +494,7 @@ def div(a: JetExpr, b: JetExpr) -> JetExpr:
     return mul(out, atom_expr(InvSum(body)))
 
 
-def _factor_sum(b: JetExpr) -> tuple[Fraction, Monomial, JetExpr]:
+def _factor_sum(b: JetExpr) -> tuple[Number, Monomial, JetExpr]:
     """Split a multi-term sum as content * common-monomial * monic remainder."""
     common: dict[Atom, int] | None = None
     for m, _c in b.terms:
@@ -481,7 +509,7 @@ def _factor_sum(b: JetExpr) -> tuple[Fraction, Monomial, JetExpr]:
             common = {}
             break
     mono: Monomial = tuple(sorted(common.items(), key=lambda p: p[0].sort_key()))
-    stripped: dict[Monomial, Fraction] = {}
+    stripped: dict[Monomial, Number] = {}
     for m, c in b.terms:
         exps = dict(m)
         for a, e in mono:
@@ -493,7 +521,7 @@ def _factor_sum(b: JetExpr) -> tuple[Fraction, Monomial, JetExpr]:
         stripped[tuple(sorted(exps.items(), key=lambda p: p[0].sort_key()))] = c
     rest = JetExpr._from_dict(stripped)
     content = rest.terms[-1][1]  # leading (largest) coefficient
-    body = mul(rest, JetExpr.constant(1 / content))
+    body = mul(rest, JetExpr.constant(Fraction(1, content)))
     return content, mono, body
 
 
@@ -524,22 +552,22 @@ def _exact_div(a: JetExpr, b: JetExpr) -> JetExpr | None:
     bterms = sorted(((dense(m), c) for m, c in b.terms), key=lambda t: key(t[0]))
     lead_b, lead_bc = bterms[-1]
     rem = {dense(m): c for m, c in a.terms}
-    quo: dict[tuple[int, ...], Fraction] = {}
+    quo: dict[tuple[int, ...], Number] = {}
     while rem:
         lead = max(rem, key=key)
         qv = tuple(x - y for x, y in zip(lead, lead_b))
         if any(x < 0 for x in qv):
             return None
-        qc = rem[lead] / lead_bc
-        quo[qv] = quo.get(qv, Fraction(0)) + qc
+        qc = Fraction(rem[lead], lead_bc)
+        quo[qv] = quo.get(qv, 0) + qc
         for bv, bc in bterms:
             mv = tuple(x + y for x, y in zip(qv, bv))
-            nc = rem.get(mv, Fraction(0)) - qc * bc
+            nc = rem.get(mv, 0) - qc * bc
             if nc == 0:
                 rem.pop(mv, None)
             else:
                 rem[mv] = nc
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Number] = {}
     for qv, qc in quo.items():
         if qc == 0:
             continue
@@ -592,29 +620,43 @@ def simplify(e: JetExpr) -> JetExpr:
 def derive(e: JetExpr, on_coord: Callable[[Atom], JetExpr]) -> JetExpr:
     """The derivation of e that sends each argument-free atom a (a
     coordinate or a constant) to on_coord(a): Leibniz over every
-    monomial, and the chain rule through function arguments."""
+    monomial, and the chain rule through function arguments.
+
+    The terms of the result are accumulated in one dict: the factor
+    a^k of a monomial c*m contributes c*k * (m / a) * t for every term t
+    of the atom's derivative.  Each atom is differentiated once per call.
+    """
+    memo: dict[Atom, JetExpr] = {}
 
     def d_atom(atom: Atom) -> JetExpr:
-        if not atom.args:
-            return on_coord(atom)
-        pieces = []
-        for slot, arg in enumerate(atom.args):
-            da = derive(arg, on_coord)
-            if not da.is_zero:
-                pieces.append(mul(atom.d_arg(slot), da))
-        return add_many(pieces)
+        da = memo.get(atom)
+        if da is None:
+            if not atom.args:
+                da = on_coord(atom)
+            else:
+                pieces = []
+                for slot, arg in enumerate(atom.args):
+                    d_arg = derive(arg, on_coord)
+                    if not d_arg.is_zero:
+                        pieces.append(mul(atom.d_arg(slot), d_arg))
+                da = add_many(pieces)
+            memo[atom] = da
+        return da
 
-    pieces: list[JetExpr] = []
+    acc: dict[Monomial, Number] = {}
     for m, coeff in e.terms:
         for idx, (atom, k) in enumerate(m):
             da = d_atom(atom)
             if da.is_zero:
                 continue
-            rest = m[:idx] + m[idx + 1:]
-            piece = JetExpr(((rest, coeff * k),))
-            piece = mul(piece, atom_pow(atom, k - 1))
-            pieces.append(mul(piece, da))
-    return add_many(pieces)
+            # m with the exponent of this factor lowered by one
+            lowered = ((atom, k - 1),) if k != 1 else ()
+            rest = m[:idx] + lowered + m[idx + 1:]
+            ck = coeff * k
+            for m2, c2 in da.terms:
+                mm = _mono_mul(rest, m2)
+                acc[mm] = acc.get(mm, 0) + ck * c2
+    return JetExpr._from_dict(acc)
 
 
 def partial(e: JetExpr, coord: Atom) -> JetExpr:

@@ -52,7 +52,10 @@ class MultiIndex:
         """The multi-index with one extra derivative along ``axis``."""
         c = list(self.counts)
         c[axis] += 1
-        return MultiIndex(tuple(c))
+        # valid by construction, so skip the validation in __post_init__
+        out = object.__new__(MultiIndex)
+        object.__setattr__(out, "counts", tuple(c))
+        return out
 
     def contains(self, other: "MultiIndex") -> bool:
         self._check_dim(other)
@@ -95,18 +98,6 @@ class MultiIndex:
 
     def __repr__(self):
         return f"MultiIndex{self.counts}"
-
-
-def order(sigma: MultiIndex) -> int:
-    return sigma.order()
-
-
-def union(sigma: MultiIndex, rho: MultiIndex) -> MultiIndex:
-    return sigma.union(rho)
-
-
-def factorial(sigma: MultiIndex) -> int:
-    return sigma.factorial()
 
 
 def enumerate_up_to(n: int, k: int) -> list[MultiIndex]:

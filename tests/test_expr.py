@@ -10,6 +10,8 @@ from jetvar.expr import (DivisionByZeroExpr, ExprError, ONE, UnknownCoordinate,
                          ZERO, atom_pow, cos, evaluate_exact,
                          jet_coords, pow_int, sin)
 from jetvar.randgen import random_polynomial
+from jetvar.variational import (Lagrangian, adjoint, euler_lagrange,
+                                linearize)
 
 seeds = st.integers(0, 10**9)
 
@@ -121,6 +123,71 @@ def test_division_extracts_monomial_content(ode_ctx):
     a = ONE / (2 * t * y + 2 * t)  # = (1/2) t^-1 (y+1)^-1
     b = ONE / (y + 1) / t / 2
     assert a == b
+
+
+def _coefficients(e):
+    """Every coefficient of e, function arguments included."""
+    todo = [e]
+    while todo:
+        for m, c in todo.pop().terms:
+            yield c
+            for atom, _k in m:
+                todo.extend(atom.args)
+
+
+def _exact(c) -> bool:
+    """An int, or a Fraction that is not an integer."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def test_division_by_an_integer_is_exact(ode_ctx):
+    y = ode_ctx.fiber("y")
+    ((_m, c),) = (y / 3).terms
+    assert type(c) is Fraction and c == Fraction(1, 3)
+    ((_m, c),) = (y / 3 * 3).terms
+    assert type(c) is int and c == 1
+
+
+def test_exact_polynomial_division_is_exact(ode_ctx):
+    y = ode_ctx.fiber("y")
+    q = (y ** 2 - 1) / (2 * y + 2)
+    assert q == y / 2 - Fraction(1, 2)
+    assert [c for _m, c in q.terms] == [Fraction(-1, 2), Fraction(1, 2)]
+    assert all(_exact(c) for c in _coefficients(q))
+
+
+def test_division_by_a_sum_with_content_is_exact(ode_ctx):
+    y = ode_ctx.fiber("y")
+    t = ode_ctx.base("t")
+    q = 1 / (3 * t * y + 3 * t)  # = (1/3) t^-1 (1 + y)^-1
+    ((_m, c),) = q.terms
+    assert type(c) is Fraction and c == Fraction(1, 3)
+    assert to_plain(q) == "1/3*t^-1*(1 + y)^-1"
+    assert all(_exact(c) for c in _coefficients(q))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.booleans())
+def test_morphism_coefficients_are_exact(seed, quotient):
+    """No float, and no integral Fraction, in EL, its linearization or the
+    adjoint of that, for polynomial and rational Lagrangians."""
+    rng = random.Random(seed)
+    ctx = rng.choice([JetContext.make("t", "y"), JetContext.make("t", "y z"),
+                      JetContext.make("x1 x2", "y")])
+    density = random_polynomial(rng, ctx, max_order=2, max_monomials=4)
+    if quotient:
+        den = random_polynomial(rng, ctx, max_order=1, max_monomials=2)
+        if den.is_zero:
+            den = ONE
+        density = density / (3 * den ** 2 + 2)
+    src = euler_lagrange(Lagrangian(ctx, density))
+    lin = linearize(src)
+    exprs = list(src.components)
+    exprs += [v for _k, v in lin.entries()]
+    exprs += [v for _k, v in adjoint(lin).entries()]
+    for e in exprs:
+        for c in _coefficients(e):
+            assert _exact(c), (c, type(c))
 
 
 def test_evaluate_exact_needs_bound_polynomial(ode_ctx):

@@ -146,3 +146,41 @@ def test_total_derivative_matches_sympy(seed, to_sympy):
     for ax, name in enumerate(ctx.base_names):
         got = to_sympy(total_derivative(e, ax, ctx), ctx, sp)
         assert sp.cancel(got - sp.diff(lhs, sp.Symbol(name))) == 0
+
+
+@pytest.mark.parametrize("k1", [-2, -1, 2, 3])
+@pytest.mark.parametrize("k2", [2, 3])
+def test_total_derivative_of_powers_matches_sympy(k1, k2, to_sympy):
+    """poly * f(arg)^k1 / den^k2: the Leibniz rule on a factor whose
+    exponent is not 1, for a function atom and an inverse sum, checked by
+    sympy for D_lam and for an iterated D_sigma with |sigma| = 2."""
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(100 * k1 + k2)
+    ctx = rng.choice([JetContext.make("t", "y"), JetContext.make("x1 x2", "y")])
+
+    def poly():
+        return random_polynomial(rng, ctx, max_order=1, max_monomials=2,
+                                 max_factors=2)
+
+    arg = poly()
+    while arg.constant_value() is not None:
+        arg = poly()
+    den = poly()
+    while len(den.terms) < 2:
+        den = poly()
+    fn = rng.choice(["sin", "cos", "exp", "log", "sqrt"])
+    e = poly() * elem(fn, arg) ** k1 * den ** -k2
+    powers = {(type(a).__name__, k) for m, _c in e.terms for a, k in m}
+    assert {("ElemFn", k1), ("InvSum", k2)} <= powers
+    lhs = to_sympy(e, ctx, sp)
+    xs = [sp.Symbol(name) for name in ctx.base_names]
+    ax = rng.randrange(ctx.n)
+    got = to_sympy(total_derivative(e, ax, ctx), ctx, sp)
+    assert sp.cancel(got - sp.diff(lhs, xs[ax])) == 0
+    sigma = [0] * ctx.n
+    sigma[ax] += 1
+    sigma[rng.randrange(ctx.n)] += 1
+    got = to_sympy(total_derivative_multi(e, MultiIndex(tuple(sigma)), ctx),
+                   ctx, sp)
+    want = sp.diff(lhs, *[(x, c) for x, c in zip(xs, sigma) if c])
+    assert sp.cancel(got - want) == 0

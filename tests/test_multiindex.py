@@ -4,35 +4,34 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from jetvar.multiindex import (DimensionMismatch, MultiIndex, enumerate_up_to,
-                               factorial, order, union)
+from jetvar.multiindex import DimensionMismatch, MultiIndex, enumerate_up_to
 
 counts2 = st.tuples(st.integers(0, 4), st.integers(0, 4))
 counts3 = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
 
 
 def test_order_examples():
-    assert order(MultiIndex((0, 0))) == 0
-    assert order(MultiIndex((2, 1))) == 3
-    assert order(MultiIndex((5, 0, 3))) == 8
+    assert MultiIndex((0, 0)).order() == 0
+    assert MultiIndex((2, 1)).order() == 3
+    assert MultiIndex((5, 0, 3)).order() == 8
 
 
 def test_union_examples():
-    assert union(MultiIndex((1, 0)), MultiIndex((0, 1))) == MultiIndex((1, 1))
+    assert MultiIndex((1, 0)).union(MultiIndex((0, 1))) == MultiIndex((1, 1))
     sigma = MultiIndex((3, 1))
-    assert union(sigma, MultiIndex.zero(2)) == sigma
-    assert union(MultiIndex((2, 1)), MultiIndex((1, 1))) == MultiIndex((3, 2))
+    assert sigma.union(MultiIndex.zero(2)) == sigma
+    assert MultiIndex((2, 1)).union(MultiIndex((1, 1))) == MultiIndex((3, 2))
 
 
 def test_union_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        union(MultiIndex((1,)), MultiIndex((1, 0)))
+        MultiIndex((1,)).union(MultiIndex((1, 0)))
 
 
 def test_factorial_examples():
-    assert factorial(MultiIndex((0, 0))) == 1
-    assert factorial(MultiIndex((3, 2))) == 12
-    assert factorial(MultiIndex((1, 1, 1))) == 1
+    assert MultiIndex((0, 0)).factorial() == 1
+    assert MultiIndex((3, 2)).factorial() == 12
+    assert MultiIndex((1, 1, 1)).factorial() == 1
 
 
 def test_negative_entries_rejected():
@@ -66,20 +65,20 @@ def test_enumerate_count_and_uniqueness(n, k):
 @given(counts2, counts2)
 def test_union_commutative(a, b):
     x, y = MultiIndex(a), MultiIndex(b)
-    assert union(x, y) == union(y, x)
-    assert order(union(x, y)) == order(x) + order(y)
+    assert x.union(y) == y.union(x)
+    assert x.union(y).order() == x.order() + y.order()
 
 
 @given(counts3, counts3, counts3)
 def test_union_associative(a, b, c):
     x, y, z = MultiIndex(a), MultiIndex(b), MultiIndex(c)
-    assert union(union(x, y), z) == union(x, union(y, z))
+    assert x.union(y).union(z) == x.union(y.union(z))
 
 
 @given(counts2)
 def test_zero_neutral(a):
     x = MultiIndex(a)
-    assert union(x, MultiIndex.zero(2)) == x
+    assert x.union(MultiIndex.zero(2)) == x
 
 
 @given(counts2)
