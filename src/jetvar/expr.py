@@ -221,30 +221,27 @@ def _mono_key(m: Monomial):
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    if len(m2) == 1:
-        # one factor: merge it into the sorted m1 in a single scan
-        ((a2, e2),) = m2
-        k2 = a2.sort_key()
-        for i, (a, e) in enumerate(m1):
-            k = a.sort_key()
-            if k == k2:
-                if e + e2 == 0:
-                    return m1[:i] + m1[i + 1:]
-                return m1[:i] + ((a, e + e2),) + m1[i + 1:]
-            if k2 < k:
-                return m1[:i] + m2 + m1[i:]
-        return m1 + m2
-    merged: dict[Atom, int] = {}
-    for a, e in m1:
-        merged[a] = merged.get(a, 0) + e
-    for a, e in m2:
-        merged[a] = merged.get(a, 0) + e
-    return tuple(sorted(((a, e) for a, e in merged.items() if e != 0),
-                        key=lambda p: p[0].sort_key()))
+    # both are sorted by atom sort key: merge them in one scan, adding the
+    # exponents of a shared atom and dropping it where they cancel
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        a1, e1 = m1[i]
+        a2, e2 = m2[j]
+        k1, k2 = a1.sort_key(), a2.sort_key()
+        if k1 == k2:
+            if e1 + e2:
+                out.append((a1, e1 + e2))
+            i += 1
+            j += 1
+        elif k1 < k2:
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    return tuple(out) + m1[i:] + m2[j:]
 
 
 class JetExpr:

@@ -118,8 +118,9 @@ def test_vertical_field_arity(plane_ctx):
         VerticalField(plane_ctx, (plane_ctx.fiber("q1"),))
 
 
-def _random_quotient(rng, ctx):
-    """polynomial * f(polynomial) / multi-term polynomial, f elementary."""
+def _random_quotient(rng, ctx, k1=1, k2=1):
+    """polynomial * f(polynomial)**k1 / (multi-term polynomial)**k2, f
+    elementary."""
     def poly(**kw):
         return random_polynomial(rng, ctx, max_order=1, max_monomials=3,
                                  max_factors=2, **kw)
@@ -131,7 +132,7 @@ def _random_quotient(rng, ctx):
     while len(den.terms) < 2:
         den = poly()
     fn = rng.choice(["sin", "cos", "exp", "log", "sqrt"])
-    return poly() * elem(fn, arg) / den
+    return poly() * elem(fn, arg) ** k1 * den ** -k2
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -157,19 +158,7 @@ def test_total_derivative_of_powers_matches_sympy(k1, k2, to_sympy):
     sp = pytest.importorskip("sympy")
     rng = random.Random(100 * k1 + k2)
     ctx = rng.choice([JetContext.make("t", "y"), JetContext.make("x1 x2", "y")])
-
-    def poly():
-        return random_polynomial(rng, ctx, max_order=1, max_monomials=2,
-                                 max_factors=2)
-
-    arg = poly()
-    while arg.constant_value() is not None:
-        arg = poly()
-    den = poly()
-    while len(den.terms) < 2:
-        den = poly()
-    fn = rng.choice(["sin", "cos", "exp", "log", "sqrt"])
-    e = poly() * elem(fn, arg) ** k1 * den ** -k2
+    e = _random_quotient(rng, ctx, k1, k2)
     powers = {(type(a).__name__, k) for m, _c in e.terms for a, k in m}
     assert {("ElemFn", k1), ("InvSum", k2)} <= powers
     lhs = to_sympy(e, ctx, sp)
