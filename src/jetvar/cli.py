@@ -8,6 +8,7 @@ name, arity/order mismatch); 3 a numeric check failed beyond tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -19,8 +20,8 @@ from .numeric import (NotCritical, NumericConfig, NumericError,
                       first_variation_pair, second_variation_check)
 from .textio import (ParseError, ProblemFile, object_to_dict, parse_problem_file,
                      parse_setting, parse_structured, print_object)
-from .variational import (Lagrangian, SourceForm, adjoint, euler_lagrange,
-                          helmholtz, helmholtz_skew, jacobi,
+from .variational import (BilinearForm, Lagrangian, SourceForm, adjoint,
+                          euler_lagrange, helmholtz, helmholtz_skew, jacobi,
                           quotient_variation, vertical_differential)
 
 EXIT_OK = 0
@@ -61,7 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, numeric=False):
+    def command(name, handler, help, numeric=False):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(handler=handler)
         sp.add_argument("input", help="problem file path")
         sp.add_argument("--format", choices=("plain", "latex", "structured"),
                         default="plain")
@@ -76,20 +79,21 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--nodes", type=_checked("nodes"), metavar="N")
             sp.add_argument("--step", type=_checked("step"), metavar="H")
             sp.add_argument("--tol", type=_checked("tol"), metavar="T")
+        return sp
 
-    common(sub.add_parser("el", help="Euler-Lagrange source form"))
-    common(sub.add_parser("jacobi", help="vertical differential, its adjoint, "
-                                         "and an on-shell report"), numeric=True)
-    common(sub.add_parser("helmholtz", help="Helmholtz obstruction and "
-                                            "local-variationality verdict"))
-    common(sub.add_parser("hessian", help="Hessian density for two fields"))
-    common(sub.add_parser("variation", help="iterated quotient variation"))
-    common(sub.add_parser("check-critical", help="criticality residuals"),
-           numeric=True)
-    common(sub.add_parser("second-var", help="numeric second-variation check"),
-           numeric=True)
-    adj = sub.add_parser("adjoint", help="adjoint of a bilinear form")
-    common(adj)
+    command("el", _cmd_el, "Euler-Lagrange source form")
+    command("jacobi", _cmd_jacobi, "vertical differential, its adjoint, "
+                                   "and an on-shell report", numeric=True)
+    command("helmholtz", _cmd_helmholtz, "Helmholtz obstruction and "
+                                         "local-variationality verdict")
+    command("hessian", functools.partial(_cmd_variation, count=2),
+            "Hessian density for two fields")
+    command("variation", _cmd_variation, "iterated quotient variation")
+    command("check-critical", _cmd_check_critical, "criticality residuals",
+            numeric=True)
+    command("second-var", _cmd_second_var, "numeric second-variation check",
+            numeric=True)
+    adj = command("adjoint", _cmd_adjoint, "adjoint of a bilinear form")
     adj.add_argument("--bilinear", metavar="PATH", required=True,
                      help="structured-format bilinear form ('-' for stdin)")
     return p
@@ -255,7 +259,7 @@ def _cmd_jacobi(pf: ProblemFile, args) -> str:
     return "\n".join(out)
 
 
-def _cmd_variation(pf: ProblemFile, args, count: int | None) -> str:
+def _cmd_variation(pf: ProblemFile, args, count: int | None = None) -> str:
     lag = _lagrangian(pf, args)
     fields = [VerticalField(pf.ctx, comps)
               for comps in _variations(pf, args, count)]
@@ -339,7 +343,6 @@ def _cmd_adjoint(pf: ProblemFile, args) -> str:
         form = parse_structured(text, pf.ctx)
     except ValueError as err:
         raise SemanticError(f"cannot read bilinear form: {err}") from None
-    from .variational import BilinearForm
     if not isinstance(form, BilinearForm):
         raise SemanticError("--bilinear input is not a bilinear form")
     out = adjoint(form)
@@ -359,24 +362,7 @@ def run(args) -> str:
             text = fh.read()
     except OSError as err:
         raise _UsageError(f"cannot read {args.input!r}: {err}") from None
-    pf = parse_problem_file(text)
-    if args.command == "el":
-        return _cmd_el(pf, args)
-    if args.command == "helmholtz":
-        return _cmd_helmholtz(pf, args)
-    if args.command == "jacobi":
-        return _cmd_jacobi(pf, args)
-    if args.command == "hessian":
-        return _cmd_variation(pf, args, 2)
-    if args.command == "variation":
-        return _cmd_variation(pf, args, None)
-    if args.command == "check-critical":
-        return _cmd_check_critical(pf, args)
-    if args.command == "second-var":
-        return _cmd_second_var(pf, args)
-    if args.command == "adjoint":
-        return _cmd_adjoint(pf, args)
-    raise _UsageError(f"unknown command {args.command!r}")
+    return args.handler(parse_problem_file(text), args)
 
 
 def main(argv=None) -> int:

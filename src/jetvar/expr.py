@@ -58,6 +58,11 @@ class Atom:
     and constants have none.  Function atoms also define ``d_arg(slot)``,
     the derivative with respect to one argument, and ``rebuild(args)``,
     the same function applied to new arguments.
+
+    Every kind writes itself out: ``plain()`` and ``latex()`` give its text
+    in the two printed formats, ``to_dict()`` its structured (JSON) form,
+    and ``code(names)`` a numpy expression that reads each coordinate as
+    ``v[name]``, with the names kept in ``names``.
     """
 
     __slots__ = ("_key", "_hash")
@@ -89,6 +94,18 @@ class ConstSym(Atom):
         self._key = (0, name)
         self._hash = hash(self._key)
 
+    def plain(self) -> str:
+        return self.name
+
+    def latex(self) -> str:
+        return "\\" + self.name
+
+    def to_dict(self) -> dict:
+        return {"kind": "const", "name": self.name}
+
+    def code(self, names: dict) -> str:
+        return repr(KNOWN_CONSTANTS[self.name])
+
 
 class BaseCoord(Atom):
     """Base coordinate x^lam."""
@@ -100,6 +117,17 @@ class BaseCoord(Atom):
         self.axis = axis
         self._key = (1, axis, name)
         self._hash = hash(self._key)
+
+    def plain(self) -> str:
+        return self.name
+
+    latex = plain
+
+    def to_dict(self) -> dict:
+        return {"kind": "base", "name": self.name}
+
+    def code(self, names: dict) -> str:
+        return names.setdefault(self, f"v[_a{len(names)}]")
 
 
 class JetCoord(Atom):
@@ -127,6 +155,18 @@ class JetCoord(Atom):
         return JetCoord(self.field, self.index, self.sigma.bump(axis),
                         self.base_names)
 
+    def plain(self) -> str:
+        return self.field + _suffix(self.base_names, self.sigma.counts)
+
+    def latex(self) -> str:
+        return self.field + _suffix(self.base_names, self.sigma.counts, True)
+
+    def to_dict(self) -> dict:
+        return {"kind": "jet", "field": self.field,
+                "counts": list(self.sigma.counts)}
+
+    code = BaseCoord.code
+
 
 class ElemFn(Atom):
     """Elementary function application; the argument is a JetExpr."""
@@ -150,6 +190,20 @@ class ElemFn(Atom):
 
     def rebuild(self, args: tuple["JetExpr", ...]) -> "JetExpr":
         return elem(self.fn, args[0])
+
+    def plain(self) -> str:
+        return f"{self.fn}({to_plain(self.arg)})"
+
+    def latex(self) -> str:
+        if self.fn == "sqrt":
+            return rf"\sqrt{{{to_latex(self.arg)}}}"
+        return rf"\{self.fn}\left({to_latex(self.arg)}\right)"
+
+    def to_dict(self) -> dict:
+        return {"kind": "elem", "fn": self.fn, "arg": expr_to_dict(self.arg)}
+
+    def code(self, names: dict) -> str:
+        return f"_np.{self.fn}({to_code(self.arg, names)})"
 
 
 class OpaqueFn(Atom):
@@ -183,6 +237,25 @@ class OpaqueFn(Atom):
     def rebuild(self, args: tuple["JetExpr", ...]) -> "JetExpr":
         return atom_expr(OpaqueFn(self.name, self.argnames, self.orders, args))
 
+    def plain(self) -> str:
+        args = ", ".join(to_plain(a) for a in self.args)
+        return f"{self.name}{_suffix(self.argnames, self.orders)}({args})"
+
+    def latex(self) -> str:
+        head = self.name
+        if any(self.orders):
+            head = rf"\partial{_suffix(self.argnames, self.orders, True)} {head}"
+        args = ", ".join(to_latex(a) for a in self.args)
+        return rf"{head}\left({args}\right)"
+
+    def to_dict(self) -> dict:
+        return {"kind": "opaque", "name": self.name,
+                "orders": list(self.orders),
+                "args": [expr_to_dict(a) for a in self.args]}
+
+    def code(self, names: dict) -> str:
+        raise ExprError(f"opaque function {self!r} has no numeric value")
+
 
 class InvSum(Atom):
     """Inverse of a canonical multi-term sum (leading coefficient 1).
@@ -207,6 +280,18 @@ class InvSum(Atom):
 
     def rebuild(self, args: tuple["JetExpr", ...]) -> "JetExpr":
         return div(ONE, args[0])
+
+    def plain(self) -> str:
+        return "(" + to_plain(self.body) + ")"
+
+    def latex(self) -> str:
+        return rf"\left({to_latex(self.body)}\right)"
+
+    def to_dict(self) -> dict:
+        return {"kind": "inv", "body": expr_to_dict(self.body)}
+
+    def code(self, names: dict) -> str:
+        return f"1.0/({to_code(self.body, names)})"
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +353,11 @@ class JetExpr:
 
     @staticmethod
     def constant(value: Number) -> "JetExpr":
+        """The constant value, an ``int`` or a ``Fraction``; anything else,
+        a float say, raises TypeError, as it does in arithmetic."""
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"a constant must be an int or a Fraction, "
+                            f"not {type(value).__name__}")
         c = Fraction(value)
         if c == 0:
             return ZERO
@@ -473,10 +563,7 @@ def div(a: JetExpr, b: JetExpr) -> JetExpr:
         m, c = b.terms[0]
         out = mul(a, JetExpr.constant(Fraction(1, c)))
         for atom, e in m:
-            if isinstance(atom, InvSum):
-                out = mul(out, pow_int(atom.body, e))
-            else:
-                out = mul(out, atom_pow(atom, -e))
+            out = mul(out, atom_pow(atom, -e))
         return out
     q = _exact_div(a, b)
     if q is not None:
@@ -484,10 +571,7 @@ def div(a: JetExpr, b: JetExpr) -> JetExpr:
     content, mono, body = _factor_sum(b)
     out = mul(a, JetExpr.constant(Fraction(1, content)))
     for atom, e in mono:
-        if isinstance(atom, InvSum):
-            out = mul(out, pow_int(atom.body, e))
-        else:
-            out = mul(out, atom_pow(atom, -e))
+        out = mul(out, atom_pow(atom, -e))
     return mul(out, atom_expr(InvSum(body)))
 
 
@@ -766,50 +850,21 @@ def evaluate_exact(e: JetExpr, env: Mapping[Atom, Fraction]) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# plain-text rendering (the parser's inverse; latex/structured live in textio)
+# rendering: plain text (the parser's inverse), latex, structured, code
 # ---------------------------------------------------------------------------
 
 
-def _suffix(names: list[str]) -> str:
-    if all(len(n) == 1 for n in names):
+def _suffix(names: Sequence[str], counts: Sequence[int],
+            latex: bool = False) -> str:
+    """Derivative suffix naming names[k] counts[k] times: ``_tt``, or
+    ``_{x1 x1 x2}`` in latex or when a name is longer than one letter;
+    empty when every count is 0."""
+    names = [nm for nm, cnt in zip(names, counts) for _ in range(cnt)]
+    if not names:
+        return ""
+    if not latex and all(len(n) == 1 for n in names):
         return "_" + "".join(names)
     return "_{" + " ".join(names) + "}"
-
-
-def _render_atom(atom: Atom) -> str:
-    if isinstance(atom, BaseCoord):
-        return atom.name
-    if isinstance(atom, ConstSym):
-        return atom.name
-    if isinstance(atom, JetCoord):
-        if atom.sigma.order() == 0:
-            return atom.field
-        names = []
-        for nm, cnt in zip(atom.base_names, atom.sigma.counts):
-            names.extend([nm] * cnt)
-        return atom.field + _suffix(names)
-    if isinstance(atom, ElemFn):
-        return f"{atom.fn}({to_plain(atom.arg)})"
-    if isinstance(atom, OpaqueFn):
-        head = atom.name
-        if any(atom.orders):
-            names = []
-            for nm, cnt in zip(atom.argnames, atom.orders):
-                names.extend([nm] * cnt)
-            head += _suffix(names)
-        return head + "(" + ", ".join(to_plain(a) for a in atom.args) + ")"
-    if isinstance(atom, InvSum):
-        return "(" + to_plain(atom.body) + ")"
-    raise ExprError(f"unhandled atom {atom!r}")
-
-
-def _render_factor(atom: Atom, k: int) -> str:
-    s = _render_atom(atom)
-    if isinstance(atom, InvSum):
-        k = -k
-    if k == 1:
-        return s
-    return f"{s}^{k}"
 
 
 def coeff_text(c: Number) -> str:
@@ -823,26 +878,72 @@ def coeff_text(c: Number) -> str:
                         f"be printed") from None
 
 
-def to_plain(e: JetExpr) -> str:
-    """Plain-text rendering in the canonical term order; parseable back."""
+def _latex_coeff(c: Number) -> str:
+    if c.denominator == 1:
+        return coeff_text(c.numerator)
+    num, den = coeff_text(c.numerator), coeff_text(c.denominator)
+    return rf"\frac{{{num}}}{{{den}}}"
+
+
+def _render(e: JetExpr, atom_text: Callable[[Atom], str], power: str,
+            coeff: Callable[[Number], str], sep: str) -> str:
+    """The term loop of to_plain and to_latex: the terms of e in canonical
+    order with signs between them, each one its coefficient's magnitude
+    (left out when 1) and its factors joined by sep, where a factor a^k
+    is power.format(atom_text(a), k)."""
     if e.is_zero:
         return "0"
     parts: list[str] = []
     for m, c in e.terms:
-        neg = c < 0
-        mag = -c if neg else c
-        factors = [_render_factor(a, k) for a, k in m]
-        if not factors:
-            body = coeff_text(mag)
-        elif mag == 1:
-            body = "*".join(factors)
+        mag = -c if c < 0 else c
+        factors = []
+        for atom, k in m:
+            if isinstance(atom, InvSum):   # k on InvSum means body^-k
+                k = -k
+            s = atom_text(atom)
+            factors.append(s if k == 1 else power.format(s, k))
+        if mag != 1 or not factors:
+            factors.insert(0, coeff(mag))
+        if parts:
+            parts.append((" - " if c < 0 else " + ") + sep.join(factors))
         else:
-            body = coeff_text(mag) + "*" + "*".join(factors)
-        if not parts:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append((" - " if neg else " + ") + body)
+            parts.append(("-" if c < 0 else "") + sep.join(factors))
     return "".join(parts)
+
+
+def to_plain(e: JetExpr) -> str:
+    """Plain-text rendering in the canonical term order; parseable back."""
+    return _render(e, lambda a: a.plain(), "{}^{}", coeff_text, "*")
+
+
+def to_latex(e: JetExpr) -> str:
+    """LaTeX rendering in the canonical term order."""
+    return _render(e, lambda a: a.latex(), "{}^{{{}}}", _latex_coeff, " ")
+
+
+def expr_to_dict(e: JetExpr) -> dict:
+    """The structured form of e: its terms in canonical order, each a
+    coefficient string and a list of atom/power factors."""
+    return {"terms": [{"coeff": coeff_text(c),
+                       "factors": [{"atom": a.to_dict(), "power": k}
+                                   for a, k in m]}
+                      for m, c in e.terms]}
+
+
+def to_code(e: JetExpr, names: dict[Atom, str]) -> str:
+    """Python source of e over numpy (``_np``) and the coordinate values
+    ``v``; each coordinate met is given a name in ``names``.  An opaque
+    function, or a coefficient too long to print, raises ExprError."""
+    if e.is_zero:
+        return "0.0"
+    parts = []
+    for m, c in e.terms:
+        factors = [f"({coeff_text(c.numerator)}/{coeff_text(c.denominator)})"]
+        for atom, k in m:
+            code = atom.code(names)
+            factors.append(f"({code})**{k}" if k != 1 else code)
+        parts.append("*".join(factors))
+    return " + ".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from . import expr as ex
-from .expr import (Atom, BaseCoord, ConstSym, ElemFn, InvSum, JetContext,
-                   JetCoord, JetExpr, jet_coords, partial, substitute)
+from .expr import (ExprError, JetContext, JetExpr, jet_coords, partial,
+                   substitute, to_code)
 from .variational import (BilinearForm, Lagrangian, euler_lagrange, jacobi,
                           vertical_differential)
 
@@ -81,43 +81,20 @@ def _float_guard():
         raise NumericError(f"numeric evaluation failed: {err}") from None
 
 
-def _code(e: JetExpr, names: dict[Atom, str]) -> str:
-    if e.is_zero:
-        return "0.0"
-    parts = []
-    for m, c in e.terms:
-        factors = [f"({c.numerator}/{c.denominator})"]
-        for atom, k in m:
-            code = _atom_code(atom, names)
-            factors.append(f"({code})**{k}" if k != 1 else code)
-        parts.append("*".join(factors))
-    return " + ".join(parts)
-
-
-def _atom_code(atom: Atom, names: dict[Atom, str]) -> str:
-    if isinstance(atom, (BaseCoord, JetCoord)):
-        return names.setdefault(atom, f"v[_a{len(names)}]")
-    if isinstance(atom, ConstSym):
-        return repr(ex.KNOWN_CONSTANTS[atom.name])
-    if isinstance(atom, ElemFn):
-        return f"_np.{atom.fn}({_code(atom.arg, names)})"
-    if isinstance(atom, InvSum):
-        return f"1.0/({_code(atom.body, names)})"
-    raise NumericError(f"opaque function {atom!r} has no numeric value")
-
-
-def compile_expr(e: JetExpr) -> Callable[[Mapping[Atom, Any]], Any]:
+def compile_expr(e: JetExpr) -> Callable[[Mapping[ex.Atom, Any]], Any]:
     """Compile e to a numpy function of a mapping from its coordinates to
     floats or arrays.  Faults, non-finite values and unbound coordinates
     raise NumericError.  Reentrant and deterministic."""
-    names: dict[Atom, str] = {}
-    with _float_guard():    # a coefficient too long to write out
-        code = _code(e, names)
+    names: dict[ex.Atom, str] = {}
+    try:
+        code = to_code(e, names)
+    except ExprError as err:    # an opaque function or too long a coefficient
+        raise NumericError(str(err)) from None
     raw = eval(f"lambda v: {code}",
                {"_np": np, **{f"_a{k}": a for k, a in enumerate(names)}})
 
     @_float_guard()
-    def run(env: Mapping[Atom, Any]):
+    def run(env: Mapping[ex.Atom, Any]):
         try:
             out = raw(env)
         except KeyError as err:
@@ -206,7 +183,7 @@ class NumericSection:
         self._half = tuple((Fraction(hi) - Fraction(lo)) / 2
                            for lo, hi in self.domain)
         self._scaled_exprs = tuple(self._scaled(e) for e in self.exprs)
-        self._jets: dict[JetCoord, Callable] = {}
+        self._jets: dict[ex.JetCoord, Callable] = {}
         self._bound: dict[JetExpr, Callable] = {}
         self._fields: dict[tuple[JetExpr, ...], NumericSection] = {}
         self._grid: tuple[np.ndarray, np.ndarray] | None = None
@@ -219,7 +196,7 @@ class NumericSection:
             a: JetExpr.constant(m) + JetExpr.constant(h) * ex.atom_expr(a)
             for a, m, h in zip(self._axes, self._mid, self._half)})
 
-    def _jet(self, jc: JetCoord) -> Callable:
+    def _jet(self, jc: ex.JetCoord) -> Callable:
         """The compiled jet entry d_sigma s^i for jc = y^i_sigma, taken in
         scaled coordinates, where d/dx = (1/half) d/ds."""
         got = self._jets.get(jc)
@@ -254,7 +231,7 @@ class NumericSection:
         self._bound[e] = got
         return got
 
-    def _scaled_point(self, x) -> dict[Atom, Any]:
+    def _scaled_point(self, x) -> dict[ex.Atom, Any]:
         """The scaled coordinates of a base point (one float or array per
         axis), keyed by the axis atoms."""
         return {a: (xa - float(m)) / float(h) for a, m, h, xa

@@ -1,5 +1,6 @@
-"""Parsing and printing: the expression grammar, problem files, and the
-plain / latex / structured renderings of expressions and derived forms.
+"""Parsing and printing: the expression grammar, problem files, the
+structured reader, and the plain / latex / structured printing of derived
+forms (an expression renders itself, in ``expr``).
 
 Expression grammar (whitespace-insensitive)::
 
@@ -29,9 +30,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import expr as ex
-from .expr import (ConstSym, BaseCoord, ElemFn, InvSum, JetContext, JetCoord,
-                   JetExpr, OpaqueFn, atom_expr, coeff_text, jet_coords,
-                   to_plain)
+from .expr import (ConstSym, JetContext, JetExpr, atom_expr, expr_to_dict,
+                   jet_coords, to_latex, to_plain)
 from .multiindex import MultiIndex
 from .numeric import NumericConfig, NumericError, compile_expr
 from .variational import BilinearForm, Lagrangian, SourceForm
@@ -300,104 +300,8 @@ def parse_expr(src: str, ctx: JetContext, *, line: int = 1) -> JetExpr:
 
 
 # ---------------------------------------------------------------------------
-# latex rendering
-# ---------------------------------------------------------------------------
-
-_LATEX_FN = {"sin": r"\sin", "cos": r"\cos", "exp": r"\exp", "log": r"\log"}
-
-
-def _latex_coeff(c: Fraction) -> str:
-    if c.denominator == 1:
-        return coeff_text(c.numerator)
-    num, den = coeff_text(c.numerator), coeff_text(c.denominator)
-    return rf"\frac{{{num}}}{{{den}}}"
-
-
-def _latex_atom(atom) -> str:
-    if isinstance(atom, BaseCoord):
-        return atom.name
-    if isinstance(atom, ConstSym):
-        return "\\" + atom.name
-    if isinstance(atom, JetCoord):
-        if atom.sigma.order() == 0:
-            return atom.field
-        return f"{atom.field}_{{{atom.sigma.render(atom.base_names)}}}"
-    if isinstance(atom, ElemFn):
-        if atom.fn == "sqrt":
-            return rf"\sqrt{{{to_latex(atom.arg)}}}"
-        return rf"{_LATEX_FN[atom.fn]}\left({to_latex(atom.arg)}\right)"
-    if isinstance(atom, OpaqueFn):
-        args = ", ".join(to_latex(a) for a in atom.args)
-        head = atom.name
-        if any(atom.orders):
-            names = []
-            for nm, cnt in zip(atom.argnames, atom.orders):
-                names.extend([nm] * cnt)
-            head = rf"\partial_{{{' '.join(names)}}} {atom.name}"
-        return rf"{head}\left({args}\right)"
-    if isinstance(atom, InvSum):
-        return rf"\left({to_latex(atom.body)}\right)"
-    raise ValueError(f"unhandled atom {atom!r}")
-
-
-def to_latex(e: JetExpr) -> str:
-    if e.is_zero:
-        return "0"
-    parts: list[str] = []
-    for m, c in e.terms:
-        neg = c < 0
-        mag = -c if neg else c
-        factors = []
-        for atom, k in m:
-            s = _latex_atom(atom)
-            if isinstance(atom, InvSum):
-                k = -k
-            factors.append(s if k == 1 else f"{s}^{{{k}}}")
-        if not factors:
-            body = _latex_coeff(mag)
-        elif mag == 1:
-            body = " ".join(factors)
-        else:
-            body = _latex_coeff(mag) + " " + " ".join(factors)
-        if not parts:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append((" - " if neg else " + ") + body)
-    return "".join(parts)
-
-
-# ---------------------------------------------------------------------------
 # structured (lossless machine) format
 # ---------------------------------------------------------------------------
-
-
-def _atom_to_dict(atom) -> dict:
-    if isinstance(atom, BaseCoord):
-        return {"kind": "base", "name": atom.name}
-    if isinstance(atom, ConstSym):
-        return {"kind": "const", "name": atom.name}
-    if isinstance(atom, JetCoord):
-        return {"kind": "jet", "field": atom.field,
-                "counts": list(atom.sigma.counts)}
-    if isinstance(atom, ElemFn):
-        return {"kind": "elem", "fn": atom.fn, "arg": _expr_to_dict(atom.arg)}
-    if isinstance(atom, OpaqueFn):
-        return {"kind": "opaque", "name": atom.name,
-                "orders": list(atom.orders),
-                "args": [_expr_to_dict(a) for a in atom.args]}
-    if isinstance(atom, InvSum):
-        return {"kind": "inv", "body": _expr_to_dict(atom.body)}
-    raise ValueError(f"unhandled atom {atom!r}")
-
-
-def _expr_to_dict(e: JetExpr) -> dict:
-    terms = []
-    for m, c in e.terms:
-        terms.append({
-            "coeff": coeff_text(c),
-            "factors": [{"atom": _atom_to_dict(a), "power": k} for a, k in m],
-        })
-    return {"terms": terms}
 
 
 def _atom_from_dict(d: dict, ctx: JetContext) -> JetExpr:
@@ -431,18 +335,18 @@ def _expr_from_dict(d: dict, ctx: JetContext) -> JetExpr:
 def object_to_dict(obj) -> dict:
     """Structured representation of an expression or a derived form."""
     if isinstance(obj, JetExpr):
-        return {"type": "expr", **_expr_to_dict(obj)}
+        return {"type": "expr", **expr_to_dict(obj)}
     if isinstance(obj, Lagrangian):
-        return {"type": "lagrangian", "density": _expr_to_dict(obj.density)}
+        return {"type": "lagrangian", "density": expr_to_dict(obj.density)}
     if isinstance(obj, SourceForm):
         return {"type": "source_form",
-                "components": [_expr_to_dict(c) for c in obj.components]}
+                "components": [expr_to_dict(c) for c in obj.components]}
     if isinstance(obj, BilinearForm):
         fibers = obj.ctx.fiber_names
         return {"type": "bilinear_form",
                 "entries": [{"sigma": list(s.counts),
                              "i": fibers[i], "j": fibers[j],
-                             "value": _expr_to_dict(v)}
+                             "value": expr_to_dict(v)}
                             for (s, i, j), v in obj.entries()]}
     raise ValueError(f"cannot serialize {type(obj).__name__}")
 

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from jetvar import JetContext, JetExpr, jet_order, partial, simplify, \
     substitute, to_plain
-from jetvar.expr import (DivisionByZeroExpr, ExprError, ONE, UnknownCoordinate,
-                         ZERO, atom_pow, cos, evaluate_exact,
-                         jet_coords, pow_int, sin)
+from jetvar.expr import (Atom, DivisionByZeroExpr, ExprError, ONE,
+                         UnknownCoordinate, ZERO, atom_pow, cos,
+                         evaluate_exact, jet_coords, pow_int, sin)
 from jetvar.randgen import random_polynomial
 from jetvar.variational import (Lagrangian, adjoint, euler_lagrange,
                                 linearize)
@@ -101,6 +101,29 @@ def test_pow_edges(ode_ctx):
     with pytest.raises(DivisionByZeroExpr):
         pow_int(ZERO, -1)
     assert pow_int(y, -2) == ONE / y ** 2
+
+
+def test_constant_takes_only_exact_numbers(ode_ctx):
+    """constant accepts what arithmetic accepts, int and Fraction, and
+    refuses a float rather than keep its binary expansion."""
+    assert to_plain(JetExpr.constant(Fraction(1, 10))) == "1/10"
+    assert JetExpr.constant(Fraction(4, 2)).terms == (((), 2),)
+    for bad in (0.1, 0.5, "1/2"):
+        with pytest.raises(TypeError):
+            JetExpr.constant(bad)
+    with pytest.raises(TypeError):
+        ode_ctx.fiber("y") * 0.5
+
+
+def test_every_atom_kind_renders_itself():
+    """A new atom kind cannot ship without all four renderings."""
+    kinds = Atom.__subclasses__()
+    assert {k.__name__ for k in kinds} >= {
+        "ConstSym", "BaseCoord", "JetCoord", "ElemFn", "OpaqueFn", "InvSum"}
+    for kind in kinds:
+        for method in ("plain", "latex", "to_dict", "code"):
+            assert callable(getattr(kind, method, None)), \
+                f"{kind.__name__} has no {method}()"
 
 
 def test_division(ode_ctx):

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jetvar import (JetContext, Lagrangian, NumericSection, VariationConfig,
-                    action, check_critical, check_onshell_symmetry,
-                    euler_lagrange, eval_on_section, finite_diff_variation,
-                    second_variation_check, total_derivative)
+from jetvar import (JetContext, JetExpr, Lagrangian, NumericSection,
+                    VariationConfig, action, check_critical,
+                    check_onshell_symmetry, euler_lagrange, eval_on_section,
+                    finite_diff_variation, second_variation_check,
+                    total_derivative)
 from jetvar.expr import ONE, sin
 from jetvar.numeric import (MAX_POINTS, InsufficientProlongation,
                             NotCritical, NumericError, bump_factor,
-                            first_variation_pair, gauss_legendre,
-                            integrate_on_section, rel_close)
+                            compile_expr, first_variation_pair,
+                            gauss_legendre, integrate_on_section, rel_close)
 from jetvar.randgen import random_polynomial
 
 seeds = st.integers(0, 10**9)
@@ -71,8 +72,16 @@ def test_eval_domain_error(ode_ctx):
 def test_opaque_not_evaluable():
     ctx = JetContext.make("t", "q", opaque={"g": ["q"]})
     sec = NumericSection(ctx, (ctx.base("t"),), [(0.0, 1.0)])
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match="has no numeric value"):
         eval_on_section(ctx.opaque("g"), sec, (0.5,))
+
+
+def test_long_coefficient_is_a_numeric_error(ode_ctx):
+    """A coefficient too long to write out fails with the printers'
+    message, not with the interpreter's int/str conversion error."""
+    y = ode_ctx.fiber("y")
+    with pytest.raises(NumericError, match="more than 4300 digits"):
+        compile_expr(JetExpr.constant(10 ** 5000) * y)
 
 
 def test_section_validation(ode_ctx):

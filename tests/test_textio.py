@@ -153,6 +153,13 @@ def test_latex(ode_ctx):
     assert to_latex(parse_expr("2*pi", ode_ctx)) == r"2 \pi"
 
 
+def test_latex_functions_and_inverse_sums(ode_ctx):
+    assert to_latex(parse_expr("sin(y)/(1 + y^2)", ode_ctx)) == \
+        r"\sin\left(y\right) \left(1 + y^{2}\right)^{-1}"
+    assert to_latex(parse_expr("(y + 1)^-2", ode_ctx)) == \
+        r"\left(1 + y\right)^{-2}"
+
+
 def test_latex_sqrt_and_opaque(metric_ctx):
     e = parse_expr("sqrt(q1)*g11_{q2}(q1, q2)", metric_ctx)
     out = to_latex(e)
