@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .expr import (ONE, ZERO, Atom, JetContext, JetCoord, JetExpr, atom_expr,
                    derive, jet_coords, jet_order, partial)
-from .multiindex import MultiIndex
+from .multiindex import MultiIndex, enumerate_up_to
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,6 @@ def prolong(xi: VerticalField, r: int) -> dict[tuple[int, MultiIndex], JetExpr]:
     D_sigma xi^i for 0 <= |sigma| <= r."""
     if r < 0:
         raise ValueError("prolongation order must be >= 0")
-    from .multiindex import enumerate_up_to
     ctx = xi.ctx
     out: dict[tuple[int, MultiIndex], JetExpr] = {}
     for i, comp in enumerate(xi.components):

@@ -38,12 +38,6 @@ class MultiIndex:
     def order(self) -> int:
         return sum(self.counts)
 
-    def factorial(self) -> int:
-        out = 1
-        for c in self.counts:
-            out *= math.factorial(c)
-        return out
-
     def union(self, other: "MultiIndex") -> "MultiIndex":
         self._check_dim(other)
         return MultiIndex(tuple(a + b for a, b in zip(self.counts, other.counts)))

@@ -36,10 +36,6 @@ class NumericError(RuntimeError):
     """Numeric evaluation failure (domain error, opaque symbol, ...)."""
 
 
-class InsufficientProlongation(NumericError):
-    """Expression needs jet coordinates beyond the section's prolongation."""
-
-
 class NotCritical(NumericError):
     """A check requiring a critical section was given a non-critical one."""
 
@@ -147,13 +143,10 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 class NumericSection:
     """Closed-form section, one base-coordinate expression per field,
-    with quadrature configuration.  When ``prolong_order`` is given,
-    binding an expression of higher jet order raises
-    InsufficientProlongation."""
+    with quadrature configuration."""
 
     def __init__(self, ctx: JetContext, exprs: Sequence[JetExpr],
-                 domain: Sequence[tuple[float, float]], nodes: int = 64,
-                 prolong_order: int | None = None):
+                 domain: Sequence[tuple[float, float]], nodes: int = 64):
         if len(exprs) != ctx.m:
             raise ValueError(f"section needs {ctx.m} component expressions")
         for e in exprs:
@@ -175,7 +168,6 @@ class NumericSection:
         self.exprs = tuple(exprs)
         self.domain = tuple((float(lo), float(hi)) for lo, hi in domain)
         self.nodes = nodes
-        self.prolong_order = prolong_order
         self._axes = tuple(ctx.base_atom(ax) for ax in range(ctx.n))
         # exact affine map to the Gauss-native cube: x = mid + half * s
         self._mid = tuple((Fraction(lo) + Fraction(hi)) / 2
@@ -201,10 +193,6 @@ class NumericSection:
         scaled coordinates, where d/dx = (1/half) d/ds."""
         got = self._jets.get(jc)
         if got is None:
-            if self.prolong_order is not None and jc.order > self.prolong_order:
-                raise InsufficientProlongation(
-                    f"jet coordinate {jc!r} exceeds the section's "
-                    f"prolongation order {self.prolong_order}")
             d = self._scaled_exprs[jc.index]
             for a, h, count in zip(self._axes, self._half, jc.sigma.counts):
                 for _ in range(count):
@@ -306,7 +294,7 @@ def action_report(lag: Lagrangian, section: NumericSection
     moves the value by less than this)."""
     value = action(lag, section)
     coarse = NumericSection(section.ctx, section.exprs, section.domain,
-                            max(1, section.nodes // 2), section.prolong_order)
+                            max(1, section.nodes // 2))
     return value, abs(value - action(lag, coarse))
 
 

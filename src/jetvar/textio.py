@@ -27,14 +27,13 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 from . import expr as ex
 from .expr import (ConstSym, JetContext, JetExpr, atom_expr, expr_to_dict,
                    jet_coords, to_latex, to_plain)
 from .multiindex import MultiIndex
 from .numeric import NumericConfig, NumericError, compile_expr
-from .variational import BilinearForm, Lagrangian, SourceForm
+from .variational import BilinearForm, Lagrangian, SourceForm, _sigma_label
 
 
 class ParseError(ValueError):
@@ -383,10 +382,6 @@ def parse_structured(text: str, ctx: JetContext):
 # ---------------------------------------------------------------------------
 # unified printing
 # ---------------------------------------------------------------------------
-
-
-def _sigma_label(sigma: MultiIndex, base_names: Sequence[str]) -> str:
-    return sigma.render(base_names) or "0"
 
 
 def print_object(obj, fmt: str = "plain", name: str = "A") -> str:

@@ -18,14 +18,20 @@ plus index transpose) has components
 with C the per-axis product of binomial coefficients; the adjoint is an
 involution.
 
-Every morphism is built from one linearization: ``linearize`` takes a
-source form to its fibre linearization V, with V^sigma_{ij} = d^sigma_j e_i.
-The vertical differential of the Euler-Lagrange morphism is V, the Jacobi
-morphism is V*, and the Helmholtz form is H = (V - V*)^T: a source form is
-locally variational iff its linearization is formally self-adjoint
-(Olver, Applications of Lie Groups to Differential Equations, ch. 5).
-Partial derivatives d^sigma_j are taken only at the jet coordinates that
-occur in an expression (``jetcalc.d_v``).
+Every morphism is built from one linearization, one Euler operator and one
+adjoint.  ``linearize`` takes a source form to its fibre linearization V,
+with V^sigma_{ij} = d^sigma_j e_i.  The Euler operator takes pieces
+p_{(i, sigma)} to the source form sum (-1)^{|sigma|} D_sigma(p_{(i, sigma)}):
+applied to the d^sigma_i L it is the Euler-Lagrange morphism, and applied to
+a weighted linearization it gives each summand of the second-variation
+split.  The vertical differential of the Euler-Lagrange morphism is V, the
+Jacobi morphism is V*, and the Helmholtz form is H = (V - V*)^T: a source
+form is locally variational iff its linearization is formally self-adjoint
+(Olver, Applications of Lie Groups to Differential Equations, ch. 5).  The
+adjoint is the one integration by parts; the certificate that the first
+summand of the split lies in the ideal of the field equations is read off
+from it.  Partial derivatives d^sigma_j are taken only at the jet
+coordinates that occur in an expression (``jetcalc.d_v``).
 """
 
 from __future__ import annotations
@@ -142,9 +148,14 @@ class BilinearForm:
 
     def __repr__(self):
         lines = ", ".join(
-            f"A^{{{s.render(self.ctx.base_names) or '0'}}}_{{{i+1} {j+1}}}="
+            f"A^{{{_sigma_label(s, self.ctx.base_names)}}}_{{{i+1} {j+1}}}="
             f"{v!r}" for (s, i, j), v in self._entries)
         return f"BilinearForm({lines or '0'})"
+
+
+def _sigma_label(sigma: MultiIndex, base_names: Sequence[str]) -> str:
+    """The printed upper index of A^sigma: base names, or 0 for sigma = 0."""
+    return sigma.render(base_names) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +165,18 @@ class BilinearForm:
 
 def euler_lagrange(lag: Lagrangian) -> SourceForm:
     """Euler-Lagrange source form: e_i = sum (-1)^{|sigma|} D_sigma(d^sigma_i L)."""
-    ctx = lag.ctx
-    pieces: list[list[JetExpr]] = [[] for _ in range(ctx.m)]
-    for (i, sigma), p in d_v(lag.density, ctx).items():
+    return _euler_operator(d_v(lag.density, lag.ctx), lag.ctx)
+
+
+def _euler_operator(pieces: Mapping[tuple[int, MultiIndex], JetExpr],
+                    ctx: JetContext) -> SourceForm:
+    """The source form with components
+    sum over sigma of (-1)^{|sigma|} D_sigma(pieces[(i, sigma)])."""
+    comps: list[list[JetExpr]] = [[] for _ in range(ctx.m)]
+    for (i, sigma), p in pieces.items():
         t = total_derivative_multi(p, sigma, ctx)
-        pieces[i].append(-t if sigma.order() % 2 else t)
-    return SourceForm(ctx, tuple(add_many(ps) for ps in pieces))
+        comps[i].append(-t if sigma.order() % 2 else t)
+    return SourceForm(ctx, tuple(add_many(ps) for ps in comps))
 
 
 def helmholtz(src: SourceForm) -> BilinearForm:
@@ -188,8 +205,7 @@ def adjoint(a: BilinearForm) -> BilinearForm:
     for (sigma, i, j), val in a.entries():
         sign = -1 if sigma.order() % 2 else 1
         for rho in sigma.subindices():
-            c = Fraction(sign * sigma.binom(rho))
-            t = mul(JetExpr.constant(c),
+            t = mul(JetExpr.constant(sign * sigma.binom(rho)),
                     total_derivative_multi(val, sigma.sub(rho), ctx))
             acc.setdefault((rho, j, i), []).append(t)
     return BilinearForm(ctx, {k: add_many(v) for k, v in acc.items()})
@@ -263,72 +279,49 @@ def second_variation_decomposition(lag: Lagrangian, xi1: VerticalField,
     """Split the Hessian density into S1 + S2 with
 
         S1 = sum (-1)^{|sigma|} xi1^j D_sigma(d^sigma_j(xi2^i) e_i)
-        S2 = sum (-1)^{|sigma|} xi1^j D_sigma(xi2^i d^sigma_j(e_i)).
+        S2 = sum (-1)^{|sigma|} xi1^j D_sigma(xi2^i d^sigma_j(e_i)),
 
-    The identity S1 + S2 = hessian holds exactly.  Every monomial of S1
-    carries a factor D_rho(e_i) (see first_summand_certificate), so S1
-    vanishes along critical sections; S2 equals the contraction of the
-    fields into the adjoint of the vertical differential.
+    the product rule in d^sigma_j(xi2 | E): each summand is xi1 | E of one
+    linearization weighted by the other factor.  The identity
+    S1 + S2 = hessian holds exactly.  Every monomial of S1 carries a
+    factor D_rho(e_i) (see first_summand_certificate), so S1 vanishes
+    along critical sections; S2 equals the contraction of the fields into
+    the adjoint of the vertical differential.
     """
     ctx = lag.ctx
-    e = euler_lagrange(lag).components
-    inner1 = {key: add_many(mul(p, e[i]) for i, p in ps)
-              for key, ps in _partials_by_coordinate(xi2.components, ctx)}
-    inner2 = {key: add_many(mul(xi2.components[i], p) for i, p in ps)
-              for key, ps in _partials_by_coordinate(e, ctx)}
-    return (_contract_first(xi1, inner1, ctx),
-            _contract_first(xi1, inner2, ctx))
+    e = euler_lagrange(lag)
+
+    def summand(a: BilinearForm, w: Sequence[JetExpr]) -> Lagrangian:
+        src = _euler_operator(_weighted(a, w), ctx)
+        return Lagrangian(ctx, contract_source(xi1, src))
+
+    return (summand(linearize(SourceForm(ctx, xi2.components)), e.components),
+            summand(linearize(e), xi2.components))
 
 
-def _partials_by_coordinate(exprs: Sequence[JetExpr], ctx: JetContext):
-    """The nonzero d^sigma_j exprs[i], grouped by coordinate: pairs
-    ((j, sigma), [(i, d^sigma_j exprs[i]), ...])."""
-    out: dict[tuple[int, MultiIndex], list[tuple[int, JetExpr]]] = {}
-    for i, f in enumerate(exprs):
-        for key, p in d_v(f, ctx).items():
-            out.setdefault(key, []).append((i, p))
-    return out.items()
-
-
-def _contract_first(xi1: VerticalField,
-                    inner: Mapping[tuple[int, MultiIndex], JetExpr],
-                    ctx: JetContext) -> Lagrangian:
-    """sum over (j, sigma) of (-1)^{|sigma|} xi1^j D_sigma(inner[(j, sigma)])."""
-    pieces = []
-    for (j, sigma), f in inner.items():
-        xj = xi1.components[j]
-        if xj.is_zero or f.is_zero:
-            continue
-        t = mul(xj, total_derivative_multi(f, sigma, ctx))
-        pieces.append(-t if sigma.order() % 2 else t)
-    return Lagrangian(ctx, add_many(pieces))
+def _weighted(a: BilinearForm, w: Sequence[JetExpr]
+              ) -> dict[tuple[int, MultiIndex], JetExpr]:
+    """sum over i of w_i A^sigma_{ij}, keyed (j, sigma)."""
+    acc: dict[tuple[int, MultiIndex], list[JetExpr]] = {}
+    for (sigma, i, j), val in a.entries():
+        acc.setdefault((j, sigma), []).append(mul(w[i], val))
+    return {key: add_many(ps) for key, ps in acc.items()}
 
 
 def first_summand_certificate(lag: Lagrangian, xi1: VerticalField,
                               xi2: VerticalField
                               ) -> dict[tuple[int, MultiIndex], JetExpr]:
     """Ideal-membership certificate for the first summand: coefficients
-    c[(i, rho)] with S1 = sum c[(i, rho)] * D_rho(e_i), obtained from the
-    Leibniz expansion of the D_sigma in S1."""
-    ctx = lag.ctx
-    acc: dict[tuple[int, MultiIndex], list[JetExpr]] = {}
-    for (j, sigma), ps in _partials_by_coordinate(xi2.components, ctx):
-        xj = xi1.components[j]
-        if xj.is_zero:
-            continue
-        sign = -1 if sigma.order() % 2 else 1
-        for i, f in ps:
-            for rho in sigma.subindices():
-                c = Fraction(sign * sigma.binom(rho))
-                t = mul(JetExpr.constant(c),
-                        total_derivative_multi(f, sigma.sub(rho), ctx))
-                acc.setdefault((i, rho), []).append(mul(xj, t))
-    out = {}
-    for key, pieces in acc.items():
-        total = add_many(pieces)
-        if not total.is_zero:
-            out[key] = total
-    return out
+    c[(i, rho)] with S1 = sum c[(i, rho)] * D_rho(e_i).  With A the
+    linearization of xi2,
+
+        S1 = sum (-1)^{|sigma|} xi1^j D_sigma(A^sigma_{ij} e_i),
+
+    and the Leibniz expansion of each D_sigma collects on D_rho(e_i) the
+    coefficients of the adjoint: c[(i, rho)] = sum_j xi1^j (A*)^rho_{ji}."""
+    a = linearize(SourceForm(lag.ctx, xi2.components))
+    return {key: c for key, c in _weighted(adjoint(a), xi1.components).items()
+            if not c.is_zero}
 
 
 def reconstruct_from_certificate(src: SourceForm,

@@ -28,12 +28,6 @@ def test_union_dimension_mismatch():
         MultiIndex((1,)).union(MultiIndex((1, 0)))
 
 
-def test_factorial_examples():
-    assert MultiIndex((0, 0)).factorial() == 1
-    assert MultiIndex((3, 2)).factorial() == 12
-    assert MultiIndex((1, 1, 1)).factorial() == 1
-
-
 def test_negative_entries_rejected():
     with pytest.raises(ValueError):
         MultiIndex((1, -1))

@@ -12,9 +12,8 @@ from jetvar import (JetContext, JetExpr, Lagrangian, NumericSection,
                     finite_diff_variation, second_variation_check,
                     total_derivative)
 from jetvar.expr import ONE, sin
-from jetvar.numeric import (MAX_POINTS, InsufficientProlongation,
-                            NotCritical, NumericError, bump_factor,
-                            compile_expr, first_variation_pair,
+from jetvar.numeric import (MAX_POINTS, NotCritical, NumericError,
+                            bump_factor, compile_expr, first_variation_pair,
                             gauss_legendre, integrate_on_section, rel_close)
 from jetvar.randgen import random_polynomial
 
@@ -49,16 +48,6 @@ def test_eval_examples(ode_ctx, oscillator, sin_section):
     e = euler_lagrange(oscillator)
     quad = NumericSection(ode_ctx, (ode_ctx.base("t") ** 2,), [(0.0, math.pi)])
     assert eval_on_section(e.components[0], quad, (1.0,)) == pytest.approx(-3.0)
-
-
-def test_insufficient_prolongation(ode_ctx, oscillator):
-    sec = NumericSection(ode_ctx, (sin(ode_ctx.base("t")),), [(0.0, 1.0)],
-                         prolong_order=1)
-    with pytest.raises(InsufficientProlongation):
-        eval_on_section(ode_ctx.jet("y", "tt"), sec, (0.5,))
-    # within the declared order everything works
-    assert eval_on_section(ode_ctx.jet("y", "t"), sec, (0.0,)) == \
-        pytest.approx(1.0)
 
 
 def test_eval_domain_error(ode_ctx):

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -9,7 +11,7 @@ from jetvar import (BilinearForm, JetContext, Lagrangian, SourceForm,
                     is_locally_variational, jacobi, quotient_variation,
                     second_variation_decomposition, total_derivative,
                     total_derivative_multi, vertical_differential)
-from jetvar.expr import ONE, ZERO, ExprError, partial
+from jetvar.expr import ONE, ZERO, ExprError, partial, sqrt, to_plain
 from jetvar.multiindex import MultiIndex, enumerate_up_to
 from jetvar.randgen import (random_bilinear_form, random_current,
                             random_lagrangian, random_polynomial,
@@ -421,8 +423,10 @@ def test_split_reduces_onshell(ode_ctx, oscillator):
 @given(seeds)
 def test_split_identity_and_certificate(seed):
     rng = random.Random(seed)
-    ctx = rng.choice([JetContext.make("t", "y"), JetContext.make("t", "y z")])
-    lag = random_lagrangian(rng, ctx, max_order=1, max_monomials=3)
+    ctx = rng.choice([JetContext.make("t", "y"), JetContext.make("t", "y z"),
+                      JetContext.make("x1 x2", "y")])
+    lag = random_lagrangian(rng, ctx, max_order=rng.randint(1, 2),
+                            max_monomials=3)
     xi1 = random_vertical_field(rng, ctx)
     xi2 = random_vertical_field(rng, ctx)
     s1, s2 = second_variation_decomposition(lag, xi1, xi2)
@@ -432,6 +436,77 @@ def test_split_identity_and_certificate(seed):
     e = euler_lagrange(lag)
     assert reconstruct_from_certificate(e, cert) == s1.density
     assert s2.density == contract(xi1, xi2, jacobi(lag))
+
+
+def _split_corpus():
+    """Seeded split inputs: random polynomial Lagrangians for n, m in
+    {1, 2} at jet order 1 and 2, with fields of order 0 to 2, then the
+    minimal surface (a sqrt density) and a geodesic Lagrangian with an
+    opaque metric."""
+    rng = random.Random(20261018)
+    for n, m, r in itertools.product((1, 2), (1, 2), (1, 2)):
+        ctx = JetContext.make(["x1", "x2"][:n], ["y", "z"][:m])
+        for _ in range(5):
+            lag = random_lagrangian(rng, ctx, max_order=r, max_monomials=3)
+            yield (lag,
+                   random_vertical_field(rng, ctx, max_order=rng.randint(0, 2)),
+                   random_vertical_field(rng, ctx, max_order=rng.randint(0, 2)))
+    ctx = JetContext.make("u v", "w")
+    wu, wv = ctx.jet("w", "u"), ctx.jet("w", "v")
+    yield (Lagrangian(ctx, sqrt(1 + wu ** 2 + wv ** 2)),
+           random_vertical_field(rng, ctx, max_order=1),
+           random_vertical_field(rng, ctx, max_order=1))
+    ctx = JetContext.make(
+        "t", "q1 q2",
+        opaque={"g11": ["q1", "q2"], "g12": ["q1", "q2"], "g22": ["q1", "q2"]})
+    qd = [ctx.jet("q1", "t"), ctx.jet("q2", "t")]
+    g = [[ctx.opaque("g11", (0, 0)), ctx.opaque("g12", (0, 0))],
+         [ctx.opaque("g12", (0, 0)), ctx.opaque("g22", (0, 0))]]
+    density = sum((g[a][b] * qd[a] * qd[b] for a in range(2)
+                   for b in range(2)), start=ZERO) / 2
+    yield (Lagrangian(ctx, density),
+           random_vertical_field(rng, ctx, max_order=1),
+           random_vertical_field(rng, ctx, max_order=1))
+
+
+# recorded with the split written as two hand-rolled Leibniz expansions
+SPLIT_DIGEST = ("96cef12a280c11baa835ed34edae3c99"
+                "d8fde2334c2e8d1d66a2a29ccfa00f93")
+
+
+def test_split_and_certificate_digest():
+    """S1, S2 and the sorted certificate print the same, byte for byte,
+    as when the digest was recorded."""
+    lines = []
+    for lag, xi1, xi2 in _split_corpus():
+        s1, s2 = second_variation_decomposition(lag, xi1, xi2)
+        lines += [to_plain(s1.density), to_plain(s2.density)]
+        cert = first_summand_certificate(lag, xi1, xi2)
+        for (i, rho) in sorted(cert, key=lambda k: (k[0], k[1].counts)):
+            lines.append(f"{i} {rho.counts} {to_plain(cert[(i, rho)])}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == SPLIT_DIGEST
+
+
+def test_every_certificate_entry_is_needed():
+    """Dropping one entry c[(i, rho)] whose D_rho(e_i) is nonzero breaks
+    sum c D_rho(e_i) + S2 == hessian: the canonical ring has no zero
+    divisors, so the dropped product c * D_rho(e_i) is nonzero."""
+    dropped = 0
+    for lag, xi1, xi2 in _split_corpus():
+        ctx = lag.ctx
+        e = euler_lagrange(lag)
+        _s1, s2 = second_variation_decomposition(lag, xi1, xi2)
+        h = hessian(lag, xi1, xi2).density
+        cert = first_summand_certificate(lag, xi1, xi2)
+        assert reconstruct_from_certificate(e, cert) + s2.density == h
+        for (i, rho) in cert:
+            if total_derivative_multi(e.components[i], rho, ctx).is_zero:
+                continue
+            rest = {k: v for k, v in cert.items() if k != (i, rho)}
+            assert reconstruct_from_certificate(e, rest) + s2.density != h
+            dropped += 1
+    assert dropped == 41   # of the corpus's 63 entries
 
 
 def test_contract_zero_form(ode_ctx):
