@@ -107,31 +107,122 @@ def compile_expr(e: JetExpr) -> Callable[[Mapping[ex.Atom, Any]], Any]:
 # quadrature rule
 # ---------------------------------------------------------------------------
 
-MAX_POINTS = 65536   # points per section; bounds grid memory and time
+# points per section; bounds grid memory, and with it the time to build
+# the 1-D rule (about 0.1 s at this size)
+MAX_POINTS = 65536
+
+# Terms kept of the Stieltjes series of P_n(cos theta); a node takes the
+# series only where the first omitted term is below machine precision,
+# which leaves about six nodes at each end of [-1, 1] for the exact sum.
+_SERIES_TERMS = 20
+# Below this degree every node takes the exact sum: it is then cheaper
+# than the series' fixed cost.
+_SERIES_FROM_DEGREE = 128
+# a_k = binom(2k, k)/4^k by the recurrence below this index, by the
+# expansion sqrt(pi k) a_k = 1 - 1/(8k) + 1/(128k^2) + ... from it on,
+# whose 7 terms leave an error under 1e-17 there; the recurrence alone
+# drifts by 2e-14 over 65536 steps.
+_GAMMA_RATIO_FROM = 128
+_GAMMA_RATIO = (869 / 4194304, -399 / 262144, -21 / 32768, 5 / 1024,
+                1 / 128, -1 / 8, 1.0)
+
+
+def _central_binomials(n: int) -> np.ndarray:
+    """a_k = binom(2k, k) / 4^k for k = 0..n, each to a few ulps."""
+    k = np.arange(1, min(n, _GAMMA_RATIO_FROM - 1) + 1)
+    a = np.concatenate(([1.0], np.cumprod((2 * k - 1) / (2 * k))))
+    if n < _GAMMA_RATIO_FROM:
+        return a
+    k = np.arange(_GAMMA_RATIO_FROM, n + 1, dtype=float)
+    return np.concatenate(
+        (a, np.polyval(_GAMMA_RATIO, 1 / k) / np.sqrt(np.pi * k)))
+
+
+def _legendre_sum(theta: np.ndarray, c: np.ndarray, m: np.ndarray):
+    """P_n(cos theta) and dP_n/dtheta from the finite sum
+    sum_k c_k cos(m_k theta), summed pairwise along each row."""
+    mt = np.multiply.outer(theta, m)
+    return ((np.cos(mt) * c).sum(axis=-1),
+            -(np.sin(mt) * (c * m)).sum(axis=-1))
+
+
+def _legendre_series(theta: np.ndarray, n: int, h: np.ndarray, cn: float):
+    """P_n(cos theta) and dP_n/dtheta from the Stieltjes series
+    C_n sum_m h_m cos(alpha_m) / (2 sin theta)^(m + 1/2), as the real part
+    of e^(i alpha_0) (2 sin theta)^(-1/2) sum_m h_m u^m with
+    u = -i e^(i theta) / (2 sin theta); d/dtheta turns term m into
+    (i n + (m + 1/2)(i - cot theta)) times itself."""
+    s2 = 2 * np.sin(theta)
+    u = -1j * np.exp(1j * theta) / s2
+    hd = h * (np.arange(len(h)) + 0.5)
+    s = np.full(theta.shape, h[-1], dtype=complex)
+    t = np.full(theta.shape, hd[-1], dtype=complex)
+    for k in range(len(h) - 2, -1, -1):
+        s = s * u + h[k]
+        t = t * u + hd[k]
+    lead = cn * np.exp(1j * ((n + 0.5) * theta - np.pi / 4)) / np.sqrt(s2)
+    return ((lead * s).real,
+            (lead * (1j * n * s + (1j - 1 / np.tan(theta)) * t)).real)
 
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-point Gauss-Legendre nodes on [-1, 1], ascending, and their
-    weights: Newton's method on P_n from Tricomi's initial guesses, with
-    P_n and P_{n-1} from the three-term recurrence, for the nonnegative
-    half of the nodes; O(n^2) time and O(n) memory."""
+    weights, in O(n) time and memory.
+
+    Newton's method runs on phi = pi/2 - theta for the nonnegative nodes
+    x = sin(phi) = cos(theta), from Tricomi's initial guesses; an odd
+    rule's middle node stays at exactly 0.  P_n(cos theta) and its theta
+    derivative come from the Stieltjes series (Hale and Townsend, SIAM
+    J. Sci. Comput. 35, 2013) at interior nodes, and from the exact sum
+    P_n(cos theta) = sum_k a_k a_(n-k) cos((n - 2k) theta), a_k =
+    binom(2k, k)/4^k, near +-1 and for every node of a small rule.  The
+    weights are 2/(dP_n/dtheta)^2 at the roots, so no 1 - x^2 cancels.
+    Nodes agree with a 40-digit reference to 2e-16 and weights to about
+    5e-15 relative, up to n = 65536."""
+    if n < 1:
+        raise ValueError("need at least one quadrature node")
     # Tricomi's guess (1 - (n-1)/(8n^3)) cos(pi(4k-1)/(4n+2)), written as
     # a sine so that the middle node of an odd rule is exactly 0
     j = np.arange(1 - n % 2, n, 2)
-    x = (1 - (n - 1) / (8 * n ** 3)) * np.sin(np.pi * j / (2 * n + 1))
+    phi = np.arcsin((1 - (n - 1) / (8 * n ** 3))
+                    * np.sin(np.pi * j / (2 * n + 1)))
+    a = _central_binomials(n)
+    # the exact sum, terms k and n - k paired
+    k = np.arange((n + 1) // 2)
+    c, m = 2 * a[k] * a[n - k], n - 2 * k
+    if n % 2 == 0:
+        c, m = np.append(c, a[n // 2] ** 2), np.append(m, 0)
+    series = np.zeros(phi.shape, dtype=bool)
+    if n >= _SERIES_FROM_DEGREE:
+        i = np.arange(1, _SERIES_TERMS + 1)
+        h = np.cumprod((i - 0.5) ** 2 / (i * (n + i + 0.5)))
+        h = np.concatenate(([1.0], h))
+        # the omitted tail is below 2 h_M / (2 sin theta)^M relative
+        floor = (2 * h[-1] / np.finfo(float).eps) ** (1 / _SERIES_TERMS)
+        series = 2 * np.cos(phi) >= floor
+        cn = 4 / (np.pi * (2 * n + 1) * a[n])
+    exact = ~series
+    p, dp = np.empty_like(phi), np.empty_like(phi)
     for _ in range(100):
-        p0, p1 = np.ones_like(x), x
-        for k in range(1, n):
-            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-        dp = n * (p0 - x * p1) / ((1 - x) * (1 + x))
-        dx = p1 / dp
-        x = x - dx
-        if np.max(np.abs(dx)) <= 1e-15:
+        theta = np.pi / 2 - phi
+        p[exact], dp[exact] = _legendre_sum(theta[exact], c, m)
+        if series.any():
+            p[series], dp[series] = _legendre_series(
+                theta[series], n, h[:-1], cn)
+        d = p / dp
+        if n % 2:
+            d[0] = 0.0
+        phi = phi + d
+        if np.max(np.abs(d)) <= 1e-15:
             break
     else:
         raise NumericError(
             f"the {n}-point Gauss-Legendre rule did not converge")
-    w = 2 / ((1 - x) * (1 + x) * dp ** 2)
+    x = np.sin(phi)
+    # dP_n/dtheta at the root, not at the last iterate, whose theta near
+    # +-1 is as coarse as the ulp of pi/2: over the last step d it scales
+    # by 1 + d cot(theta), since d2P/dtheta2 = -cot(theta) dP/dtheta there
+    w = 2 / (dp * (1 + d * np.tan(phi))) ** 2
     return (np.concatenate((-x[n % 2:][::-1], x)),
             np.concatenate((w[n % 2:][::-1], w)))
 

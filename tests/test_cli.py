@@ -156,6 +156,17 @@ def test_check_critical_ok(capsys, problems_dir):
     assert "critical (tol 1e-06): yes" in out
 
 
+def test_check_critical_at_the_point_cap(capsys, problems_dir):
+    """The largest admitted 1-D section runs to a verdict, in well under
+    a second on a laptop."""
+    code, out, _ = run(capsys, "check-critical",
+                       path(problems_dir, "oscillator.vp"),
+                       "--section", "sol", "--fields", "b1,b2",
+                       "--nodes", "65536")
+    assert code == 0
+    assert "critical (tol 1e-06): yes" in out
+
+
 def test_check_critical_fails_exit_3(capsys, problems_dir):
     code, out, err = run(capsys, "check-critical",
                          path(problems_dir, "oscillator.vp"),

@@ -3,8 +3,10 @@
 Each case runs ``jetvar.cli.main`` and compares the SHA-256 of stdout with
 a digest recorded once and kept fixed, so any change to a symbolic result
 or to its rendering shows up here.  Numeric subcommands are left out: their
-floats depend on the numpy/LAPACK build.  ``adjoint`` reads a bilinear form
-written from ``random_bilinear_form(random.Random(0), ctx)``.
+floats move with the last bits of the quadrature rule and of the numpy
+build, so ``test_numeric_golden.py`` compares them within tolerances
+instead.  ``adjoint`` reads a bilinear form written from
+``random_bilinear_form(random.Random(0), ctx)``.
 """
 
 import hashlib

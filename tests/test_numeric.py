@@ -145,7 +145,8 @@ def test_grid_is_deterministic(ode_ctx, pde_ctx):
         assert np.array_equal(p1, p2) and np.array_equal(w1, w2)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 17, 64, 255, 1024, 1025])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 17, 64, 127, 128, 255, 1024,
+                               1025])
 def test_gauss_legendre_rule(n):
     """Ascending symmetric nodes, positive symmetric weights summing to 2,
     and every even monomial of degree up to 2n - 1 integrated exactly."""
@@ -165,7 +166,7 @@ def test_gauss_legendre_matches_golub_welsch(n):
     """The same rule as numpy's leggauss, the eigenvalue method of Golub
     and Welsch: nodes within 1e-15 absolute, weights within 5e-11
     relative.  leggauss's own weights are off by up to 2e-11 at n = 123
-    against a 40-digit reference, so the weights are held to 1e-11 by
+    against a 40-digit reference, so the weights are held to 1e-13 by
     the test below instead."""
     x, w = gauss_legendre(n)
     xr, wr = np.polynomial.legendre.leggauss(n)
@@ -173,22 +174,60 @@ def test_gauss_legendre_matches_golub_welsch(n):
     assert np.max(np.abs(w - wr) / wr) <= 5e-11
 
 
-@pytest.mark.parametrize("n", [17, 128, 1024])
+def _multiprecision_node(mpmath, n, x):
+    """The root of P_n next to the float x, and its weight, by Newton's
+    method in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        xi = mpmath.mpf(float(x))
+        for _ in range(3):
+            p = mpmath.legendre(n, xi, maxterms=10 ** 6)
+            q = mpmath.legendre(n - 1, xi, maxterms=10 ** 6)
+            dp = n * (q - xi * p) / (1 - xi ** 2)
+            xi -= p / dp
+        return xi, 2 / ((1 - xi ** 2) * dp ** 2)
+
+
+def _outer_nodes(n, k=10):
+    """The k outermost nodes at each end: the rule takes about six of them
+    at each end from the exact sum and the rest from the series, so these
+    cover the switch on both sides."""
+    return sorted(set(range(min(k, n))) | set(range(max(n - k, 0), n)))
+
+
+@pytest.mark.parametrize("n", [17, 128, 255, 1024, 1025, 4096])
 def test_gauss_legendre_matches_multiprecision(n):
-    """The outer nodes, where weights are least accurate, and the middle
-    one against Newton's method in 40-digit arithmetic: nodes within
-    1e-15 absolute, weights within 1e-11 relative."""
+    """The middle node and the outer ones, where the weights are hardest
+    and where the rule switches from the exact sum to the series, against
+    a 40-digit reference: nodes within 1e-15 absolute, weights within
+    1e-13 relative."""
     mpmath = pytest.importorskip("mpmath")
     x, w = gauss_legendre(n)
-    with mpmath.workdps(40):
-        for i in (n // 2, n - 4, n - 3, n - 2, n - 1):
-            xi = mpmath.mpf(float(x[i]))
-            for _ in range(3):
-                p, q = mpmath.legendre(n, xi), mpmath.legendre(n - 1, xi)
-                dp = n * (q - xi * p) / (1 - xi ** 2)
-                xi -= p / dp
-            assert abs(x[i] - xi) <= 1e-15
-            assert abs(w[i] / (2 / ((1 - xi ** 2) * dp ** 2)) - 1) <= 1e-11
+    for i in sorted({n // 2, *_outer_nodes(n)}):
+        xi, wi = _multiprecision_node(mpmath, n, x[i])
+        assert abs(x[i] - xi) <= 1e-15
+        assert abs(w[i] / wi - 1) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_gauss_legendre_needs_a_node(n):
+    with pytest.raises(ValueError, match="need at least one quadrature node"):
+        gauss_legendre(n)
+
+
+def test_gauss_legendre_at_the_point_cap():
+    """A 1-D section may have MAX_POINTS nodes, and the rule for it is
+    still exact to rounding: ascending symmetric nodes, positive weights
+    summing to 2, outer nodes matching the 40-digit reference."""
+    mpmath = pytest.importorskip("mpmath")
+    n = MAX_POINTS
+    x, w = gauss_legendre(n)
+    assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
+    assert np.all(w > 0) and np.array_equal(w, w[::-1])
+    assert abs(math.fsum(w) - 2) <= 1e-13
+    for i in _outer_nodes(n)[-10:]:
+        xi, wi = _multiprecision_node(mpmath, n, x[i])
+        assert abs(x[i] - xi) <= 1e-15
+        assert abs(w[i] / wi - 1) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
