@@ -21,7 +21,7 @@ from .numeric import (NotCritical, NumericConfig, NumericError,
 from .textio import (ParseError, ProblemFile, object_to_dict, parse_problem_file,
                      parse_setting, parse_structured, print_object)
 from .variational import (BilinearForm, Lagrangian, SourceForm, adjoint,
-                          euler_lagrange, helmholtz, helmholtz_skew, jacobi,
+                          euler_lagrange, helmholtz, helmholtz_skew,
                           quotient_variation, vertical_differential)
 
 EXIT_OK = 0
@@ -220,7 +220,7 @@ def _cmd_helmholtz(pf: ProblemFile, args) -> str:
 def _cmd_jacobi(pf: ProblemFile, args) -> str:
     lag = _lagrangian(pf, args)
     ve = vertical_differential(lag)
-    jac = jacobi(lag)
+    jac = adjoint(ve)
     selfadj = ve == jac
     onshell = None
     if args.section is not None:

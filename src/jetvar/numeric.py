@@ -8,10 +8,13 @@ with the jet coordinates as inputs, each jet entry d_sigma s^i it needs
 is compiled from exact partials of the section's closed form, and both
 run as numpy arrays at the Gauss nodes.  Each compiled piece is first
 rewritten exactly in the box's scaled coordinates s = (x - mid)/half,
-and the bump factor below, which variation fields carry so that
-divergence terms drop from every integration by parts, is written there
-directly: in raw coordinates it has huge cancelling coefficients away
-from the origin.  A finite-difference action is the compiled integrand
+where the bump factor below, which variation fields carry so that
+divergence terms drop from every integration by parts, is the separable
+product prod_axis b(s_a), b(s) = (1 - s^2)^4; in raw coordinates it has
+huge cancelling coefficients away from the origin.  The bump is never
+expanded into a field: a bumped field's jet entry is the Leibniz sum of
+the compiled derivatives of each b, shared by the section's fields, times
+those of the field.  A finite-difference action is the compiled integrand
 applied to jet arrays, since j(s + t phi) = j s + t j phi.  Faults and
 non-finite values raise NumericError."""
 
@@ -28,7 +31,7 @@ import numpy as np
 from . import expr as ex
 from .expr import (ExprError, JetContext, JetExpr, jet_coords, partial,
                    substitute, to_code)
-from .variational import (BilinearForm, Lagrangian, euler_lagrange, jacobi,
+from .variational import (BilinearForm, Lagrangian, adjoint, euler_lagrange,
                           vertical_differential)
 
 
@@ -96,6 +99,36 @@ def compile_expr(e: JetExpr) -> Callable[[Mapping[ex.Atom, Any]], Any]:
         except KeyError as err:
             raise NumericError(f"coordinate {err.args[0]!r} left unbound") \
                 from None
+        if not np.all(np.isfinite(out)):
+            raise NumericError("evaluation gave a value that is not finite")
+        return out
+
+    return run
+
+
+@_float_guard()
+def _factor(e: JetExpr) -> tuple[float, Callable | None]:
+    """(c, None) if e is the constant c, else (1.0, e compiled): a factor
+    of a term of _leibniz_sum."""
+    c = e.constant_value()
+    return (1.0, compile_expr(e)) if c is None else (float(c), None)
+
+
+def _leibniz_sum(terms: Sequence[tuple[float, Sequence[Callable]]]
+                 ) -> Callable[[Mapping[ex.Atom, Any]], Any]:
+    """env -> sum of c * prod_f f(env) over the terms (c, fs); a lone term
+    1 * f is f itself.  Faults and non-finite values raise NumericError."""
+    if len(terms) == 1 and terms[0][0] == 1.0 and len(terms[0][1]) == 1:
+        return terms[0][1][0]
+
+    @_float_guard()
+    def run(env: Mapping[ex.Atom, Any]):
+        out = 0.0
+        for c, fns in terms:
+            term = c
+            for f in fns:
+                term = term * f(env)
+            out = out + term
         if not np.all(np.isfinite(out)):
             raise NumericError("evaluation gave a value that is not finite")
         return out
@@ -266,6 +299,12 @@ class NumericSection:
         self._half = tuple((Fraction(hi) - Fraction(lo)) / 2
                            for lo, hi in self.domain)
         self._scaled_exprs = tuple(self._scaled(e) for e in self.exprs)
+        # the section is w * s with w = prod_axis w_a(s_a), the bump for a
+        # bumped field (see _field), else 1; its derivatives by (axis, order)
+        self._weight = (ex.ONE,) * ctx.n
+        self._weight_jets: dict[tuple[int, int], tuple] = {}
+        # the bump's derivatives, shared by every field of this section
+        self._field_weight_jets: dict[tuple[int, int], tuple] = {}
         self._jets: dict[ex.JetCoord, Callable] = {}
         self._bound: dict[JetExpr, Callable] = {}
         self._fields: dict[tuple[JetExpr, ...], NumericSection] = {}
@@ -279,16 +318,46 @@ class NumericSection:
             a: JetExpr.constant(m) + JetExpr.constant(h) * ex.atom_expr(a)
             for a, m, h in zip(self._axes, self._mid, self._half)})
 
+    def _derivative(self, e: JetExpr, counts: Sequence[int]) -> JetExpr:
+        """d_sigma e for sigma = counts, e in scaled coordinates, where
+        d/dx = (1/half) d/ds."""
+        for a, h, count in zip(self._axes, self._half, counts):
+            for _ in range(count):
+                e = partial(e, a) / JetExpr.constant(h)
+        return e
+
+    def _weight_jet(self, axis: int, k: int
+                    ) -> tuple[float, Callable | None]:
+        """d^k w_a / dx_a^k for a = axis, as a factor (see _factor), made
+        once per axis and order."""
+        got = self._weight_jets.get((axis, k))
+        if got is None:
+            counts = [k if a == axis else 0 for a in range(self.ctx.n)]
+            got = self._weight_jets[axis, k] = _factor(
+                self._derivative(self._weight[axis], counts))
+        return got
+
     def _jet(self, jc: ex.JetCoord) -> Callable:
-        """The compiled jet entry d_sigma s^i for jc = y^i_sigma, taken in
-        scaled coordinates, where d/dx = (1/half) d/ds."""
+        """The compiled jet entry d_sigma(w s^i) for jc = y^i_sigma, by the
+        Leibniz rule over the separable weight:
+        sum_(rho <= sigma) C(sigma, rho) prod_a w_a^(rho_a) d_(sigma-rho) s^i.
+        Constant factors fold into each term's coefficient, and a term
+        with a vanishing factor is dropped, so with w = 1 only rho = 0
+        is left and the entry is the compiled d_sigma s^i itself."""
         got = self._jets.get(jc)
         if got is None:
-            d = self._scaled_exprs[jc.index]
-            for a, h, count in zip(self._axes, self._half, jc.sigma.counts):
-                for _ in range(count):
-                    d = partial(d, a) / JetExpr.constant(h)
-            got = self._jets[jc] = compile_expr(d)
+            terms = []
+            for rho in jc.sigma.subindices():
+                factors = [self._weight_jet(a, k)
+                           for a, k in enumerate(rho.counts)]
+                if any(w == 0.0 for w, _ in factors):
+                    continue
+                factors.append(_factor(self._derivative(
+                    self._scaled_exprs[jc.index], jc.sigma.sub(rho).counts)))
+                c = jc.sigma.binom(rho) * math.prod(w for w, _ in factors)
+                if c != 0.0:
+                    terms.append((c, [f for _, f in factors if f is not None]))
+            got = self._jets[jc] = _leibniz_sum(terms)
         return got
 
     def bind(self, e: JetExpr) -> Callable[[Sequence[Any]], Any]:
@@ -318,11 +387,12 @@ class NumericSection:
 
     def _field(self, comps: Sequence[JetExpr]) -> "NumericSection":
         """The bumped field bump * xi as a section over the same box, built
-        once per field: its jet entries are the derivatives
-        D_sigma(bump * xi), to any order.  The bump is written directly in
-        scaled coordinates, prod_axis (1 - s^2)^4, which is bump_factor
-        rescaled exactly; the field section's exprs stay the unbumped xi,
-        since evaluation reads only the scaled forms."""
+        once per field: the section of xi weighted by the bump, whose jet
+        entries _jet takes by the Leibniz rule, to any order.  The bump is
+        separable and written directly in scaled coordinates,
+        prod_axis (1 - s_a^2)^4, which is bump_factor rescaled exactly;
+        its derivatives are compiled once per axis and order and shared by
+        every field of this section."""
         comps = tuple(comps)
         got = self._fields.get(comps)
         if got is None:
@@ -330,10 +400,9 @@ class NumericSection:
                 raise ValueError(
                     f"variation fields need {self.ctx.m} components")
             got = NumericSection(self.ctx, comps, self.domain, self.nodes)
-            bump = ex.ONE
-            for a in self._axes:
-                bump = bump * (1 - ex.atom_expr(a) ** 2) ** 4
-            got._scaled_exprs = tuple(bump * e for e in got._scaled_exprs)
+            got._weight = tuple((1 - ex.atom_expr(a) ** 2) ** 4
+                                for a in self._axes)
+            got._weight_jets = self._field_weight_jets
             got._grid = self.grid()
             self._fields[comps] = got
         return got
@@ -564,9 +633,10 @@ def second_variation_check(lag: Lagrangian, section: NumericSection,
     vc = VariationConfig(fields=(xi1, xi2), step=step)
     fd = finite_diff_variation(lag, section, vc, 2)
     f1, f2 = section._field(xi1), section._field(xi2)
-    ive = section._integral(
-        _contraction(vertical_differential(lag), section, f1, f2))
-    ijac = section._integral(_contraction(jacobi(lag), section, f1, f2))
+    ve = vertical_differential(lag)
+    ive = section._integral(_contraction(ve, section, f1, f2))
+    # the Jacobi morphism is the adjoint of V; see variational.jacobi
+    ijac = section._integral(_contraction(adjoint(ve), section, f1, f2))
     return SecondVariationReport(fd, ive, ijac, crit.max_residual)
 
 

@@ -286,16 +286,18 @@ BAD_BILINEAR = (
 
 
 class _Edited:
-    """oscillator.vp with one line replaced, written out when a test runs."""
+    """oscillator.vp with lines replaced, written out when a test runs."""
 
-    def __init__(self, old: str, new: str):
-        self.old, self.new = old, new
+    def __init__(self, old: str, new: str, *more: tuple[str, str]):
+        self.edits = ((old, new), *more)
 
     def write(self, directory: pathlib.Path) -> str:
         text = pathlib.Path(OSC).read_text()
-        assert self.old in text
+        for old, new in self.edits:
+            assert old in text
+            text = text.replace(old, new)
         target = directory / "edited.vp"
-        target.write_text(text.replace(self.old, self.new))
+        target.write_text(text)
         return str(target)
 
 
@@ -336,13 +338,27 @@ NUMERIC_BLOCK_EDITS = (
      None, 1),
     (["check-critical", OSC, "--section", "sol", "--nodes", "10000000"],
      None, 2),
+    # the middle of 7 nodes on [0, pi] is the field's pole at pi/2
+    *(([cmd, _Edited("1 + t^2", "1/(t - pi/2)"), "--section", "sol",
+        "--fields", fields, "--nodes", "7"], None,
+       (2, "numeric evaluation failed"))
+      for cmd, fields in (("second-var", "b1,b3"), ("check-critical", "b3"),
+                          ("jacobi", "b1,b3"))),
+    *(([cmd, _Edited("1 + t^2", "f(t)", ("field y", "field y\n  opaque f(t)")),
+        "--section", "sol", "--fields", fields, "--nodes", "7"], None,
+       (2, "has no numeric value"))
+      for cmd, fields in (("second-var", "b1,b3"), ("check-critical", "b3"),
+                          ("jacobi", "b1,b3"))),
 ])
 def test_exit_code_contract(capsys, monkeypatch, tmp_path, argv, stdin, code):
+    """Exit code, and a phrase of the error where code is (code, phrase)."""
+    code, phrase = code if isinstance(code, tuple) else (code, "")
     argv = [a.write(tmp_path) if isinstance(a, _Edited) else a for a in argv]
     if stdin is not None:
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     got, _out, err = run(capsys, *argv)
     assert got == code
+    assert phrase in err
     assert "Traceback" not in err
 
 

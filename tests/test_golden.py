@@ -210,6 +210,72 @@ DIGESTS = {
         'a159bfc1b4e2096b92b1d54f1ec5c7f1eba3fac7d3329d98b6c51abe23099803',
     'geodesic_metric.vp jacobi --lagrangian geodesic structured':
         'e45a5a7a82777272c8a68ccc9a1ffe1a698c7fdf247921d4eeb2fd0dde97ebf8',
+    'laplace2d.vp adjoint --bilinear {bilinear} latex':
+        '70b52e5c9459425ebb6d19840757a01816f05ee9473663cd8e02536ac463bdb2',
+    'laplace2d.vp adjoint --bilinear {bilinear} plain':
+        '08ecf9f583234bc272529165461f8ca4b2d922880b909205ff55c25a94ee80f3',
+    'laplace2d.vp adjoint --bilinear {bilinear} structured':
+        'd3ffbbe96dcab2676fd52688a12a6f91f62964914dc2806c3ea11f368d7884df',
+    'laplace2d.vp el --lagrangian dirichlet latex':
+        '4eb56ee04879d00ee5f494470e8c384c27cedc1bb419298854a2216d9116b067',
+    'laplace2d.vp el --lagrangian dirichlet plain':
+        'df151af6ab4d1eacea25cf7caa9e8e30f8b764595e4080a92eb9d9ee4b95e25c',
+    'laplace2d.vp el --lagrangian dirichlet structured':
+        '7d78a3ffd6ae6bbc16074397bd3ecc6200299cba4937c5d5e3c50c9bf36d77a1',
+    'laplace2d.vp helmholtz --lagrangian dirichlet latex':
+        'a9dd88195b89089be74e88a0b5f70326fa2ed060a516ca71ed71b98bacd5eb6a',
+    'laplace2d.vp helmholtz --lagrangian dirichlet plain':
+        'a9dd88195b89089be74e88a0b5f70326fa2ed060a516ca71ed71b98bacd5eb6a',
+    'laplace2d.vp helmholtz --lagrangian dirichlet structured':
+        'fcf582de06149a0869bc6d5be8645b2ead380a6e15015837dfbeaeea75746b9b',
+    'laplace2d.vp hessian --lagrangian dirichlet --fields b1,b1 latex':
+        '9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa',
+    'laplace2d.vp hessian --lagrangian dirichlet --fields b1,b1 plain':
+        '9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa',
+    'laplace2d.vp hessian --lagrangian dirichlet --fields b1,b1 structured':
+        '668a696538abc520c5e5de9407ace331e8b6ef09bd5b917003f79ff03a0258dc',
+    'laplace2d.vp hessian --lagrangian dirichlet --fields b1,b2 latex':
+        '9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa',
+    'laplace2d.vp hessian --lagrangian dirichlet --fields b1,b2 plain':
+        '9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa',
+    'laplace2d.vp hessian --lagrangian dirichlet --fields b1,b2 structured':
+        '668a696538abc520c5e5de9407ace331e8b6ef09bd5b917003f79ff03a0258dc',
+    'laplace2d.vp hessian --lagrangian dirichlet --fields b2,b1 latex':
+        '9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa',
+    'laplace2d.vp hessian --lagrangian dirichlet --fields b2,b1 plain':
+        '9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa',
+    'laplace2d.vp hessian --lagrangian dirichlet --fields b2,b1 structured':
+        '668a696538abc520c5e5de9407ace331e8b6ef09bd5b917003f79ff03a0258dc',
+    'laplace2d.vp hessian --lagrangian dirichlet --fields b2,b2 latex':
+        '9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa',
+    'laplace2d.vp hessian --lagrangian dirichlet --fields b2,b2 plain':
+        '9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa',
+    'laplace2d.vp hessian --lagrangian dirichlet --fields b2,b2 structured':
+        '668a696538abc520c5e5de9407ace331e8b6ef09bd5b917003f79ff03a0258dc',
+    'laplace2d.vp jacobi --lagrangian dirichlet latex':
+        'bd19b3b6bd748abb2e385ecbddf6f6bd28375e12874170a0840f6a5d3b9106f6',
+    'laplace2d.vp jacobi --lagrangian dirichlet plain':
+        '9a965437817353117a6e20eed852a7ddae33a227012e007d8a57980260f2f296',
+    'laplace2d.vp jacobi --lagrangian dirichlet structured':
+        '85d1600005ba7e29a5cff5d365cb57044be1eaf3435cb25883c3a7a8b3dcfdc1',
+    'laplace2d.vp variation --lagrangian dirichlet --fields b1 latex':
+        'fd2eb92cfb5feabdeb39c717a42efc687f1f13782e73c8d94a7f60d2958cdac3',
+    'laplace2d.vp variation --lagrangian dirichlet --fields b1 plain':
+        'ce84b52e474b3120edc79d828ce6abf1da5c6bc6534fd1600064b07e83657bed',
+    'laplace2d.vp variation --lagrangian dirichlet --fields b1 structured':
+        '4afc7a609f87577d3ed56b40d866231620f7d84f77f70cabc9770b85eba1d2c1',
+    'laplace2d.vp variation --lagrangian dirichlet --fields b1,b2 latex':
+        '9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa',
+    'laplace2d.vp variation --lagrangian dirichlet --fields b1,b2 plain':
+        '9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa',
+    'laplace2d.vp variation --lagrangian dirichlet --fields b1,b2 structured':
+        '688043aa49bdaddd81de9fbc2f01b4a805f3a78355c4bf901b30362a37208d99',
+    'laplace2d.vp variation --lagrangian dirichlet --fields b2 latex':
+        '3d2b5b709b887159e5295f63c6bbc5e95fa21bf94be39b544fc7430cf6ed8b9b',
+    'laplace2d.vp variation --lagrangian dirichlet --fields b2 plain':
+        '5951315e69258598fa9d3158e4fb02ed2fd566b03421ab783eea0018b9b5c533',
+    'laplace2d.vp variation --lagrangian dirichlet --fields b2 structured':
+        '5559065525547f544e4ae4bcd73c151ae7854ed6c41f037d70d2963971805a8d',
     'oscillator.vp adjoint --bilinear {bilinear} latex':
         'ec27800789b458768e89de1b352f256643c08e95af49abc23e0f4deab8ed083b',
     'oscillator.vp adjoint --bilinear {bilinear} plain':

@@ -11,7 +11,8 @@ from jetvar import (JetContext, JetExpr, Lagrangian, NumericSection,
                     check_onshell_symmetry, euler_lagrange, eval_on_section,
                     finite_diff_variation, second_variation_check,
                     total_derivative)
-from jetvar.expr import ONE, sin
+from jetvar.expr import ONE, partial, sin
+from jetvar.multiindex import enumerate_up_to
 from jetvar.numeric import (MAX_POINTS, NotCritical, NumericError,
                             bump_factor, compile_expr, first_variation_pair,
                             gauss_legendre, integrate_on_section, rel_close)
@@ -346,15 +347,18 @@ def test_variation_config_validation(ode_ctx):
 def test_fd_matches_actions_of_varied_sections(ode_ctx, domain):
     """The engine's finite differences of jet arrays equal central
     differences of the actions of explicitly built sections
-    s + sum_k t_k * bump * xi_k, on a non-quadratic action; the field
-    bump, written in scaled coordinates, is bump_factor rescaled."""
+    s + sum_k t_k * bump * xi_k, on a non-quadratic action; the field is
+    xi weighted by the bump, whose per-axis factors, written in scaled
+    coordinates, multiply to bump_factor rescaled."""
     t = ode_ctx.base("t")
     y, yt = ode_ctx.fiber("y"), ode_ctx.jet("y", "t")
     lag = Lagrangian(ode_ctx, y ** 4 + yt ** 2 / 2)
     sec = NumericSection(ode_ctx, (sin(t),), [domain])
     bump = bump_factor(ode_ctx, [domain])
     fields = ((ONE,), (t,))
-    assert sec._field(fields[1])._scaled_exprs == (sec._scaled(bump * t),)
+    field = sec._field(fields[1])
+    assert math.prod(field._weight, start=ONE) == sec._scaled(bump)
+    assert field._scaled_exprs == (sec._scaled(t),)
 
     def a(*ts):
         varied = sin(t)
@@ -380,8 +384,37 @@ def test_fd_matches_actions_of_varied_sections(ode_ctx, domain):
 def test_scaled_bump_is_the_rescaled_bump_factor(pde_ctx):
     domain = [(0.1, 0.7), (-3.0, 5.5)]
     sec = NumericSection(pde_ctx, (pde_ctx.base("u"),), domain)
-    assert sec._field((ONE,))._scaled_exprs == \
-        (sec._scaled(bump_factor(pde_ctx, domain)),)
+    field = sec._field((ONE,))
+    assert math.prod(field._weight, start=ONE) == \
+        sec._scaled(bump_factor(pde_ctx, domain))
+    assert field._scaled_exprs == (sec._scaled(ONE),)
+
+
+@pytest.mark.parametrize("field", range(4))
+@pytest.mark.parametrize("domain", [[(0.0, 1.0)], [(100.0, 101.0)],
+                                    [(1.0, 2.0), (-3.0, -1.5)]])
+def test_leibniz_jets_match_expanded_bump_partials(ode_ctx, pde_ctx, domain,
+                                                   field):
+    """A bumped field's jet entries, taken by the Leibniz rule over the
+    separable bump, equal the compiled exact partials of the expanded
+    bump * xi at the nodes: every sigma up to order 9 in 1-D, past the
+    bump's degree 8, and up to order 4 in 2-D."""
+    ctx = ode_ctx if len(domain) == 1 else pde_ctx
+    u, v = ctx.base(0), ctx.base(ctx.n - 1)
+    xi = (ONE, 2 - u + 3 * v, 1 + u ** 2, sin(u) * v)[field]
+    sec = NumericSection(ctx, (u,), domain, nodes=9)
+    bumped = sec._scaled(bump_factor(ctx, domain) * xi)
+    halves = [(Fraction(hi) - Fraction(lo)) / 2 for lo, hi in domain]
+    env = sec._scaled_point(sec.grid()[0].T)
+    for sigma in enumerate_up_to(ctx.n, 9 if ctx.n == 1 else 4):
+        d = bumped
+        for axis, h, count in zip(range(ctx.n), halves, sigma.counts):
+            for _ in range(count):
+                d = partial(d, ctx.base_atom(axis)) / JetExpr.constant(h)
+        want = compile_expr(d)(env)
+        got = sec._field((xi,))._jet(ctx.jet_atom(0, sigma))(env)
+        assert np.max(np.abs(got - want)) <= \
+            1e-12 * np.max(np.abs(want)), sigma
 
 
 # ---------------------------------------------------------------------------
