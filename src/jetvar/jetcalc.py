@@ -7,11 +7,17 @@ y^j_{sigma+lam} * partial^sigma_j f.  It is computed in a single pass over
 f (``expr.derive``): each jet coordinate y^j_sigma goes to its lift
 y^j_{sigma+lam}, the base coordinate x^lam to 1, and function applications
 follow by the chain rule.
+
+Where a call needs D_tau of one expression for many tau, it takes them
+from a derivative lattice: the targets closed downward along the parent
+rule, under which the parent of tau is tau minus one on its first nonzero
+axis, with each D_tau e one total derivative of its parent's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .expr import (ONE, ZERO, Atom, JetContext, JetCoord, JetExpr, atom_expr,
                    derive, jet_coords, jet_order, partial)
@@ -65,16 +71,49 @@ def total_derivative_multi(e: JetExpr, sigma: MultiIndex, ctx: JetContext
     return out
 
 
+def lattice_edges(targets: Iterable[MultiIndex]
+                  ) -> list[tuple[MultiIndex, int, MultiIndex]]:
+    """The downward closure of the targets along the parent rule, as
+    edges (tau, axis, parent) with tau = parent + 1 on ``axis``, the first
+    nonzero axis of tau.  The zero index is the root and has no edge;
+    every parent comes before its children."""
+    seen: set[MultiIndex] = set()
+    edges = []
+    for sigma in targets:
+        while sigma not in seen and any(sigma.counts):
+            seen.add(sigma)
+            axis, parent = sigma.parent()
+            edges.append((sigma, axis, parent))
+            sigma = parent
+    edges.sort(key=lambda edge: sum(edge[0].counts))
+    return edges
+
+
+def derivative_lattice(e: JetExpr, targets: Iterable[MultiIndex],
+                       ctx: JetContext) -> dict[MultiIndex, JetExpr]:
+    """D_tau e for every tau of the targets' downward closure along the
+    parent rule (``lattice_edges``), each by one total derivative of its
+    parent's: prod(sigma_a + 1) - 1 of them for the box below one sigma.
+    The table is built per call and kept by no one."""
+    out = {MultiIndex.zero(ctx.n): e}
+    for tau, axis, parent in lattice_edges(targets):
+        out[tau] = total_derivative(out[parent], axis, ctx)
+    return out
+
+
 def prolong(xi: VerticalField, r: int) -> dict[tuple[int, MultiIndex], JetExpr]:
     """Jet prolongation of a vertical field: component at (i, sigma) is
-    D_sigma xi^i for 0 <= |sigma| <= r."""
+    D_sigma xi^i for 0 <= |sigma| <= r, each from its parent's by one
+    total derivative (``derivative_lattice``)."""
     if r < 0:
         raise ValueError("prolongation order must be >= 0")
     ctx = xi.ctx
+    sigmas = enumerate_up_to(ctx.n, r)
     out: dict[tuple[int, MultiIndex], JetExpr] = {}
     for i, comp in enumerate(xi.components):
-        for sigma in enumerate_up_to(ctx.n, r):
-            out[(i, sigma)] = total_derivative_multi(comp, sigma, ctx)
+        lattice = derivative_lattice(comp, sigmas, ctx)
+        for sigma in sigmas:
+            out[(i, sigma)] = lattice[sigma]
     return out
 
 

@@ -46,10 +46,18 @@ class MultiIndex:
         """The multi-index with one extra derivative along ``axis``."""
         c = list(self.counts)
         c[axis] += 1
-        # valid by construction, so skip the validation in __post_init__
-        out = object.__new__(MultiIndex)
-        object.__setattr__(out, "counts", tuple(c))
-        return out
+        return _valid(tuple(c))
+
+    def parent(self) -> tuple[int, "MultiIndex"]:
+        """The first axis with a nonzero count, and the multi-index with
+        one derivative fewer along it: the parent of sigma in a derivative
+        lattice.  Raises ValueError for the zero multi-index."""
+        for axis, count in enumerate(self.counts):
+            if count:
+                c = list(self.counts)
+                c[axis] -= 1
+                return axis, _valid(tuple(c))
+        raise ValueError("the zero multi-index has no parent")
 
     def contains(self, other: "MultiIndex") -> bool:
         self._check_dim(other)
@@ -58,7 +66,7 @@ class MultiIndex:
     def sub(self, other: "MultiIndex") -> "MultiIndex":
         if not self.contains(other):
             raise ValueError(f"{other.counts} is not contained in {self.counts}")
-        return MultiIndex(tuple(a - b for a, b in zip(self.counts, other.counts)))
+        return _valid(tuple(a - b for a, b in zip(self.counts, other.counts)))
 
     def binom(self, other: "MultiIndex") -> int:
         """Product of the per-axis binomial coefficients C(sigma_a, rho_a)."""
@@ -74,7 +82,7 @@ class MultiIndex:
         subs = list(_boxed(self.counts))
         subs.sort(key=lambda c: (sum(c), tuple(-x for x in c)))
         for c in subs:
-            yield MultiIndex(c)
+            yield _valid(c)
 
     def render(self, base_names: Sequence[str]) -> str:
         """Juxtaposition of base-variable names, e.g. ``x1 x1 x2`` for (2, 1)."""
@@ -92,6 +100,14 @@ class MultiIndex:
 
     def __repr__(self):
         return f"MultiIndex{self.counts}"
+
+
+def _valid(counts: tuple[int, ...]) -> MultiIndex:
+    """A multi-index from counts that are valid by construction, skipping
+    the validation in __post_init__."""
+    out = object.__new__(MultiIndex)
+    object.__setattr__(out, "counts", counts)
+    return out
 
 
 def enumerate_up_to(n: int, k: int) -> list[MultiIndex]:

@@ -31,6 +31,7 @@ import numpy as np
 from . import expr as ex
 from .expr import (ExprError, JetContext, JetExpr, jet_coords, partial,
                    substitute, to_code)
+from .multiindex import MultiIndex
 from .variational import (BilinearForm, Lagrangian, adjoint, euler_lagrange,
                           vertical_differential)
 
@@ -305,6 +306,10 @@ class NumericSection:
         self._weight_jets: dict[tuple[int, int], tuple] = {}
         # the bump's derivatives, shared by every field of this section
         self._field_weight_jets: dict[tuple[int, int], tuple] = {}
+        # D_tau s^i in scaled coordinates by (i, tau), each taken from its
+        # parent (see MultiIndex.parent), and each compiled once
+        self._partials: dict[tuple[int, MultiIndex], JetExpr] = {}
+        self._factors: dict[JetExpr, tuple] = {}
         self._jets: dict[ex.JetCoord, Callable] = {}
         self._bound: dict[JetExpr, Callable] = {}
         self._fields: dict[tuple[JetExpr, ...], NumericSection] = {}
@@ -318,13 +323,30 @@ class NumericSection:
             a: JetExpr.constant(m) + JetExpr.constant(h) * ex.atom_expr(a)
             for a, m, h in zip(self._axes, self._mid, self._half)})
 
-    def _derivative(self, e: JetExpr, counts: Sequence[int]) -> JetExpr:
-        """d_sigma e for sigma = counts, e in scaled coordinates, where
+    def _d_dx(self, e: JetExpr, axis: int) -> JetExpr:
+        """d e / dx_a for a = axis, e in scaled coordinates, where
         d/dx = (1/half) d/ds."""
-        for a, h, count in zip(self._axes, self._half, counts):
-            for _ in range(count):
-                e = partial(e, a) / JetExpr.constant(h)
-        return e
+        return partial(e, self._axes[axis]) / JetExpr.constant(self._half[axis])
+
+    def _partial(self, i: int, tau: MultiIndex) -> JetExpr:
+        """d_tau s^i in scaled coordinates, one derivative of its parent's,
+        made once per (i, tau)."""
+        got = self._partials.get((i, tau))
+        if got is None:
+            if any(tau.counts):
+                axis, parent = tau.parent()
+                got = self._d_dx(self._partial(i, parent), axis)
+            else:
+                got = self._scaled_exprs[i]
+            self._partials[i, tau] = got
+        return got
+
+    def _compiled(self, e: JetExpr) -> tuple[float, Callable | None]:
+        """e as a factor (see _factor), compiled once per section."""
+        got = self._factors.get(e)
+        if got is None:
+            got = self._factors[e] = _factor(e)
+        return got
 
     def _weight_jet(self, axis: int, k: int
                     ) -> tuple[float, Callable | None]:
@@ -332,9 +354,10 @@ class NumericSection:
         once per axis and order."""
         got = self._weight_jets.get((axis, k))
         if got is None:
-            counts = [k if a == axis else 0 for a in range(self.ctx.n)]
-            got = self._weight_jets[axis, k] = _factor(
-                self._derivative(self._weight[axis], counts))
+            w = self._weight[axis]
+            for _ in range(k):
+                w = self._d_dx(w, axis)
+            got = self._weight_jets[axis, k] = _factor(w)
         return got
 
     def _jet(self, jc: ex.JetCoord) -> Callable:
@@ -352,8 +375,8 @@ class NumericSection:
                            for a, k in enumerate(rho.counts)]
                 if any(w == 0.0 for w, _ in factors):
                     continue
-                factors.append(_factor(self._derivative(
-                    self._scaled_exprs[jc.index], jc.sigma.sub(rho).counts)))
+                factors.append(self._compiled(
+                    self._partial(jc.index, jc.sigma.sub(rho))))
                 c = jc.sigma.binom(rho) * math.prod(w for w, _ in factors)
                 if c != 0.0:
                     terms.append((c, [f for _, f in factors if f is not None]))
@@ -400,7 +423,7 @@ class NumericSection:
                 raise ValueError(
                     f"variation fields need {self.ctx.m} components")
             got = NumericSection(self.ctx, comps, self.domain, self.nodes)
-            got._weight = tuple((1 - ex.atom_expr(a) ** 2) ** 4
+            got._weight = tuple((1 - ex.atom_expr(a) ** 2) ** BUMP_ORDER
                                 for a in self._axes)
             got._weight_jets = self._field_weight_jets
             got._grid = self.grid()
@@ -462,19 +485,38 @@ def action_report(lag: Lagrangian, section: NumericSection
 # variations
 # ---------------------------------------------------------------------------
 
+# The bump's exponent: it vanishes to this order on each face of the box.
+BUMP_ORDER = 4
+
+
 def bump_factor(ctx: JetContext, domain: Sequence[tuple[float, float]]
                 ) -> JetExpr:
-    """prod_axis ((x-a)(b-x))^4, normalized to peak value 1.  Vanishes to
-    fourth order on the boundary, enough to kill divergence terms for
-    operators up to fourth order."""
+    """prod_axis ((x-a)(b-x))^4, normalized to peak value 1.  Its
+    derivatives below the fourth vanish on the boundary, which kills the
+    divergence terms of the first and second variation for Lagrangians up
+    to fourth order: a boundary term of an order-r Lagrangian pairs D^a of
+    one field with D^b of the other, a + b <= 2r - 1, so min(a, b) <= 3
+    when r <= 4 (see _require_bump_covers)."""
     out = ex.ONE
     for axis, (lo, hi) in enumerate(domain):
         a = Fraction(lo)
         b = Fraction(hi)
         x = ctx.base(axis)
-        peak = ((b - a) ** 2 / 4) ** 4
-        out = out * ((x - a) * (b - x)) ** 4 / JetExpr.constant(peak)
+        peak = ((b - a) ** 2 / 4) ** BUMP_ORDER
+        out = out * ((x - a) * (b - x)) ** BUMP_ORDER / JetExpr.constant(peak)
     return out
+
+
+def _require_bump_covers(lag: Lagrangian) -> None:
+    """Refuse a check on bumped fields that the bump cannot localize: past
+    order BUMP_ORDER the divergence terms need not vanish on the boundary,
+    and the finite difference and the integrals would disagree on a true
+    identity."""
+    if lag.order > BUMP_ORDER:
+        raise NumericError(
+            f"the Lagrangian has order {lag.order}, but the bump "
+            f"(1 - s^2)^{BUMP_ORDER} of the variation fields covers "
+            f"Lagrangians of order at most {BUMP_ORDER}")
 
 
 @dataclass
@@ -507,6 +549,7 @@ def finite_diff_variation(lag: Lagrangian, section: NumericSection,
     t_k times those of each bumped field, at the Gauss nodes."""
     if i not in (1, 2):
         raise ValueError("only first and second variations are supported")
+    _require_bump_covers(lag)
     if len(vc.fields) < i:
         raise ValueError(f"need {i} variation fields, got {len(vc.fields)}")
     fields = [section._field(comps) for comps in vc.fields[:i]]
@@ -590,8 +633,9 @@ def check_onshell_symmetry(lag: Lagrangian, section: NumericSection,
     Both contractions are integrated over the box; pointwise they may
     differ by a total divergence, so the pointwise maximum difference is
     reported for inspection without being asserted small.  Refuses
-    non-critical sections.
+    non-critical sections, and Lagrangians the bump does not cover.
     """
+    _require_bump_covers(lag)
     crit = check_critical(lag, section, crit_tol)
     if not crit.is_critical:
         raise NotCritical(crit)
@@ -627,6 +671,7 @@ def second_variation_check(lag: Lagrangian, section: NumericSection,
     """Compare the finite-difference second variation of the action along
     a critical section against the integrated contraction of the fields
     into the vertical differential and into the Jacobi morphism."""
+    _require_bump_covers(lag)
     crit = check_critical(lag, section, crit_tol)
     if not crit.is_critical:
         raise NotCritical(crit)

@@ -32,6 +32,12 @@ adjoint is the one integration by parts; the certificate that the first
 summand of the split lies in the ideal of the field equations is read off
 from it.  Partial derivatives d^sigma_j are taken only at the jet
 coordinates that occur in an expression (``jetcalc.d_v``).
+
+The adjoint and the Euler operator take each D_tau once per call, by one
+total derivative from its parent (``jetcalc.lattice_edges``): the adjoint
+reads the D_(sigma-rho) of an entry off its derivative lattice and adds
+the weighted terms into one sum per output component, and the Euler
+operator is nested over the same parent rule.  No table outlives the call.
 """
 
 from __future__ import annotations
@@ -44,7 +50,8 @@ from typing import Mapping, Sequence
 # ``variational.partial``.
 from .expr import (ExprError, JetContext, JetCoord, JetExpr, ZERO, add,
                    add_many, jet_order, mul, partial, substitute)
-from .jetcalc import VerticalField, d_v, total_derivative, total_derivative_multi
+from .jetcalc import (VerticalField, d_v, derivative_lattice, lattice_edges,
+                      total_derivative)
 from .multiindex import MultiIndex
 
 
@@ -171,12 +178,26 @@ def euler_lagrange(lag: Lagrangian) -> SourceForm:
 def _euler_operator(pieces: Mapping[tuple[int, MultiIndex], JetExpr],
                     ctx: JetContext) -> SourceForm:
     """The source form with components
-    sum over sigma of (-1)^{|sigma|} D_sigma(pieces[(i, sigma)])."""
-    comps: list[list[JetExpr]] = [[] for _ in range(ctx.m)]
-    for (i, sigma), p in pieces.items():
-        t = total_derivative_multi(p, sigma, ctx)
-        comps[i].append(-t if sigma.order() % 2 else t)
-    return SourceForm(ctx, tuple(add_many(ps) for ps in comps))
+    sum over sigma of (-1)^{|sigma|} D_sigma(pieces[(i, sigma)]), nested
+    over the parent rule of ``jetcalc.lattice_edges``: with
+    q_tau = p_tau - sum over children tau + a of D_a q_(tau+a), the
+    component is q_0, at one total derivative per lattice node."""
+    comps = []
+    for i in range(ctx.m):
+        acc: dict[MultiIndex, list[JetExpr]] = {}
+        for (k, sigma), p in pieces.items():
+            if k == i:
+                acc[sigma] = [p]
+        for tau, axis, parent in reversed(lattice_edges(list(acc))):
+            q = total_derivative(_sum(acc.pop(tau)), axis, ctx)
+            acc.setdefault(parent, []).append(-q)
+        comps.append(_sum(acc.get(MultiIndex.zero(ctx.n), [])))
+    return SourceForm(ctx, tuple(comps))
+
+
+def _sum(exprs: list[JetExpr]) -> JetExpr:
+    """add_many, without re-sorting a lone canonical summand."""
+    return exprs[0] if len(exprs) == 1 else add_many(exprs)
 
 
 def helmholtz(src: SourceForm) -> BilinearForm:
@@ -201,14 +222,19 @@ def is_locally_variational(src: SourceForm) -> bool:
 def adjoint(a: BilinearForm) -> BilinearForm:
     """Formal adjoint under integration by parts (see module docstring)."""
     ctx = a.ctx
-    acc: dict[tuple[MultiIndex, int, int], list[JetExpr]] = {}
+    acc: dict[tuple[MultiIndex, int, int], dict] = {}
     for (sigma, i, j), val in a.entries():
         sign = -1 if sigma.order() % 2 else 1
-        for rho in sigma.subindices():
-            t = mul(JetExpr.constant(sign * sigma.binom(rho)),
-                    total_derivative_multi(val, sigma.sub(rho), ctx))
-            acc.setdefault((rho, j, i), []).append(t)
-    return BilinearForm(ctx, {k: add_many(v) for k, v in acc.items()})
+        # D_tau val for every tau <= sigma, each once; rho = sigma - tau
+        # and C(sigma, rho) = C(sigma, tau)
+        box = derivative_lattice(val, sigma.subindices(), ctx)
+        for tau, d in box.items():
+            c = sign * sigma.binom(tau)
+            terms = acc.setdefault((sigma.sub(tau), j, i), {})
+            for m, coeff in d.terms:
+                terms[m] = terms.get(m, 0) + c * coeff
+    return BilinearForm(ctx, {k: JetExpr._from_dict(terms)
+                              for k, terms in acc.items()})
 
 
 def linearize(src: SourceForm) -> BilinearForm:
@@ -244,14 +270,25 @@ def contract_source(xi: VerticalField, src: SourceForm) -> JetExpr:
 
 def contract(xi1: VerticalField, xi2: VerticalField, a: BilinearForm) -> JetExpr:
     """sum A^sigma_{ij} xi1^i D_sigma(xi2^j)."""
-    ctx = a.ctx
+    d_xi2 = _derivatives(xi2.components,
+                         [(j, sigma) for (sigma, _i, j), _v in a.entries()],
+                         a.ctx)
     pieces = []
     for (sigma, i, j), val in a.entries():
-        d = total_derivative_multi(xi2.components[j], sigma, ctx)
+        d = d_xi2[j][sigma]
         if d.is_zero:
             continue
         pieces.append(mul(val, mul(xi1.components[i], d)))
     return add_many(pieces)
+
+
+def _derivatives(exprs: Sequence[JetExpr],
+                 wanted: Sequence[tuple[int, MultiIndex]], ctx: JetContext
+                 ) -> list[dict[MultiIndex, JetExpr]]:
+    """For each k, D_sigma exprs[k] at every sigma with (k, sigma) wanted,
+    from the derivative lattice of exprs[k] over those sigma."""
+    return [derivative_lattice(e, [s for k2, s in wanted if k2 == k], ctx)
+            for k, e in enumerate(exprs)]
 
 
 def quotient_variation(lag: Lagrangian, fields: Sequence[VerticalField]
@@ -328,10 +365,8 @@ def reconstruct_from_certificate(src: SourceForm,
                                  cert: Mapping[tuple[int, MultiIndex], JetExpr]
                                  ) -> JetExpr:
     """sum cert[(i, rho)] * D_rho(e_i); equals S1 for a valid certificate."""
-    ctx = src.ctx
-    return add_many(
-        mul(coef, total_derivative_multi(src.components[i], rho, ctx))
-        for (i, rho), coef in cert.items())
+    d_e = _derivatives(src.components, list(cert), src.ctx)
+    return add_many(mul(coef, d_e[i][rho]) for (i, rho), coef in cert.items())
 
 
 # ---------------------------------------------------------------------------

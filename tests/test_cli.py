@@ -1,7 +1,12 @@
 import contextlib
 import io
 import json
+import math
+import os
 import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -301,6 +306,14 @@ class _Edited:
         return str(target)
 
 
+def _order_edit(r: int, section: str) -> _Edited:
+    """oscillator.vp with the order-r Lagrangian 1/2*(D^r y)^2 on [0, 1],
+    critical along the section, with fields 1 and t as b1, b2."""
+    return _Edited("1/2*(y_t^2 - y^2)", f"1/2*y_{'t' * r}^2",
+                   ("y = sin(t)", f"y = {section}"),
+                   ("domain t 0 pi", "domain t 0 1"))
+
+
 NUMERIC_BLOCK_EDITS = (
     ("nodes 64", "nodes 0"),
     ("nodes 64", "nodes x"),
@@ -349,6 +362,11 @@ NUMERIC_BLOCK_EDITS = (
        (2, "has no numeric value"))
       for cmd, fields in (("second-var", "b1,b3"), ("check-critical", "b3"),
                           ("jacobi", "b1,b3"))),
+    # the bump (1 - s^2)^4 localizes Lagrangians up to order 4 only: past
+    # that a true identity would fail with exit 3
+    *(([cmd, _order_edit(5, "t^9"), "--section", "sol", "--fields", "b1,b2"],
+       None, (2, "the Lagrangian has order 5, but the bump (1 - s^2)^4"))
+      for cmd in ("second-var", "check-critical", "jacobi")),
 ])
 def test_exit_code_contract(capsys, monkeypatch, tmp_path, argv, stdin, code):
     """Exit code, and a phrase of the error where code is (code, phrase)."""
@@ -360,6 +378,69 @@ def test_exit_code_contract(capsys, monkeypatch, tmp_path, argv, stdin, code):
     assert got == code
     assert phrase in err
     assert "Traceback" not in err
+
+
+# recorded at the order-4 limit before Lagrangians past it were refused
+ORDER_FOUR_OUTPUT = {
+    "second-var": (
+        "finite-difference second variation: 2097152.0000020973\n"
+        "integral against vertical differential: 2097151.9999999963\n"
+        "integral against jacobi morphism: 2097151.9999999963\n"
+        "consistent (rel tol 1e-06): yes\n"),
+    "check-critical": (
+        "max residual: 0.0\n"
+        "per component: 0.0\n"
+        "critical (tol 1e-06): yes\n"
+        "first variation [b1]: fd = 0.0, integral = 0.0\n"
+        "first variation [b2]: fd = 0.0, integral = 0.0\n"),
+    "jacobi": (
+        "V^{t t t t t t t t}_{1 1} = 1\n\n"
+        "J^{t t t t t t t t}_{1 1} = 1\n\n"
+        "formally self-adjoint: yes\n"
+        "on-shell symmetry: lhs = 2097151.9999999963, "
+        "rhs = 2097151.999999996, difference = 2.3283064365386963e-10\n"),
+}
+
+
+def _numbers_close(got: str, want: str) -> bool:
+    """The same text, with each number equal to rounding."""
+    number = r"-?\d+(?:\.\d*)?(?:e-?\d+)?"
+    if re.sub(number, "#", got) != re.sub(number, "#", want):
+        return False
+    return all(math.isclose(float(a), float(b), rel_tol=1e-9, abs_tol=1e-6)
+               for a, b in zip(re.findall(number, got),
+                               re.findall(number, want)))
+
+
+@pytest.mark.parametrize("cmd", sorted(ORDER_FOUR_OUTPUT))
+def test_order_four_lagrangian_is_still_checked(capsys, tmp_path, cmd):
+    """The order-4 twin of the refused order-5 case, 1/2*y_tttt^2 along
+    the critical t^7, passes with its output unchanged."""
+    target = _order_edit(4, "t^7").write(tmp_path)
+    code, out, _ = run(capsys, cmd, target, "--section", "sol",
+                       "--fields", "b1,b2")
+    assert code == 0
+    assert _numbers_close(out, ORDER_FOUR_OUTPUT[cmd])
+
+
+def test_numeric_structured_output_is_deterministic():
+    """The numeric subcommands print the same bytes in two fresh
+    interpreters, each with its own string-hash seed."""
+    script = "\n".join([
+        "from jetvar.cli import main",
+        "for f, sec in (('laplace2d.vp', 'prod'), ('beam.vp', 'cubic')):",
+        "    for cmd in ('check-critical', 'second-var', 'jacobi'):",
+        f"        main([cmd, {str(PROBLEMS)!r} + '/' + f, '--section', sec,",
+        "              '--fields', 'b1,b2', '--format', 'structured'])",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(PROBLEMS.parent / "src")}
+    env.pop("PYTHONHASHSEED", None)
+    outs = [subprocess.run([sys.executable, "-c", script], env=env,
+                           capture_output=True, text=True, timeout=300,
+                           check=True).stdout
+            for _ in range(2)]
+    assert outs[0].count('"command"') == 6
+    assert outs[0] == outs[1]
 
 
 def test_explicit_zero_tolerance_is_not_replaced(capsys):

@@ -417,6 +417,44 @@ def test_leibniz_jets_match_expanded_bump_partials(ode_ctx, pde_ctx, domain,
             1e-12 * np.max(np.abs(want)), sigma
 
 
+def test_field_jets_compile_each_partial_once(ode_ctx, monkeypatch):
+    """The jets of order 0-4 of the bumped field sin(t) compile the five
+    bump derivatives and the four distinct partials of sin (the fourth is
+    sin again) once each: 9 compilations, where one per Leibniz term
+    would be 20."""
+    from jetvar import numeric
+    calls = []
+    original = numeric.compile_expr
+    monkeypatch.setattr(numeric, "compile_expr",
+                        lambda e: calls.append(e) or original(e))
+    sec = NumericSection(ode_ctx, (ode_ctx.base("t"),), [(0.0, 1.0)])
+    field = sec._field((sin(ode_ctx.base("t")),))
+    for k in range(5):
+        field._jet(ode_ctx.jet_atom(0, (k,)))
+    assert len(calls) == len(set(calls)) == 9
+
+
+@pytest.mark.parametrize("order", [5, 6])
+def test_bumped_checks_refuse_lagrangians_past_the_bump(ode_ctx, order):
+    """Past order 4 the bump leaves boundary terms, so every check on
+    bumped fields refuses, naming both orders, rather than give a wrong
+    verdict; the section here is critical."""
+    lag = Lagrangian(ode_ctx, ode_ctx.jet("y", "t" * order) ** 2 / 2)
+    t = ode_ctx.base("t")
+    sec = NumericSection(ode_ctx, (t ** (2 * order - 1),), [(0.0, 1.0)],
+                         nodes=16)
+    fields = ((ONE,), (t,))
+    checks = (
+        lambda: second_variation_check(lag, sec, *fields),
+        lambda: check_onshell_symmetry(lag, sec, *fields),
+        lambda: first_variation_pair(lag, sec, fields[0]),
+        lambda: finite_diff_variation(lag, sec, VariationConfig(fields), 2))
+    for check in checks:
+        with pytest.raises(NumericError, match=f"order {order}, .* at most 4"):
+            check()
+    assert check_critical(lag, sec).is_critical
+
+
 # ---------------------------------------------------------------------------
 # on-shell symmetry
 # ---------------------------------------------------------------------------
