@@ -7,9 +7,7 @@ from .expr import (JetContext, JetExpr, jet_order, partial, simplify,
 from .jetcalc import (VerticalField, d_h, d_v, prolong, total_derivative,
                       total_derivative_multi)
 from .multiindex import MultiIndex, enumerate_up_to
-from .numeric import (NumericConfig, NumericSection, VariationConfig, action,
-                      check_critical, check_onshell_symmetry, eval_on_section,
-                      finite_diff_variation, second_variation_check)
+from .numconfig import NumericConfig
 from .textio import parse_expr, parse_problem_file, parse_structured, print_object
 from .variational import (BilinearForm, Lagrangian, SourceForm, adjoint,
                           contract, contract_source, euler_lagrange, helmholtz,
@@ -19,6 +17,19 @@ from .variational import (BilinearForm, Lagrangian, SourceForm, adjoint,
                           vertical_differential)
 
 __version__ = "0.1.0"
+
+# resolved on first use (PEP 562), so that importing jetvar loads no numpy
+_NUMERIC = ("NumericSection", "VariationConfig", "action", "check_critical",
+            "check_onshell_symmetry", "eval_on_section",
+            "finite_diff_variation", "second_variation_check")
+
+
+def __getattr__(name: str):
+    if name in _NUMERIC:
+        from . import numeric
+        return getattr(numeric, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "JetContext", "JetExpr", "MultiIndex", "VerticalField",

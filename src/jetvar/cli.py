@@ -3,6 +3,11 @@ operation or a numeric check, print the result.
 
 Exit codes: 0 success; 1 usage or parse error; 2 semantic error (unknown
 name, arity/order mismatch); 3 a numeric check failed beyond tolerance.
+
+A call pays only for its own subcommand: the parser builder adds that
+one subparser (all of them for help, an unknown command or no arguments),
+and only the numeric ones (check-critical, second-var, jacobi --section)
+import ``numeric``, and with it numpy.
 """
 
 from __future__ import annotations
@@ -15,9 +20,7 @@ import sys
 from . import expr as ex
 from .expr import JetExpr
 from .jetcalc import VerticalField
-from .numeric import (NotCritical, NumericConfig, NumericError,
-                      NumericSection, check_critical, check_onshell_symmetry,
-                      first_variation_pair, second_variation_check)
+from .numconfig import NotCritical, NumericConfig, NumericError
 from .textio import (ParseError, ProblemFile, object_to_dict, parse_problem_file,
                      parse_setting, parse_structured, print_object)
 from .variational import (BilinearForm, Lagrangian, SourceForm, adjoint,
@@ -57,12 +60,19 @@ def _checked(name: str):
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="jetvar", description=__doc__,
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  When ``command`` names a subcommand, only
+    its subparser is built; otherwise (help, an unknown command, no
+    arguments) all of them are, to list or refuse them."""
+    # the help text is the docstring's first two paragraphs
+    description = "\n\n".join(__doc__.split("\n\n")[:2])
+    p = _Parser(prog="jetvar", description=description,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def command(name, handler, help, numeric=False):
+    known = any(command == name for name, *_ in COMMANDS)
+    for name, handler, help, numeric in COMMANDS:
+        if known and name != command:
+            continue
         sp = sub.add_parser(name, help=help)
         sp.set_defaults(handler=handler)
         sp.add_argument("input", help="problem file path")
@@ -79,23 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--nodes", type=_checked("nodes"), metavar="N")
             sp.add_argument("--step", type=_checked("step"), metavar="H")
             sp.add_argument("--tol", type=_checked("tol"), metavar="T")
-        return sp
-
-    command("el", _cmd_el, "Euler-Lagrange source form")
-    command("jacobi", _cmd_jacobi, "vertical differential, its adjoint, "
-                                   "and an on-shell report", numeric=True)
-    command("helmholtz", _cmd_helmholtz, "Helmholtz obstruction and "
-                                         "local-variationality verdict")
-    command("hessian", functools.partial(_cmd_variation, count=2),
-            "Hessian density for two fields")
-    command("variation", _cmd_variation, "iterated quotient variation")
-    command("check-critical", _cmd_check_critical, "criticality residuals",
-            numeric=True)
-    command("second-var", _cmd_second_var, "numeric second-variation check",
-            numeric=True)
-    adj = command("adjoint", _cmd_adjoint, "adjoint of a bilinear form")
-    adj.add_argument("--bilinear", metavar="PATH", required=True,
-                     help="structured-format bilinear form ('-' for stdin)")
+        if name == "adjoint":
+            sp.add_argument("--bilinear", metavar="PATH", required=True,
+                            help="structured-format bilinear form "
+                                 "('-' for stdin)")
     return p
 
 
@@ -159,27 +156,44 @@ def _variations(pf: ProblemFile, args, count: int | None = None
 
 
 def _numeric_config(pf: ProblemFile, args) -> NumericConfig:
-    cfg = pf.numeric
-    if cfg is None:
+    if pf.numeric is None:
         raise SemanticError("this command needs a numeric block in the "
                             "problem file")
+    cfg = pf.numeric.config()
     nodes = cfg.nodes if args.nodes is None else args.nodes
     step = cfg.step if args.step is None else args.step
     tol = cfg.tol if args.tol is None else args.tol
     return NumericConfig(cfg.domain, nodes, step, tol)
 
 
-def _section(pf: ProblemFile, args, cfg: NumericConfig) -> NumericSection:
+def _section(pf: ProblemFile, args, cfg: NumericConfig):
+    from .numeric import NumericSection
     exprs = _pick(pf.sections, args.section, "section")
     return NumericSection(pf.ctx, exprs, cfg.domain, cfg.nodes)
 
 
+def _read(path: str | None) -> str:
+    """The text of the file at path, or of stdin when path is None; a
+    file that cannot be read or is not UTF-8 is a usage error."""
+    try:
+        if path is None:
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        where = "stdin" if path is None else repr(path)
+        raise _UsageError(f"cannot read {where}: {err}") from None
+
+
 def _emit(args, text: str) -> None:
-    if args.output:
+    if not args.output:
+        print(text)
+        return
+    try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as err:
+        raise _UsageError(f"cannot write {args.output!r}: {err}") from None
 
 
 def _structured(args, payload: dict) -> str:
@@ -224,6 +238,7 @@ def _cmd_jacobi(pf: ProblemFile, args) -> str:
     selfadj = ve == jac
     onshell = None
     if args.section is not None:
+        from .numeric import check_onshell_symmetry
         cfg = _numeric_config(pf, args)
         sec = _section(pf, args, cfg)
         fields = _variations(pf, args, 2) if args.fields else None
@@ -271,6 +286,7 @@ def _cmd_variation(pf: ProblemFile, args, count: int | None = None) -> str:
 
 
 def _cmd_check_critical(pf: ProblemFile, args) -> str:
+    from .numeric import check_critical, first_variation_pair
     lag = _lagrangian(pf, args)
     cfg = _numeric_config(pf, args)
     sec = _section(pf, args, cfg)
@@ -303,6 +319,7 @@ def _cmd_check_critical(pf: ProblemFile, args) -> str:
 
 
 def _cmd_second_var(pf: ProblemFile, args) -> str:
+    from .numeric import second_variation_check
     lag = _lagrangian(pf, args)
     cfg = _numeric_config(pf, args)
     sec = _section(pf, args, cfg)
@@ -334,11 +351,7 @@ def _cmd_second_var(pf: ProblemFile, args) -> str:
 
 
 def _cmd_adjoint(pf: ProblemFile, args) -> str:
-    if args.bilinear == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.bilinear, encoding="utf-8") as fh:
-            text = fh.read()
+    text = _read(None if args.bilinear == "-" else args.bilinear)
     try:
         form = parse_structured(text, pf.ctx)
     except ValueError as err:
@@ -351,22 +364,41 @@ def _cmd_adjoint(pf: ProblemFile, args) -> str:
     return print_object(out, args.format, name="A")
 
 
+# (name, handler, help, numeric): numeric subcommands take --nodes, --step
+# and --tol
+COMMANDS = (
+    ("el", _cmd_el, "Euler-Lagrange source form", False),
+    ("jacobi", _cmd_jacobi, "vertical differential, its adjoint, and an "
+                            "on-shell report", True),
+    ("helmholtz", _cmd_helmholtz, "Helmholtz obstruction and "
+                                  "local-variationality verdict", False),
+    ("hessian", functools.partial(_cmd_variation, count=2),
+     "Hessian density for two fields", False),
+    ("variation", _cmd_variation, "iterated quotient variation", False),
+    ("check-critical", _cmd_check_critical, "criticality residuals", True),
+    ("second-var", _cmd_second_var, "numeric second-variation check", True),
+    ("adjoint", _cmd_adjoint, "adjoint of a bilinear form", False),
+)
+
+
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
 
-def run(args) -> str:
+def run(args) -> tuple[str, int]:
+    """The command's output and exit code: a failed check's report is
+    still the requested output."""
+    pf = parse_problem_file(_read(args.input))
     try:
-        with open(args.input, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as err:
-        raise _UsageError(f"cannot read {args.input!r}: {err}") from None
-    return args.handler(parse_problem_file(text), args)
+        return args.handler(pf, args), EXIT_OK
+    except CheckFailed as err:
+        return str(err), EXIT_CHECK_FAILED
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except _UsageError as err:
@@ -375,8 +407,8 @@ def main(argv=None) -> int:
     except SystemExit:   # argparse has printed the --help text
         return EXIT_OK
     try:
-        _emit(args, run(args))
-        return EXIT_OK
+        text, code = run(args)
+        _emit(args, text)
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -389,11 +421,9 @@ def main(argv=None) -> int:
             return EXIT_CHECK_FAILED
         print(f"error: {err}", file=sys.stderr)
         return EXIT_SEMANTIC
-    except CheckFailed as err:
-        # the failing report is still the requested output
-        _emit(args, str(err))
+    if code == EXIT_CHECK_FAILED:
         print("check failed beyond tolerance", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    return code
 
 
 if __name__ == "__main__":

@@ -32,33 +32,11 @@ from . import expr as ex
 from .expr import (ExprError, JetContext, JetExpr, jet_coords, partial,
                    substitute, to_code)
 from .multiindex import MultiIndex
+# NumericConfig is re-exported; these names live apart so that a
+# symbolic command can use them without importing numpy
+from .numconfig import NotCritical, NumericConfig, NumericError  # noqa: F401
 from .variational import (BilinearForm, Lagrangian, adjoint, euler_lagrange,
                           vertical_differential)
-
-
-class NumericError(RuntimeError):
-    """Numeric evaluation failure (domain error, opaque symbol, ...)."""
-
-
-class NotCritical(NumericError):
-    """A check requiring a critical section was given a non-critical one."""
-
-    def __init__(self, report: "CriticalityReport"):
-        super().__init__(
-            f"section is not critical: max |E| residual "
-            f"{report.max_residual:.3e} exceeds tolerance {report.tol:.1e}")
-        self.report = report
-
-
-@dataclass(frozen=True)
-class NumericConfig:
-    """Numeric block of a problem file: domain box, quadrature nodes per
-    axis, finite-difference step, acceptance tolerance."""
-
-    domain: tuple[tuple[float, float], ...]
-    nodes: int = 64
-    step: float = 1e-3
-    tol: float = 1e-6
 
 
 def rel_close(a: float, b: float, rel: float = 1e-6, floor: float = 1e-8) -> bool:

@@ -29,10 +29,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import expr as ex
-from .expr import (ConstSym, JetContext, JetExpr, atom_expr, expr_to_dict,
-                   jet_coords, to_latex, to_plain)
+from .expr import (BaseCoord, ConstSym, JetContext, JetCoord, JetExpr, OpaqueFn,
+                   all_atoms, atom_expr, expr_to_dict, jet_coords, to_latex,
+                   to_plain)
 from .multiindex import MultiIndex
-from .numeric import NumericConfig, NumericError, compile_expr
+from .numconfig import NumericConfig, NumericError
 from .variational import BilinearForm, Lagrangian, SourceForm, _sigma_label
 
 
@@ -435,7 +436,7 @@ class ProblemFile:
     sources: dict[str, SourceForm] = field(default_factory=dict)
     sections: dict[str, tuple[JetExpr, ...]] = field(default_factory=dict)
     variations: dict[str, tuple[JetExpr, ...]] = field(default_factory=dict)
-    numeric: NumericConfig | None = None
+    numeric: NumericBlock | None = None
 
 
 def _strip_comment(line: str) -> str:
@@ -564,8 +565,37 @@ def parse_setting(name: str, text: str):
     raise ValueError(f"expected {expected}, got {text!r}")
 
 
-def _parse_numeric_block(ctx: JetContext, body, block_line: int) -> NumericConfig:
-    domain: dict[int, tuple[float, float]] = {}
+@dataclass
+class NumericBlock:
+    """The numeric block of a problem file as written.  Each domain bound
+    stays an exact constant expression, with its text and line, until
+    ``config`` evaluates it: only a numeric command pays for that, and
+    for numpy."""
+
+    # per axis: (line, (lo text, lo), (hi text, hi))
+    domain: tuple[tuple[int, tuple[str, JetExpr], tuple[str, JetExpr]], ...]
+    settings: dict[str, int | float]
+
+    def config(self) -> NumericConfig:
+        """The block with each bound evaluated to a float by
+        ``numeric.compile_expr``.  A bound that is not a finite constant,
+        or a pair with lo >= hi, raises ParseError naming its line."""
+        from .numeric import compile_expr   # numpy: numeric commands only
+        domain = []
+        for line, *bounds in self.domain:
+            pair = []
+            for text, value in bounds:
+                try:
+                    pair.append(float(compile_expr(value)({})))
+                except NumericError:
+                    raise _not_finite(text, line) from None
+            _require_ordered(*pair, line)
+            domain.append(tuple(pair))
+        return NumericConfig(domain=tuple(domain), **self.settings)
+
+
+def _parse_numeric_block(ctx: JetContext, body, block_line: int) -> NumericBlock:
+    domain: dict[int, tuple] = {}
     settings = {}
     for ln, line in body:
         words = line.split()
@@ -576,11 +606,11 @@ def _parse_numeric_block(ctx: JetContext, body, block_line: int) -> NumericConfi
             axis = ctx.axis(words[1]) if words[1] in ctx.base_names else None
             if axis is None:
                 raise ParseError(f"unknown base variable {words[1]!r}", ln, 1)
-            lo = _const_value(words[2], ctx, ln)
-            hi = _const_value(words[3], ctx, ln)
-            if not lo < hi:
-                raise ParseError("domain bounds must satisfy lo < hi", ln, 1)
-            domain[axis] = (lo, hi)
+            lo, hi = (_domain_bound(text, ctx, ln) for text in words[2:])
+            lo_exact, hi_exact = lo[1].constant_value(), hi[1].constant_value()
+            if lo_exact is not None and hi_exact is not None:
+                _require_ordered(lo_exact, hi_exact, ln)
+            domain[axis] = (ln, lo, hi)
         elif head in SETTINGS:
             if len(words) != 2:
                 raise ParseError(f"{head} lines read '{head} value'", ln, 1)
@@ -595,17 +625,28 @@ def _parse_numeric_block(ctx: JetContext, body, block_line: int) -> NumericConfi
         raise ParseError(
             f"numeric block must give a domain for every base variable; "
             f"missing {', '.join(missing)}", block_line, 1)
-    return NumericConfig(domain=tuple(domain[a] for a in range(ctx.n)),
-                         **settings)
+    return NumericBlock(tuple(domain[a] for a in range(ctx.n)), settings)
 
 
-def _const_value(text: str, ctx: JetContext, line: int) -> float:
+def _domain_bound(text: str, ctx: JetContext, line: int
+                  ) -> tuple[str, JetExpr]:
+    """A bound as (text, exact value).  One that holds a coordinate or an
+    opaque function can never evaluate, so it is refused here."""
     value = parse_expr(text, ctx, line=line)
-    try:
-        return float(compile_expr(value)({}))
-    except NumericError:
-        raise ParseError(f"domain bound {text!r} is not a finite constant",
-                         line, 1) from None
+    if any(isinstance(a, (BaseCoord, JetCoord, OpaqueFn))
+           for a in all_atoms(value)):
+        raise _not_finite(text, line)
+    return text, value
+
+
+def _not_finite(text: str, line: int) -> ParseError:
+    return ParseError(f"domain bound {text!r} is not a finite constant",
+                      line, 1)
+
+
+def _require_ordered(lo, hi, line: int) -> None:
+    if not lo < hi:
+        raise ParseError("domain bounds must satisfy lo < hi", line, 1)
 
 
 def parse_problem_file(text: str) -> ProblemFile:

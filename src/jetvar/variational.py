@@ -143,8 +143,11 @@ class BilinearForm:
             acc[k] = add(acc[k], v) if k in acc else v
         return BilinearForm(self.ctx, acc)
 
+    def __neg__(self) -> "BilinearForm":
+        return BilinearForm(self.ctx, {k: -v for k, v in self._entries})
+
     def __sub__(self, other: "BilinearForm") -> "BilinearForm":
-        return self + other.scaled(-1)
+        return self + -other
 
     def __eq__(self, other):
         return (isinstance(other, BilinearForm)

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jetvar import BilinearForm, JetContext
-from jetvar.cli import main
+from jetvar.cli import COMMANDS, _UsageError, build_parser, main
 from jetvar.multiindex import MultiIndex
 from jetvar.textio import print_object
 
@@ -314,6 +315,35 @@ def _order_edit(r: int, section: str) -> _Edited:
                    ("domain t 0 pi", "domain t 0 1"))
 
 
+class _Raw:
+    """A file of the given bytes, written when a test runs."""
+
+    def __init__(self, name: str, data: bytes):
+        self.name, self.data = name, data
+
+    def write(self, directory: pathlib.Path) -> str:
+        target = directory / self.name
+        target.write_bytes(self.data)
+        return str(target)
+
+
+NOT_UTF8 = b"\xff\xfe\x00"
+MISSING_DIR = "no/such/dir"
+
+# argv that argparse refuses; each exits 1
+USAGE_ERRORS = (
+    ["check-critical", OSC, "--section", "sol", "--nodes", "-1"],
+    ["check-critical", OSC, "--section", "sol", "--fields", "b1",
+     "--step=-1e-3"],
+    ["check-critical", OSC, "--section", "sol", "--nodes", "0"],
+    ["check-critical", OSC, "--section", "sol", "--step", "0"],
+    ["check-critical", OSC, "--section", "sol", "--step", "inf"],
+    ["check-critical", OSC, "--section", "sol", "--tol=nan"],
+    ["check-critical", OSC, "--section", "sol", "--tol=-1"],
+    ["second-var", BEAM, "--section", "cubic", "--fields", "b1,b2",
+     "--nodes", "x"],
+)
+
 NUMERIC_BLOCK_EDITS = (
     ("nodes 64", "nodes 0"),
     ("nodes 64", "nodes x"),
@@ -327,16 +357,7 @@ NUMERIC_BLOCK_EDITS = (
 
 
 @pytest.mark.parametrize("argv, stdin, code", [
-    (["check-critical", OSC, "--section", "sol", "--nodes", "-1"], None, 1),
-    (["check-critical", OSC, "--section", "sol", "--fields", "b1",
-      "--step=-1e-3"], None, 1),
-    (["check-critical", OSC, "--section", "sol", "--nodes", "0"], None, 1),
-    (["check-critical", OSC, "--section", "sol", "--step", "0"], None, 1),
-    (["check-critical", OSC, "--section", "sol", "--step", "inf"], None, 1),
-    (["check-critical", OSC, "--section", "sol", "--tol=nan"], None, 1),
-    (["check-critical", OSC, "--section", "sol", "--tol=-1"], None, 1),
-    (["second-var", BEAM, "--section", "cubic", "--fields", "b1,b2",
-      "--nodes", "x"], None, 1),
+    *((argv, None, 1) for argv in USAGE_ERRORS),
     *((["adjoint", OSC, "--bilinear", "-"], text, 2) for text in BAD_BILINEAR),
     *((["check-critical", _Edited(old, bad), "--section", "sol"], None, 1)
       for old, bad in NUMERIC_BLOCK_EDITS),
@@ -367,12 +388,27 @@ NUMERIC_BLOCK_EDITS = (
     *(([cmd, _order_edit(5, "t^9"), "--section", "sol", "--fields", "b1,b2"],
        None, (2, "the Lagrangian has order 5, but the bump (1 - s^2)^4"))
       for cmd in ("second-var", "check-critical", "jacobi")),
+    # paths that cannot be read or written, and input that is not UTF-8
+    (["el", OSC, "--output", f"{MISSING_DIR}/out.txt"], None,
+     (1, "cannot write")),
+    (["check-critical", OSC, "--section", "bad", "--output",
+      f"{MISSING_DIR}/out.txt"], None, (1, "cannot write")),
+    (["adjoint", OSC, "--bilinear", f"{MISSING_DIR}/form.json"], None,
+     (1, "cannot read")),
+    (["el", _Raw("latin.vp", NOT_UTF8)], None, (1, "cannot read")),
+    (["adjoint", OSC, "--bilinear", _Raw("latin.json", NOT_UTF8)], None,
+     (1, "cannot read")),
+    (["adjoint", OSC, "--bilinear", "-"], NOT_UTF8, (1, "cannot read stdin")),
 ])
 def test_exit_code_contract(capsys, monkeypatch, tmp_path, argv, stdin, code):
-    """Exit code, and a phrase of the error where code is (code, phrase)."""
+    """Exit code, and a phrase of the error where code is (code, phrase);
+    stdin given as bytes is read as UTF-8."""
     code, phrase = code if isinstance(code, tuple) else (code, "")
-    argv = [a.write(tmp_path) if isinstance(a, _Edited) else a for a in argv]
-    if stdin is not None:
+    argv = [a if isinstance(a, str) else a.write(tmp_path) for a in argv]
+    if isinstance(stdin, bytes):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin),
+                                                          encoding="utf-8"))
+    elif stdin is not None:
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     got, _out, err = run(capsys, *argv)
     assert got == code
@@ -443,6 +479,143 @@ def test_numeric_structured_output_is_deterministic():
     assert outs[0] == outs[1]
 
 
+# ---------------------------------------------------------------------------
+# one subparser per call
+# ---------------------------------------------------------------------------
+
+# the invocation shapes of the benchmark's cli workload
+WORKLOAD_SHAPES = (
+    ["el", OSC], ["helmholtz", OSC, "--source", "drift"],
+    ["helmholtz", OSC, "--lagrangian", "osc"], ["helmholtz", BEAM],
+    ["jacobi", OSC], ["hessian", OSC, "--fields", "b1,b2"],
+    ["variation", OSC, "--fields", "b1,b2,b3"],
+    ["adjoint", OSC, "--bilinear", "-"],
+    ["check-critical", OSC, "--section", "sol", "--fields", "b1,b2"],
+    ["check-critical", OSC, "--section", "bad"],
+    ["second-var", BEAM, "--section", "cubic", "--fields", "b1,b2"],
+    ["jacobi", OSC, "--section", "sol", "--fields", "b1,b2"],
+)
+PARSER_ARGVS = (
+    *(shape + more for shape in WORKLOAD_SHAPES
+      for more in (["--format", "plain"], ["--format", "structured"],
+                   ["--nodes", "1024", "--format", "structured"])),
+    *([name, OSC, flag] for name, *_ in COMMANDS
+      for flag in ("-h", "--bogus", "--nodes")),
+    *USAGE_ERRORS,
+    ["--help"], ["-h"], [], ["frobnicate", OSC], [OSC],
+)
+
+
+def _parsed(parser, argv, capsys):
+    """What parsing argv gives: the arguments, with the handler as the
+    function and keywords it calls; or the usage error; or the exit code
+    and the help text printed."""
+    try:
+        args = vars(parser.parse_args(argv))
+    except _UsageError as err:
+        return "usage error", str(err)
+    except SystemExit as exit_:
+        return "exit", exit_.code, capsys.readouterr().out
+    handler = args.pop("handler")
+    if isinstance(handler, functools.partial):
+        return "args", args, handler.func, handler.keywords
+    return "args", args, handler, {}
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS)
+def test_one_subparser_parses_as_all_of_them(capsys, monkeypatch, argv):
+    """The parser built for argv[0] alone parses argv, prints help and
+    refuses it as the parser of every subcommand does."""
+    monkeypatch.setenv("COLUMNS", "80")
+    one = _parsed(build_parser(argv[0] if argv else None), argv, capsys)
+    every = _parsed(build_parser(), argv, capsys)
+    assert one == every
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    listed = re.search(r"\{([a-z,-]+)\}", out).group(1).split(",")
+    assert listed == [name for name, *_ in COMMANDS]
+    assert len(listed) == 8
+
+
+def _run_fresh(script: str) -> None:
+    """Run script in a fresh interpreter; it fails by raising."""
+    env = {**os.environ, "PYTHONPATH": str(PROBLEMS.parent / "src")}
+    subprocess.run([sys.executable, "-c", script], env=env, timeout=300,
+                   check=True)
+
+
+SYMBOLIC_COMMANDS = ("el", "helmholtz", "jacobi", "hessian", "variation",
+                     "adjoint")
+
+
+def test_symbolic_subcommands_load_no_numpy(tmp_path):
+    """Each symbolic subcommand, in every format, runs without importing
+    numpy, on a problem file that has a numeric block."""
+    ctx = JetContext.make("t", "y")
+    form = tmp_path / "form.json"
+    form.write_text(print_object(
+        BilinearForm(ctx, {(MultiIndex((2,)), 0, 0): ctx.fiber("y")}),
+        "structured"))
+    extra = {"helmholtz": ["--source", "drift"],
+             "hessian": ["--fields", "b1,b2"], "variation": ["--fields", "b1"],
+             "adjoint": ["--bilinear", str(form)]}
+    calls = [[cmd, OSC, *extra.get(cmd, ()), "--format", fmt]
+             for cmd in SYMBOLIC_COMMANDS
+             for fmt in ("plain", "latex", "structured")]
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "from jetvar.cli import main",
+        f"for argv in {calls!r}:",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert main(argv) == 0, argv",
+        "assert 'numpy' not in sys.modules",
+    ])
+    _run_fresh(script)
+
+
+def test_import_jetvar_loads_no_numpy():
+    """Importing the package leaves numpy out; its numeric names still
+    resolve, on first use."""
+    script = "\n".join([
+        "import sys",
+        "import jetvar",
+        "assert 'numpy' not in sys.modules",
+        "from jetvar import NumericSection, check_critical",
+        "from jetvar.numeric import NumericSection as cls, check_critical as fn",
+        "assert (NumericSection, check_critical) == (cls, fn)",
+        "try:",
+        "    jetvar.no_such_name",
+        "except AttributeError:",
+        "    pass",
+        "else:",
+        "    raise AssertionError('jetvar.no_such_name resolved')",
+    ])
+    _run_fresh(script)
+
+
+@pytest.mark.parametrize("bound, el_code", [
+    # fail only when evaluated: a parse error of the numeric subcommands
+    ("log(0)", 0), ("sqrt(0-1)", 0), ("exp(1000)", 0),
+    # refused by every subcommand when the file is parsed: a coordinate,
+    # or rational bounds with lo >= hi
+    ("t", 1), ("y_t", 1), ("5", 1),
+])
+def test_domain_bounds_are_evaluated_by_numeric_subcommands(
+        capsys, tmp_path, bound, el_code):
+    target = _Edited("domain t 0 pi", f"domain t {bound} 2").write(tmp_path)
+    code, out, err = run(capsys, "el", target)
+    assert code == el_code
+    if el_code == 0:
+        assert out.strip() == "e_1 = -y - y_tt"
+    line = _OSC_LINES.index("  domain t 0 pi") + 1
+    code, _out, err = run(capsys, "check-critical", target, "--section", "sol")
+    assert code == 1
+    assert err.startswith(f"parse error: line {line}, col 1: domain bound")
+
+
 def test_explicit_zero_tolerance_is_not_replaced(capsys):
     code, out, _ = run(capsys, "check-critical", OSC, "--section", "sol",
                        "--tol", "0")
@@ -495,8 +668,8 @@ _OPTIONS = {
     "--nodes": ("4", "16", "16", "1", "0", "x", "10000000"),
     "--step": ("1e-3", "1e-3", "0.5", "0", "nan"),
     "--tol": ("1e-6", "1e-6", "0", "-1"),
-    "--bilinear": ("{bilinear}",),
-    "--output": ("{output}",),
+    "--bilinear": ("{bilinear}", "{bilinear}", "{missing}/form.json"),
+    "--output": ("{output}", "{output}", "{missing}/out.txt"),
 }
 _COMMON = ("--format", "--lagrangian", "--source", "--section", "--fields",
            "--output")
@@ -565,7 +738,8 @@ def test_main_returns_an_exit_code_and_never_raises(property_dir, command,
     argv = [name, str(problem), *extra]
     for flag, value in flags.items():
         argv += [flag, value.format(bilinear=bilinear,
-                                    output=property_dir / "out.txt")]
+                                    output=property_dir / "out.txt",
+                                    missing=property_dir / "missing")]
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)

@@ -212,8 +212,9 @@ def test_problem_file_fixture(problems_dir):
     assert set(pf.sections) == {"sol", "bad"}
     assert set(pf.variations) == {"b1", "b2", "b3"}
     assert pf.numeric is not None
-    assert pf.numeric.nodes == 64
-    lo, hi = pf.numeric.domain[0]
+    cfg = pf.numeric.config()
+    assert cfg.nodes == 64
+    lo, hi = cfg.domain[0]
     assert lo == 0.0 and abs(hi - 3.141592653589793) < 1e-15
 
 
@@ -239,6 +240,7 @@ source partial_src
     ("context\n base t\n field y\nnumeric\n nodes 8",
      "domain for every base variable"),
     ("context\n base t\n field y\nnumeric\n domain t 1 0", "lo < hi"),
+    ("context\n base t\n field y\nnumeric\n domain t 0 t", "finite constant"),
     ("context\n base t\n field y\nsection s\n w = t", "unknown field 'w'"),
     ("context\n base t\n field y\nlagrangian a b\n  y", "single name"),
     ("context\n base t\n field y\n odd stuff", "unknown context entry"),
@@ -264,7 +266,7 @@ numeric
   nodes 8
 """
     pf = parse_problem_file(text)
-    assert abs(pf.numeric.domain[0][1] - 6.283185307179586) < 1e-15
+    assert abs(pf.numeric.config().domain[0][1] - 6.283185307179586) < 1e-15
 
 
 def test_problem_file_multiline_lagrangian():
