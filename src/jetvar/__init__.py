@@ -4,24 +4,23 @@ variations, and a finite-difference/quadrature oracle along sections."""
 
 from .expr import (JetContext, JetExpr, jet_order, partial, simplify,
                    substitute, to_plain)
-from .jetcalc import (VerticalField, d_h, d_v, prolong, total_derivative,
+from .jetcalc import (VerticalField, d_v, total_derivative,
                       total_derivative_multi)
 from .multiindex import MultiIndex, enumerate_up_to
 from .numconfig import NumericConfig
 from .textio import parse_expr, parse_problem_file, parse_structured, print_object
 from .variational import (BilinearForm, Lagrangian, SourceForm, adjoint,
                           contract, contract_source, euler_lagrange, helmholtz,
-                          helmholtz_skew, hessian, is_locally_variational,
-                          jacobi, quotient_variation,
+                          helmholtz_skew, hessian, jacobi, quotient_variation,
                           second_variation_decomposition,
                           vertical_differential)
 
 __version__ = "0.1.0"
 
 # resolved on first use (PEP 562), so that importing jetvar loads no numpy
-_NUMERIC = ("NumericSection", "VariationConfig", "action", "check_critical",
-            "check_onshell_symmetry", "eval_on_section",
-            "finite_diff_variation", "second_variation_check")
+_NUMERIC = ("NumericSection", "action", "check_critical",
+            "check_onshell_symmetry", "finite_diff_variation",
+            "second_variation_check")
 
 
 def __getattr__(name: str):
@@ -34,14 +33,13 @@ def __getattr__(name: str):
 __all__ = [
     "JetContext", "JetExpr", "MultiIndex", "VerticalField",
     "Lagrangian", "SourceForm", "BilinearForm",
-    "NumericConfig", "NumericSection", "VariationConfig",
+    "NumericConfig", "NumericSection",
     "enumerate_up_to", "jet_order", "partial", "simplify", "substitute",
-    "to_plain", "total_derivative", "total_derivative_multi", "prolong",
-    "d_h", "d_v", "euler_lagrange", "helmholtz", "helmholtz_skew",
-    "is_locally_variational", "adjoint", "vertical_differential", "jacobi",
-    "contract", "contract_source", "quotient_variation", "hessian",
-    "second_variation_decomposition", "action", "eval_on_section",
-    "finite_diff_variation", "check_critical", "check_onshell_symmetry",
-    "second_variation_check", "parse_expr", "parse_problem_file",
-    "parse_structured", "print_object",
+    "to_plain", "total_derivative", "total_derivative_multi", "d_v",
+    "euler_lagrange", "helmholtz", "helmholtz_skew", "adjoint",
+    "vertical_differential", "jacobi", "contract", "contract_source",
+    "quotient_variation", "hessian", "second_variation_decomposition",
+    "action", "finite_diff_variation", "check_critical",
+    "check_onshell_symmetry", "second_variation_check", "parse_expr",
+    "parse_problem_file", "parse_structured", "print_object",
 ]

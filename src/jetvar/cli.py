@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import expr as ex
 from .expr import JetExpr
 from .jetcalc import VerticalField
 from .numconfig import NotCritical, NumericConfig, NumericError
-from .textio import (ParseError, ProblemFile, object_to_dict, parse_problem_file,
-                     parse_setting, parse_structured, print_object)
+from .textio import (ParseError, ProblemFile, dump_structured, object_to_dict,
+                     parse_problem_file, parse_setting, parse_structured,
+                     print_object)
 from .variational import (BilinearForm, Lagrangian, SourceForm, adjoint,
                           euler_lagrange, helmholtz, helmholtz_skew,
                           quotient_variation, vertical_differential)
@@ -134,25 +134,19 @@ def _source(pf: ProblemFile, args) -> SourceForm:
                         "lagrangian with --lagrangian NAME")
 
 
-def _field_names(args) -> list[str]:
+def _variations(pf: ProblemFile, args, count: int | None = None
+                ) -> list[tuple[str, tuple[JetExpr, ...]]]:
+    """(name, components) of each field named by --fields, in order."""
     names = [w.strip() for w in (args.fields or "").split(",") if w.strip()]
     if not names:
         raise SemanticError("this command needs --fields NAME[,NAME...]")
-    return names
-
-
-def _variations(pf: ProblemFile, args, count: int | None = None
-                ) -> list[tuple[JetExpr, ...]]:
-    names = _field_names(args)
     if count is not None and len(names) != count:
         raise SemanticError(f"this command needs exactly {count} field names")
-    out = []
     for nm in names:
         if nm not in pf.variations:
             raise SemanticError(f"unknown variation field {nm!r}; file defines "
                                 f"{sorted(pf.variations) or 'none'}")
-        out.append(pf.variations[nm])
-    return out
+    return [(nm, pf.variations[nm]) for nm in names]
 
 
 def _numeric_config(pf: ProblemFile, args) -> NumericConfig:
@@ -197,8 +191,7 @@ def _emit(args, text: str) -> None:
 
 
 def _structured(args, payload: dict) -> str:
-    payload = {"command": args.command, **payload}
-    return json.dumps(payload, sort_keys=True, indent=2)
+    return dump_structured({"command": args.command, **payload})
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +234,11 @@ def _cmd_jacobi(pf: ProblemFile, args) -> str:
         from .numeric import check_onshell_symmetry
         cfg = _numeric_config(pf, args)
         sec = _section(pf, args, cfg)
-        fields = _variations(pf, args, 2) if args.fields else None
-        if fields is None:
+        if not args.fields:
             raise SemanticError("--section also needs --fields A,B for the "
                                 "on-shell report")
-        try:
-            rep = check_onshell_symmetry(lag, sec, fields[0], fields[1],
-                                         crit_tol=cfg.tol)
-        except NotCritical as err:
-            raise CheckFailed(str(err)) from None
+        (_, xi1), (_, xi2) = _variations(pf, args, 2)
+        rep = check_onshell_symmetry(lag, sec, xi1, xi2, crit_tol=cfg.tol)
         onshell = {"lhs": rep.lhs, "rhs": rep.rhs,
                    "difference": rep.difference,
                    "pointwise_max": rep.pointwise_max,
@@ -277,7 +266,7 @@ def _cmd_jacobi(pf: ProblemFile, args) -> str:
 def _cmd_variation(pf: ProblemFile, args, count: int | None = None) -> str:
     lag = _lagrangian(pf, args)
     fields = [VerticalField(pf.ctx, comps)
-              for comps in _variations(pf, args, count)]
+              for _, comps in _variations(pf, args, count)]
     v = quotient_variation(lag, fields)
     if args.format == "structured":
         return _structured(args, {"order": len(fields),
@@ -293,7 +282,7 @@ def _cmd_check_critical(pf: ProblemFile, args) -> str:
     rep = check_critical(lag, sec, tol=cfg.tol)
     first_vars = {}
     if args.fields:
-        for nm, comps in zip(_field_names(args), _variations(pf, args)):
+        for nm, comps in _variations(pf, args):
             fd, sym = first_variation_pair(lag, sec, comps, step=cfg.step)
             first_vars[nm] = {"finite_difference": fd, "integral": sym}
     payload = {"max_residual": rep.max_residual,
@@ -323,12 +312,9 @@ def _cmd_second_var(pf: ProblemFile, args) -> str:
     lag = _lagrangian(pf, args)
     cfg = _numeric_config(pf, args)
     sec = _section(pf, args, cfg)
-    fields = _variations(pf, args, 2)
-    try:
-        rep = second_variation_check(lag, sec, fields[0], fields[1],
-                                     step=cfg.step, crit_tol=cfg.tol)
-    except NotCritical as err:
-        raise CheckFailed(str(err)) from None
+    (_, xi1), (_, xi2) = _variations(pf, args, 2)
+    rep = second_variation_check(lag, sec, xi1, xi2, step=cfg.step,
+                                 crit_tol=cfg.tol)
     payload = {"finite_difference": rep.finite_difference,
                "integral_vertical_differential":
                    rep.integral_vertical_differential,
@@ -387,12 +373,13 @@ COMMANDS = (
 
 
 def run(args) -> tuple[str, int]:
-    """The command's output and exit code: a failed check's report is
-    still the requested output."""
+    """The command's output and exit code: a failed check's report, or a
+    check's refusal of a section that is not critical, is still the
+    requested output."""
     pf = parse_problem_file(_read(args.input))
     try:
         return args.handler(pf, args), EXIT_OK
-    except CheckFailed as err:
+    except (CheckFailed, NotCritical) as err:
         return str(err), EXIT_CHECK_FAILED
 
 
@@ -416,9 +403,6 @@ def main(argv=None) -> int:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (SemanticError, ex.ExprError, NumericError) as err:
-        if isinstance(err, NotCritical):
-            print(f"check failed: {err}", file=sys.stderr)
-            return EXIT_CHECK_FAILED
         print(f"error: {err}", file=sys.stderr)
         return EXIT_SEMANTIC
     if code == EXIT_CHECK_FAILED:

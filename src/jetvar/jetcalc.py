@@ -1,5 +1,5 @@
-"""Total derivatives, prolongation of vertical fields, and the
-horizontal/vertical differentials of functions on jet space.
+"""Vertical fields, total derivatives, the derivative lattice, and the
+vertical differential of functions on jet space.
 
 The total derivative along the lam-th base direction is the derivation
 D_lam f = partial_lam f + sum over jet coordinates of
@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .expr import (ONE, ZERO, Atom, JetContext, JetCoord, JetExpr, atom_expr,
                    derive, jet_coords, jet_order, partial)
-from .multiindex import MultiIndex, enumerate_up_to
+from .multiindex import MultiIndex
 
 
 @dataclass(frozen=True)
@@ -99,27 +99,6 @@ def derivative_lattice(e: JetExpr, targets: Iterable[MultiIndex],
     for tau, axis, parent in lattice_edges(targets):
         out[tau] = total_derivative(out[parent], axis, ctx)
     return out
-
-
-def prolong(xi: VerticalField, r: int) -> dict[tuple[int, MultiIndex], JetExpr]:
-    """Jet prolongation of a vertical field: component at (i, sigma) is
-    D_sigma xi^i for 0 <= |sigma| <= r, each from its parent's by one
-    total derivative (``derivative_lattice``)."""
-    if r < 0:
-        raise ValueError("prolongation order must be >= 0")
-    ctx = xi.ctx
-    sigmas = enumerate_up_to(ctx.n, r)
-    out: dict[tuple[int, MultiIndex], JetExpr] = {}
-    for i, comp in enumerate(xi.components):
-        lattice = derivative_lattice(comp, sigmas, ctx)
-        for sigma in sigmas:
-            out[(i, sigma)] = lattice[sigma]
-    return out
-
-
-def d_h(f: JetExpr, ctx: JetContext) -> list[JetExpr]:
-    """Horizontal differential of a function: coefficients of d^lam."""
-    return [total_derivative(f, ax, ctx) for ax in range(ctx.n)]
 
 
 def d_v(f: JetExpr, ctx: JetContext) -> dict[tuple[int, MultiIndex], JetExpr]:

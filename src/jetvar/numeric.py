@@ -433,12 +433,6 @@ class NumericSection:
         return math.fsum(self.grid()[1] * values)
 
 
-def eval_on_section(e: JetExpr, section: NumericSection,
-                    point: Sequence[float]) -> float:
-    """Value of e along the prolonged section at a base point."""
-    return float(section.bind(e)(point))
-
-
 def integrate_on_section(e: JetExpr, section: NumericSection) -> float:
     return section._integral(section._at_nodes(e))
 
@@ -446,17 +440,6 @@ def integrate_on_section(e: JetExpr, section: NumericSection) -> float:
 def action(lag: Lagrangian, section: NumericSection) -> float:
     """The action integral of the Lagrangian over the section's box."""
     return integrate_on_section(lag.density, section)
-
-
-def action_report(lag: Lagrangian, section: NumericSection
-                  ) -> tuple[float, float]:
-    """Action value plus a quadrature error estimate (the change under
-    halving the node count; on smooth integrands doubling the nodes
-    moves the value by less than this)."""
-    value = action(lag, section)
-    coarse = NumericSection(section.ctx, section.exprs, section.domain,
-                            max(1, section.nodes // 2))
-    return value, abs(value - action(lag, coarse))
 
 
 # ---------------------------------------------------------------------------
@@ -497,62 +480,54 @@ def _require_bump_covers(lag: Lagrangian) -> None:
             f"Lagrangians of order at most {BUMP_ORDER}")
 
 
-@dataclass
-class VariationConfig:
-    """Variation fields (closed forms in the base coordinates; the bump
-    factor is multiplied in by the engine) and the finite-difference
-    step."""
-
-    fields: Sequence[tuple[JetExpr, ...]] = ()
-    step: float = 1e-3
-    richardson: bool = False
-
-    def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("finite-difference step must be positive")
-        for comps in self.fields:
-            for c in comps:
-                if jet_coords(c):
-                    raise ValueError(
-                        "variation fields must be closed forms in the base "
-                        "coordinates")
-
-
 def finite_diff_variation(lag: Lagrangian, section: NumericSection,
-                          vc: VariationConfig, i: int) -> float:
-    """i-th variation of the action along s + sum_k t_k * bump * xi_k, as a
-    central finite difference at t = 0 (i in {1, 2}).  Prolongation is
-    linear in the fibre, j(s + t phi) = j s + t j phi, so each action is
-    the compiled integrand applied to the jet arrays of the section plus
-    t_k times those of each bumped field, at the Gauss nodes."""
-    if i not in (1, 2):
+                          fields: Sequence[tuple[JetExpr, ...]],
+                          step: float = 1e-3) -> float:
+    """The len(fields)-th variation of the action along
+    s + sum_k t_k * bump * xi_k, as a central finite difference at t = 0:
+    the first variation for one field, the second for two.  Each field is
+    a closed form in the base coordinates; the bump is multiplied in
+    here.  The Richardson value is (4 * fd(step/2) - fd(step)) / 3."""
+    if len(fields) not in (1, 2):
         raise ValueError("only first and second variations are supported")
     _require_bump_covers(lag)
-    if len(vc.fields) < i:
-        raise ValueError(f"need {i} variation fields, got {len(vc.fields)}")
-    fields = [section._field(comps) for comps in vc.fields[:i]]
+    return _difference_quotient(lag, section,
+                                [section._field(comps) for comps in fields],
+                                step)
+
+
+def _difference_quotient(lag: Lagrangian, section: NumericSection,
+                         fields: Sequence[NumericSection], step: float
+                         ) -> float:
+    """The central difference of finite_diff_variation along one or two
+    bumped fields.  Prolongation is linear in the fibre,
+    j(s + t phi) = j s + t j phi, so each action is the compiled integrand
+    applied to the jet arrays of the section plus t_k times those of each
+    bumped field, at the Gauss nodes."""
+    if step <= 0:
+        raise ValueError("finite-difference step must be positive")
     f = compile_expr(section._scaled(lag.density))
     scaled = section._scaled_point(section.grid()[0].T)
     jets = [(jc, section._jet(jc)(scaled), [fs._jet(jc)(scaled)
                                             for fs in fields])
             for jc in jet_coords(lag.density)]
 
-    @_float_guard()
     def a(*ts: float) -> float:
         env = dict(scaled)
         for jc, j0, js in jets:
             env[jc] = j0 + sum(t * j for t, j in zip(ts, js))
         return section._integral(f(env))
 
-    def diff(h: float) -> float:
-        if i == 1:
-            return (a(h) - a(-h)) / (2 * h)
-        return (a(h, h) - a(h, -h) - a(-h, h) + a(-h, -h)) / (4 * h * h)
-
-    h = vc.step
-    if not vc.richardson:
-        return diff(h)
-    return (4 * diff(h / 2) - diff(h)) / 3
+    h = step
+    # a step whose square underflows divides by zero
+    with _float_guard():
+        if len(fields) == 1:
+            out = (a(h) - a(-h)) / (2 * h)
+        else:
+            out = (a(h, h) - a(h, -h) - a(-h, h) + a(-h, -h)) / (4 * h * h)
+    if not math.isfinite(out):
+        raise NumericError("the finite difference is not finite")
+    return out
 
 
 def _contraction(a: BilinearForm, section: NumericSection,
@@ -590,6 +565,20 @@ def check_critical(lag: Lagrangian, section: NumericSection,
     return CriticalityReport(max(per), per, tol)
 
 
+def _critical_pair(lag: Lagrangian, section: NumericSection,
+                   xi1: tuple[JetExpr, ...], xi2: tuple[JetExpr, ...],
+                   crit_tol: float):
+    """The common start of the checks on two bumped fields: refuse a
+    Lagrangian the bump does not cover and a section that is not
+    critical, then (criticality report, both bumped fields, V)."""
+    _require_bump_covers(lag)
+    crit = check_critical(lag, section, crit_tol)
+    if not crit.is_critical:
+        raise NotCritical(crit)
+    return (crit, section._field(xi1), section._field(xi2),
+            vertical_differential(lag))
+
+
 @dataclass(frozen=True)
 class OnshellSymmetryReport:
     lhs: float
@@ -613,12 +602,7 @@ def check_onshell_symmetry(lag: Lagrangian, section: NumericSection,
     reported for inspection without being asserted small.  Refuses
     non-critical sections, and Lagrangians the bump does not cover.
     """
-    _require_bump_covers(lag)
-    crit = check_critical(lag, section, crit_tol)
-    if not crit.is_critical:
-        raise NotCritical(crit)
-    f1, f2 = section._field(xi1), section._field(xi2)
-    ve = vertical_differential(lag)
+    crit, f1, f2, ve = _critical_pair(lag, section, xi1, xi2, crit_tol)
     e12 = _contraction(ve, section, f1, f2)
     e21 = _contraction(ve, section, f2, f1)
     lhs, rhs = section._integral(e12), section._integral(e21)
@@ -649,14 +633,8 @@ def second_variation_check(lag: Lagrangian, section: NumericSection,
     """Compare the finite-difference second variation of the action along
     a critical section against the integrated contraction of the fields
     into the vertical differential and into the Jacobi morphism."""
-    _require_bump_covers(lag)
-    crit = check_critical(lag, section, crit_tol)
-    if not crit.is_critical:
-        raise NotCritical(crit)
-    vc = VariationConfig(fields=(xi1, xi2), step=step)
-    fd = finite_diff_variation(lag, section, vc, 2)
-    f1, f2 = section._field(xi1), section._field(xi2)
-    ve = vertical_differential(lag)
+    crit, f1, f2, ve = _critical_pair(lag, section, xi1, xi2, crit_tol)
+    fd = _difference_quotient(lag, section, (f1, f2), step)
     ive = section._integral(_contraction(ve, section, f1, f2))
     # the Jacobi morphism is the adjoint of V; see variational.jacobi
     ijac = section._integral(_contraction(adjoint(ve), section, f1, f2))
@@ -669,8 +647,7 @@ def first_variation_pair(lag: Lagrangian, section: NumericSection,
     """(finite-difference first variation, integral of xi | E along the
     section) for a bump-localized field; the two agree as step -> 0 and
     both vanish on critical sections."""
-    vc = VariationConfig(fields=(xi,), step=step)
-    fd = finite_diff_variation(lag, section, vc, 1)
+    fd = finite_diff_variation(lag, section, (xi,), step)
     f = section._field(xi)
     factors = [(f._at_nodes(section.ctx.fiber(i)), section._at_nodes(c))
                for i, c in enumerate(euler_lagrange(lag).components)]

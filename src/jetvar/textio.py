@@ -385,6 +385,12 @@ def parse_structured(text: str, ctx: JetContext):
 # ---------------------------------------------------------------------------
 
 
+def dump_structured(payload: dict) -> str:
+    """The structured-format text of a JSON-ready payload: keys sorted,
+    two-space indent.  Every structured output is written here."""
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
 def print_object(obj, fmt: str = "plain", name: str = "A") -> str:
     """Render an expression, source form, or bilinear form.
 
@@ -392,7 +398,7 @@ def print_object(obj, fmt: str = "plain", name: str = "A") -> str:
     lossless JSON tree that round-trips through parse_structured.
     """
     if fmt == "structured":
-        return json.dumps(object_to_dict(obj), sort_keys=True, indent=2)
+        return dump_structured(object_to_dict(obj))
     if isinstance(obj, Lagrangian):
         obj = obj.density
     if isinstance(obj, JetExpr):

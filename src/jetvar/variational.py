@@ -48,8 +48,8 @@ from typing import Mapping, Sequence
 
 # ``partial`` is not called here; perfbench's tracing tests look it up as
 # ``variational.partial``.
-from .expr import (ExprError, JetContext, JetCoord, JetExpr, ZERO, add,
-                   add_many, jet_order, mul, partial, substitute)
+from .expr import (JetContext, JetExpr, ZERO, add, add_many, jet_order, mul,
+                   partial)
 from .jetcalc import (VerticalField, d_v, derivative_lattice, lattice_edges,
                       total_derivative)
 from .multiindex import MultiIndex
@@ -218,10 +218,6 @@ def helmholtz_skew(src: SourceForm) -> BilinearForm:
     return (ht - adjoint(ht)).scaled(Fraction(1, 2))
 
 
-def is_locally_variational(src: SourceForm) -> bool:
-    return helmholtz(src).is_zero
-
-
 def adjoint(a: BilinearForm) -> BilinearForm:
     """Formal adjoint under integration by parts (see module docstring)."""
     ctx = a.ctx
@@ -370,50 +366,3 @@ def reconstruct_from_certificate(src: SourceForm,
     """sum cert[(i, rho)] * D_rho(e_i); equals S1 for a valid certificate."""
     d_e = _derivatives(src.components, list(cert), src.ctx)
     return add_many(mul(coef, d_e[i][rho]) for (i, rho), coef in cert.items())
-
-
-# ---------------------------------------------------------------------------
-# on-shell reduction
-# ---------------------------------------------------------------------------
-
-
-def prolong_relations(ctx: JetContext,
-                      relations: Mapping[JetCoord, JetExpr],
-                      max_order: int) -> dict[JetCoord, JetExpr]:
-    """Extend critical relations (solved for their highest derivatives,
-    e.g. y_tt -> -y) by all total-derivative prolongations up to
-    max_order.  Right-hand sides are kept reduced with respect to the
-    accumulated relations."""
-    bindings: dict[JetCoord, JetExpr] = {}
-    for key, rhs in sorted(relations.items(), key=lambda kv: kv[0].sort_key()):
-        bindings[key] = substitute(rhs, bindings)
-    frontier = list(bindings.items())
-    while frontier:
-        new_frontier = []
-        for key, rhs in frontier:
-            for ax in range(ctx.n):
-                nkey = key.lifted(ax)
-                if nkey.order > max_order or nkey in bindings:
-                    continue
-                nrhs = substitute(total_derivative(rhs, ax, ctx), bindings)
-                bindings[nkey] = nrhs
-                new_frontier.append((nkey, nrhs))
-        frontier = new_frontier
-    return bindings
-
-
-def reduce_onshell(e: JetExpr, relations: Mapping[JetCoord, JetExpr],
-                   ctx: JetContext) -> JetExpr:
-    """Substitute critical relations plus the total-derivative
-    prolongations needed to cover every derivative occurring in e."""
-    full = prolong_relations(ctx, relations, max(jet_order(e), 0))
-    out = substitute(e, full)
-    # one pass suffices when the solved forms are reduced; a few more
-    # cover chains, and relations that never settle are refused
-    for _ in range(4):
-        nxt = substitute(out, full)
-        if nxt == out:
-            return out
-        out = nxt
-    raise ExprError("on-shell reduction reached no fixed point in four "
-                    "passes; the relations are not in solved form")

@@ -399,6 +399,11 @@ NUMERIC_BLOCK_EDITS = (
     (["adjoint", OSC, "--bilinear", _Raw("latin.json", NOT_UTF8)], None,
      (1, "cannot read")),
     (["adjoint", OSC, "--bilinear", "-"], NOT_UTF8, (1, "cannot read stdin")),
+    # a step whose square underflows to zero
+    (["second-var", OSC, "--section", "sol", "--fields", "b1,b1", "--step",
+      "1e-170"], None, (2, "division by zero")),
+    (["second-var", _Edited("step 1e-3", "step 1e-200"), "--section", "sol",
+      "--fields", "b1,b1"], None, (2, "division by zero")),
 ])
 def test_exit_code_contract(capsys, monkeypatch, tmp_path, argv, stdin, code):
     """Exit code, and a phrase of the error where code is (code, phrase);
@@ -596,6 +601,17 @@ def test_import_jetvar_loads_no_numpy():
     _run_fresh(script)
 
 
+def test_every_export_resolves():
+    """Each name in jetvar.__all__ resolves, and each name resolved on
+    first use is exported, so a deleted name cannot leave a broken
+    export behind."""
+    import jetvar
+    for name in jetvar.__all__:
+        assert getattr(jetvar, name) is not None, name
+    assert set(jetvar._NUMERIC) <= set(jetvar.__all__)
+    assert len(set(jetvar.__all__)) == len(jetvar.__all__)
+
+
 @pytest.mark.parametrize("bound, el_code", [
     # fail only when evaluated: a parse error of the numeric subcommands
     ("log(0)", 0), ("sqrt(0-1)", 0), ("exp(1000)", 0),
@@ -666,7 +682,7 @@ _OPTIONS = {
     "--section": ("sol", "sol", "bad", "bad", "nope"),
     "--fields": ("b1", "b1,b2", "b3,b1", "b3,b1", "b2,b3,b1", "nope", ","),
     "--nodes": ("4", "16", "16", "1", "0", "x", "10000000"),
-    "--step": ("1e-3", "1e-3", "0.5", "0", "nan"),
+    "--step": ("1e-3", "1e-3", "0.5", "0", "nan", "1e-170"),
     "--tol": ("1e-6", "1e-6", "0", "-1"),
     "--bilinear": ("{bilinear}", "{bilinear}", "{missing}/form.json"),
     "--output": ("{output}", "{output}", "{missing}/out.txt"),

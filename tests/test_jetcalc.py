@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jetvar import (JetContext, VerticalField, d_h, d_v, prolong,
-                    total_derivative, total_derivative_multi)
+from jetvar import (JetContext, VerticalField, d_v, total_derivative,
+                    total_derivative_multi)
 from jetvar.expr import cos, elem, sin
+from jetvar.jetcalc import derivative_lattice
 from jetvar.multiindex import MultiIndex
 from jetvar.randgen import random_polynomial
 
@@ -41,6 +42,8 @@ def test_total_derivative_multi(ode_ctx, pde_ctx):
 
 
 def test_prolong_examples(ode_ctx):
+    """The derivative lattice of a field component up to sigma is its jet
+    prolongation: D_tau xi for every tau <= sigma."""
     y = ode_ctx.fiber("y")
     yt = ode_ctx.jet("y", "t")
     t = ode_ctx.base("t")
@@ -48,35 +51,16 @@ def test_prolong_examples(ode_ctx):
     one = MultiIndex((1,))
     two = MultiIndex((2,))
 
-    xi = VerticalField(ode_ctx, (y,))
-    p = prolong(xi, 1)
-    assert p[(0, zero)] == y and p[(0, one)] == yt
+    p = derivative_lattice(y, [one], ode_ctx)
+    assert p[zero] == y and p[one] == yt
 
-    const = VerticalField(ode_ctx, (y ** 0,))
-    p = prolong(const, 2)
-    assert p[(0, zero)] == 1 and p[(0, one)].is_zero and p[(0, two)].is_zero
+    p = derivative_lattice(y ** 0, [two], ode_ctx)
+    assert p[zero] == 1 and p[one].is_zero and p[two].is_zero
 
-    wave = VerticalField(ode_ctx, (sin(t),))
-    p = prolong(wave, 2)
-    assert p[(0, zero)] == sin(t)
-    assert p[(0, one)] == cos(t)
-    assert p[(0, two)] == -sin(t)
-
-
-def test_prolong_restriction(ode_ctx):
-    xi = VerticalField(ode_ctx, (ode_ctx.fiber("y") * ode_ctx.base("t"),))
-    p2 = prolong(xi, 2)
-    p1 = prolong(xi, 1)
-    assert p1 == {k: v for k, v in p2.items() if k[1].order() <= 1}
-
-
-def test_d_h_examples(ode_ctx, pde_ctx):
-    y = ode_ctx.fiber("y")
-    assert d_h(y, ode_ctx) == [ode_ctx.jet("y", "t")]
-    assert d_h(ode_ctx.jet("y", "t"), ode_ctx) == [ode_ctx.jet("y", "tt")]
-    u = pde_ctx.base("u")
-    v = pde_ctx.base("v")
-    assert d_h(u * v, pde_ctx) == [v, u]
+    p = derivative_lattice(sin(t), [two], ode_ctx)
+    assert p[zero] == sin(t)
+    assert p[one] == cos(t)
+    assert p[two] == -sin(t)
 
 
 def test_d_v_examples(ode_ctx):

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jetvar import (JetContext, JetExpr, Lagrangian, NumericSection,
-                    VariationConfig, action, check_critical,
-                    check_onshell_symmetry, euler_lagrange, eval_on_section,
+from jetvar import (JetContext, JetExpr, Lagrangian, NumericSection, action,
+                    check_critical, check_onshell_symmetry, euler_lagrange,
                     finite_diff_variation, second_variation_check,
                     total_derivative)
 from jetvar.expr import ONE, partial, sin
@@ -43,12 +42,12 @@ def test_eval_examples(ode_ctx, oscillator, sin_section):
     yt = ode_ctx.jet("y", "t")
     y = ode_ctx.fiber("y")
     ytt = ode_ctx.jet("y", "tt")
-    assert eval_on_section(yt, sin_section, (0.0,)) == pytest.approx(1.0)
+    assert float(sin_section.bind(yt)((0.0,))) == pytest.approx(1.0)
     for t in (0.3, 1.1, 2.9):
-        assert eval_on_section(ytt + y, sin_section, (t,)) == pytest.approx(0.0)
+        assert float(sin_section.bind(ytt + y)((t,))) == pytest.approx(0.0)
     e = euler_lagrange(oscillator)
     quad = NumericSection(ode_ctx, (ode_ctx.base("t") ** 2,), [(0.0, math.pi)])
-    assert eval_on_section(e.components[0], quad, (1.0,)) == pytest.approx(-3.0)
+    assert float(quad.bind(e.components[0])((1.0,))) == pytest.approx(-3.0)
 
 
 def test_eval_domain_error(ode_ctx):
@@ -56,14 +55,14 @@ def test_eval_domain_error(ode_ctx):
     t = ode_ctx.base("t")
     sec = NumericSection(ode_ctx, (t,), [(0.0, 1.0)])
     with pytest.raises(NumericError):
-        eval_on_section(log(0 - ode_ctx.fiber("y")), sec, (0.5,))
+        float(sec.bind(log(0 - ode_ctx.fiber("y")))((0.5,)))
 
 
 def test_opaque_not_evaluable():
     ctx = JetContext.make("t", "q", opaque={"g": ["q"]})
     sec = NumericSection(ctx, (ctx.base("t"),), [(0.0, 1.0)])
     with pytest.raises(NumericError, match="has no numeric value"):
-        eval_on_section(ctx.opaque("g"), sec, (0.5,))
+        float(sec.bind(ctx.opaque("g"))((0.5,)))
 
 
 def test_long_coefficient_is_a_numeric_error(ode_ctx):
@@ -119,20 +118,6 @@ def test_quadrature_convergence(ode_ctx):
     a8, a16, a64 = (action(lag, secs[n]) for n in (8, 16, 64))
     assert abs(a16 - a64) <= abs(a8 - a64) + 1e-15
     assert abs(a16 - a64) < 1e-10
-
-
-def test_action_error_estimate(ode_ctx):
-    """Doubling the node count moves the action by less than the
-    reported estimate on smooth integrands."""
-    from jetvar.expr import exp
-    from jetvar.numeric import action_report
-    t = ode_ctx.base("t")
-    lag = Lagrangian(ode_ctx, exp(sin(ode_ctx.fiber("y"))))
-    sec16 = NumericSection(ode_ctx, (t,), [(0.0, 2.0)], nodes=16)
-    sec32 = NumericSection(ode_ctx, (t,), [(0.0, 2.0)], nodes=32)
-    v16, est16 = action_report(lag, sec16)
-    v32, _est32 = action_report(lag, sec32)
-    assert abs(v32 - v16) <= est16 + 1e-15
 
 
 def test_grid_is_deterministic(ode_ctx, pde_ctx):
@@ -294,11 +279,13 @@ def test_richardson_extrapolation(ode_ctx):
     yt = ode_ctx.jet("y", "t")
     lag = Lagrangian(ode_ctx, y ** 4 + yt ** 2 / 2)
     sec = NumericSection(ode_ctx, (t,), [(0.0, 1.0)])
-    vc_plain = VariationConfig(fields=((ONE,),), step=1e-2)
-    vc_rich = VariationConfig(fields=((ONE,),), step=1e-2, richardson=True)
     _fd, exact = first_variation_pair(lag, sec, (ONE,), step=1e-6)
-    err_plain = abs(finite_diff_variation(lag, sec, vc_plain, 1) - exact)
-    err_rich = abs(finite_diff_variation(lag, sec, vc_rich, 1) - exact)
+
+    def fd(h):
+        return finite_diff_variation(lag, sec, ((ONE,),), step=h)
+
+    err_plain = abs(fd(1e-2) - exact)
+    err_rich = abs((4 * fd(5e-3) - fd(1e-2)) / 3 - exact)
     assert err_rich < err_plain / 10
 
 
@@ -328,19 +315,30 @@ def test_second_variation_refuses_noncritical(ode_ctx, oscillator):
 
 
 def test_fd_needs_fields(ode_ctx, oscillator, sin_section):
-    with pytest.raises(ValueError):
-        finite_diff_variation(oscillator, sin_section,
-                              VariationConfig(fields=()), 1)
-    with pytest.raises(ValueError):
-        finite_diff_variation(oscillator, sin_section,
-                              VariationConfig(fields=((ONE,),)), 3)
+    """The variation order is the number of fields: one or two."""
+    for fields in ((), ((ONE,),) * 3):
+        with pytest.raises(ValueError, match="first and second"):
+            finite_diff_variation(oscillator, sin_section, fields)
 
 
-def test_variation_config_validation(ode_ctx):
-    with pytest.raises(ValueError):
-        VariationConfig(fields=((ode_ctx.jet("y", "t"),),))
-    with pytest.raises(ValueError):
-        VariationConfig(fields=(), step=0.0)
+def test_fd_argument_validation(ode_ctx, oscillator, sin_section):
+    with pytest.raises(ValueError, match="base coordinates"):
+        finite_diff_variation(oscillator, sin_section,
+                              ((ode_ctx.jet("y", "t"),),))
+    with pytest.raises(ValueError, match="positive"):
+        finite_diff_variation(oscillator, sin_section, ((ONE,),), step=0.0)
+
+
+def test_fd_tiny_step_is_a_numeric_error(oscillator, sin_section):
+    """A second variation whose step squares to zero divides by zero, and
+    one whose square is subnormal can overflow: each is a NumericError."""
+    with pytest.raises(NumericError, match="division by zero"):
+        finite_diff_variation(oscillator, sin_section, ((ONE,), (ONE,)),
+                              step=1e-170)
+    big = (JetExpr.constant(10 ** 200),)
+    with pytest.raises(NumericError, match="not finite"):
+        finite_diff_variation(oscillator, sin_section, (big, big),
+                              step=1e-160)
 
 
 @pytest.mark.parametrize("domain", [(0.0, 1.0), (100.0, 101.0)])
@@ -371,13 +369,17 @@ def test_fd_matches_actions_of_varied_sections(ode_ctx, domain):
             return (a(h) - a(-h)) / (2 * h)
         return (a(h, h) - a(h, -h) - a(-h, h) + a(-h, -h)) / (4 * h * h)
 
+    def fd(i, h):
+        return finite_diff_variation(lag, sec, fields[:i], step=h)
+
     h = 1e-2
     for i in (1, 2):
         for richardson in (False, True):
-            vc = VariationConfig(fields=fields, step=h, richardson=richardson)
-            ref = (4 * diff(i, h / 2) - diff(i, h)) / 3 if richardson \
-                else diff(i, h)
-            got = finite_diff_variation(lag, sec, vc, i)
+            if richardson:
+                ref = (4 * diff(i, h / 2) - diff(i, h)) / 3
+                got = (4 * fd(i, h / 2) - fd(i, h)) / 3
+            else:
+                ref, got = diff(i, h), fd(i, h)
             assert rel_close(got, ref, rel=1e-9, floor=0.0), (i, richardson)
 
 
@@ -448,7 +450,7 @@ def test_bumped_checks_refuse_lagrangians_past_the_bump(ode_ctx, order):
         lambda: second_variation_check(lag, sec, *fields),
         lambda: check_onshell_symmetry(lag, sec, *fields),
         lambda: first_variation_pair(lag, sec, fields[0]),
-        lambda: finite_diff_variation(lag, sec, VariationConfig(fields), 2))
+        lambda: finite_diff_variation(lag, sec, fields))
     for check in checks:
         with pytest.raises(NumericError, match=f"order {order}, .* at most 4"):
             check()
@@ -510,22 +512,22 @@ def test_contact_compatibility(seed):
     df = total_derivative(f, 0, ctx)
     pt = 0.7 + 0.6 * rng.random()
     h = 1e-6
-    approx = (eval_on_section(f, sec, (pt + h,))
-              - eval_on_section(f, sec, (pt - h,))) / (2 * h)
-    exact = eval_on_section(df, sec, (pt,))
+    approx = (float(sec.bind(f)((pt + h,)))
+              - float(sec.bind(f)((pt - h,)))) / (2 * h)
+    exact = float(sec.bind(df)((pt,)))
     assert abs(approx - exact) < 1e-6 * max(1.0, abs(exact))
 
 
 def test_bump_factor_properties(ode_ctx):
     bump = bump_factor(ode_ctx, [(0.0, 2.0)])
     sec = NumericSection(ode_ctx, (ode_ctx.base("t"),), [(0.0, 2.0)])
-    assert eval_on_section(bump, sec, (1.0,)) == pytest.approx(1.0)
+    assert float(sec.bind(bump)((1.0,))) == pytest.approx(1.0)
     for pt in (0.0, 2.0):
-        assert eval_on_section(bump, sec, (pt,)) == 0.0
+        assert float(sec.bind(bump)((pt,))) == 0.0
     d3 = bump
     for _ in range(3):
         d3 = total_derivative(d3, 0, ode_ctx)
-    assert eval_on_section(d3, sec, (0.0,)) == pytest.approx(0.0, abs=1e-12)
+    assert float(sec.bind(d3)((0.0,))) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_integrate_on_section_matches_action(ode_ctx, oscillator, sin_section):
@@ -582,7 +584,7 @@ def test_inverse_sum_evaluates(ode_ctx):
     t = ode_ctx.base("t")
     y = ode_ctx.fiber("y")
     sec = NumericSection(ode_ctx, (t,), [(0.0, 1.0)])
-    val = eval_on_section(ONE / (1 + y ** 2), sec, (2.0,))
+    val = float(sec.bind(ONE / (1 + y ** 2))((2.0,)))
     assert val == pytest.approx(1 / 5)
 
 
