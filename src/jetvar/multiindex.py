@@ -7,6 +7,7 @@ letter sequences) bakes in the commutativity of partial derivatives.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -79,9 +80,8 @@ class MultiIndex:
 
     def subindices(self) -> Iterator["MultiIndex"]:
         """All rho with rho <= sigma componentwise, in graded-lex order."""
-        subs = list(_boxed(self.counts))
-        subs.sort(key=lambda c: (sum(c), tuple(-x for x in c)))
-        for c in subs:
+        box = itertools.product(*(range(c + 1) for c in self.counts))
+        for c in sorted(box, key=_graded_lex):
             yield _valid(c)
 
     def render(self, base_names: Sequence[str]) -> str:
@@ -100,6 +100,11 @@ class MultiIndex:
 
     def __repr__(self):
         return f"MultiIndex{self.counts}"
+
+
+def _graded_lex(counts: tuple[int, ...]):
+    """Sort key: lower order first, then earlier axes loaded first."""
+    return sum(counts), tuple(-c for c in counts)
 
 
 def _valid(counts: tuple[int, ...]) -> MultiIndex:
@@ -121,26 +126,6 @@ def enumerate_up_to(n: int, k: int) -> list[MultiIndex]:
         raise ValueError("base dimension must be >= 1")
     if k < 0:
         raise ValueError("maximal order must be >= 0")
-    out: list[MultiIndex] = []
-    for total in range(k + 1):
-        out.extend(MultiIndex(c) for c in _compositions(total, n))
-    return out
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _boxed(bounds: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    if len(bounds) == 1:
-        for c in range(bounds[0] + 1):
-            yield (c,)
-        return
-    for c in range(bounds[0] + 1):
-        for rest in _boxed(bounds[1:]):
-            yield (c,) + rest
+    box = itertools.product(range(k + 1), repeat=n)
+    return [_valid(c) for c in sorted((c for c in box if sum(c) <= k),
+                                      key=_graded_lex)]

@@ -13,13 +13,18 @@ divergence terms drop from every integration by parts, is the separable
 product prod_axis b(s_a), b(s) = (1 - s^2)^4; in raw coordinates it has
 huge cancelling coefficients away from the origin.  The bump is never
 expanded into a field: a bumped field's jet entry is the Leibniz sum of
-the compiled derivatives of each b, shared by the section's fields, times
-those of the field.  A finite-difference action is the compiled integrand
-applied to jet arrays, since j(s + t phi) = j s + t j phi.  Faults and
-non-finite values raise NumericError."""
+the compiled derivatives of each b times those of the field.  A section
+keeps one table of exact derivatives d/dx_a, from which each D_tau is one
+derivative of its parent's, and one of compiled factors; its bumped
+fields share both, and are read only as jet entries at the nodes.  A
+finite-difference action is the compiled integrand applied to jet arrays,
+since j(s + t phi) = j s + t j phi.  Faults and non-finite values raise
+NumericError."""
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -83,14 +88,6 @@ def compile_expr(e: JetExpr) -> Callable[[Mapping[ex.Atom, Any]], Any]:
         return out
 
     return run
-
-
-@_float_guard()
-def _factor(e: JetExpr) -> tuple[float, Callable | None]:
-    """(c, None) if e is the constant c, else (1.0, e compiled): a factor
-    of a term of _leibniz_sum."""
-    c = e.constant_value()
-    return (1.0, compile_expr(e)) if c is None else (float(c), None)
 
 
 def _leibniz_sum(terms: Sequence[tuple[float, Sequence[Callable]]]
@@ -277,16 +274,16 @@ class NumericSection:
                           for lo, hi in self.domain)
         self._half = tuple((Fraction(hi) - Fraction(lo)) / 2
                            for lo, hi in self.domain)
+        self._box = {a: JetExpr.constant(m)
+                     + JetExpr.constant(h) * ex.atom_expr(a)
+                     for a, m, h in zip(self._axes, self._mid, self._half)}
         self._scaled_exprs = tuple(self._scaled(e) for e in self.exprs)
         # the section is w * s with w = prod_axis w_a(s_a), the bump for a
-        # bumped field (see _field), else 1; its derivatives by (axis, order)
+        # bumped field (see _field), else 1
         self._weight = (ex.ONE,) * ctx.n
-        self._weight_jets: dict[tuple[int, int], tuple] = {}
-        # the bump's derivatives, shared by every field of this section
-        self._field_weight_jets: dict[tuple[int, int], tuple] = {}
-        # D_tau s^i in scaled coordinates by (i, tau), each taken from its
-        # parent (see MultiIndex.parent), and each compiled once
-        self._partials: dict[tuple[int, MultiIndex], JetExpr] = {}
+        # d e / dx_a by (e, a), and e as a factor (see _compiled): tables
+        # shared with the bumped fields of this section
+        self._derivatives: dict[tuple[JetExpr, int], JetExpr] = {}
         self._factors: dict[JetExpr, tuple] = {}
         self._jets: dict[ex.JetCoord, Callable] = {}
         self._bound: dict[JetExpr, Callable] = {}
@@ -297,45 +294,33 @@ class NumericSection:
 
     def _scaled(self, e: JetExpr) -> JetExpr:
         """e rewritten exactly in the scaled coordinates of the box."""
-        return substitute(e, {
-            a: JetExpr.constant(m) + JetExpr.constant(h) * ex.atom_expr(a)
-            for a, m, h in zip(self._axes, self._mid, self._half)})
+        return substitute(e, self._box)
 
     def _d_dx(self, e: JetExpr, axis: int) -> JetExpr:
         """d e / dx_a for a = axis, e in scaled coordinates, where
-        d/dx = (1/half) d/ds."""
-        return partial(e, self._axes[axis]) / JetExpr.constant(self._half[axis])
-
-    def _partial(self, i: int, tau: MultiIndex) -> JetExpr:
-        """d_tau s^i in scaled coordinates, one derivative of its parent's,
-        made once per (i, tau)."""
-        got = self._partials.get((i, tau))
+        d/dx = (1/half) d/ds; taken once per (e, axis)."""
+        got = self._derivatives.get((e, axis))
         if got is None:
-            if any(tau.counts):
-                axis, parent = tau.parent()
-                got = self._d_dx(self._partial(i, parent), axis)
-            else:
-                got = self._scaled_exprs[i]
-            self._partials[i, tau] = got
+            got = self._derivatives[e, axis] = partial(
+                e, self._axes[axis]) / JetExpr.constant(self._half[axis])
         return got
+
+    def _partial(self, e: JetExpr, tau: MultiIndex) -> JetExpr:
+        """d_tau e: one derivative of d_parent e (see MultiIndex.parent)."""
+        if not any(tau.counts):
+            return e
+        axis, parent = tau.parent()
+        return self._d_dx(self._partial(e, parent), axis)
 
     def _compiled(self, e: JetExpr) -> tuple[float, Callable | None]:
-        """e as a factor (see _factor), compiled once per section."""
+        """e as a factor of a term of _leibniz_sum, made once: (c, None) if
+        e is the constant c, else (1.0, e compiled)."""
         got = self._factors.get(e)
         if got is None:
-            got = self._factors[e] = _factor(e)
-        return got
-
-    def _weight_jet(self, axis: int, k: int
-                    ) -> tuple[float, Callable | None]:
-        """d^k w_a / dx_a^k for a = axis, as a factor (see _factor), made
-        once per axis and order."""
-        got = self._weight_jets.get((axis, k))
-        if got is None:
-            w = self._weight[axis]
-            for _ in range(k):
-                w = self._d_dx(w, axis)
-            got = self._weight_jets[axis, k] = _factor(w)
+            with _float_guard():
+                c = e.constant_value()
+                got = (1.0, compile_expr(e)) if c is None else (float(c), None)
+            self._factors[e] = got
         return got
 
     def _jet(self, jc: ex.JetCoord) -> Callable:
@@ -349,12 +334,14 @@ class NumericSection:
         if got is None:
             terms = []
             for rho in jc.sigma.subindices():
-                factors = [self._weight_jet(a, k)
-                           for a, k in enumerate(rho.counts)]
+                # d^k w_a / dx_a^k: k steps along axis a
+                factors = [self._compiled(functools.reduce(
+                    self._d_dx, [a] * k, self._weight[a]))
+                    for a, k in enumerate(rho.counts)]
                 if any(w == 0.0 for w, _ in factors):
                     continue
-                factors.append(self._compiled(
-                    self._partial(jc.index, jc.sigma.sub(rho))))
+                factors.append(self._compiled(self._partial(
+                    self._scaled_exprs[jc.index], jc.sigma.sub(rho))))
                 c = jc.sigma.binom(rho) * math.prod(w for w, _ in factors)
                 if c != 0.0:
                     terms.append((c, [f for _, f in factors if f is not None]))
@@ -391,9 +378,10 @@ class NumericSection:
         once per field: the section of xi weighted by the bump, whose jet
         entries _jet takes by the Leibniz rule, to any order.  The bump is
         separable and written directly in scaled coordinates,
-        prod_axis (1 - s_a^2)^4, which is bump_factor rescaled exactly;
-        its derivatives are compiled once per axis and order and shared by
-        every field of this section."""
+        prod_axis (1 - s_a^2)^4, which is bump_factor rescaled exactly.
+        A field shares this section's derivative and compile tables, so
+        each derivative of the bump is taken and compiled once per
+        section."""
         comps = tuple(comps)
         got = self._fields.get(comps)
         if got is None:
@@ -403,7 +391,7 @@ class NumericSection:
             got = NumericSection(self.ctx, comps, self.domain, self.nodes)
             got._weight = tuple((1 - ex.atom_expr(a) ** 2) ** BUMP_ORDER
                                 for a in self._axes)
-            got._weight_jets = self._field_weight_jets
+            got._derivatives, got._factors = self._derivatives, self._factors
             got._grid = self.grid()
             self._fields[comps] = got
         return got
@@ -518,15 +506,23 @@ def _difference_quotient(lag: Lagrangian, section: NumericSection,
             env[jc] = j0 + sum(t * j for t, j in zip(ts, js))
         return section._integral(f(env))
 
-    h = step
-    # a step whose square underflows divides by zero
+    # the k-th central difference, k = len(fields): sum over signs of
+    # prod(signs) * a(signs * step), over (2 * step)^k (0 if it underflows)
     with _float_guard():
-        if len(fields) == 1:
-            out = (a(h) - a(-h)) / (2 * h)
-        else:
-            out = (a(h, h) - a(h, -h) - a(-h, h) + a(-h, -h)) / (4 * h * h)
-    if not math.isfinite(out):
-        raise NumericError("the finite difference is not finite")
+        out = -0.0      # not 0.0: -0.0 + x is x, for x = -0.0 too
+        for signs in itertools.product((1, -1), repeat=len(fields)):
+            out += math.prod(signs) * a(*(sg * step for sg in signs))
+        out /= math.prod([2 * step] * len(fields))
+        if not math.isfinite(out):
+            raise NumericError("the finite difference is not finite")
+        # a field whose jets the step leaves below their ulp varies no
+        # action, and the difference would read 0 whatever the truth
+        for k in range(len(fields)):
+            pairs = [(j0, js[k]) for _, j0, js in jets]
+            if (any(np.any(j) for _, j in pairs)
+                    and all(np.all(j0 + step * j == j0) for j0, j in pairs)):
+                raise NumericError(f"the finite-difference step {step!r} is "
+                                   "too small to move the section")
     return out
 
 
@@ -534,8 +530,9 @@ def _contraction(a: BilinearForm, section: NumericSection,
                  f1: NumericSection, f2: NumericSection):
     """sum A^sigma_ij xi1^i D_sigma xi2^j at the nodes, factor by factor."""
     ctx = section.ctx
-    factors = [(section._at_nodes(val), f1._at_nodes(ctx.fiber(i)),
-                f2._at_nodes(ctx.jet(j, sigma)))
+    nodes = section._scaled_point(section.grid()[0].T)
+    factors = [(section._at_nodes(val), f1._jet(ctx.jet_atom(i))(nodes),
+                f2._jet(ctx.jet_atom(j, sigma))(nodes))
                for (sigma, i, j), val in a.entries()]
     with _float_guard():
         return sum(v * p * q for v, p, q in factors)
@@ -649,7 +646,8 @@ def first_variation_pair(lag: Lagrangian, section: NumericSection,
     both vanish on critical sections."""
     fd = finite_diff_variation(lag, section, (xi,), step)
     f = section._field(xi)
-    factors = [(f._at_nodes(section.ctx.fiber(i)), section._at_nodes(c))
+    nodes = section._scaled_point(section.grid()[0].T)
+    factors = [(f._jet(section.ctx.jet_atom(i))(nodes), section._at_nodes(c))
                for i, c in enumerate(euler_lagrange(lag).components)]
     with _float_guard():
         pairing = sum(p * e for p, e in factors)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -81,22 +82,22 @@ def _lex(src: str, line: int = 1, col: int = 1) -> list[_Token]:
                 i += 1
             continue
         start_col = col
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and src[j].isdecimal():
                 j += 1
             if j < len(src) and src[j] == "." and j + 1 < len(src) \
-                    and src[j + 1].isdigit():
+                    and src[j + 1].isdecimal():
                 j += 1
-                while j < len(src) and src[j].isdigit():
+                while j < len(src) and src[j].isdecimal():
                     j += 1
             if j < len(src) and src[j] in "eE":
                 k = j + 1
                 if k < len(src) and src[k] in "+-":
                     k += 1
-                if k < len(src) and src[k].isdigit():
+                if k < len(src) and src[k].isdecimal():
                     j = k
-                    while j < len(src) and src[j].isdigit():
+                    while j < len(src) and src[j].isdecimal():
                         j += 1
             text = src[i:j]
             toks.append(_Token("NUM", text, line, start_col))
@@ -289,9 +290,15 @@ class _Parser:
         return names
 
 
-def parse_expr(src: str, ctx: JetContext, *, line: int = 1) -> JetExpr:
-    """Parse an expression; raises ParseError with a source position."""
-    p = _Parser(_lex(src, line=line), ctx)
+def parse_expr(src: str, ctx: JetContext, *, line: int = 1, col: int = 1
+               ) -> JetExpr:
+    """Parse an expression that starts at the given line and column;
+    raises ParseError with a source position."""
+    return _parse_tokens(_lex(src, line, col), ctx)
+
+
+def _parse_tokens(toks: list[_Token], ctx: JetContext) -> JetExpr:
+    p = _Parser(toks, ctx)
     node = p.expression()
     t = p.peek()
     if t.kind != "EOF":
@@ -304,6 +311,19 @@ def parse_expr(src: str, ctx: JetContext, *, line: int = 1) -> JetExpr:
 # ---------------------------------------------------------------------------
 
 
+def _json(value, kind: type):
+    """value, if its JSON type is kind (a bool is no int); else TypeError,
+    so that no reader converts a value silently."""
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _counts(values) -> tuple[int, ...]:
+    """The entries of a multi-index or of an opaque derivative order."""
+    return tuple(_json(c, int) for c in values)
+
+
 def _atom_from_dict(d: dict, ctx: JetContext) -> JetExpr:
     kind = d["kind"]
     if kind == "base":
@@ -311,11 +331,11 @@ def _atom_from_dict(d: dict, ctx: JetContext) -> JetExpr:
     if kind == "const":
         return atom_expr(ConstSym(d["name"]))
     if kind == "jet":
-        return ctx.jet(d["field"], MultiIndex(tuple(d["counts"])))
+        return ctx.jet(d["field"], MultiIndex(_counts(d["counts"])))
     if kind == "elem":
         return ex.elem(d["fn"], _expr_from_dict(d["arg"], ctx))
     if kind == "opaque":
-        return ctx.opaque(d["name"], tuple(d["orders"]),
+        return ctx.opaque(d["name"], _counts(d["orders"]),
                           tuple(_expr_from_dict(a, ctx) for a in d["args"]))
     if kind == "inv":
         return ex.div(ex.ONE, _expr_from_dict(d["body"], ctx))
@@ -325,9 +345,10 @@ def _atom_from_dict(d: dict, ctx: JetContext) -> JetExpr:
 def _expr_from_dict(d: dict, ctx: JetContext) -> JetExpr:
     total = ex.ZERO
     for t in d["terms"]:
-        piece = JetExpr.constant(Fraction(t["coeff"]))
+        piece = JetExpr.constant(Fraction(_json(t["coeff"], str)))
         for f in t["factors"]:
-            piece = piece * (_atom_from_dict(f["atom"], ctx) ** int(f["power"]))
+            piece = piece * (_atom_from_dict(f["atom"], ctx)
+                             ** _json(f["power"], int))
         total = total + piece
     return total
 
@@ -363,7 +384,7 @@ def object_from_dict(d: dict, ctx: JetContext):
     if t == "bilinear_form":
         comps = {}
         for entry in d["entries"]:
-            key = (MultiIndex(tuple(entry["sigma"])),
+            key = (MultiIndex(_counts(entry["sigma"])),
                    ctx.fiber_index(entry["i"]), ctx.fiber_index(entry["j"]))
             val = _expr_from_dict(entry["value"], ctx)
             comps[key] = comps[key] + val if key in comps else val
@@ -451,7 +472,8 @@ def _strip_comment(line: str) -> str:
 
 
 def _blocks(text: str):
-    """Group a problem file into (keyword, argument, [(lineno, line), ...])."""
+    """Group a problem file into (keyword, argument, [(lineno, line), ...]);
+    a body line keeps its indentation, so that its columns are the file's."""
     blocks = []
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -468,7 +490,7 @@ def _blocks(text: str):
                 raise ParseError(
                     f"expected a section keyword ({', '.join(sorted(_KEYWORDS))})",
                     lineno, 1)
-            current[3].append((lineno, line))
+            current[3].append((lineno, _strip_comment(raw).rstrip()))
     return blocks
 
 
@@ -486,7 +508,7 @@ def _parse_context_block(arg: str, lineno: int, body) -> JetContext:
         elif head in ("field", "fields"):
             fibers.extend(words[1:])
         elif head == "opaque":
-            rest = line[len(head):].strip()
+            rest = line.strip()[len(head):].strip()
             name, args = _parse_opaque_decl(rest, ln)
             opaque[name] = args
         else:
@@ -534,7 +556,7 @@ def _parse_components(ctx: JetContext, body, *, what: str, require_all: bool,
         idx = ctx.fiber_index(fname)
         if idx in comps:
             raise ParseError(f"duplicate component for field {fname!r}", ln, 1)
-        value = parse_expr(rhs, ctx, line=ln)
+        value = parse_expr(rhs, ctx, line=ln, col=len(lhs) + 2)
         if base_only and jet_coords(value):
             raise ParseError(
                 f"{what} expressions must be closed forms in the base "
@@ -612,7 +634,8 @@ def _parse_numeric_block(ctx: JetContext, body, block_line: int) -> NumericBlock
             axis = ctx.axis(words[1]) if words[1] in ctx.base_names else None
             if axis is None:
                 raise ParseError(f"unknown base variable {words[1]!r}", ln, 1)
-            lo, hi = (_domain_bound(text, ctx, ln) for text in words[2:])
+            lo, hi = (_domain_bound(m.group(), ctx, ln, m.start() + 1)
+                      for m in list(re.finditer(r"\S+", line))[2:])
             lo_exact, hi_exact = lo[1].constant_value(), hi[1].constant_value()
             if lo_exact is not None and hi_exact is not None:
                 _require_ordered(lo_exact, hi_exact, ln)
@@ -634,11 +657,12 @@ def _parse_numeric_block(ctx: JetContext, body, block_line: int) -> NumericBlock
     return NumericBlock(tuple(domain[a] for a in range(ctx.n)), settings)
 
 
-def _domain_bound(text: str, ctx: JetContext, line: int
+def _domain_bound(text: str, ctx: JetContext, line: int, col: int
                   ) -> tuple[str, JetExpr]:
-    """A bound as (text, exact value).  One that holds a coordinate or an
-    opaque function can never evaluate, so it is refused here."""
-    value = parse_expr(text, ctx, line=line)
+    """A bound, written at the given line and column, as (text, exact
+    value).  One that holds a coordinate or an opaque function can never
+    evaluate, so it is refused here."""
+    value = parse_expr(text, ctx, line=line, col=col)
     if any(isinstance(a, (BaseCoord, JetCoord, OpaqueFn))
            for a in all_atoms(value)):
         raise _not_finite(text, line)
@@ -676,12 +700,13 @@ def parse_problem_file(text: str) -> ProblemFile:
             raise ParseError(f"{head} declarations need a single name", lineno, 1)
         name = arg
         if head == "lagrangian":
-            src = " ".join(line for _ln, line in body)
-            if not src:
+            if not body:
                 raise ParseError(f"lagrangian {name!r} has no expression",
                                  lineno, 1)
-            pf.lagrangians[name] = Lagrangian(ctx, parse_expr(src, ctx,
-                                                              line=lineno))
+            # one expression, each line lexed where it is written
+            lexed = [_lex(line, ln) for ln, line in body]
+            toks = [t for ts in lexed for t in ts[:-1]] + lexed[-1][-1:]
+            pf.lagrangians[name] = Lagrangian(ctx, _parse_tokens(toks, ctx))
         elif head == "source":
             comps = _parse_components(ctx, body, what="source",
                                       require_all=False, base_only=False,

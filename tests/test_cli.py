@@ -291,6 +291,35 @@ BAD_BILINEAR = (
 )
 
 
+
+def _bilinear(i: str, atom: dict, power: int) -> str:
+    """A structured bilinear form with the single entry atom^power at
+    sigma [1], fields (i, i)."""
+    term = {"coeff": "1", "factors": [{"atom": atom, "power": power}]}
+    return json.dumps({"type": "bilinear_form", "entries": [
+        {"sigma": [1], "i": i, "j": i, "value": {"terms": [term]}}]})
+
+
+GEO = str(PROBLEMS / "geodesic_metric.vp")
+OSC_FORM = _bilinear("y", {"kind": "jet", "field": "y", "counts": [1]}, 2)
+GEO_FORM = _bilinear("q1", {
+    "kind": "opaque", "name": "g11", "orders": [1, 0],
+    "args": [{"terms": [{"coeff": "1", "factors": [{"atom": {
+        "kind": "jet", "field": q, "counts": [0]}, "power": 1}]}]}
+        for q in ("q1", "q2")]}, 1)
+# one value of each integer or string field of the structured format, of
+# a JSON type that the reader once converted silently:
+# (file, form, old, new, error)
+MISTYPED = (
+    (OSC, OSC_FORM, '"sigma": [1]', '"sigma": [1.7]', "int, got 1.7"),
+    (OSC, OSC_FORM, '"counts": [1]', '"counts": [true]', "int, got True"),
+    (GEO, GEO_FORM, '"orders": [1, 0]', '"orders": [1.0, 0]', "int, got 1.0"),
+    (OSC, OSC_FORM, '"power": 2', '"power": 2.9', "int, got 2.9"),
+    (OSC, OSC_FORM, '"power": 2', '"power": "3"', "int, got '3'"),
+    (OSC, OSC_FORM, '"coeff": "1"', '"coeff": 1', "str, got 1"),
+)
+
+
 class _Edited:
     """oscillator.vp with lines replaced, written out when a test runs."""
 
@@ -404,6 +433,18 @@ NUMERIC_BLOCK_EDITS = (
       "1e-170"], None, (2, "division by zero")),
     (["second-var", _Edited("step 1e-3", "step 1e-200"), "--section", "sol",
       "--fields", "b1,b1"], None, (2, "division by zero")),
+    # a step that leaves every varied jet equal to the unvaried one
+    (["second-var", OSC, "--section", "sol", "--fields", "b1,b2", "--step",
+      "1e-100"], None, (2, "step 1e-100 is too small")),
+    (["check-critical", OSC, "--section", "sol", "--fields", "b1", "--step",
+      "1e-300"], None, (2, "step 1e-300 is too small")),
+    # a structured value of the wrong JSON type is refused, not converted;
+    # its well-typed twin is read
+    *((["adjoint", path, "--bilinear", "-"], form, 0)
+      for path, form in ((OSC, OSC_FORM), (GEO, GEO_FORM))),
+    *((["adjoint", path, "--bilinear", "-"], form.replace(old, new),
+       (2, f"expected {error}"))
+      for path, form, old, new, error in MISTYPED),
 ])
 def test_exit_code_contract(capsys, monkeypatch, tmp_path, argv, stdin, code):
     """Exit code, and a phrase of the error where code is (code, phrase);

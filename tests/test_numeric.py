@@ -10,7 +10,7 @@ from jetvar import (JetContext, JetExpr, Lagrangian, NumericSection, action,
                     check_critical, check_onshell_symmetry, euler_lagrange,
                     finite_diff_variation, second_variation_check,
                     total_derivative)
-from jetvar.expr import ONE, partial, sin
+from jetvar.expr import ONE, ZERO, partial, sin
 from jetvar.multiindex import enumerate_up_to
 from jetvar.numeric import (MAX_POINTS, NotCritical, NumericError,
                             bump_factor, compile_expr, first_variation_pair,
@@ -339,6 +339,22 @@ def test_fd_tiny_step_is_a_numeric_error(oscillator, sin_section):
     with pytest.raises(NumericError, match="not finite"):
         finite_diff_variation(oscillator, sin_section, (big, big),
                               step=1e-160)
+
+
+def test_fd_step_below_the_jets_resolution_is_a_numeric_error(
+        ode_ctx, oscillator, sin_section):
+    """A step so small that every j0 + step * j of some field rounds back
+    to j0 varies no action, so the difference would read 0 whatever the
+    truth: a NumericError naming the step.  A field whose jets all vanish
+    varies nothing at any step, and reads 0 without complaint."""
+    t = ode_ctx.base("t")
+    faint = (JetExpr.constant(Fraction(1, 10 ** 300)),)
+    for fields, step in ((((ONE,), (t,)), 1e-100), (((ONE,),), 1e-300),
+                         (((ONE,), faint), 1e-3)):
+        with pytest.raises(NumericError, match=f"step {step!r} is too small"):
+            finite_diff_variation(oscillator, sin_section, fields, step=step)
+    assert finite_diff_variation(oscillator, sin_section, ((ZERO,),),
+                                 step=1e-300) == 0.0
 
 
 @pytest.mark.parametrize("domain", [(0.0, 1.0), (100.0, 101.0)])

@@ -86,6 +86,15 @@ def test_parse_errors_carry_positions(ode_ctx, bad, fragment):
     assert err.value.line >= 1 and err.value.col >= 1
 
 
+def test_superscript_digit_is_an_unexpected_character(ode_ctx):
+    """'²' is a digit to str.isdigit but no number to int or Fraction: the
+    lexer refuses it as a character, where it stands."""
+    with pytest.raises(ParseError) as err:
+        parse_expr("y^²", ode_ctx)
+    assert err.value.message == "unexpected character '²'"
+    assert (err.value.line, err.value.col) == (1, 3)
+
+
 def test_opaque_arity_error(metric_ctx):
     with pytest.raises(ParseError) as err:
         parse_expr("g11(q1)", metric_ctx)
@@ -282,3 +291,24 @@ lagrangian split
     ctx = pf.ctx
     assert pf.lagrangians["split"].density == \
         (ctx.jet("y", "t") ** 2 - ctx.fiber("y") ** 2) / 2
+
+
+CONTEXT = "context\n  base t\n  field y\n"
+
+
+@pytest.mark.parametrize("body, line, col", [
+    # a lagrangian spread over lines 5-6: the '*' opens line 6
+    ("lagrangian l\n  y_t^2 +\n  * y\n", 6, 3),
+    # the right-hand side of a field line starts past the '='
+    ("section s\n  y = t +* 2\n", 5, 10),
+    # a domain bound starts at its own column
+    ("lagrangian l\n  y\nsection s\n  y = t\nnumeric\n  domain t 0 2*)\n",
+     9, 16),
+])
+def test_problem_file_errors_point_at_the_token(body, line, col):
+    """A parse error in a lagrangian, a field line or a domain bound is
+    reported at the line and column of the offending token."""
+    with pytest.raises(ParseError) as err:
+        parse_problem_file(CONTEXT + body)
+    assert err.value.message.startswith("expected an expression")
+    assert (err.value.line, err.value.col) == (line, col)
