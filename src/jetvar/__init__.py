@@ -11,7 +11,7 @@ from .numconfig import NumericConfig
 from .textio import parse_expr, parse_problem_file, parse_structured, print_object
 from .variational import (BilinearForm, Lagrangian, SourceForm, adjoint,
                           contract, contract_source, euler_lagrange, helmholtz,
-                          helmholtz_skew, hessian, jacobi, quotient_variation,
+                          hessian, jacobi, quotient_variation,
                           second_variation_decomposition,
                           vertical_differential)
 
@@ -36,7 +36,7 @@ __all__ = [
     "NumericConfig", "NumericSection",
     "enumerate_up_to", "jet_order", "partial", "simplify", "substitute",
     "to_plain", "total_derivative", "total_derivative_multi", "d_v",
-    "euler_lagrange", "helmholtz", "helmholtz_skew", "adjoint",
+    "euler_lagrange", "helmholtz", "adjoint",
     "vertical_differential", "jacobi", "contract", "contract_source",
     "quotient_variation", "hessian", "second_variation_decomposition",
     "action", "finite_diff_variation", "check_critical",

@@ -24,8 +24,8 @@ from .textio import (ParseError, ProblemFile, dump_structured, object_to_dict,
                      parse_problem_file, parse_setting, parse_structured,
                      print_object)
 from .variational import (BilinearForm, Lagrangian, SourceForm, adjoint,
-                          euler_lagrange, helmholtz, helmholtz_skew,
-                          quotient_variation, vertical_differential)
+                          euler_lagrange, helmholtz, quotient_variation,
+                          vertical_differential)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -207,19 +207,17 @@ def _cmd_el(pf: ProblemFile, args) -> str:
 
 
 def _cmd_helmholtz(pf: ProblemFile, args) -> str:
-    src = _source(pf, args)
-    ht = helmholtz(src)
-    variational = ht.is_zero
+    # H* = -H (see variational.helmholtz): the skew slots, kept, repeat H
+    h = helmholtz(_source(pf, args))
+    variational = h.is_zero
     verdict = "locally variational" if variational else "not locally variational"
     if args.format == "structured":
-        return _structured(args, {"helmholtz": object_to_dict(ht),
-                                  "helmholtz_skew":
-                                      object_to_dict(helmholtz_skew(src)),
+        return _structured(args, {"helmholtz": object_to_dict(h),
+                                  "helmholtz_skew": object_to_dict(h),
                                   "locally_variational": variational})
-    out = [print_object(ht, args.format, name="H")]
+    out = [print_object(h, args.format, name="H")]
     if not variational:
-        out.append("skew part:")
-        out.append(print_object(helmholtz_skew(src), args.format, name="H"))
+        out += ["skew part:", out[0]]
     out.append(f"verdict: {verdict}")
     return "\n".join(out)
 

@@ -10,8 +10,9 @@ run as numpy arrays at the Gauss nodes.  Each compiled piece is first
 rewritten exactly in the box's scaled coordinates s = (x - mid)/half,
 where the bump factor below, which variation fields carry so that
 divergence terms drop from every integration by parts, is the separable
-product prod_axis b(s_a), b(s) = (1 - s^2)^4; in raw coordinates it has
-huge cancelling coefficients away from the origin.  The bump is never
+product prod_axis b(s_a), b(s) = (1 - s^2)^p with p = max(4, r) for a
+Lagrangian of order r; in raw coordinates it has huge cancelling
+coefficients away from the origin.  The bump is never
 expanded into a field: a bumped field's jet entry is the Leibniz sum of
 the compiled derivatives of each b times those of the field.  A section
 keeps one table of exact derivatives d/dx_a, from which each D_tau is one
@@ -287,7 +288,7 @@ class NumericSection:
         self._factors: dict[JetExpr, tuple] = {}
         self._jets: dict[ex.JetCoord, Callable] = {}
         self._bound: dict[JetExpr, Callable] = {}
-        self._fields: dict[tuple[JetExpr, ...], NumericSection] = {}
+        self._fields: dict[tuple, NumericSection] = {}   # by (comps, p)
         self._grid: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- prolongation ---------------------------------------------------
@@ -373,27 +374,28 @@ class NumericSection:
         return {a: (xa - float(m)) / float(h) for a, m, h, xa
                 in zip(self._axes, self._mid, self._half, x)}
 
-    def _field(self, comps: Sequence[JetExpr]) -> "NumericSection":
-        """The bumped field bump * xi as a section over the same box, built
-        once per field: the section of xi weighted by the bump, whose jet
-        entries _jet takes by the Leibniz rule, to any order.  The bump is
-        separable and written directly in scaled coordinates,
-        prod_axis (1 - s_a^2)^4, which is bump_factor rescaled exactly.
-        A field shares this section's derivative and compile tables, so
-        each derivative of the bump is taken and compiled once per
+    def _field(self, comps: Sequence[JetExpr], order: int) -> "NumericSection":
+        """The bumped field bump * xi for a Lagrangian of the given order,
+        as a section over the same box, built once per field and bump: the
+        section of xi weighted by the bump, whose jet entries _jet takes by
+        the Leibniz rule, to any order.  The bump is separable and written
+        directly in scaled coordinates, prod_axis (1 - s_a^2)^p with
+        p = max(BUMP_ORDER, order), which for p = 4 is bump_factor rescaled
+        exactly.  A field shares this section's derivative and compile
+        tables, so each derivative of a bump is taken and compiled once per
         section."""
-        comps = tuple(comps)
-        got = self._fields.get(comps)
+        comps, p = tuple(comps), max(BUMP_ORDER, order)
+        got = self._fields.get((comps, p))
         if got is None:
             if len(comps) != self.ctx.m:
                 raise ValueError(
                     f"variation fields need {self.ctx.m} components")
             got = NumericSection(self.ctx, comps, self.domain, self.nodes)
-            got._weight = tuple((1 - ex.atom_expr(a) ** 2) ** BUMP_ORDER
+            got._weight = tuple((1 - ex.atom_expr(a) ** 2) ** p
                                 for a in self._axes)
             got._derivatives, got._factors = self._derivatives, self._factors
             got._grid = self.grid()
-            self._fields[comps] = got
+            self._fields[comps, p] = got
         return got
 
     # -- quadrature -------------------------------------------------------
@@ -434,18 +436,19 @@ def action(lag: Lagrangian, section: NumericSection) -> float:
 # variations
 # ---------------------------------------------------------------------------
 
-# The bump's exponent: it vanishes to this order on each face of the box.
+# The least exponent of the bump.  A boundary term of an order-r Lagrangian
+# pairs D^a xi1 with D^b xi2, a + b <= 2r - 1, so min(a, b) <= r - 1 on each
+# axis, and a bump of exponent p = max(BUMP_ORDER, r) kills all of them.
 BUMP_ORDER = 4
 
 
 def bump_factor(ctx: JetContext, domain: Sequence[tuple[float, float]]
                 ) -> JetExpr:
-    """prod_axis ((x-a)(b-x))^4, normalized to peak value 1.  Its
-    derivatives below the fourth vanish on the boundary, which kills the
-    divergence terms of the first and second variation for Lagrangians up
-    to fourth order: a boundary term of an order-r Lagrangian pairs D^a of
-    one field with D^b of the other, a + b <= 2r - 1, so min(a, b) <= 3
-    when r <= 4 (see _require_bump_covers)."""
+    """prod_axis ((x-a)(b-x))^4, normalized to peak value 1: the order-4
+    bump in raw coordinates, against which the scaled bump of a bumped
+    field is checked.  Its derivatives below the fourth vanish on the
+    boundary, which kills the divergence terms of the first and second
+    variation for Lagrangians up to fourth order (see BUMP_ORDER)."""
     out = ex.ONE
     for axis, (lo, hi) in enumerate(domain):
         a = Fraction(lo)
@@ -456,32 +459,20 @@ def bump_factor(ctx: JetContext, domain: Sequence[tuple[float, float]]
     return out
 
 
-def _require_bump_covers(lag: Lagrangian) -> None:
-    """Refuse a check on bumped fields that the bump cannot localize: past
-    order BUMP_ORDER the divergence terms need not vanish on the boundary,
-    and the finite difference and the integrals would disagree on a true
-    identity."""
-    if lag.order > BUMP_ORDER:
-        raise NumericError(
-            f"the Lagrangian has order {lag.order}, but the bump "
-            f"(1 - s^2)^{BUMP_ORDER} of the variation fields covers "
-            f"Lagrangians of order at most {BUMP_ORDER}")
-
-
 def finite_diff_variation(lag: Lagrangian, section: NumericSection,
                           fields: Sequence[tuple[JetExpr, ...]],
                           step: float = 1e-3) -> float:
     """The len(fields)-th variation of the action along
     s + sum_k t_k * bump * xi_k, as a central finite difference at t = 0:
     the first variation for one field, the second for two.  Each field is
-    a closed form in the base coordinates; the bump is multiplied in
-    here.  The Richardson value is (4 * fd(step/2) - fd(step)) / 3."""
+    a closed form in the base coordinates; the bump, of exponent
+    max(BUMP_ORDER, lag.order), is multiplied in here.  The Richardson
+    value is (4 * fd(step/2) - fd(step)) / 3."""
     if len(fields) not in (1, 2):
         raise ValueError("only first and second variations are supported")
-    _require_bump_covers(lag)
-    return _difference_quotient(lag, section,
-                                [section._field(comps) for comps in fields],
-                                step)
+    return _difference_quotient(
+        lag, section, [section._field(comps, lag.order) for comps in fields],
+        step)
 
 
 def _difference_quotient(lag: Lagrangian, section: NumericSection,
@@ -566,14 +557,13 @@ def _critical_pair(lag: Lagrangian, section: NumericSection,
                    xi1: tuple[JetExpr, ...], xi2: tuple[JetExpr, ...],
                    crit_tol: float):
     """The common start of the checks on two bumped fields: refuse a
-    Lagrangian the bump does not cover and a section that is not
-    critical, then (criticality report, both bumped fields, V)."""
-    _require_bump_covers(lag)
+    section that is not critical, then (criticality report, both bumped
+    fields, V)."""
     crit = check_critical(lag, section, crit_tol)
     if not crit.is_critical:
         raise NotCritical(crit)
-    return (crit, section._field(xi1), section._field(xi2),
-            vertical_differential(lag))
+    return (crit, section._field(xi1, lag.order),
+            section._field(xi2, lag.order), vertical_differential(lag))
 
 
 @dataclass(frozen=True)
@@ -597,7 +587,7 @@ def check_onshell_symmetry(lag: Lagrangian, section: NumericSection,
     Both contractions are integrated over the box; pointwise they may
     differ by a total divergence, so the pointwise maximum difference is
     reported for inspection without being asserted small.  Refuses
-    non-critical sections, and Lagrangians the bump does not cover.
+    non-critical sections.
     """
     crit, f1, f2, ve = _critical_pair(lag, section, xi1, xi2, crit_tol)
     e12 = _contraction(ve, section, f1, f2)
@@ -645,7 +635,7 @@ def first_variation_pair(lag: Lagrangian, section: NumericSection,
     section) for a bump-localized field; the two agree as step -> 0 and
     both vanish on critical sections."""
     fd = finite_diff_variation(lag, section, (xi,), step)
-    f = section._field(xi)
+    f = section._field(xi, lag.order)
     nodes = section._scaled_point(section.grid()[0].T)
     factors = [(f._jet(section.ctx.jet_atom(i))(nodes), section._at_nodes(c))
                for i, c in enumerate(euler_lagrange(lag).components)]

@@ -494,6 +494,11 @@ def _blocks(text: str):
     return blocks
 
 
+def _words(line: str) -> list[tuple[str, int]]:
+    """The whitespace-separated words of a line, each with its column."""
+    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
+
+
 def _parse_context_block(arg: str, lineno: int, body) -> JetContext:
     if arg:
         raise ParseError("context declaration takes no argument", lineno, 1)
@@ -502,44 +507,42 @@ def _parse_context_block(arg: str, lineno: int, body) -> JetContext:
     opaque: dict[str, tuple[str, ...]] = {}
     for ln, line in body:
         words = line.split()
-        head = words[0]
+        head, col = _words(line)[0]
         if head == "base":
             base.extend(words[1:])
         elif head in ("field", "fields"):
             fibers.extend(words[1:])
         elif head == "opaque":
-            rest = line.strip()[len(head):].strip()
-            name, args = _parse_opaque_decl(rest, ln)
+            start = col - 1 + len(head)
+            name, args = _parse_opaque_decl(line[start:], ln, start + 1)
             opaque[name] = args
         else:
             raise ParseError(
                 f"unknown context entry {head!r} (expected base, field, opaque)",
-                ln, 1)
+                ln, col)
     try:
         return JetContext.make(base, fibers, opaque)
     except ex.ExprError as err:
         raise ParseError(str(err), lineno, 1) from None
 
 
-def _parse_opaque_decl(text: str, lineno: int) -> tuple[str, tuple[str, ...]]:
-    toks = _lex(text, line=lineno)
-    i = 0
-    if toks[i].kind != "IDENT":
-        raise ParseError("opaque declaration must be name(arg, ...)", lineno, 1)
-    name = toks[i].text
-    i += 1
-    if toks[i].kind != "(":
-        raise ParseError("opaque declaration must be name(arg, ...)", lineno, 1)
-    i += 1
-    args = []
-    while toks[i].kind == "IDENT":
-        args.append(toks[i].text)
-        i += 1
-        if toks[i].kind == ",":
+def _parse_opaque_decl(text: str, lineno: int, col: int
+                       ) -> tuple[str, tuple[str, ...]]:
+    """name(arg, ...) written from the given column; a refusal names the
+    column of the first token that breaks the form."""
+    toks = _lex(text, lineno, col)
+    i = int(toks[0].kind == "IDENT")      # the token to refuse
+    if i and toks[1].kind == "(":
+        i, args = 2, []
+        while toks[i].kind == "IDENT":
+            args.append(toks[i].text)
+            i += 2 if toks[i + 1].kind == "," else 1
+        if toks[i].kind == ")" and args:
             i += 1
-    if toks[i].kind != ")" or toks[i + 1].kind != "EOF" or not args:
-        raise ParseError("opaque declaration must be name(arg, ...)", lineno, 1)
-    return name, tuple(args)
+            if toks[i].kind == "EOF":
+                return toks[0].text, tuple(args)
+    raise ParseError("opaque declaration must be name(arg, ...)",
+                     toks[i].line, toks[i].col)
 
 
 def _parse_components(ctx: JetContext, body, *, what: str, require_all: bool,
@@ -551,11 +554,13 @@ def _parse_components(ctx: JetContext, body, *, what: str, require_all: bool,
                              ln, 1)
         lhs, rhs = line.split("=", 1)
         fname = lhs.strip()
+        col = len(lhs) - len(lhs.lstrip()) + 1
         if fname not in ctx.fiber_names:
-            raise ParseError(f"unknown field {fname!r}", ln, 1)
+            raise ParseError(f"unknown field {fname!r}", ln, col)
         idx = ctx.fiber_index(fname)
         if idx in comps:
-            raise ParseError(f"duplicate component for field {fname!r}", ln, 1)
+            raise ParseError(f"duplicate component for field {fname!r}", ln,
+                             col)
         value = parse_expr(rhs, ctx, line=ln, col=len(lhs) + 2)
         if base_only and jet_coords(value):
             raise ParseError(
@@ -596,28 +601,28 @@ def parse_setting(name: str, text: str):
 @dataclass
 class NumericBlock:
     """The numeric block of a problem file as written.  Each domain bound
-    stays an exact constant expression, with its text and line, until
-    ``config`` evaluates it: only a numeric command pays for that, and
-    for numpy."""
+    stays an exact constant expression, with its text, line and column,
+    until ``config`` evaluates it: only a numeric command pays for that,
+    and for numpy."""
 
-    # per axis: (line, (lo text, lo), (hi text, hi))
-    domain: tuple[tuple[int, tuple[str, JetExpr], tuple[str, JetExpr]], ...]
+    # per axis: (line, (lo text, col, lo), (hi text, col, hi))
+    domain: tuple[tuple[int, tuple, tuple], ...]
     settings: dict[str, int | float]
 
     def config(self) -> NumericConfig:
         """The block with each bound evaluated to a float by
         ``numeric.compile_expr``.  A bound that is not a finite constant,
-        or a pair with lo >= hi, raises ParseError naming its line."""
+        or a pair with lo >= hi, raises ParseError at its position."""
         from .numeric import compile_expr   # numpy: numeric commands only
         domain = []
         for line, *bounds in self.domain:
             pair = []
-            for text, value in bounds:
+            for text, col, value in bounds:
                 try:
                     pair.append(float(compile_expr(value)({})))
                 except NumericError:
-                    raise _not_finite(text, line) from None
-            _require_ordered(*pair, line)
+                    raise _not_finite(text, line, col) from None
+            _require_ordered(*pair, line, bounds[0][1])
             domain.append(tuple(pair))
         return NumericConfig(domain=tuple(domain), **self.settings)
 
@@ -626,29 +631,36 @@ def _parse_numeric_block(ctx: JetContext, body, block_line: int) -> NumericBlock
     domain: dict[int, tuple] = {}
     settings = {}
     for ln, line in body:
-        words = line.split()
-        head = words[0]
+        words = _words(line)
+        head, head_col = words[0]
         if head == "domain":
             if len(words) != 4:
-                raise ParseError("domain lines read 'domain axis lo hi'", ln, 1)
-            axis = ctx.axis(words[1]) if words[1] in ctx.base_names else None
-            if axis is None:
-                raise ParseError(f"unknown base variable {words[1]!r}", ln, 1)
-            lo, hi = (_domain_bound(m.group(), ctx, ln, m.start() + 1)
-                      for m in list(re.finditer(r"\S+", line))[2:])
-            lo_exact, hi_exact = lo[1].constant_value(), hi[1].constant_value()
+                raise ParseError("domain lines read 'domain axis lo hi'", ln,
+                                 head_col)
+            name, col = words[1]
+            if name not in ctx.base_names:
+                raise ParseError(f"unknown base variable {name!r}", ln, col)
+            axis = ctx.axis(name)
+            if axis in domain:
+                raise ParseError(f"duplicate domain for {name!r}", ln, col)
+            lo, hi = (_domain_bound(text, ctx, ln, c) for text, c in words[2:])
+            lo_exact, hi_exact = lo[2].constant_value(), hi[2].constant_value()
             if lo_exact is not None and hi_exact is not None:
-                _require_ordered(lo_exact, hi_exact, ln)
+                _require_ordered(lo_exact, hi_exact, ln, lo[1])
             domain[axis] = (ln, lo, hi)
         elif head in SETTINGS:
             if len(words) != 2:
-                raise ParseError(f"{head} lines read '{head} value'", ln, 1)
+                raise ParseError(f"{head} lines read '{head} value'", ln,
+                                 head_col)
+            if head in settings:
+                raise ParseError(f"duplicate setting {head!r}", ln, head_col)
+            text, col = words[1]
             try:
-                settings[head] = parse_setting(head, words[1])
+                settings[head] = parse_setting(head, text)
             except ValueError as err:
-                raise ParseError(f"{head}: {err}", ln, 1) from None
+                raise ParseError(f"{head}: {err}", ln, col) from None
         else:
-            raise ParseError(f"unknown numeric entry {head!r}", ln, 1)
+            raise ParseError(f"unknown numeric entry {head!r}", ln, head_col)
     missing = [ctx.base_names[a] for a in range(ctx.n) if a not in domain]
     if missing:
         raise ParseError(
@@ -658,25 +670,25 @@ def _parse_numeric_block(ctx: JetContext, body, block_line: int) -> NumericBlock
 
 
 def _domain_bound(text: str, ctx: JetContext, line: int, col: int
-                  ) -> tuple[str, JetExpr]:
-    """A bound, written at the given line and column, as (text, exact
-    value).  One that holds a coordinate or an opaque function can never
-    evaluate, so it is refused here."""
+                  ) -> tuple[str, int, JetExpr]:
+    """A bound, written at the given line and column, as (text, column,
+    exact value).  One that holds a coordinate or an opaque function can
+    never evaluate, so it is refused here."""
     value = parse_expr(text, ctx, line=line, col=col)
     if any(isinstance(a, (BaseCoord, JetCoord, OpaqueFn))
            for a in all_atoms(value)):
-        raise _not_finite(text, line)
-    return text, value
+        raise _not_finite(text, line, col)
+    return text, col, value
 
 
-def _not_finite(text: str, line: int) -> ParseError:
+def _not_finite(text: str, line: int, col: int) -> ParseError:
     return ParseError(f"domain bound {text!r} is not a finite constant",
-                      line, 1)
+                      line, col)
 
 
-def _require_ordered(lo, hi, line: int) -> None:
+def _require_ordered(lo, hi, line: int, col: int) -> None:
     if not lo < hi:
-        raise ParseError("domain bounds must satisfy lo < hi", line, 1)
+        raise ParseError("domain bounds must satisfy lo < hi", line, col)
 
 
 def parse_problem_file(text: str) -> ProblemFile:
@@ -688,6 +700,8 @@ def parse_problem_file(text: str) -> ProblemFile:
                          line, 1)
     ctx = _parse_context_block(blocks[0][1], blocks[0][2], blocks[0][3])
     pf = ProblemFile(ctx)
+    tables = {"lagrangian": pf.lagrangians, "source": pf.sources,
+              "section": pf.sections, "variation": pf.variations}
     for head, arg, lineno, body in blocks[1:]:
         if head == "context":
             raise ParseError("duplicate context declaration", lineno, 1)
@@ -698,7 +712,9 @@ def parse_problem_file(text: str) -> ProblemFile:
             continue
         if not arg or len(arg.split()) != 1:
             raise ParseError(f"{head} declarations need a single name", lineno, 1)
-        name = arg
+        name, table = arg, tables[head]
+        if name in table:
+            raise ParseError(f"duplicate {head} {name!r}", lineno, 1)
         if head == "lagrangian":
             if not body:
                 raise ParseError(f"lagrangian {name!r} has no expression",
@@ -706,18 +722,11 @@ def parse_problem_file(text: str) -> ProblemFile:
             # one expression, each line lexed where it is written
             lexed = [_lex(line, ln) for ln, line in body]
             toks = [t for ts in lexed for t in ts[:-1]] + lexed[-1][-1:]
-            pf.lagrangians[name] = Lagrangian(ctx, _parse_tokens(toks, ctx))
-        elif head == "source":
-            comps = _parse_components(ctx, body, what="source",
-                                      require_all=False, base_only=False,
-                                      block_line=lineno)
-            pf.sources[name] = SourceForm(ctx, comps)
-        elif head == "section":
-            pf.sections[name] = _parse_components(
-                ctx, body, what="section", require_all=True, base_only=True,
-                block_line=lineno)
-        elif head == "variation":
-            pf.variations[name] = _parse_components(
-                ctx, body, what="variation", require_all=False, base_only=True,
-                block_line=lineno)
+            table[name] = Lagrangian(ctx, _parse_tokens(toks, ctx))
+            continue
+        comps = _parse_components(ctx, body, what=head,
+                                  require_all=head == "section",
+                                  base_only=head != "source",
+                                  block_line=lineno)
+        table[name] = SourceForm(ctx, comps) if head == "source" else comps
     return pf

@@ -43,7 +43,6 @@ operator is nested over the same parent rule.  No table outlives the call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 # ``partial`` is not called here; perfbench's tracing tests look it up as
@@ -132,11 +131,6 @@ class BilinearForm:
         return BilinearForm(self.ctx, {(s, j, i): v
                                        for (s, i, j), v in self._entries})
 
-    def scaled(self, c) -> "BilinearForm":
-        factor = JetExpr.constant(c) if isinstance(c, (int, Fraction)) else c
-        return BilinearForm(self.ctx, {k: mul(v, factor)
-                                       for k, v in self._entries})
-
     def __add__(self, other: "BilinearForm") -> "BilinearForm":
         acc: dict[tuple[MultiIndex, int, int], JetExpr] = dict(self._entries)
         for k, v in other._entries:
@@ -206,16 +200,10 @@ def _sum(exprs: list[JetExpr]) -> JetExpr:
 def helmholtz(src: SourceForm) -> BilinearForm:
     """Local-variationality obstruction H = (V - V*)^T of a source form,
     with V its linearization: the source form is locally variational iff
-    V is formally self-adjoint, i.e. iff every component vanishes."""
+    V is formally self-adjoint, i.e. iff every component vanishes.  H* = -H,
+    as the adjoint is an involution that commutes with the transpose."""
     ve = linearize(src)
     return (ve - adjoint(ve)).transpose()
-
-
-def helmholtz_skew(src: SourceForm) -> BilinearForm:
-    """Skew-symmetrization H = (H~ - H~*)/2 of the Helmholtz form, the
-    display normalization; H and H~ have the same kernel."""
-    ht = helmholtz(src)
-    return (ht - adjoint(ht)).scaled(Fraction(1, 2))
 
 
 def adjoint(a: BilinearForm) -> BilinearForm:

@@ -68,3 +68,33 @@ def _to_sympy(e, ctx, sp):
 def to_sympy():
     """The sympy image of a jet expression, as _to_sympy(e, ctx, sp)."""
     return _to_sympy
+
+
+def _bumped_pairing(base, sigmas, xi1, xi2, order):
+    """sum over sigma in sigmas of the integral over [0, 1]^n of
+    D_sigma(B xi1) * D_sigma(B xi2), B = prod_a (1 - (2 x_a - 1)^2)^p,
+    p = max(4, order), exactly by sympy: the second variation of
+    sum 1/2 (y_sigma)^2 along the bumped fields xi1 and xi2, polynomials
+    in the base names written as text."""
+    sp = pytest.importorskip("sympy")
+    xs = sp.symbols(base)
+    xs = xs if isinstance(xs, tuple) else (xs,)
+    bump = sp.Mul(*((1 - (2 * x - 1) ** 2) ** max(4, order) for x in xs))
+    f1, f2 = (sp.Poly(bump * sp.sympify(xi), *xs) for xi in (xi1, xi2))
+
+    def d(f, sigma):
+        for x, k in zip(xs, sigma):
+            for _ in range(k):
+                f = f.diff(x)
+        return f
+
+    total = sum((d(f1, s) * d(f2, s) for s in sigmas), sp.Poly(0, *xs))
+    # the integral of prod_a x_a^k_a over the unit box is prod_a 1/(k_a + 1)
+    return sum(c / sp.Mul(*(k + 1 for k in ks)) for ks, c in total.terms())
+
+
+@pytest.fixture
+def bumped_pairing():
+    """The exact second variation along bumped fields, as
+    _bumped_pairing(base, sigmas, xi1, xi2, order)."""
+    return _bumped_pairing

@@ -92,6 +92,16 @@ def test_helmholtz_not_variational(capsys, problems_dir):
     assert "not locally variational" in out
 
 
+def test_helmholtz_skew_slot_is_h(capsys, problems_dir):
+    """H is skew-adjoint, so the structured skew part is H itself."""
+    code, out, _ = run(capsys, "helmholtz", path(problems_dir, "oscillator.vp"),
+                       "--source", "drift", "--format", "structured")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["helmholtz"]["entries"]
+    assert doc["helmholtz_skew"] == doc["helmholtz"]
+
+
 def test_helmholtz_variational(capsys, problems_dir):
     code, out, _ = run(capsys, "helmholtz", path(problems_dir, "oscillator.vp"),
                        "--source", "curvature")
@@ -412,10 +422,10 @@ NUMERIC_BLOCK_EDITS = (
        (2, "has no numeric value"))
       for cmd, fields in (("second-var", "b1,b3"), ("check-critical", "b3"),
                           ("jacobi", "b1,b3"))),
-    # the bump (1 - s^2)^4 localizes Lagrangians up to order 4 only: past
-    # that a true identity would fail with exit 3
+    # past order 4 the bump's exponent is the Lagrangian's order, so an
+    # order-5 Lagrangian is checked, and passes
     *(([cmd, _order_edit(5, "t^9"), "--section", "sol", "--fields", "b1,b2"],
-       None, (2, "the Lagrangian has order 5, but the bump (1 - s^2)^4"))
+       None, 0)
       for cmd in ("second-var", "check-critical", "jacobi")),
     # paths that cannot be read or written, and input that is not UTF-8
     (["el", OSC, "--output", f"{MISSING_DIR}/out.txt"], None,
@@ -462,7 +472,7 @@ def test_exit_code_contract(capsys, monkeypatch, tmp_path, argv, stdin, code):
     assert "Traceback" not in err
 
 
-# recorded at the order-4 limit before Lagrangians past it were refused
+# recorded at the order-4 limit, where the bump's exponent is still 4
 ORDER_FOUR_OUTPUT = {
     "second-var": (
         "finite-difference second variation: 2097152.0000020973\n"
@@ -494,15 +504,24 @@ def _numbers_close(got: str, want: str) -> bool:
                                re.findall(number, want)))
 
 
+@pytest.mark.parametrize("r, section", [(4, "t^7"), (5, "t^9"), (6, "t^11")])
 @pytest.mark.parametrize("cmd", sorted(ORDER_FOUR_OUTPUT))
-def test_order_four_lagrangian_is_still_checked(capsys, tmp_path, cmd):
-    """The order-4 twin of the refused order-5 case, 1/2*y_tttt^2 along
-    the critical t^7, passes with its output unchanged."""
-    target = _order_edit(4, "t^7").write(tmp_path)
+def test_order_r_lagrangian_is_checked(capsys, tmp_path, bumped_pairing, cmd,
+                                       r, section):
+    """1/2*(D^r y)^2 along the critical t^(2r - 1) passes every check on
+    bumped fields: at r = 4 with its output unchanged, past it with the
+    second variation that sympy integrates against the bump of exponent r."""
+    target = _order_edit(r, section).write(tmp_path)
     code, out, _ = run(capsys, cmd, target, "--section", "sol",
                        "--fields", "b1,b2")
     assert code == 0
-    assert _numbers_close(out, ORDER_FOUR_OUTPUT[cmd])
+    if r == 4:
+        assert _numbers_close(out, ORDER_FOUR_OUTPUT[cmd])
+    elif cmd == "second-var":
+        assert "consistent (rel tol 1e-06): yes" in out
+        got = re.search(r"vertical differential: (\S+)", out).group(1)
+        exact = bumped_pairing("t", [(r,)], "1", "t", r)
+        assert math.isclose(float(got), float(exact), rel_tol=1e-9)
 
 
 def test_numeric_structured_output_is_deterministic():
@@ -670,7 +689,9 @@ def test_domain_bounds_are_evaluated_by_numeric_subcommands(
     line = _OSC_LINES.index("  domain t 0 pi") + 1
     code, _out, err = run(capsys, "check-critical", target, "--section", "sol")
     assert code == 1
-    assert err.startswith(f"parse error: line {line}, col 1: domain bound")
+    # the column of the lower bound, which each case refuses
+    col = len("  domain t ") + 1
+    assert err.startswith(f"parse error: line {line}, col {col}: domain bound")
 
 
 def test_explicit_zero_tolerance_is_not_replaced(capsys):

@@ -11,11 +11,12 @@ from jetvar import (JetContext, JetExpr, Lagrangian, NumericSection, action,
                     finite_diff_variation, second_variation_check,
                     total_derivative)
 from jetvar.expr import ONE, ZERO, partial, sin
-from jetvar.multiindex import enumerate_up_to
+from jetvar.multiindex import MultiIndex, enumerate_up_to
 from jetvar.numeric import (MAX_POINTS, NotCritical, NumericError,
                             bump_factor, compile_expr, first_variation_pair,
                             gauss_legendre, integrate_on_section, rel_close)
 from jetvar.randgen import random_polynomial
+from jetvar.textio import parse_expr
 
 seeds = st.integers(0, 10**9)
 
@@ -370,7 +371,7 @@ def test_fd_matches_actions_of_varied_sections(ode_ctx, domain):
     sec = NumericSection(ode_ctx, (sin(t),), [domain])
     bump = bump_factor(ode_ctx, [domain])
     fields = ((ONE,), (t,))
-    field = sec._field(fields[1])
+    field = sec._field(fields[1], lag.order)
     assert math.prod(field._weight, start=ONE) == sec._scaled(bump)
     assert field._scaled_exprs == (sec._scaled(t),)
 
@@ -402,7 +403,7 @@ def test_fd_matches_actions_of_varied_sections(ode_ctx, domain):
 def test_scaled_bump_is_the_rescaled_bump_factor(pde_ctx):
     domain = [(0.1, 0.7), (-3.0, 5.5)]
     sec = NumericSection(pde_ctx, (pde_ctx.base("u"),), domain)
-    field = sec._field((ONE,))
+    field = sec._field((ONE,), 0)
     assert math.prod(field._weight, start=ONE) == \
         sec._scaled(bump_factor(pde_ctx, domain))
     assert field._scaled_exprs == (sec._scaled(ONE),)
@@ -430,7 +431,7 @@ def test_leibniz_jets_match_expanded_bump_partials(ode_ctx, pde_ctx, domain,
             for _ in range(count):
                 d = partial(d, ctx.base_atom(axis)) / JetExpr.constant(h)
         want = compile_expr(d)(env)
-        got = sec._field((xi,))._jet(ctx.jet_atom(0, sigma))(env)
+        got = sec._field((xi,), 0)._jet(ctx.jet_atom(0, sigma))(env)
         assert np.max(np.abs(got - want)) <= \
             1e-12 * np.max(np.abs(want)), sigma
 
@@ -446,31 +447,42 @@ def test_field_jets_compile_each_partial_once(ode_ctx, monkeypatch):
     monkeypatch.setattr(numeric, "compile_expr",
                         lambda e: calls.append(e) or original(e))
     sec = NumericSection(ode_ctx, (ode_ctx.base("t"),), [(0.0, 1.0)])
-    field = sec._field((sin(ode_ctx.base("t")),))
+    field = sec._field((sin(ode_ctx.base("t")),), 0)
     for k in range(5):
         field._jet(ode_ctx.jet_atom(0, (k,)))
     assert len(calls) == len(set(calls)) == 9
 
 
-@pytest.mark.parametrize("order", [5, 6])
-def test_bumped_checks_refuse_lagrangians_past_the_bump(ode_ctx, order):
-    """Past order 4 the bump leaves boundary terms, so every check on
-    bumped fields refuses, naming both orders, rather than give a wrong
-    verdict; the section here is critical."""
-    lag = Lagrangian(ode_ctx, ode_ctx.jet("y", "t" * order) ** 2 / 2)
-    t = ode_ctx.base("t")
-    sec = NumericSection(ode_ctx, (t ** (2 * order - 1),), [(0.0, 1.0)],
-                         nodes=16)
-    fields = ((ONE,), (t,))
-    checks = (
-        lambda: second_variation_check(lag, sec, *fields),
-        lambda: check_onshell_symmetry(lag, sec, *fields),
-        lambda: first_variation_pair(lag, sec, fields[0]),
-        lambda: finite_diff_variation(lag, sec, fields))
-    for check in checks:
-        with pytest.raises(NumericError, match=f"order {order}, .* at most 4"):
-            check()
-    assert check_critical(lag, sec).is_critical
+@pytest.mark.parametrize("base, sigmas, section, xi1, xi2, nodes", [
+    ("t", [(5,)], "t^9", "1", "t", 16),
+    ("t", [(6,)], "t^11", "1", "t", 16),
+    # orders 5 along t and 6 along x, with a mixed term
+    ("t x", [(5, 0), (0, 6), (1, 1)], "t^3*x + x^5*t", "1 + t*x", "t - x",
+     32),
+])
+def test_bumped_checks_cover_lagrangians_past_order_four(
+        bumped_pairing, base, sigmas, section, xi1, xi2, nodes):
+    """Past order 4 the bump's exponent is the Lagrangian's order r, so the
+    boundary terms still vanish on the critical section: for
+    L = sum 1/2 (y_sigma)^2 on [0, 1]^n the finite difference and both
+    integrals give the exact second variation, the first variation
+    vanishes, and V is symmetric on shell."""
+    ctx = JetContext.make(base, "y")
+    lag = Lagrangian(ctx, sum((ctx.jet("y", MultiIndex(s)) ** 2 / 2
+                               for s in sigmas), ZERO))
+    sec = NumericSection(ctx, (parse_expr(section, ctx),), [(0.0, 1.0)] * ctx.n,
+                         nodes=nodes)
+    fields = tuple((parse_expr(xi, ctx),) for xi in (xi1, xi2))
+    exact = float(bumped_pairing(base, sigmas, xi1, xi2, lag.order))
+    rep = second_variation_check(lag, sec, *fields)
+    assert rep.consistent()
+    assert rel_close(rep.integral_vertical_differential, exact, 1e-9, 0.0)
+    assert rel_close(rep.integral_jacobi, exact, 1e-9, 0.0)
+    assert rel_close(finite_diff_variation(lag, sec, fields), exact)
+    assert check_onshell_symmetry(lag, sec, *fields).symmetric()
+    for xi in fields:
+        fd, integral = first_variation_pair(lag, sec, xi)
+        assert abs(fd) <= 1e-12 * abs(exact) and integral == 0.0
 
 
 # ---------------------------------------------------------------------------

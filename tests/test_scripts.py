@@ -1,6 +1,7 @@
-"""The experiment scripts run end to end: the finite-difference
-convergence table shows the central-difference and Richardson rates, and
-the oscillator walkthrough completes."""
+"""The scripts run end to end: the finite-difference convergence table
+shows the central-difference and Richardson rates, the oscillator
+walkthrough completes, and the command-line sweep covers every
+subcommand."""
 
 import os
 import pathlib
@@ -12,10 +13,11 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _run(script: str) -> subprocess.CompletedProcess:
+def _run(script: str, *args: str) -> subprocess.CompletedProcess:
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / script)],
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script),
+                           *args],
                           capture_output=True, text=True, env=env, timeout=120)
 
 
@@ -36,3 +38,20 @@ def test_fd_convergence_rates():
 def test_oscillator_demo_runs():
     done = _run("oscillator_demo.py")
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_sweep_covers_every_subcommand():
+    """One line per argv, argv, exit code and two SHA-256 digests, with
+    every subcommand present and no exception escaping cli.main."""
+    from jetvar.cli import COMMANDS
+    done = _run("cli_sweep.py", str(ROOT / "problems" / "oscillator.vp"))
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert done.stderr == f"{len(lines)} argv\n"
+    for line in lines:
+        argv, code, out, err = line.split("\t")
+        assert argv.split()[1] == "problems/oscillator.vp"
+        assert code in ("0", "1", "2", "3"), line
+        assert len(out) == len(err) == 64
+        assert "Traceback" not in line
+    assert {line.split()[0] for line in lines} == {c for c, *_ in COMMANDS}

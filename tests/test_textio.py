@@ -256,6 +256,15 @@ source partial_src
     ("context\n base t\n field t", "not distinct"),
     ("context\n base t\n field sin", "reserved names"),
     ("context\n base t\n field y\n opaque g()", "name(arg, ...)"),
+    # a repeated name, axis or setting is refused at the repeated line
+    *((f"context\n base t\n field y\n{kind} a\n {line}\n{kind} a\n {line}",
+       f"line 6, col 1: duplicate {kind} 'a'")
+      for kind, line in (("lagrangian", "y"), ("source", "y = t"),
+                         ("section", "y = t"), ("variation", "y = 1"))),
+    ("context\n base t\n field y\nnumeric\n domain t 0 1\n domain t 0 2",
+     "line 6, col 9: duplicate domain for 't'"),
+    ("context\n base t\n field y\nnumeric\n domain t 0 1\n nodes 8\n"
+     " nodes 9", "line 7, col 2: duplicate setting 'nodes'"),
 ])
 def test_problem_file_errors(text, fragment):
     with pytest.raises(ParseError) as err:
@@ -312,3 +321,46 @@ def test_problem_file_errors_point_at_the_token(body, line, col):
         parse_problem_file(CONTEXT + body)
     assert err.value.message.startswith("expected an expression")
     assert (err.value.line, err.value.col) == (line, col)
+
+
+@pytest.mark.parametrize("body, message, line, col", [
+    # an opaque declaration is lexed where it is written
+    ("  opaque g(t, @)\n", "unexpected character '@'", 4, 15),
+    ("  opaque (t)\n", "must be name(arg, ...)", 4, 10),
+    ("  opaque g t\n", "must be name(arg, ...)", 4, 12),
+    ("  opaque g()\n", "must be name(arg, ...)", 4, 12),
+    ("  opaque g(t) x\n", "must be name(arg, ...)", 4, 15),
+    ("  odd stuff\n", "unknown context entry", 4, 3),
+    # field lines: the field name
+    ("section s\n  w = t\n", "unknown field 'w'", 5, 3),
+    ("section s\n  y = t\n    y = 1\n", "duplicate component", 6, 5),
+    # numeric lines: the word refused
+    ("numeric\n  frob 1\n", "unknown numeric entry", 5, 3),
+    ("numeric\n  domain t 0\n", "domain lines read", 5, 3),
+    ("numeric\n  domain x 0 1\n", "unknown base variable 'x'", 5, 10),
+    ("numeric\n  domain t 0 t\n", "domain bound 't' is not a finite", 5, 14),
+    ("numeric\n  domain t 1 0\n", "lo < hi", 5, 12),
+    ("numeric\n  nodes\n", "nodes lines read", 5, 3),
+    ("numeric\n  nodes x\n", "nodes: expected an integer", 5, 9),
+])
+def test_problem_file_refusals_name_their_column(body, message, line, col):
+    """A refusal of a context, field or numeric line is reported at the
+    column of what it refuses."""
+    with pytest.raises(ParseError) as err:
+        parse_problem_file(CONTEXT + body)
+    assert message in err.value.message
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+@pytest.mark.parametrize("bounds, message, col", [
+    ("0 log(0)", "domain bound 'log(0)' is not a finite", 14),
+    ("pi 1", "lo < hi", 12),
+])
+def test_evaluated_domain_bounds_are_refused_at_their_column(bounds, message,
+                                                             col):
+    """A bound refused only when evaluated keeps its column."""
+    pf = parse_problem_file(CONTEXT + f"numeric\n  domain t {bounds}\n")
+    with pytest.raises(ParseError) as err:
+        pf.numeric.config()
+    assert message in err.value.message
+    assert (err.value.line, err.value.col) == (5, col)

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from jetvar import (BilinearForm, JetContext, Lagrangian, SourceForm,
                     VerticalField, adjoint, contract, contract_source,
-                    euler_lagrange, helmholtz, helmholtz_skew, hessian,
-                    jacobi, quotient_variation,
+                    euler_lagrange, helmholtz, hessian, jacobi,
+                    quotient_variation,
                     second_variation_decomposition, total_derivative,
                     total_derivative_multi, vertical_differential)
 from jetvar.expr import ONE, ZERO, ExprError, partial, sqrt, to_plain
@@ -149,11 +149,33 @@ def test_helmholtz_curvature(ode_ctx):
     assert helmholtz(src).is_zero
 
 
-def test_helmholtz_skew_has_same_kernel(ode_ctx):
-    drift = SourceForm(ode_ctx, (ode_ctx.jet("y", "t"),))
-    assert not helmholtz_skew(drift).is_zero
-    curv = SourceForm(ode_ctx, (ode_ctx.jet("y", "tt"),))
-    assert helmholtz_skew(curv).is_zero
+def _assert_skew_adjoint(src):
+    h = helmholtz(src)
+    assert adjoint(h) == -h
+
+
+def test_helmholtz_is_skew_adjoint_on_fixed_sources(ode_ctx):
+    """H* = -H, so H is its own skew part (H - H*)/2: on the oscillator
+    file's drift (H != 0) and curvature (H = 0), and on a square root and
+    a quotient by a sum."""
+    y, yt, ytt = (ode_ctx.jet("y", s) for s in ("", "t", "tt"))
+    for e in (yt, ytt, sqrt(1 + yt ** 2) * ytt, ytt / (1 + y ** 2)):
+        _assert_skew_adjoint(SourceForm(ode_ctx, (e,)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds)
+def test_helmholtz_is_skew_adjoint(seed):
+    """H* = -H on random, mostly not variational, source forms: the adjoint
+    is an involution that commutes with the transpose."""
+    rng = random.Random(seed)
+    ctx = rng.choice([JetContext.make("t", "y"), JetContext.make("t", "y z"),
+                      JetContext.make("x1 x2", "y"),
+                      JetContext.make("x1 x2", "y z")])
+    _assert_skew_adjoint(SourceForm(ctx, tuple(
+        random_polynomial(rng, ctx, max_order=rng.randint(1, 3),
+                          max_monomials=3)
+        for _ in range(ctx.m))))
 
 
 @settings(max_examples=25, deadline=None)
