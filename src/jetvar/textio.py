@@ -533,14 +533,14 @@ def _parse_opaque_decl(text: str, lineno: int, col: int
     toks = _lex(text, lineno, col)
     i = int(toks[0].kind == "IDENT")      # the token to refuse
     if i and toks[1].kind == "(":
-        i, args = 2, []
-        while toks[i].kind == "IDENT":
-            args.append(toks[i].text)
-            i += 2 if toks[i + 1].kind == "," else 1
-        if toks[i].kind == ")" and args:
+        while toks[i + 1].kind == "IDENT" and toks[i + 2].kind == ",":
+            i += 2
+        for kind in ("IDENT", ")", "EOF"):    # the last argument, the end
             i += 1
-            if toks[i].kind == "EOF":
-                return toks[0].text, tuple(args)
+            if toks[i].kind != kind:
+                break
+        else:
+            return toks[0].text, tuple(t.text for t in toks[2:i:2])
     raise ParseError("opaque declaration must be name(arg, ...)",
                      toks[i].line, toks[i].col)
 

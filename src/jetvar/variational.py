@@ -25,7 +25,7 @@ p_{(i, sigma)} to the source form sum (-1)^{|sigma|} D_sigma(p_{(i, sigma)}):
 applied to the d^sigma_i L it is the Euler-Lagrange morphism, and applied to
 a weighted linearization it gives each summand of the second-variation
 split.  The vertical differential of the Euler-Lagrange morphism is V, the
-Jacobi morphism is V*, and the Helmholtz form is H = (V - V*)^T: a source
+Jacobi morphism V* = V, and the Helmholtz form is H = (V - V*)^T: a source
 form is locally variational iff its linearization is formally self-adjoint
 (Olver, Applications of Lie Groups to Differential Equations, ch. 5).  The
 adjoint is the one integration by parts; the certificate that the first
@@ -240,8 +240,8 @@ def vertical_differential(lag: Lagrangian) -> BilinearForm:
 
 
 def jacobi(lag: Lagrangian) -> BilinearForm:
-    """Jacobi morphism: the adjoint of the vertical differential.  Along
-    critical sections it agrees with the vertical differential itself."""
+    """Jacobi morphism: the adjoint of the vertical differential, and equal
+    to it identically, on shell or off, by the Helmholtz conditions."""
     return adjoint(vertical_differential(lag))
 
 

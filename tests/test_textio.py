@@ -330,6 +330,11 @@ def test_problem_file_errors_point_at_the_token(body, line, col):
     ("  opaque g t\n", "must be name(arg, ...)", 4, 12),
     ("  opaque g()\n", "must be name(arg, ...)", 4, 12),
     ("  opaque g(t) x\n", "must be name(arg, ...)", 4, 15),
+    # one ',' between arguments and none before the ')'
+    ("  opaque g(t y)\n", "must be name(arg, ...)", 4, 14),
+    ("  opaque g(t,)\n", "must be name(arg, ...)", 4, 14),
+    ("  opaque g(t,,y)\n", "must be name(arg, ...)", 4, 14),
+    ("  opaque g(,t)\n", "must be name(arg, ...)", 4, 12),
     ("  odd stuff\n", "unknown context entry", 4, 3),
     # field lines: the field name
     ("section s\n  w = t\n", "unknown field 'w'", 5, 3),
@@ -350,6 +355,13 @@ def test_problem_file_refusals_name_their_column(body, message, line, col):
         parse_problem_file(CONTEXT + body)
     assert message in err.value.message
     assert (err.value.line, err.value.col) == (line, col)
+
+
+@pytest.mark.parametrize("decl", ["g(t, y)", "g(t,y)", "g( t ,y )", "g(y)"])
+def test_opaque_declaration_accepts_comma_separated_arguments(decl):
+    pf = parse_problem_file(CONTEXT + f"  opaque {decl}\n")
+    args = ("t", "y") if "t" in decl else ("y",)
+    assert pf.ctx.opaque_table == {"g": args}
 
 
 @pytest.mark.parametrize("bounds, message, col", [

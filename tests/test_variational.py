@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -16,12 +17,14 @@ from jetvar.multiindex import MultiIndex, enumerate_up_to
 from jetvar.randgen import (random_bilinear_form, random_current,
                             random_lagrangian, random_polynomial,
                             random_vertical_field)
-from jetvar.variational import (first_summand_certificate,
+from jetvar.textio import parse_expr, parse_problem_file
+from jetvar.variational import (first_summand_certificate, linearize,
                                 reconstruct_from_certificate)
 
 from onshell import prolong_relations, reduce_onshell
 
 seeds = st.integers(0, 10**9)
+PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
 
 
 @pytest.fixture
@@ -320,6 +323,61 @@ def test_jacobi_on_cubic_lagrangian(ode_ctx):
     xi1 = VerticalField(ode_ctx, (y,))
     xi2 = VerticalField(ode_ctx, (yt,))
     assert contract(xi1, xi2, ve) == contract(xi1, xi2, jac)
+
+
+# The Helmholtz conditions: the linearization V of an Euler-Lagrange form is
+# formally self-adjoint, so jacobi(L) = V* is V itself, on shell or off.  The
+# CLI's jacobi and numeric.second_variation_check use V for J on this ground.
+
+@pytest.mark.parametrize("seed", range(40))
+def test_jacobi_is_vertical_differential_random(seed):
+    """Random polynomial Lagrangians, n, m <= 2, of order 1-3: a square of
+    a top-order coordinate, weighted by a random polynomial, keeps V of
+    order twice the Lagrangian's."""
+    rng = random.Random(seed)
+    ctx = JetContext.make(rng.choice(["t", "x1 x2"]), rng.choice(["y", "y z"]))
+    order = rng.randint(1, 3)
+    sigma = rng.choice([s for s in enumerate_up_to(ctx.n, order)
+                        if s.order() == order])
+    top = ctx.jet(rng.randrange(ctx.m), sigma)
+    poly = random_polynomial(rng, ctx, max_order=order, max_monomials=3)
+    lag = Lagrangian(ctx, top ** 2 * (1 + poly) + poly)
+    ve = vertical_differential(lag)
+    assert ve.order == 2 * order
+    assert jacobi(lag) == ve
+
+
+@pytest.mark.parametrize("base, fields, density", [
+    ("t", "y", "sqrt(1 + y_t^2)"),
+    ("t", "y", "log(1 + y^2 + y_t^2)"),
+    ("t", "y", "1/(1 + y^2 + y_t^2)"),
+    ("t", "y z", "sin(y*z_t) + exp(y_tt)*z"),
+    ("x1 x2", "y z", "y_{x1 x2}*z/(y + z^2 + 1) + sqrt(1 + y_{x1}^2)*z_{x2}"),
+])
+def test_jacobi_is_vertical_differential_non_polynomial(base, fields, density):
+    ctx = JetContext.make(base, fields)
+    lag = Lagrangian(ctx, parse_expr(density, ctx))
+    assert jacobi(lag) == vertical_differential(lag)
+
+
+@pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.vp")),
+                         ids=lambda p: p.name)
+def test_jacobi_is_vertical_differential_on_problem_files(path):
+    """Every Lagrangian of problems/*.vp, the opaque geodesic_metric.vp
+    one among them."""
+    pf = parse_problem_file(path.read_text(encoding="utf-8"))
+    assert pf.lagrangians
+    for lag in pf.lagrangians.values():
+        assert jacobi(lag) == vertical_differential(lag)
+
+
+def test_linearization_of_a_non_variational_source_is_not_self_adjoint(
+        ode_ctx):
+    """The identity is one of Euler-Lagrange forms: the source y = y_t is
+    none, and its linearization differs from its adjoint."""
+    ve = linearize(SourceForm(ode_ctx, (ode_ctx.jet("y", "t"),)))
+    assert adjoint(ve) != ve
+    assert adjoint(ve) == -ve
 
 
 @settings(max_examples=15, deadline=None)
