@@ -7,9 +7,12 @@ integer powers of atomic factors.  Atomic factors are base coordinates
 elementary function applications, opaque smooth function symbols and
 their formal partial derivatives, and inverses of multi-term sums.
 
-A coefficient is an ``int`` while its denominator is 1 and a ``Fraction``
-otherwise.  Every division goes through ``Fraction``, so no coefficient
-is ever a float.
+An expression stores its coefficients as ``int`` numerators over one
+positive common denominator, the least common multiple of their reduced
+denominators, so the ring operations and derivatives do integer
+arithmetic only and end in one gcd.  The public view ``terms`` gives each
+coefficient as an ``int`` while its denominator is 1 and a ``Fraction``
+otherwise.  No coefficient is ever a float.
 
 Canonicalization is ring-level only: no trigonometric or radical
 identities are applied, function applications are atomic generators.
@@ -330,13 +333,20 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
 
 
 class JetExpr:
-    """Immutable canonical expression; see the module docstring."""
+    """Immutable canonical expression; see the module docstring.
 
-    __slots__ = ("_terms", "_hash", "_key", "_order")
+    ``_terms`` holds (monomial, numerator) pairs and ``_den`` the common
+    denominator: the nonzero integer numerators have no factor in common
+    with ``_den``, which is 1 exactly when every coefficient is an integer.
+    """
 
-    def __init__(self, terms: tuple[tuple[Monomial, Number], ...]):
-        # terms must already be canonical (sorted, nonzero coefficients)
+    __slots__ = ("_terms", "_den", "_hash", "_key", "_order")
+
+    def __init__(self, terms: tuple[tuple[Monomial, int], ...], den: int = 1):
+        # terms must already be canonical (sorted, nonzero numerators that
+        # share no factor with den)
         self._terms = terms
+        self._den = den
         self._hash = None
         self._key = None
         self._order = None
@@ -345,11 +355,11 @@ class JetExpr:
 
     @staticmethod
     def _from_dict(d: dict[Monomial, Number]) -> "JetExpr":
-        """Canonical sum of the nonzero entries, coefficients demoted to
-        ``int`` where the denominator is 1."""
-        items = [(m, _demote(c)) for m, c in d.items() if c != 0]
-        items.sort(key=lambda mc: _mono_key(mc[0]))
-        return JetExpr(tuple(items))
+        """Canonical sum of the entries, rational coefficients keyed by
+        monomial."""
+        den = math.lcm(*(c.denominator for c in d.values()))
+        return _normalized({m: c.numerator * (den // c.denominator)
+                            for m, c in d.items()}, den)
 
     @staticmethod
     def constant(value: Number) -> "JetExpr":
@@ -358,18 +368,28 @@ class JetExpr:
         if not isinstance(value, (int, Fraction)):
             raise TypeError(f"a constant must be an int or a Fraction, "
                             f"not {type(value).__name__}")
-        c = Fraction(value)
-        if c == 0:
+        if value == 0:
             return ZERO
-        return JetExpr((((), _demote(c)),))
+        return JetExpr((((), int(value.numerator)),), int(value.denominator))
 
     # -- structure ----------------------------------------------------------
 
     @property
     def terms(self) -> tuple[tuple[Monomial, Number], ...]:
         """(monomial, coefficient) pairs in canonical order; a coefficient
-        is an ``int`` when its denominator is 1, else a ``Fraction``."""
-        return self._terms
+        is an ``int`` when its denominator is 1, else a ``Fraction``.
+        Built on each call from the stored numerators."""
+        if self._den == 1:
+            return self._terms
+        return tuple((m, _rational(p, q)) for m, p, q in self._ratios())
+
+    def _ratios(self):
+        """(monomial, p, q) per term in canonical order, with p/q the
+        coefficient in lowest terms, q > 0."""
+        den = self._den
+        for m, n in self._terms:
+            g = math.gcd(n, den)
+            yield m, n // g, den // g
 
     @property
     def is_zero(self) -> bool:
@@ -380,12 +400,12 @@ class JetExpr:
         if not self._terms:
             return 0
         if len(self._terms) == 1 and not self._terms[0][0]:
-            return self._terms[0][1]
+            return _rational(self._terms[0][1], self._den)
         return None
 
     def sort_key(self):
         if self._key is None:
-            self._key = tuple((_mono_key(m), c) for m, c in self._terms)
+            self._key = tuple((_mono_key(m), c) for m, c in self.terms)
         return self._key
 
     def __eq__(self, other):
@@ -393,13 +413,14 @@ class JetExpr:
             other = JetExpr.constant(other)
         if not isinstance(other, JetExpr):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
         if self._hash is None:
             c = self.constant_value()
             # constants hash like their rational value, matching __eq__
-            self._hash = hash(c) if c is not None else hash(self._terms)
+            self._hash = (hash(c) if c is not None
+                          else hash((self._terms, self._den)))
         return self._hash
 
     def __repr__(self):
@@ -416,7 +437,7 @@ class JetExpr:
     __radd__ = __add__
 
     def __neg__(self):
-        return JetExpr(tuple((m, -c) for m, c in self._terms))
+        return JetExpr(tuple((m, -n) for m, n in self._terms), self._den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -460,11 +481,20 @@ ZERO = JetExpr(())
 ONE = JetExpr((((), 1),))
 
 
-def _demote(c: Number) -> Number:
-    """An integral ``Fraction`` as an ``int``; anything else unchanged."""
-    if type(c) is Fraction and c.denominator == 1:
-        return c.numerator
-    return c
+def _rational(p: int, q: int) -> Number:
+    """p/q, in lowest terms with q > 0, as an ``int`` when q is 1, else as
+    a ``Fraction``."""
+    return p if q == 1 else Fraction(p, q)
+
+
+def _normalized(acc: dict[Monomial, int], den: int) -> JetExpr:
+    """The canonical sum of numerators acc over den > 0: zero entries
+    dropped, the gcd of den and the numerators divided out, the terms
+    sorted."""
+    g = math.gcd(den, *acc.values()) if den != 1 else 1
+    # distinct monomials have distinct keys, so no two triples tie on it
+    items = sorted([(_mono_key(m), m, n // g) for m, n in acc.items() if n])
+    return JetExpr(tuple([(m, n) for _k, m, n in items]), den // g)
 
 
 def _coerce(x):
@@ -497,41 +527,35 @@ def add(a: JetExpr, b: JetExpr) -> JetExpr:
         return b
     if b.is_zero:
         return a
-    d = {m: c for m, c in a.terms}
-    for m, c in b.terms:
-        nc = d.get(m, 0) + c
-        if nc == 0:
-            d.pop(m, None)
-        else:
-            d[m] = nc
-    return JetExpr._from_dict(d)
+    return add_scaled(((1, a), (1, b)))
 
 
 def add_many(exprs: Iterable[JetExpr]) -> JetExpr:
-    d: dict[Monomial, Number] = {}
-    for e in exprs:
-        for m, c in e.terms:
-            nc = d.get(m, 0) + c
-            if nc == 0:
-                d.pop(m, None)
-            else:
-                d[m] = nc
-    return JetExpr._from_dict(d)
+    return add_scaled((1, e) for e in exprs)
+
+
+def add_scaled(pairs: Iterable[tuple[int, JetExpr]]) -> JetExpr:
+    """sum of c * e over the (c, e) pairs, each c an int: every numerator
+    is brought to the lcm of the denominators and summed as an integer."""
+    pairs = list(pairs)
+    den = math.lcm(*(e._den for _c, e in pairs))
+    acc: dict[Monomial, int] = {}
+    for c, e in pairs:
+        f = c * (den // e._den)
+        for m, n in e._terms:
+            acc[m] = acc.get(m, 0) + f * n
+    return _normalized(acc, den)
 
 
 def mul(a: JetExpr, b: JetExpr) -> JetExpr:
     if a.is_zero or b.is_zero:
         return ZERO
-    d: dict[Monomial, Number] = {}
-    for m1, c1 in a.terms:
-        for m2, c2 in b.terms:
+    d: dict[Monomial, int] = {}
+    for m1, n1 in a._terms:
+        for m2, n2 in b._terms:
             m = _mono_mul(m1, m2)
-            nc = d.get(m, 0) + c1 * c2
-            if nc == 0:
-                d.pop(m, None)
-            else:
-                d[m] = nc
-    return JetExpr._from_dict(d)
+            d[m] = d.get(m, 0) + n1 * n2
+    return _normalized(d, a._den * b._den)
 
 
 def pow_int(e: JetExpr, k: int) -> JetExpr:
@@ -559,7 +583,7 @@ def div(a: JetExpr, b: JetExpr) -> JetExpr:
         raise DivisionByZeroExpr("division by an identically zero expression")
     if a.is_zero:
         return ZERO
-    if len(b.terms) == 1:
+    if len(b._terms) == 1:
         m, c = b.terms[0]
         out = mul(a, JetExpr.constant(Fraction(1, c)))
         for atom, e in m:
@@ -578,7 +602,7 @@ def div(a: JetExpr, b: JetExpr) -> JetExpr:
 def _factor_sum(b: JetExpr) -> tuple[Number, Monomial, JetExpr]:
     """Split a multi-term sum as content * common-monomial * monic remainder."""
     common: dict[Atom, int] | None = None
-    for m, _c in b.terms:
+    for m, _n in b._terms:
         exps = dict(m)
         if common is None:
             common = exps
@@ -613,11 +637,11 @@ def _exact_div(a: JetExpr, b: JetExpr) -> JetExpr | None:
     no InvSum factors); uses a dense graded-lex order for termination.
     """
     for e in (a, b):
-        for m, _c in e.terms:
+        for m, _n in e._terms:
             for atom, exp in m:
                 if exp < 0 or isinstance(atom, InvSum):
                     return None
-    gens = sorted({atom for m, _c in list(a.terms) + list(b.terms)
+    gens = sorted({atom for m, _n in a._terms + b._terms
                    for atom, _e in m}, key=lambda g: g.sort_key())
     pos = {g: i for i, g in enumerate(gens)}
 
@@ -703,41 +727,47 @@ def derive(e: JetExpr, on_coord: Callable[[Atom], JetExpr]) -> JetExpr:
     coordinate or a constant) to on_coord(a): Leibniz over every
     monomial, and the chain rule through function arguments.
 
-    The terms of the result are accumulated in one dict: the factor
-    a^k of a monomial c*m contributes c*k * (m / a) * t for every term t
-    of the atom's derivative.  Each atom is differentiated once per call.
+    The integer numerators of the result are accumulated in one dict
+    over the denominator of e times the lcm of the atom derivatives'
+    denominators: the factor a^k of a monomial c*m contributes
+    c*k * (m / a) * t for every term t of the atom's derivative.  Each
+    atom is differentiated once per call.
     """
     memo: dict[Atom, JetExpr] = {}
 
     def d_atom(atom: Atom) -> JetExpr:
-        da = memo.get(atom)
-        if da is None:
-            if not atom.args:
-                da = on_coord(atom)
-            else:
-                pieces = []
-                for slot, arg in enumerate(atom.args):
-                    d_arg = derive(arg, on_coord)
-                    if not d_arg.is_zero:
-                        pieces.append(mul(atom.d_arg(slot), d_arg))
-                da = add_many(pieces)
-            memo[atom] = da
-        return da
+        if not atom.args:
+            return on_coord(atom)
+        pieces = []
+        for slot, arg in enumerate(atom.args):
+            d_arg = derive(arg, on_coord)
+            if not d_arg.is_zero:
+                pieces.append(mul(atom.d_arg(slot), d_arg))
+        return add_many(pieces)
 
-    acc: dict[Monomial, Number] = {}
-    for m, coeff in e.terms:
+    acc: dict[Monomial, int] = {}
+    den = 1   # the lcm of the denominators of the atom derivatives met
+    for m, n in e._terms:
         for idx, (atom, k) in enumerate(m):
-            da = d_atom(atom)
-            if da.is_zero:
+            da = memo.get(atom)
+            if da is None:
+                da = memo[atom] = d_atom(atom)
+            if not da._terms:
                 continue
+            if den % da._den:
+                grown = math.lcm(den, da._den)
+                f = grown // den
+                for mm in acc:
+                    acc[mm] *= f
+                den = grown
             # m with the exponent of this factor lowered by one
             lowered = ((atom, k - 1),) if k != 1 else ()
             rest = m[:idx] + lowered + m[idx + 1:]
-            ck = coeff * k
-            for m2, c2 in da.terms:
+            nk = n * k * (den // da._den)
+            for m2, n2 in da._terms:
                 mm = _mono_mul(rest, m2)
-                acc[mm] = acc.get(mm, 0) + ck * c2
-    return JetExpr._from_dict(acc)
+                acc[mm] = acc.get(mm, 0) + nk * n2
+    return _normalized(acc, e._den * den)
 
 
 def partial(e: JetExpr, coord: Atom) -> JetExpr:
@@ -798,7 +828,7 @@ def all_atoms(e: JetExpr) -> set[Atom]:
     seen: set[Atom] = set()
     todo = [e]
     while todo:
-        for m, _c in todo.pop().terms:
+        for m, _n in todo.pop()._terms:
             for atom, _k in m:
                 if atom not in seen:
                     seen.add(atom)
@@ -867,47 +897,51 @@ def _suffix(names: Sequence[str], counts: Sequence[int],
     return "_{" + " ".join(names) + "}"
 
 
-def coeff_text(c: Number) -> str:
-    """Decimal text of a rational; one with more digits than the
+def _int_text(n: int) -> str:
+    """Decimal text of an integer; one with more digits than the
     interpreter converts raises ExprError."""
     try:
-        return str(c)
+        return str(n)
     except ValueError:
         raise ExprError(f"a coefficient has more than "
                         f"{sys.get_int_max_str_digits()} digits and cannot "
                         f"be printed") from None
 
 
-def _latex_coeff(c: Number) -> str:
-    if c.denominator == 1:
-        return coeff_text(c.numerator)
-    num, den = coeff_text(c.numerator), coeff_text(c.denominator)
-    return rf"\frac{{{num}}}{{{den}}}"
+def coeff_text(p: int, q: int) -> str:
+    """Decimal text of the rational p/q in lowest terms: ``p`` when q is
+    1, else ``p/q``, as ``str`` writes a Fraction."""
+    return _int_text(p) if q == 1 else f"{_int_text(p)}/{_int_text(q)}"
+
+
+def _latex_coeff(p: int, q: int) -> str:
+    if q == 1:
+        return _int_text(p)
+    return rf"\frac{{{_int_text(p)}}}{{{_int_text(q)}}}"
 
 
 def _render(e: JetExpr, atom_text: Callable[[Atom], str], power: str,
-            coeff: Callable[[Number], str], sep: str) -> str:
+            coeff: Callable[[int, int], str], sep: str) -> str:
     """The term loop of to_plain and to_latex: the terms of e in canonical
     order with signs between them, each one its coefficient's magnitude
-    (left out when 1) and its factors joined by sep, where a factor a^k
-    is power.format(atom_text(a), k)."""
+    p/q, written coeff(p, q) and left out when 1, and its factors joined
+    by sep, where a factor a^k is power.format(atom_text(a), k)."""
     if e.is_zero:
         return "0"
     parts: list[str] = []
-    for m, c in e.terms:
-        mag = -c if c < 0 else c
+    for m, p, q in e._ratios():
         factors = []
         for atom, k in m:
             if isinstance(atom, InvSum):   # k on InvSum means body^-k
                 k = -k
             s = atom_text(atom)
             factors.append(s if k == 1 else power.format(s, k))
-        if mag != 1 or not factors:
-            factors.insert(0, coeff(mag))
+        if p not in (1, -1) or q != 1 or not factors:
+            factors.insert(0, coeff(abs(p), q))
         if parts:
-            parts.append((" - " if c < 0 else " + ") + sep.join(factors))
+            parts.append((" - " if p < 0 else " + ") + sep.join(factors))
         else:
-            parts.append(("-" if c < 0 else "") + sep.join(factors))
+            parts.append(("-" if p < 0 else "") + sep.join(factors))
     return "".join(parts)
 
 
@@ -924,10 +958,10 @@ def to_latex(e: JetExpr) -> str:
 def expr_to_dict(e: JetExpr) -> dict:
     """The structured form of e: its terms in canonical order, each a
     coefficient string and a list of atom/power factors."""
-    return {"terms": [{"coeff": coeff_text(c),
+    return {"terms": [{"coeff": coeff_text(p, q),
                        "factors": [{"atom": a.to_dict(), "power": k}
                                    for a, k in m]}
-                      for m, c in e.terms]}
+                      for m, p, q in e._ratios()]}
 
 
 def to_code(e: JetExpr, names: dict[Atom, str]) -> str:
@@ -937,8 +971,8 @@ def to_code(e: JetExpr, names: dict[Atom, str]) -> str:
     if e.is_zero:
         return "0.0"
     parts = []
-    for m, c in e.terms:
-        factors = [f"({coeff_text(c.numerator)}/{coeff_text(c.denominator)})"]
+    for m, p, q in e._ratios():
+        factors = [f"({_int_text(p)}/{_int_text(q)})"]
         for atom, k in m:
             code = atom.code(names)
             factors.append(f"({code})**{k}" if k != 1 else code)

@@ -80,9 +80,21 @@ class MultiIndex:
 
     def subindices(self) -> Iterator["MultiIndex"]:
         """All rho with rho <= sigma componentwise, in graded-lex order."""
-        box = itertools.product(*(range(c + 1) for c in self.counts))
-        for c in sorted(box, key=_graded_lex):
-            yield _valid(c)
+        for tau, _rest, _binom in self.splits():
+            yield tau
+
+    def splits(self) -> Iterator[tuple["MultiIndex", "MultiIndex", int]]:
+        """(tau, sigma - tau, C(sigma, tau)) for every tau <= sigma, in the
+        graded-lex order of tau: the box below sigma, walked once."""
+        counts = self.counts
+        rows = [[math.comb(c, t) for t in range(c + 1)] for c in counts]
+        box = itertools.product(*(range(c + 1) for c in counts))
+        for tau in sorted(box, key=_graded_lex):
+            binom = 1
+            for row, t in zip(rows, tau):
+                binom *= row[t]
+            yield (_valid(tau),
+                   _valid(tuple(c - t for c, t in zip(counts, tau))), binom)
 
     def render(self, base_names: Sequence[str]) -> str:
         """Juxtaposition of base-variable names, e.g. ``x1 x1 x2`` for (2, 1)."""

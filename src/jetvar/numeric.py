@@ -334,7 +334,7 @@ class NumericSection:
         got = self._jets.get(jc)
         if got is None:
             terms = []
-            for rho in jc.sigma.subindices():
+            for rho, rest, binom in jc.sigma.splits():
                 # d^k w_a / dx_a^k: k steps along axis a
                 factors = [self._compiled(functools.reduce(
                     self._d_dx, [a] * k, self._weight[a]))
@@ -342,8 +342,8 @@ class NumericSection:
                 if any(w == 0.0 for w, _ in factors):
                     continue
                 factors.append(self._compiled(self._partial(
-                    self._scaled_exprs[jc.index], jc.sigma.sub(rho))))
-                c = jc.sigma.binom(rho) * math.prod(w for w, _ in factors)
+                    self._scaled_exprs[jc.index], rest)))
+                c = binom * math.prod(w for w, _ in factors)
                 if c != 0.0:
                     terms.append((c, [f for _, f in factors if f is not None]))
             got = self._jets[jc] = _leibniz_sum(terms)

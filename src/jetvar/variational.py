@@ -47,8 +47,8 @@ from typing import Mapping, Sequence
 
 # ``partial`` is not called here; perfbench's tracing tests look it up as
 # ``variational.partial``.
-from .expr import (JetContext, JetExpr, ZERO, add, add_many, jet_order, mul,
-                   partial)
+from .expr import (JetContext, JetExpr, ZERO, add, add_many, add_scaled,
+                   jet_order, mul, partial)
 from .jetcalc import (VerticalField, d_v, derivative_lattice, lattice_edges,
                       total_derivative)
 from .multiindex import MultiIndex
@@ -209,19 +209,17 @@ def helmholtz(src: SourceForm) -> BilinearForm:
 def adjoint(a: BilinearForm) -> BilinearForm:
     """Formal adjoint under integration by parts (see module docstring)."""
     ctx = a.ctx
-    acc: dict[tuple[MultiIndex, int, int], dict] = {}
+    acc: dict[tuple[MultiIndex, int, int], list[tuple[int, JetExpr]]] = {}
     for (sigma, i, j), val in a.entries():
         sign = -1 if sigma.order() % 2 else 1
         # D_tau val for every tau <= sigma, each once; rho = sigma - tau
         # and C(sigma, rho) = C(sigma, tau)
-        box = derivative_lattice(val, sigma.subindices(), ctx)
-        for tau, d in box.items():
-            c = sign * sigma.binom(tau)
-            terms = acc.setdefault((sigma.sub(tau), j, i), {})
-            for m, coeff in d.terms:
-                terms[m] = terms.get(m, 0) + c * coeff
-    return BilinearForm(ctx, {k: JetExpr._from_dict(terms)
-                              for k, terms in acc.items()})
+        walk = list(sigma.splits())
+        box = derivative_lattice(val, [tau for tau, _rho, _c in walk], ctx)
+        for tau, rho, binom in walk:
+            acc.setdefault((rho, j, i), []).append((sign * binom, box[tau]))
+    return BilinearForm(ctx, {k: add_scaled(pairs)
+                              for k, pairs in acc.items()})
 
 
 def linearize(src: SourceForm) -> BilinearForm:

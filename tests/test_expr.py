@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from jetvar import JetContext, JetExpr, jet_order, partial, simplify, \
     substitute, to_plain
-from jetvar.expr import (Atom, DivisionByZeroExpr, ExprError, ONE,
-                         UnknownCoordinate, ZERO, atom_pow, cos,
-                         evaluate_exact, jet_coords, pow_int, sin)
+from jetvar.expr import (Atom, DivisionByZeroExpr, ElemFn, ExprError, ONE,
+                         UnknownCoordinate, ZERO, _mono_key, add_many,
+                         atom_pow, cos, evaluate_exact, jet_coords, pow_int,
+                         sin)
 from jetvar.randgen import random_polynomial
 from jetvar.variational import (Lagrangian, adjoint, euler_lagrange,
                                 linearize)
@@ -224,24 +225,6 @@ def test_evaluate_exact_needs_bound_polynomial(ode_ctx):
 
 @settings(max_examples=60, deadline=None)
 @given(seeds)
-def test_random_build_order_independence(seed):
-    """The canonical form does not depend on how a polynomial is assembled."""
-    rng = random.Random(seed)
-    ctx = JetContext.make("x1 x2", "y z")
-    e = random_polynomial(rng, ctx, max_order=2, max_monomials=5)
-    terms = list(e.terms)
-    rng.shuffle(terms)
-    rebuilt = ZERO
-    for m, c in terms:
-        piece = JetExpr.constant(c)
-        for atom, k in m:
-            piece = piece * atom_pow(atom, k)
-        rebuilt = piece + rebuilt
-    assert rebuilt == e
-
-
-@settings(max_examples=60, deadline=None)
-@given(seeds)
 def test_partial_commutes(seed):
     rng = random.Random(seed)
     ctx = JetContext.make("x1 x2", "y z")
@@ -280,3 +263,91 @@ def test_substitute_identity_bindings(seed):
     e = random_polynomial(rng, ctx, max_order=2, max_monomials=4)
     bindings = {jc: ctx.jet(jc.index, jc.sigma) for jc in jet_coords(e)}
     assert substitute(e, bindings) == e
+
+
+# ---------------------------------------------------------------------------
+# the stored form: integer numerators over one denominator
+# ---------------------------------------------------------------------------
+
+
+def _rational_polynomial(rng, ctx):
+    """A random polynomial whose coefficients have denominators 1-12."""
+    shape = random_polynomial(rng, ctx, max_order=2, max_monomials=5)
+    return add_many(
+        _term(Fraction(rng.choice((-1, 1)) * rng.randint(1, 30),
+                       rng.randint(1, 12)), m)
+        for m, _c in shape.terms)
+
+
+def _term(c, m):
+    piece = JetExpr.constant(c)
+    for atom, k in m:
+        piece = piece * atom_pow(atom, k)
+    return piece
+
+
+def _rational_key(e):
+    """e's sort key rebuilt with every coefficient a Fraction: the key
+    compares and hashes rational values."""
+    return tuple((_mono_key(m), Fraction(c)) for m, c in e.terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds)
+def test_random_build_order_independence(seed):
+    """The canonical form does not depend on how a polynomial is
+    assembled: equal values give equal expressions with equal hashes,
+    built in shuffled order or scaled by 1/k and back by k."""
+    rng = random.Random(seed)
+    ctx = JetContext.make("x1 x2", "y z")
+    e = _rational_polynomial(rng, ctx)
+    terms = list(e.terms)
+    rng.shuffle(terms)
+    rebuilt = ZERO
+    for m, c in terms:
+        rebuilt = _term(c, m) + rebuilt
+    assert rebuilt == e and hash(rebuilt) == hash(e)
+    k = rng.randint(1, 12)
+    scaled = e * Fraction(1, k) * k
+    assert scaled == e and hash(scaled) == hash(e)
+    halves = e / 2 + e / 2
+    assert halves == e and hash(halves) == hash(e)
+    assert e - e == ZERO and (e - e).is_zero
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds)
+def test_terms_view_has_exact_nonzero_coefficients(seed):
+    """No coefficient of the terms view is 0 or an integral Fraction, in
+    sums, products and derivatives of rational polynomials alike."""
+    rng = random.Random(seed)
+    ctx = JetContext.make("x1 x2", "y z")
+    a, b = _rational_polynomial(rng, ctx), _rational_polynomial(rng, ctx)
+    coord = rng.choice(jet_coords(a) or [ctx.jet_atom("y")])
+    for e in (a, a + b, a - b, a * b, -a, partial(a, coord), a * 12, a / 7):
+        for _m, c in e.terms:
+            assert c != 0 and _exact(c), (c, type(c))
+        assert e.sort_key() == _rational_key(e)
+        assert hash(e.sort_key()) == hash(_rational_key(e))
+
+
+@given(st.fractions(max_denominator=10**6) | st.integers(-10**30, 10**30))
+def test_constant_hashes_like_its_value(q):
+    assert hash(JetExpr.constant(q)) == hash(q)
+    assert JetExpr.constant(q) == q
+    y = JetContext.make("x", "y").fiber("y")
+    assert hash((y + q) - y) == hash(q)
+
+
+def test_sort_key_compares_rational_values(xy_ctx):
+    """Atom keys order coefficients by value, not by stored numerator: y/2
+    and y are stored with the numerator 1 each, over 2 and over 1."""
+    y = xy_ctx.fiber("y")
+    cs = [Fraction(3, 2), Fraction(-1, 3), 1, Fraction(1, 2), 2,
+          Fraction(5, 12), -1]
+    atoms = sorted((ElemFn("sin", c * y) for c in cs), key=Atom.sort_key)
+    assert [a.arg for a in atoms] == [c * y for c in sorted(cs)]
+    y_atom = xy_ctx.jet_atom("y")
+    assert ElemFn("sin", y / 2 + 1).sort_key() == (
+        3, "sin", ((_mono_key(()), 1), (_mono_key(((y_atom, 1),)),
+                                         Fraction(1, 2))))

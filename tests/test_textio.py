@@ -9,8 +9,9 @@ from jetvar import JetContext, Lagrangian, euler_lagrange, to_plain
 from jetvar.expr import ONE, exp, sin, sqrt
 from jetvar.multiindex import MultiIndex
 from jetvar.randgen import random_polynomial
-from jetvar.textio import (ParseError, parse_expr, parse_problem_file,
-                           parse_structured, print_object, to_latex)
+from jetvar.textio import (ParseError, dump_structured, parse_expr,
+                           parse_problem_file, parse_structured, print_object,
+                           to_latex)
 from jetvar.variational import BilinearForm
 
 seeds = st.integers(0, 10**9)
@@ -193,6 +194,38 @@ def test_structured_roundtrip_forms(ode_ctx):
                                 (MultiIndex((0,)), 0, 0): ONE})
     back = parse_structured(print_object(bf, "structured"), ode_ctx)
     assert back == bf
+
+
+_json_scalars = (st.none() | st.booleans()
+                 | st.integers() | st.integers(-10**40, 10**40)
+                 | st.sampled_from([0.0, -0.0, 5e-324, 1e308, 1e16, 0.1,
+                                    float("inf"), float("-inf"), float("nan")])
+                 | st.floats() | st.text()
+                 | st.sampled_from(["", "\x00\x1f\x7f", "\u00e9\u4e2d",
+                                    "\U0001f600", "\"\\/\b\f\n\r\t",
+                                    "\u2028\ud800"]))
+_json_payloads = st.recursive(
+    _json_scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(max_size=6), _json_payloads, max_size=5))
+def test_structured_writer_matches_json_dumps(payload):
+    """The structured writer gives the bytes of json.dumps with sorted keys
+    and a two-space indent: escapes, -0.0, the smallest subnormal, long
+    integers, non-finite floats and empty containers included."""
+    assert dump_structured(payload) == json.dumps(payload, sort_keys=True,
+                                                  indent=2)
+
+
+def test_structured_writer_refuses_what_json_refuses():
+    for bad in ({"a": object()}, {"a": [Fraction(1, 2)]}, {"a": {1, 2}}):
+        with pytest.raises(TypeError):
+            dump_structured(bad)
 
 
 def test_structured_is_deterministic(ode_ctx):
