@@ -63,9 +63,8 @@ class Atom:
     the same function applied to new arguments.
 
     Every kind writes itself out: ``plain()`` and ``latex()`` give its text
-    in the two printed formats, ``to_dict()`` its structured (JSON) form,
-    and ``code(names)`` a numpy expression that reads each coordinate as
-    ``v[name]``, with the names kept in ``names``.
+    in the two printed formats, ``to_dict()`` its structured (JSON) form;
+    ``numeric.compile_expr`` evaluates expressions term by term instead.
     """
 
     __slots__ = ("_key", "_hash")
@@ -106,9 +105,6 @@ class ConstSym(Atom):
     def to_dict(self) -> dict:
         return {"kind": "const", "name": self.name}
 
-    def code(self, names: dict) -> str:
-        return repr(KNOWN_CONSTANTS[self.name])
-
 
 class BaseCoord(Atom):
     """Base coordinate x^lam."""
@@ -128,9 +124,6 @@ class BaseCoord(Atom):
 
     def to_dict(self) -> dict:
         return {"kind": "base", "name": self.name}
-
-    def code(self, names: dict) -> str:
-        return names.setdefault(self, f"v[_a{len(names)}]")
 
 
 class JetCoord(Atom):
@@ -168,8 +161,6 @@ class JetCoord(Atom):
         return {"kind": "jet", "field": self.field,
                 "counts": list(self.sigma.counts)}
 
-    code = BaseCoord.code
-
 
 class ElemFn(Atom):
     """Elementary function application; the argument is a JetExpr."""
@@ -204,9 +195,6 @@ class ElemFn(Atom):
 
     def to_dict(self) -> dict:
         return {"kind": "elem", "fn": self.fn, "arg": expr_to_dict(self.arg)}
-
-    def code(self, names: dict) -> str:
-        return f"_np.{self.fn}({to_code(self.arg, names)})"
 
 
 class OpaqueFn(Atom):
@@ -256,9 +244,6 @@ class OpaqueFn(Atom):
                 "orders": list(self.orders),
                 "args": [expr_to_dict(a) for a in self.args]}
 
-    def code(self, names: dict) -> str:
-        raise ExprError(f"opaque function {self!r} has no numeric value")
-
 
 class InvSum(Atom):
     """Inverse of a canonical multi-term sum (leading coefficient 1).
@@ -292,9 +277,6 @@ class InvSum(Atom):
 
     def to_dict(self) -> dict:
         return {"kind": "inv", "body": expr_to_dict(self.body)}
-
-    def code(self, names: dict) -> str:
-        return f"1.0/({to_code(self.body, names)})"
 
 
 # ---------------------------------------------------------------------------
@@ -880,7 +862,7 @@ def evaluate_exact(e: JetExpr, env: Mapping[Atom, Fraction]) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# rendering: plain text (the parser's inverse), latex, structured, code
+# rendering: plain text (the parser's inverse), latex, structured
 # ---------------------------------------------------------------------------
 
 
@@ -962,22 +944,6 @@ def expr_to_dict(e: JetExpr) -> dict:
                        "factors": [{"atom": a.to_dict(), "power": k}
                                    for a, k in m]}
                       for m, p, q in e._ratios()]}
-
-
-def to_code(e: JetExpr, names: dict[Atom, str]) -> str:
-    """Python source of e over numpy (``_np``) and the coordinate values
-    ``v``; each coordinate met is given a name in ``names``.  An opaque
-    function, or a coefficient too long to print, raises ExprError."""
-    if e.is_zero:
-        return "0.0"
-    parts = []
-    for m, p, q in e._ratios():
-        factors = [f"({_int_text(p)}/{_int_text(q)})"]
-        for atom, k in m:
-            code = atom.code(names)
-            factors.append(f"({code})**{k}" if k != 1 else code)
-        parts.append("*".join(factors))
-    return " + ".join(parts)
 
 
 # ---------------------------------------------------------------------------

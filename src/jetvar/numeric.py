@@ -3,10 +3,11 @@ integrals by Gauss-Legendre quadrature, finite-difference variations of
 the action along linear variations, criticality and on-shell symmetry
 checks.
 
-Evaluation is composition, L o j^r s: an integrand L is compiled once
-with the jet coordinates as inputs, each jet entry d_sigma s^i it needs
-is compiled from exact partials of the section's closed form, and both
-run as numpy arrays at the Gauss nodes.  Each compiled piece is first
+Evaluation is composition, L o j^r s: an integrand L with the jet
+coordinates as inputs, and each jet entry d_sigma s^i it needs from exact
+partials of the section's closed form, are evaluated term by term in
+canonical order, with the floats of their Python source, on numpy arrays
+at the Gauss nodes.  Each compiled piece is first
 rewritten exactly in the box's scaled coordinates s = (x - mid)/half,
 where the bump factor below, which variation fields carry so that
 divergence terms drop from every integration by parts, is the separable
@@ -35,8 +36,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from . import expr as ex
-from .expr import (ExprError, JetContext, JetExpr, jet_coords, partial,
-                   substitute, to_code)
+from .expr import JetContext, JetExpr, jet_coords, partial, substitute
 from .multiindex import MultiIndex
 # NumericConfig is re-exported; these names live apart so that a
 # symbolic command can use them without importing numpy
@@ -51,7 +51,7 @@ def rel_close(a: float, b: float, rel: float = 1e-6, floor: float = 1e-8) -> boo
 
 
 # ---------------------------------------------------------------------------
-# compiled evaluation
+# evaluation
 # ---------------------------------------------------------------------------
 
 
@@ -65,22 +65,13 @@ def _float_guard():
         raise NumericError(f"numeric evaluation failed: {err}") from None
 
 
-def compile_expr(e: JetExpr) -> Callable[[Mapping[ex.Atom, Any]], Any]:
-    """Compile e to a numpy function of a mapping from its coordinates to
-    floats or arrays.  Faults, non-finite values and unbound coordinates
-    raise NumericError.  Reentrant and deterministic."""
-    names: dict[ex.Atom, str] = {}
-    try:
-        code = to_code(e, names)
-    except ExprError as err:    # an opaque function or too long a coefficient
-        raise NumericError(str(err)) from None
-    raw = eval(f"lambda v: {code}",
-               {"_np": np, **{f"_a{k}": a for k, a in enumerate(names)}})
-
+def _guarded(f: Callable[[Mapping[ex.Atom, Any]], Any]) -> Callable:
+    """f with its faults, non-finite values and unbound coordinates
+    raised as NumericError."""
     @_float_guard()
     def run(env: Mapping[ex.Atom, Any]):
         try:
-            out = raw(env)
+            out = f(env)
         except KeyError as err:
             raise NumericError(f"coordinate {err.args[0]!r} left unbound") \
                 from None
@@ -91,6 +82,50 @@ def compile_expr(e: JetExpr) -> Callable[[Mapping[ex.Atom, Any]], Any]:
     return run
 
 
+def _refuse_opaque(e: JetExpr) -> None:
+    """NumericError at the first opaque function in e, arguments included."""
+    for m, _n in e._terms:
+        for atom, _k in m:
+            if isinstance(atom, ex.OpaqueFn):
+                raise NumericError(
+                    f"opaque function {atom!r} has no numeric value")
+            for arg in atom.args:
+                _refuse_opaque(arg)
+
+
+def _value(e: JetExpr, env: Mapping[ex.Atom, Any]):
+    """e at env by the float operations of its Python source
+    p/q*a*b**k*1.0/(c)*(1.0/(d))**j + ...: each term is p/q times its
+    factors from left to right, and the terms are added in canonical
+    order from the first on."""
+    out = None
+    for m, p, q in e._ratios():
+        term = p / q
+        for atom, k in m:
+            kind = type(atom)
+            if kind is ex.InvSum:
+                v = _value(atom.body, env)
+                term = term / v if k == 1 else term * (1.0 / v) ** k
+                continue
+            if kind is ex.ElemFn:
+                v = getattr(np, atom.fn)(_value(atom.arg, env))
+            elif kind is ex.ConstSym:
+                v = ex.KNOWN_CONSTANTS[atom.name]
+            else:
+                v = env[atom]
+            term = term * (v if k == 1 else v ** k)
+        out = term if out is None else out + term
+    return 0.0 if out is None else out
+
+
+def compile_expr(e: JetExpr) -> Callable[[Mapping[ex.Atom, Any]], Any]:
+    """e as a function of a mapping from its coordinates to floats or
+    arrays.  Opaque functions, faults, non-finite values and unbound
+    coordinates raise NumericError.  Reentrant and deterministic."""
+    _refuse_opaque(e)
+    return _guarded(functools.partial(_value, e))
+
+
 def _leibniz_sum(terms: Sequence[tuple[float, Sequence[Callable]]]
                  ) -> Callable[[Mapping[ex.Atom, Any]], Any]:
     """env -> sum of c * prod_f f(env) over the terms (c, fs); a lone term
@@ -98,19 +133,16 @@ def _leibniz_sum(terms: Sequence[tuple[float, Sequence[Callable]]]
     if len(terms) == 1 and terms[0][0] == 1.0 and len(terms[0][1]) == 1:
         return terms[0][1][0]
 
-    @_float_guard()
-    def run(env: Mapping[ex.Atom, Any]):
+    def total(env: Mapping[ex.Atom, Any]):
         out = 0.0
         for c, fns in terms:
             term = c
             for f in fns:
                 term = term * f(env)
             out = out + term
-        if not np.all(np.isfinite(out)):
-            raise NumericError("evaluation gave a value that is not finite")
         return out
 
-    return run
+    return _guarded(total)
 
 
 # ---------------------------------------------------------------------------

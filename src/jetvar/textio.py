@@ -299,7 +299,12 @@ def parse_expr(src: str, ctx: JetContext, *, line: int = 1, col: int = 1
 
 def _parse_tokens(toks: list[_Token], ctx: JetContext) -> JetExpr:
     p = _Parser(toks, ctx)
-    node = p.expression()
+    try:
+        node = p.expression()
+    except RecursionError:
+        t = p.peek()
+        raise ParseError("expression nested too deeply", t.line, t.col) \
+            from None
     t = p.peek()
     if t.kind != "EOF":
         raise ParseError(f"unexpected trailing input {t.text!r}", t.line, t.col)

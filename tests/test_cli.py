@@ -346,6 +346,17 @@ class _Edited:
         return str(target)
 
 
+def _nested_edit(depth: int) -> _Edited:
+    """oscillator.vp with L = y_t^2/2 + y*N(t) on [0, 1], N(t) being
+    sin(...)^2 nested depth deep, and the section y = t^2/2, where the
+    Euler-Lagrange residual is N(t) - 1: from eight nestings on N is
+    below 1e-12, so the check fails with max residual 1.0."""
+    potential = "sin(" * depth + "t" + ")^2" * depth
+    return _Edited("1/2*(y_t^2 - y^2)", f"y_t^2/2 + y*{potential}",
+                   ("y = sin(t)", "y = t^2/2"),
+                   ("domain t 0 pi", "domain t 0 1"))
+
+
 def _order_edit(r: int, section: str) -> _Edited:
     """oscillator.vp with the order-r Lagrangian 1/2*(D^r y)^2 on [0, 1],
     critical along the section, with fields 1 and t as b1, b2."""
@@ -455,10 +466,18 @@ NUMERIC_BLOCK_EDITS = (
     *((["adjoint", path, "--bilinear", "-"], form.replace(old, new),
        (2, f"expected {error}"))
       for path, form, old, new, error in MISTYPED),
+    # a potential nested deeper than Python source may nest parentheses
+    (["check-critical", _nested_edit(100), "--section", "sol", "--fields",
+      "b1"], None, (3, "max residual: 1.0\n")),
+    # input nested deeper than the parser's stack
+    *((["el", _Edited("1/2*(y_t^2 - y^2)", lagrangian)], None,
+       (1, "nested too deeply"))
+      for lagrangian in ("-" * 1200 + "y_t^2",
+                         "sin(" * 180 + "y_t" + ")" * 180)),
 ])
 def test_exit_code_contract(capsys, monkeypatch, tmp_path, argv, stdin, code):
-    """Exit code, and a phrase of the error where code is (code, phrase);
-    stdin given as bytes is read as UTF-8."""
+    """Exit code, and a phrase of the error where code is (code, phrase),
+    of the report where code is 3; stdin given as bytes is read as UTF-8."""
     code, phrase = code if isinstance(code, tuple) else (code, "")
     argv = [a if isinstance(a, str) else a.write(tmp_path) for a in argv]
     if isinstance(stdin, bytes):
@@ -466,10 +485,38 @@ def test_exit_code_contract(capsys, monkeypatch, tmp_path, argv, stdin, code):
                                                           encoding="utf-8"))
     elif stdin is not None:
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
-    got, _out, err = run(capsys, *argv)
+    got, out, err = run(capsys, *argv)
     assert got == code
-    assert phrase in err
+    assert phrase in (out if code == 3 else err)
     assert "Traceback" not in err
+
+
+def test_deepest_accepted_nesting_runs(capsys, tmp_path):
+    """At the deepest nesting of the potential that the parser accepts,
+    el and check-critical run to their answers; one level deeper is a
+    parse error with a position."""
+    def el(depth):
+        return run(capsys, "el", _nested_edit(depth).write(tmp_path))
+
+    accepted, refused = 1, 400
+    assert el(accepted)[0] == 0
+    assert el(refused)[0] == 1
+    while refused - accepted > 1:
+        mid = (accepted + refused) // 2
+        if el(mid)[0] == 0:
+            accepted = mid
+        else:
+            refused = mid
+    code, out, err = el(accepted)
+    assert code == 0 and out.startswith("e_1 = -y_tt + sin(") and not err
+    code, _out, err = el(refused)
+    assert code == 1
+    assert re.fullmatch(r"parse error: line \d+, col \d+: expression "
+                        r"nested too deeply\n", err)
+    code, out, _err = run(capsys, "check-critical",
+                          _nested_edit(accepted).write(tmp_path),
+                          "--section", "sol", "--fields", "b1")
+    assert code == 3 and out.startswith("max residual: 1.0\n")
 
 
 # recorded at the order-4 limit, where the bump's exponent is still 4
@@ -674,7 +721,7 @@ def test_every_export_resolves():
 
 @pytest.mark.parametrize("bound, el_code", [
     # fail only when evaluated: a parse error of the numeric subcommands
-    ("log(0)", 0), ("sqrt(0-1)", 0), ("exp(1000)", 0),
+    ("log(0)", 0), ("sqrt(0-1)", 0), ("exp(1000)", 0), ("-10^5000", 0),
     # refused by every subcommand when the file is parsed: a coordinate,
     # or rational bounds with lo >= hi
     ("t", 1), ("y_t", 1), ("5", 1),
@@ -692,6 +739,19 @@ def test_domain_bounds_are_evaluated_by_numeric_subcommands(
     # the column of the lower bound, which each case refuses
     col = len("  domain t ") + 1
     assert err.startswith(f"parse error: line {line}, col {col}: domain bound")
+
+
+def test_long_exact_domain_bound_is_its_float_value(capsys, tmp_path):
+    """A bound whose reduced coefficient has more digits than Python
+    writes out is evaluated to its nearest float, here 1.0."""
+    target = _Edited("domain t 0 pi",
+                     "domain t (10^5000+1)/10^5000 2").write(tmp_path)
+    (tmp_path / "plain").mkdir()
+    plain = _Edited("domain t 0 pi", "domain t 1 2").write(tmp_path / "plain")
+    argv = ("check-critical", "--section", "sol", "--fields", "b1")
+    got = run(capsys, argv[0], target, *argv[1:])
+    assert got == run(capsys, argv[0], plain, *argv[1:])
+    assert got[0] == 0
 
 
 def test_explicit_zero_tolerance_is_not_replaced(capsys):

@@ -117,12 +117,13 @@ def test_constant_takes_only_exact_numbers(ode_ctx):
 
 
 def test_every_atom_kind_renders_itself():
-    """A new atom kind cannot ship without all four renderings."""
+    """A new atom kind cannot ship without all three renderings; its
+    numeric value is checked in test_numeric."""
     kinds = Atom.__subclasses__()
     assert {k.__name__ for k in kinds} >= {
         "ConstSym", "BaseCoord", "JetCoord", "ElemFn", "OpaqueFn", "InvSum"}
     for kind in kinds:
-        for method in ("plain", "latex", "to_dict", "code"):
+        for method in ("plain", "latex", "to_dict"):
             assert callable(getattr(kind, method, None)), \
                 f"{kind.__name__} has no {method}()"
 

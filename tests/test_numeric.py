@@ -10,7 +10,9 @@ from jetvar import (JetContext, JetExpr, Lagrangian, NumericSection, action,
                     check_critical, check_onshell_symmetry, euler_lagrange,
                     finite_diff_variation, second_variation_check,
                     total_derivative)
-from jetvar.expr import ONE, ZERO, partial, sin
+from jetvar.expr import (KNOWN_CONSTANTS, ONE, ZERO, Atom, BaseCoord,
+                         ConstSym, ElemFn, InvSum, JetCoord, all_atoms, cos,
+                         exp, partial, sin, sqrt, to_plain)
 from jetvar.multiindex import MultiIndex, enumerate_up_to
 from jetvar.numeric import (MAX_POINTS, NotCritical, NumericError,
                             bump_factor, compile_expr, first_variation_pair,
@@ -66,12 +68,118 @@ def test_opaque_not_evaluable():
         float(sec.bind(ctx.opaque("g"))((0.5,)))
 
 
-def test_long_coefficient_is_a_numeric_error(ode_ctx):
-    """A coefficient too long to write out fails with the printers'
-    message, not with the interpreter's int/str conversion error."""
+def test_long_coefficient_is_its_float_value(ode_ctx):
+    """A coefficient with more digits than the interpreter turns into
+    text is its correctly rounded float: one beyond the float range is a
+    NumericError when evaluated, and (10^5000 + 1)/10^5000 is 1.0."""
     y = ode_ctx.fiber("y")
-    with pytest.raises(NumericError, match="more than 4300 digits"):
-        compile_expr(JetExpr.constant(10 ** 5000) * y)
+    env = {ode_ctx.jet_atom("y"): np.array([0.5, -2.0])}
+    f = compile_expr(JetExpr.constant(10 ** 5000) * y)
+    with pytest.raises(NumericError, match="numeric evaluation failed"):
+        f(env)
+    near_one = JetExpr.constant(Fraction(10 ** 5000 + 1, 10 ** 5000))
+    got = compile_expr(near_one * y)(env)
+    assert np.array_equal(got, compile_expr(y)(env))
+
+
+def _reference_source(e: JetExpr, names: dict) -> str:
+    """Python source of e over numpy (``_np``) and the coordinate values
+    ``v``, as numpy evaluation was once generated and run by eval: the
+    reference that compile_expr's term walk matches bit for bit."""
+    if e.is_zero:
+        return "0.0"
+    parts = []
+    for m, p, q in e._ratios():
+        factors = [f"({p}/{q})"]
+        for atom, k in m:
+            if isinstance(atom, ElemFn):
+                code = f"_np.{atom.fn}({_reference_source(atom.arg, names)})"
+            elif isinstance(atom, InvSum):
+                code = f"1.0/({_reference_source(atom.body, names)})"
+            elif isinstance(atom, ConstSym):
+                code = repr(KNOWN_CONSTANTS[atom.name])
+            else:
+                code = names.setdefault(atom, f"v[_a{len(names)}]")
+            factors.append(f"({code})**{k}" if k != 1 else code)
+        parts.append("*".join(factors))
+    return " + ".join(parts)
+
+
+def _reference(e: JetExpr):
+    names = {}
+    source = _reference_source(e, names)
+    return eval(f"lambda v: {source}",
+                {"_np": np, **{f"_a{k}": a for k, a in enumerate(names)}})
+
+
+def _environments(e: JetExpr, rng: random.Random) -> list[dict]:
+    """A scalar and an array environment for the coordinates of e, each
+    value 0.0, -0.0 or uniform on [-1.5, 1.5]."""
+    coords = sorted((a for a in all_atoms(e)
+                     if isinstance(a, (BaseCoord, JetCoord))),
+                    key=Atom.sort_key)
+
+    def value():
+        return rng.choice((0.0, -0.0, rng.uniform(-1.5, 1.5)))
+
+    return [{a: value() for a in coords},
+            {a: np.array([value() for _ in range(8)]) for a in coords}]
+
+
+def _assert_evaluates_as_reference(e: JetExpr, envs: list[dict]):
+    f, want_f = compile_expr(e), _reference(e)
+    for env in envs:
+        got, want = f(env), want_f(env)
+        assert type(got) is type(want), to_plain(e)
+        assert np.array_equal(got, want), to_plain(e)
+        assert np.array_equal(np.signbit(got), np.signbit(want)), to_plain(e)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_evaluation_matches_generated_source_bit_for_bit(pde_ctx, seed):
+    """compile_expr gives the floats, signed zeros included, of the Python
+    source that e once compiled to, on random polynomials and on the
+    function atoms built from them."""
+    rng = random.Random(seed)
+    p1, p2, p3 = (random_polynomial(rng, pde_ctx) for _ in range(3))
+    for e in (p1, p1 * sin(p2) + p3 / (2 + p1 ** 2),
+              exp(p2 / 1000) * cos(p3) ** -1 - sqrt(1 + p1 ** 2)):
+        _assert_evaluates_as_reference(e, _environments(e, rng))
+
+
+# one expression per atom kind; -t is -0.0 at t = 0.0
+ATOM_KIND_EXAMPLES = {
+    "ConstSym": "pi*y - 7/3",
+    "BaseCoord": "-t",
+    "JetCoord": "2/3*y_t*y - y^3 + y_t",
+    "ElemFn": "sin(1 + y^2)^-2 - cos(t)*exp(y_t/3) "
+              "+ log(2 + t^2)^3*sqrt(1 + y^2)",
+    "InvSum": "t/(1 + y^2) - 5/(2 + t)^3",
+    "OpaqueFn": "sin(g(y))*g(t) + y",
+}
+
+
+def test_every_atom_kind_evaluates_or_is_refused():
+    """compile_expr evaluates every atom kind as the reference does, at
+    signed zeros too, or refuses it when called: an opaque function has
+    no numeric value."""
+    ctx = JetContext.make("t", "y", opaque={"g": ["y"]})
+    assert {k.__name__ for k in Atom.__subclasses__()} == \
+        set(ATOM_KIND_EXAMPLES)
+    rng = random.Random(7)
+    for kind, text in ATOM_KIND_EXAMPLES.items():
+        e = parse_expr(text, ctx)
+        assert kind in {type(a).__name__ for a in all_atoms(e)}
+        if kind == "OpaqueFn":
+            with pytest.raises(NumericError, match=r"^opaque function "
+                               r"g\(y\) has no numeric value$"):
+                compile_expr(e)
+            continue
+        zeros = {a: 0.0 for a in all_atoms(e)
+                 if isinstance(a, (BaseCoord, JetCoord))}
+        _assert_evaluates_as_reference(
+            e, [zeros, *_environments(e, rng), *_environments(e, rng)])
+    assert compile_expr(ZERO)({}) == 0.0
 
 
 def test_section_validation(ode_ctx):
