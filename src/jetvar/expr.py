@@ -27,6 +27,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .multiindex import MultiIndex
@@ -54,8 +55,16 @@ class UnknownCoordinate(ExprError):
 # ---------------------------------------------------------------------------
 
 
-class Atom:
-    """Atomic multiplicative generator.  Immutable, ordered by sort_key.
+class Atom(tuple):
+    """Atomic multiplicative generator.  Immutable.
+
+    An atom is the tuple of its own sort key: its kind's number (0 to 5)
+    followed by what tells two atoms of that kind apart, a function
+    atom's arguments by their expression keys.  So it hashes, compares
+    and orders as that key does, in C; a function atom keeps its hash,
+    which would otherwise walk its nested arguments on every lookup.
+    What the key leaves out (a jet coordinate's multi-index, a function
+    atom's argument expressions) is kept on the instance.
 
     ``args`` holds the JetExpr arguments of a function atom; coordinates
     and constants have none.  Function atoms also define ``d_arg(slot)``,
@@ -67,18 +76,10 @@ class Atom:
     ``numeric.compile_expr`` evaluates expressions term by term instead.
     """
 
-    __slots__ = ("_key", "_hash")
-
     args: tuple["JetExpr", ...] = ()
 
     def sort_key(self):
-        return self._key
-
-    def __eq__(self, other):
-        return isinstance(other, Atom) and self._key == other._key
-
-    def __hash__(self):
-        return self._hash
+        return self
 
     def __repr__(self):
         return to_plain(atom_expr(self))
@@ -87,14 +88,12 @@ class Atom:
 class ConstSym(Atom):
     """Named exact constant with a known numeric value (only ``pi``)."""
 
-    __slots__ = ("name",)
+    name = property(itemgetter(1))
 
-    def __init__(self, name: str):
+    def __new__(cls, name: str):
         if name not in KNOWN_CONSTANTS:
             raise ExprError(f"unknown constant symbol {name!r}")
-        self.name = name
-        self._key = (0, name)
-        self._hash = hash(self._key)
+        return tuple.__new__(cls, (0, name))
 
     def plain(self) -> str:
         return self.name
@@ -109,13 +108,11 @@ class ConstSym(Atom):
 class BaseCoord(Atom):
     """Base coordinate x^lam."""
 
-    __slots__ = ("name", "axis")
+    axis = property(itemgetter(1))
+    name = property(itemgetter(2))
 
-    def __init__(self, name: str, axis: int):
-        self.name = name
-        self.axis = axis
-        self._key = (1, axis, name)
-        self._hash = hash(self._key)
+    def __new__(cls, name: str, axis: int):
+        return tuple.__new__(cls, (1, axis, name))
 
     def plain(self) -> str:
         return self.name
@@ -129,22 +126,20 @@ class BaseCoord(Atom):
 class JetCoord(Atom):
     """Jet coordinate y^i_sigma; sigma = (0,...,0) is the fiber coordinate."""
 
-    __slots__ = ("field", "index", "sigma", "base_names")
+    order = property(itemgetter(1))
+    index = property(itemgetter(2))
+    field = property(itemgetter(4))
+
+    def __new__(cls, field: str, index: int, sigma: MultiIndex,
+                base_names: tuple[str, ...]):
+        if sigma.dimension != len(base_names):
+            raise ExprError("multi-index dimension does not match base names")
+        return tuple.__new__(cls, (2, sigma.order(), index, sigma.counts, field))
 
     def __init__(self, field: str, index: int, sigma: MultiIndex,
                  base_names: tuple[str, ...]):
-        if sigma.dimension != len(base_names):
-            raise ExprError("multi-index dimension does not match base names")
-        self.field = field
-        self.index = index
         self.sigma = sigma
         self.base_names = base_names
-        self._key = (2, sigma.order(), index, sigma.counts, field)
-        self._hash = hash(self._key)
-
-    @property
-    def order(self) -> int:
-        return self.sigma.order()
 
     def lifted(self, axis: int) -> "JetCoord":
         """The coordinate y^i_{sigma+lam} one derivative higher along axis."""
@@ -165,19 +160,20 @@ class JetCoord(Atom):
 class ElemFn(Atom):
     """Elementary function application; the argument is a JetExpr."""
 
-    __slots__ = ("fn", "arg")
+    fn = property(itemgetter(1))
 
-    def __init__(self, fn: str, arg: "JetExpr"):
+    def __new__(cls, fn: str, arg: "JetExpr"):
         if fn not in ELEMENTARY_FUNCTIONS:
             raise ExprError(f"unknown elementary function {fn!r}")
-        self.fn = fn
-        self.arg = arg
-        self._key = (3, fn, arg.sort_key())
-        self._hash = hash(self._key)
+        return tuple.__new__(cls, (3, fn, arg.sort_key()))
 
-    @property
-    def args(self) -> tuple["JetExpr", ...]:
-        return (self.arg,)
+    def __init__(self, fn: str, arg: "JetExpr"):
+        self.arg = arg
+        self.args = (arg,)
+        self._hash = tuple.__hash__(self)
+
+    def __hash__(self):
+        return self._hash
 
     def d_arg(self, slot: int) -> "JetExpr":
         return _ELEM_DERIVATIVE[self.fn](self.arg)
@@ -204,20 +200,26 @@ class OpaqueFn(Atom):
     k-th declared argument; all-zero orders is the plain application.
     """
 
-    __slots__ = ("name", "argnames", "orders", "args")
+    name = property(itemgetter(1))
+    orders = property(itemgetter(2))
 
-    def __init__(self, name: str, argnames: tuple[str, ...],
-                 orders: tuple[int, ...], args: tuple["JetExpr", ...]):
+    def __new__(cls, name: str, argnames: tuple[str, ...],
+                orders: tuple[int, ...], args: tuple["JetExpr", ...]):
         if not (len(argnames) == len(orders) == len(args)):
             raise ExprError(f"opaque function {name!r}: argument arity mismatch")
         if any(o < 0 for o in orders):
             raise ExprError("negative derivative order on opaque function")
-        self.name = name
+        return tuple.__new__(
+            cls, (4, name, orders, tuple(a.sort_key() for a in args)))
+
+    def __init__(self, name: str, argnames: tuple[str, ...],
+                 orders: tuple[int, ...], args: tuple["JetExpr", ...]):
         self.argnames = argnames
-        self.orders = orders
         self.args = args
-        self._key = (4, name, orders, tuple(a.sort_key() for a in args))
-        self._hash = hash(self._key)
+        self._hash = tuple.__hash__(self)
+
+    def __hash__(self):
+        return self._hash
 
     def d_arg(self, slot: int) -> "JetExpr":
         orders = list(self.orders)
@@ -252,16 +254,16 @@ class InvSum(Atom):
     body**(-k).
     """
 
-    __slots__ = ("body",)
+    def __new__(cls, body: "JetExpr"):
+        return tuple.__new__(cls, (5, body.sort_key()))
 
     def __init__(self, body: "JetExpr"):
         self.body = body
-        self._key = (5, body.sort_key())
-        self._hash = hash(self._key)
+        self.args = (body,)
+        self._hash = tuple.__hash__(self)
 
-    @property
-    def args(self) -> tuple["JetExpr", ...]:
-        return (self.body,)
+    def __hash__(self):
+        return self._hash
 
     def d_arg(self, slot: int) -> "JetExpr":
         return -atom_pow(self, 2)
@@ -286,12 +288,15 @@ class InvSum(Atom):
 Monomial = tuple[tuple[Atom, int], ...]
 
 
+_exponent = itemgetter(1)
+
+
 def _mono_key(m: Monomial):
-    return (sum(e for _, e in m), tuple((a.sort_key(), e) for a, e in m))
+    return (sum(map(_exponent, m)), m)
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    # both are sorted by atom sort key: merge them in one scan, adding the
+    # both are sorted by atom: merge them in one scan, adding the
     # exponents of a shared atom and dropping it where they cancel
     out = []
     i = j = 0
@@ -299,13 +304,12 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     while i < n1 and j < n2:
         a1, e1 = m1[i]
         a2, e2 = m2[j]
-        k1, k2 = a1.sort_key(), a2.sort_key()
-        if k1 == k2:
+        if a1 == a2:
             if e1 + e2:
                 out.append((a1, e1 + e2))
             i += 1
             j += 1
-        elif k1 < k2:
+        elif a1 < a2:
             out.append(m1[i])
             i += 1
         else:
@@ -474,9 +478,11 @@ def _normalized(acc: dict[Monomial, int], den: int) -> JetExpr:
     dropped, the gcd of den and the numerators divided out, the terms
     sorted."""
     g = math.gcd(den, *acc.values()) if den != 1 else 1
-    # distinct monomials have distinct keys, so no two triples tie on it
-    items = sorted([(_mono_key(m), m, n // g) for m, n in acc.items() if n])
-    return JetExpr(tuple([(m, n) for _k, m, n in items]), den // g)
+    # (degree, m, n) orders as _mono_key(m) does, and distinct monomials
+    # never tie on it, so n is never compared
+    items = sorted([(sum(map(_exponent, m)), m, n // g)
+                    for m, n in acc.items() if n])
+    return JetExpr(tuple([(m, n) for _d, m, n in items]), den // g)
 
 
 def _coerce(x):
@@ -595,7 +601,7 @@ def _factor_sum(b: JetExpr) -> tuple[Number, Monomial, JetExpr]:
         if not common:
             common = {}
             break
-    mono: Monomial = tuple(sorted(common.items(), key=lambda p: p[0].sort_key()))
+    mono: Monomial = tuple(sorted(common.items()))
     stripped: dict[Monomial, Number] = {}
     for m, c in b.terms:
         exps = dict(m)
@@ -605,7 +611,7 @@ def _factor_sum(b: JetExpr) -> tuple[Number, Monomial, JetExpr]:
                 del exps[a]
             else:
                 exps[a] = ne
-        stripped[tuple(sorted(exps.items(), key=lambda p: p[0].sort_key()))] = c
+        stripped[tuple(sorted(exps.items()))] = c
     rest = JetExpr._from_dict(stripped)
     content = rest.terms[-1][1]  # leading (largest) coefficient
     body = mul(rest, JetExpr.constant(Fraction(1, content)))
@@ -623,8 +629,7 @@ def _exact_div(a: JetExpr, b: JetExpr) -> JetExpr | None:
             for atom, exp in m:
                 if exp < 0 or isinstance(atom, InvSum):
                     return None
-    gens = sorted({atom for m, _n in a._terms + b._terms
-                   for atom, _e in m}, key=lambda g: g.sort_key())
+    gens = sorted({atom for m, _n in a._terms + b._terms for atom, _e in m})
     pos = {g: i for i, g in enumerate(gens)}
 
     def dense(m: Monomial) -> tuple[int, ...]:
@@ -658,8 +663,8 @@ def _exact_div(a: JetExpr, b: JetExpr) -> JetExpr | None:
     for qv, qc in quo.items():
         if qc == 0:
             continue
-        m = tuple((gens[i], e) for i, e in enumerate(qv) if e != 0)
-        out[tuple(sorted(m, key=lambda p: p[0].sort_key()))] = qc
+        # gens is sorted, so m is in atom order
+        out[tuple((gens[i], e) for i, e in enumerate(qv) if e != 0)] = qc
     return JetExpr._from_dict(out)
 
 
@@ -820,9 +825,7 @@ def all_atoms(e: JetExpr) -> set[Atom]:
 
 def jet_coords(e: JetExpr) -> list[JetCoord]:
     """Jet coordinates occurring anywhere in e, deterministically ordered."""
-    out = [a for a in all_atoms(e) if isinstance(a, JetCoord)]
-    out.sort(key=lambda a: a.sort_key())
-    return out
+    return sorted(a for a in all_atoms(e) if isinstance(a, JetCoord))
 
 
 def jet_order(e: JetExpr) -> int:

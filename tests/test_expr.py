@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from jetvar import JetContext, JetExpr, jet_order, partial, simplify, \
     substitute, to_plain
-from jetvar.expr import (Atom, DivisionByZeroExpr, ElemFn, ExprError, ONE,
-                         UnknownCoordinate, ZERO, _mono_key, add_many,
-                         atom_pow, cos, evaluate_exact, jet_coords, pow_int,
-                         sin)
+from jetvar.expr import (ELEMENTARY_FUNCTIONS, Atom, BaseCoord, ConstSym,
+                         DivisionByZeroExpr, ElemFn, ExprError, InvSum,
+                         JetCoord, ONE, OpaqueFn, UnknownCoordinate, ZERO,
+                         _mono_key, add_many, all_atoms, atom_expr, atom_pow,
+                         cos, elem, evaluate_exact, jet_coords, pow_int, sin)
 from jetvar.randgen import random_polynomial
 from jetvar.variational import (Lagrangian, adjoint, euler_lagrange,
                                 linearize)
@@ -352,3 +353,91 @@ def test_sort_key_compares_rational_values(xy_ctx):
     assert ElemFn("sin", y / 2 + 1).sort_key() == (
         3, "sin", ((_mono_key(()), 1), (_mono_key(((y_atom, 1),)),
                                          Fraction(1, 2))))
+
+
+def _old_key(a):
+    """The plain-tuple sort key of an atom, rebuilt from its attributes as
+    it was stored before atoms were their own keys."""
+    if isinstance(a, ConstSym):
+        return (0, a.name)
+    if isinstance(a, BaseCoord):
+        return (1, a.axis, a.name)
+    if isinstance(a, JetCoord):
+        return (2, a.sigma.order(), a.index, a.sigma.counts, a.field)
+    if isinstance(a, ElemFn):
+        return (3, a.fn, _old_expr_key(a.arg))
+    if isinstance(a, OpaqueFn):
+        return (4, a.name, a.orders, tuple(_old_expr_key(x) for x in a.args))
+    return (5, _old_expr_key(a.body))
+
+
+def _old_mono_key(m):
+    return (sum(e for _, e in m), tuple((_old_key(a), e) for a, e in m))
+
+
+def _old_expr_key(e):
+    return tuple((_old_mono_key(m), c) for m, c in e.terms)
+
+
+def _nested_atoms(seed):
+    """Every atom, arguments included, of an expression whose elementary,
+    opaque and inverse-sum atoms nest three deep around seeded random
+    polynomials; built afresh on each call."""
+    rng = random.Random(seed)
+    ctx = JetContext.make("x1 x2", "y z", opaque={"g": ["y", "z"]})
+    polys = [random_polynomial(rng, ctx, max_monomials=3) for _ in range(3)]
+    e = polys[0]
+    for _level in range(3):
+        p, q = rng.choice(polys), rng.choice(polys)
+        e = (elem(rng.choice(ELEMENTARY_FUNCTIONS), e + p) * q
+             + ctx.opaque("g", args=(e, q)) + ONE / (e * p + q + 1))
+    e = e + atom_expr(ConstSym("pi")) * polys[1]
+    return list(all_atoms(e)), e
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_atom_is_its_old_sort_key(seed):
+    """An atom hashes as its old plain-tuple key did, is equal to another
+    exactly when their old keys are, and atoms and monomials sort as
+    their old keys do."""
+    (atoms, e), (again, _e) = _nested_atoms(seed), _nested_atoms(seed)
+    assert {ElemFn, OpaqueFn, InvSum, JetCoord, ConstSym} <= \
+        {type(a) for a in atoms}
+    assert all(a is not b for a in atoms for b in again)
+    pool = atoms + again
+    for a in pool:
+        assert hash(a) == hash(_old_key(a))
+        assert a.sort_key() is a
+    for a in pool:
+        for b in pool:
+            assert (a == b) == (_old_key(a) == _old_key(b))
+            assert (a < b) == (_old_key(a) < _old_key(b))
+    assert [id(a) for a in sorted(pool)] == \
+        [id(a) for a in sorted(pool, key=_old_key)]
+    monos = [m for x in pool for arg in x.args for m, _c in arg.terms]
+    monos += [m for m, _c in e.terms]
+    assert [id(m) for m in sorted(monos, key=_mono_key)] == \
+        [id(m) for m in sorted(monos, key=_old_mono_key)]
+    assert e.sort_key() == _old_expr_key(e)
+    assert hash(e.sort_key()) == hash(_old_expr_key(e))
+
+
+def test_deeply_nested_atom_hashes_compares_and_prints():
+    """sin nested 150 deep around y_t, built twice: the two atoms hash,
+    compare and print without a RecursionError."""
+    ctx = JetContext.make("t", "y")
+
+    def nested(depth):
+        e = ctx.jet("y", "t")
+        for _ in range(depth):
+            e = sin(e)
+        return e
+
+    a, b, shallower = nested(150), nested(150), nested(149)
+    ((x, _k),), _c = a.terms[0]
+    ((y, _k),), _c = b.terms[0]
+    ((z, _k),), _c = shallower.terms[0]
+    assert x is not y and hash(x) == hash(y) and x == y
+    assert not x < y and z < x and x != z
+    assert a == b and hash(a) == hash(b) and a - b == ZERO
+    assert to_plain(a) == "sin(" * 150 + "y_t" + ")" * 150
