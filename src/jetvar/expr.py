@@ -63,8 +63,10 @@ class Atom(tuple):
     atom's arguments by their expression keys.  So it hashes, compares
     and orders as that key does, in C; a function atom keeps its hash,
     which would otherwise walk its nested arguments on every lookup.
-    What the key leaves out (a jet coordinate's multi-index, a function
-    atom's argument expressions) is kept on the instance.
+    A jet coordinate's key holds its ``MultiIndex``, a tuple that compares
+    as its counts.  What the key leaves out (a jet coordinate's base
+    names, a function atom's argument expressions) is kept on the
+    instance.
 
     ``args`` holds the JetExpr arguments of a function atom; coordinates
     and constants have none.  Function atoms also define ``d_arg(slot)``,
@@ -128,33 +130,37 @@ class JetCoord(Atom):
 
     order = property(itemgetter(1))
     index = property(itemgetter(2))
+    sigma = property(itemgetter(3))
     field = property(itemgetter(4))
 
     def __new__(cls, field: str, index: int, sigma: MultiIndex,
                 base_names: tuple[str, ...]):
         if sigma.dimension != len(base_names):
             raise ExprError("multi-index dimension does not match base names")
-        return tuple.__new__(cls, (2, sigma.order(), index, sigma.counts, field))
+        return tuple.__new__(cls, (2, sigma.order(), index, sigma, field))
 
     def __init__(self, field: str, index: int, sigma: MultiIndex,
                  base_names: tuple[str, ...]):
-        self.sigma = sigma
         self.base_names = base_names
 
     def lifted(self, axis: int) -> "JetCoord":
-        """The coordinate y^i_{sigma+lam} one derivative higher along axis."""
-        return JetCoord(self.field, self.index, self.sigma.bump(axis),
-                        self.base_names)
+        """The coordinate y^i_{sigma+lam} one derivative higher along axis,
+        built from this key: the dimension was checked when it was made."""
+        _kind, order, index, sigma, field = self
+        out = tuple.__new__(JetCoord,
+                            (2, order + 1, index, sigma.bump(axis), field))
+        out.base_names = self.base_names
+        return out
 
     def plain(self) -> str:
-        return self.field + _suffix(self.base_names, self.sigma.counts)
+        return self.field + _suffix(self.base_names, self.sigma)
 
     def latex(self) -> str:
-        return self.field + _suffix(self.base_names, self.sigma.counts, True)
+        return self.field + _suffix(self.base_names, self.sigma, True)
 
     def to_dict(self) -> dict:
         return {"kind": "jet", "field": self.field,
-                "counts": list(self.sigma.counts)}
+                "counts": list(self.sigma)}
 
 
 class ElemFn(Atom):

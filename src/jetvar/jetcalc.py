@@ -11,7 +11,10 @@ follow by the chain rule.
 Where a call needs D_tau of one expression for many tau, it takes them
 from a derivative lattice: the targets closed downward along the parent
 rule, under which the parent of tau is tau minus one on its first nonzero
-axis, with each D_tau e one total derivative of its parent's.
+axis, with each D_tau e one total derivative of its parent's.  The
+adjoint needs the whole box below one sigma, which ``MultiIndex.splits``
+already yields parents first, so it follows the same rule without a
+lattice.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ def total_derivative_multi(e: JetExpr, sigma: MultiIndex, ctx: JetContext
     if sigma.dimension != ctx.n:
         raise ValueError("multi-index dimension does not match context")
     out = e
-    for ax, count in enumerate(sigma.counts):
+    for ax, count in enumerate(sigma):
         for _ in range(count):
             out = total_derivative(out, ax, ctx)
     return out
@@ -80,12 +83,12 @@ def lattice_edges(targets: Iterable[MultiIndex]
     seen: set[MultiIndex] = set()
     edges = []
     for sigma in targets:
-        while sigma not in seen and any(sigma.counts):
+        while sigma not in seen and any(sigma):
             seen.add(sigma)
             axis, parent = sigma.parent()
             edges.append((sigma, axis, parent))
             sigma = parent
-    edges.sort(key=lambda edge: sum(edge[0].counts))
+    edges.sort(key=lambda edge: sum(edge[0]))
     return edges
 
 

@@ -3,30 +3,49 @@
 A multi-index sigma = (sigma_1, ..., sigma_n) counts how many times each
 base variable is differentiated.  Storing counts (rather than ordered
 letter sequences) bakes in the commutativity of partial derivatives.
+A ``MultiIndex`` is a tuple of its counts, so hashing it, comparing it and
+looking it up in a set or dict run in C, and a jet coordinate keeps it
+inside its own key (``expr.JetCoord``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from operator import getitem, sub
+from typing import Iterable, Iterator, Sequence
 
 
 class DimensionMismatch(ValueError):
     """Combination of multi-indices over incompatible base spaces."""
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    counts: tuple[int, ...]
+class MultiIndex(tuple):
+    """A multi-index: the tuple of its counts, one per base variable.
 
-    def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        if len(self.counts) < 1:
+    Validation happens once, in ``__new__``: every count must be an
+    ``int`` (a float, a string or a bool raises TypeError, so nothing is
+    truncated), none negative, and there must be at least one.  Being a
+    tuple, a multi-index hashes, compares and orders as its counts do, in
+    C.  So it equals the plain tuple of its counts, ``<`` orders it
+    lexicographically, and ``+`` concatenates (use ``union`` to add
+    counts).  ``counts`` gives the counts as a plain tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, counts: Sequence[int]):
+        counts = tuple(counts)
+        if not counts:
             raise ValueError("multi-index needs at least one base variable")
-        if any(c < 0 for c in self.counts):
-            raise ValueError(f"negative entry in multi-index {self.counts}")
+        for c in counts:
+            if type(c) is not int:
+                raise TypeError(f"multi-index count must be an int, got {c!r}")
+            if c < 0:
+                raise ValueError(f"negative entry in multi-index {counts}")
+        return tuple.__new__(cls, counts)
+
+    counts = property(tuple)
 
     @staticmethod
     def zero(n: int) -> "MultiIndex":
@@ -34,47 +53,47 @@ class MultiIndex:
 
     @property
     def dimension(self) -> int:
-        return len(self.counts)
+        return len(self)
 
     def order(self) -> int:
-        return sum(self.counts)
+        return sum(self)
 
     def union(self, other: "MultiIndex") -> "MultiIndex":
         self._check_dim(other)
-        return MultiIndex(tuple(a + b for a, b in zip(self.counts, other.counts)))
+        return _valid(a + b for a, b in zip(self, other))
 
     def bump(self, axis: int) -> "MultiIndex":
         """The multi-index with one extra derivative along ``axis``."""
-        c = list(self.counts)
+        c = list(self)
         c[axis] += 1
-        return _valid(tuple(c))
+        return _valid(c)
 
     def parent(self) -> tuple[int, "MultiIndex"]:
         """The first axis with a nonzero count, and the multi-index with
         one derivative fewer along it: the parent of sigma in a derivative
         lattice.  Raises ValueError for the zero multi-index."""
-        for axis, count in enumerate(self.counts):
+        for axis, count in enumerate(self):
             if count:
-                c = list(self.counts)
+                c = list(self)
                 c[axis] -= 1
-                return axis, _valid(tuple(c))
+                return axis, _valid(c)
         raise ValueError("the zero multi-index has no parent")
 
     def contains(self, other: "MultiIndex") -> bool:
         self._check_dim(other)
-        return all(a >= b for a, b in zip(self.counts, other.counts))
+        return all(a >= b for a, b in zip(self, other))
 
     def sub(self, other: "MultiIndex") -> "MultiIndex":
         if not self.contains(other):
             raise ValueError(f"{other.counts} is not contained in {self.counts}")
-        return _valid(tuple(a - b for a, b in zip(self.counts, other.counts)))
+        return _valid(a - b for a, b in zip(self, other))
 
     def binom(self, other: "MultiIndex") -> int:
         """Product of the per-axis binomial coefficients C(sigma_a, rho_a)."""
         if not self.contains(other):
             return 0
         out = 1
-        for a, b in zip(self.counts, other.counts):
+        for a, b in zip(self, other):
             out *= math.comb(a, b)
         return out
 
@@ -85,21 +104,18 @@ class MultiIndex:
 
     def splits(self) -> Iterator[tuple["MultiIndex", "MultiIndex", int]]:
         """(tau, sigma - tau, C(sigma, tau)) for every tau <= sigma, in the
-        graded-lex order of tau: the box below sigma, walked once."""
-        counts = self.counts
-        rows = [[math.comb(c, t) for t in range(c + 1)] for c in counts]
-        box = itertools.product(*(range(c + 1) for c in counts))
+        graded-lex order of tau: the box below sigma, walked once.  The
+        zero index comes first, and every other tau after its parent."""
+        rows = [[math.comb(c, t) for t in range(c + 1)] for c in self]
+        box = itertools.product(*(range(c + 1) for c in self))
         for tau in sorted(box, key=_graded_lex):
-            binom = 1
-            for row, t in zip(rows, tau):
-                binom *= row[t]
-            yield (_valid(tau),
-                   _valid(tuple(c - t for c, t in zip(counts, tau))), binom)
+            yield (_valid(tau), _valid(map(sub, self, tau)),
+                   math.prod(map(getitem, rows, tau)))
 
     def render(self, base_names: Sequence[str]) -> str:
         """Juxtaposition of base-variable names, e.g. ``x1 x1 x2`` for (2, 1)."""
         parts = []
-        for name, count in zip(base_names, self.counts):
+        for name, count in zip(base_names, self):
             parts.extend([name] * count)
         return " ".join(parts)
 
@@ -111,7 +127,7 @@ class MultiIndex:
             )
 
     def __repr__(self):
-        return f"MultiIndex{self.counts}"
+        return f"MultiIndex{tuple(self)}"
 
 
 def _graded_lex(counts: tuple[int, ...]):
@@ -119,12 +135,10 @@ def _graded_lex(counts: tuple[int, ...]):
     return sum(counts), tuple(-c for c in counts)
 
 
-def _valid(counts: tuple[int, ...]) -> MultiIndex:
+def _valid(counts: Iterable[int]) -> MultiIndex:
     """A multi-index from counts that are valid by construction, skipping
-    the validation in __post_init__."""
-    out = object.__new__(MultiIndex)
-    object.__setattr__(out, "counts", counts)
-    return out
+    the validation in __new__."""
+    return tuple.__new__(MultiIndex, counts)
 
 
 def enumerate_up_to(n: int, k: int) -> list[MultiIndex]:

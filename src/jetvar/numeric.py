@@ -340,7 +340,7 @@ class NumericSection:
 
     def _partial(self, e: JetExpr, tau: MultiIndex) -> JetExpr:
         """d_tau e: one derivative of d_parent e (see MultiIndex.parent)."""
-        if not any(tau.counts):
+        if not any(tau):
             return e
         axis, parent = tau.parent()
         return self._d_dx(self._partial(e, parent), axis)
@@ -370,7 +370,7 @@ class NumericSection:
                 # d^k w_a / dx_a^k: k steps along axis a
                 factors = [self._compiled(functools.reduce(
                     self._d_dx, [a] * k, self._weight[a]))
-                    for a, k in enumerate(rho.counts)]
+                    for a, k in enumerate(rho)]
                 if any(w == 0.0 for w, _ in factors):
                     continue
                 factors.append(self._compiled(self._partial(

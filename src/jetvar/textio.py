@@ -370,7 +370,7 @@ def object_to_dict(obj) -> dict:
     if isinstance(obj, BilinearForm):
         fibers = obj.ctx.fiber_names
         return {"type": "bilinear_form",
-                "entries": [{"sigma": list(s.counts),
+                "entries": [{"sigma": list(s),
                              "i": fibers[i], "j": fibers[j],
                              "value": expr_to_dict(v)}
                             for (s, i, j), v in obj.entries()]}

@@ -34,10 +34,12 @@ from it.  Partial derivatives d^sigma_j are taken only at the jet
 coordinates that occur in an expression (``jetcalc.d_v``).
 
 The adjoint and the Euler operator take each D_tau once per call, by one
-total derivative from its parent (``jetcalc.lattice_edges``): the adjoint
-reads the D_(sigma-rho) of an entry off its derivative lattice and adds
-the weighted terms into one sum per output component, and the Euler
-operator is nested over the same parent rule.  No table outlives the call.
+total derivative from its parent (``MultiIndex.parent``).  The adjoint
+walks the box below each entry's sigma once (``MultiIndex.splits``, which
+yields every tau after its parent), takes D_tau of the entry on the way
+and adds the weighted terms into one sum per output component; the Euler
+operator is nested over the same parent rule (``jetcalc.lattice_edges``).
+No table outlives the call.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ class BilinearForm:
                 raise ValueError(f"fiber index out of range in ({i}, {j})")
             if not val.is_zero:
                 items.append(((sigma, i, j), val))
-        items.sort(key=lambda kv: (kv[0][0].order(), kv[0][0].counts,
+        items.sort(key=lambda kv: (kv[0][0].order(), kv[0][0],
                                    kv[0][1], kv[0][2]))
         self._entries = tuple(items)
 
@@ -212,12 +214,18 @@ def adjoint(a: BilinearForm) -> BilinearForm:
     acc: dict[tuple[MultiIndex, int, int], list[tuple[int, JetExpr]]] = {}
     for (sigma, i, j), val in a.entries():
         sign = -1 if sigma.order() % 2 else 1
-        # D_tau val for every tau <= sigma, each once; rho = sigma - tau
-        # and C(sigma, rho) = C(sigma, tau)
-        walk = list(sigma.splits())
-        box = derivative_lattice(val, [tau for tau, _rho, _c in walk], ctx)
-        for tau, rho, binom in walk:
-            acc.setdefault((rho, j, i), []).append((sign * binom, box[tau]))
+        # one walk of the box below sigma: the zero tau comes first and
+        # every other tau after its parent, so D_tau val is one total
+        # derivative of its parent's; rho = sigma - tau and
+        # C(sigma, rho) = C(sigma, tau)
+        box: dict[MultiIndex, JetExpr] = {}
+        for tau, rho, binom in sigma.splits():
+            if box:
+                axis, parent = tau.parent()
+                d = box[tau] = total_derivative(box[parent], axis, ctx)
+            else:
+                d = box[tau] = val
+            acc.setdefault((rho, j, i), []).append((sign * binom, d))
     return BilinearForm(ctx, {k: add_scaled(pairs)
                               for k, pairs in acc.items()})
 

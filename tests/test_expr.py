@@ -11,6 +11,7 @@ from jetvar.expr import (ELEMENTARY_FUNCTIONS, Atom, BaseCoord, ConstSym,
                          JetCoord, ONE, OpaqueFn, UnknownCoordinate, ZERO,
                          _mono_key, add_many, all_atoms, atom_expr, atom_pow,
                          cos, elem, evaluate_exact, jet_coords, pow_int, sin)
+from jetvar.multiindex import MultiIndex
 from jetvar.randgen import random_polynomial
 from jetvar.variational import (Lagrangian, adjoint, euler_lagrange,
                                 linearize)
@@ -441,3 +442,33 @@ def test_deeply_nested_atom_hashes_compares_and_prints():
     assert not x < y and z < x and x != z
     assert a == b and hash(a) == hash(b) and a - b == ZERO
     assert to_plain(a) == "sin(" * 150 + "y_t" + ")" * 150
+
+
+@st.composite
+def jet_coords_and_axes(draw):
+    """A jet coordinate over n <= 3 base variables (names of one or two
+    letters, so both suffix forms print), and an axis to lift it along."""
+    n = draw(st.integers(1, 3))
+    base_names = tuple(draw(st.lists(st.sampled_from(["t", "x", "y", "x1",
+                                                      "x2", "s"]),
+                                     min_size=n, max_size=n, unique=True)))
+    field, index = draw(st.sampled_from([("u", 0), ("v", 1), ("w2", 3)]))
+    counts = draw(st.tuples(*[st.integers(0, 3)] * n))
+    axis = draw(st.integers(0, n - 1))
+    return JetCoord(field, index, MultiIndex(counts), base_names), axis
+
+
+@given(jet_coords_and_axes())
+def test_lifted_is_the_coordinate_one_derivative_higher(case):
+    """lifted(axis), built straight from the key, equals, hashes and
+    prints as the coordinate built through the constructor, and keeps
+    the base names."""
+    jc, axis = case
+    got = jc.lifted(axis)
+    want = JetCoord(jc.field, jc.index, jc.sigma.bump(axis), jc.base_names)
+    assert type(got) is JetCoord and type(got.sigma) is MultiIndex
+    assert got == want and hash(got) == hash(want)
+    assert got.order == jc.order + 1 == want.sigma.order()
+    assert got.base_names is jc.base_names
+    assert got.plain() == want.plain() and got.latex() == want.latex()
+    assert got.to_dict() == want.to_dict()

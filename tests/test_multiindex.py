@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from jetvar import JetContext
 from jetvar.multiindex import DimensionMismatch, MultiIndex, enumerate_up_to
 
 counts2 = st.tuples(st.integers(0, 4), st.integers(0, 4))
@@ -97,3 +98,51 @@ def test_render():
     assert MultiIndex((2, 1)).render(["x1", "x2"]) == "x1 x1 x2"
     assert MultiIndex((0, 0)).render(["x1", "x2"]) == ""
     assert MultiIndex((3,)).render(["t"]) == "t t t"
+
+
+counts_upto3 = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(*[st.integers(0, 3)] * n))
+
+
+@given(counts_upto3, counts_upto3)
+def test_hash_eq_and_order_are_those_of_the_counts(a, b):
+    x, y = MultiIndex(a), MultiIndex(b)
+    assert hash(x) == hash(a)
+    assert x == a and (x == y) == (a == b) and (x != y) == (a != b)
+    assert (x < y) == (a < b) and (x <= y) == (a <= b)
+    assert (y in {x}) == (b in {x: 0}) == (a == b)
+    assert type(x.counts) is tuple and x.counts == a
+    assert x.dimension == len(a) and x.order() == sum(a)
+
+
+def test_repr():
+    assert repr(MultiIndex((2, 1))) == "MultiIndex(2, 1)"
+    assert repr(MultiIndex((3,))) == "MultiIndex(3,)"
+    assert repr(MultiIndex((2, 1)).bump(0)) == "MultiIndex(3, 1)"
+
+
+@pytest.mark.parametrize("counts", [(1.9,), (1.0, 0), ("2",), (0, "1"),
+                                    (True,), (1, False)])
+def test_non_int_counts_rejected(counts):
+    with pytest.raises(TypeError):
+        MultiIndex(counts)
+
+
+def test_jet_with_non_int_counts_rejected():
+    ctx = JetContext.make("t", "y")
+    with pytest.raises(TypeError):
+        ctx.jet("y", (1.9,))
+    assert ctx.jet("y", (1,)) == ctx.jet("y", "t")
+
+
+@given(counts_upto3)
+def test_splits_yield_every_tau_after_its_parent(a):
+    """The adjoint walks this box once, taking each D_tau from its
+    parent's, so the zero tau comes first and every parent before its
+    children."""
+    taus = [tau for tau, _rest, _binom in MultiIndex(a).splits()]
+    assert not any(taus[0])
+    seen = {taus[0]}
+    for tau in taus[1:]:
+        assert tau.parent()[1] in seen
+        seen.add(tau)
