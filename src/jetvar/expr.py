@@ -63,6 +63,10 @@ class Atom(tuple):
     atom's arguments by their expression keys.  So it hashes, compares
     and orders as that key does, in C; a function atom keeps its hash,
     which would otherwise walk its nested arguments on every lookup.
+    A function atom's key puts its nesting height second, after the
+    kind: 1 + the largest height among the function atoms in its
+    arguments.  Two function atoms of one kind and different heights
+    then compare in one step instead of walking the shallower nesting.
     A jet coordinate's key holds its ``MultiIndex``, a tuple that compares
     as its counts.  What the key leaves out (a jet coordinate's base
     names, a function atom's argument expressions) is kept on the
@@ -166,12 +170,12 @@ class JetCoord(Atom):
 class ElemFn(Atom):
     """Elementary function application; the argument is a JetExpr."""
 
-    fn = property(itemgetter(1))
+    fn = property(itemgetter(2))
 
     def __new__(cls, fn: str, arg: "JetExpr"):
         if fn not in ELEMENTARY_FUNCTIONS:
             raise ExprError(f"unknown elementary function {fn!r}")
-        return tuple.__new__(cls, (3, fn, arg.sort_key()))
+        return tuple.__new__(cls, (3, _height((arg,)), fn, arg.sort_key()))
 
     def __init__(self, fn: str, arg: "JetExpr"):
         self.arg = arg
@@ -206,8 +210,8 @@ class OpaqueFn(Atom):
     k-th declared argument; all-zero orders is the plain application.
     """
 
-    name = property(itemgetter(1))
-    orders = property(itemgetter(2))
+    name = property(itemgetter(2))
+    orders = property(itemgetter(3))
 
     def __new__(cls, name: str, argnames: tuple[str, ...],
                 orders: tuple[int, ...], args: tuple["JetExpr", ...]):
@@ -215,8 +219,8 @@ class OpaqueFn(Atom):
             raise ExprError(f"opaque function {name!r}: argument arity mismatch")
         if any(o < 0 for o in orders):
             raise ExprError("negative derivative order on opaque function")
-        return tuple.__new__(
-            cls, (4, name, orders, tuple(a.sort_key() for a in args)))
+        return tuple.__new__(cls, (4, _height(args), name, orders,
+                                   tuple(a.sort_key() for a in args)))
 
     def __init__(self, name: str, argnames: tuple[str, ...],
                  orders: tuple[int, ...], args: tuple["JetExpr", ...]):
@@ -261,7 +265,7 @@ class InvSum(Atom):
     """
 
     def __new__(cls, body: "JetExpr"):
-        return tuple.__new__(cls, (5, body.sort_key()))
+        return tuple.__new__(cls, (5, _height((body,)), body.sort_key()))
 
     def __init__(self, body: "JetExpr"):
         self.body = body
@@ -285,6 +289,13 @@ class InvSum(Atom):
 
     def to_dict(self) -> dict:
         return {"kind": "inv", "body": expr_to_dict(self.body)}
+
+
+def _height(args: tuple["JetExpr", ...]) -> int:
+    """The nesting height of a function atom with these arguments: 1 + the
+    largest height among the function atoms in their terms (1 if none)."""
+    return 1 + max((a[1] for arg in args for m, _n in arg._terms
+                    for a, _k in m if a.args), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -715,37 +726,42 @@ def simplify(e: JetExpr) -> JetExpr:
     return e
 
 
-def derive(e: JetExpr, on_coord: Callable[[Atom], JetExpr]) -> JetExpr:
+def derive(e: JetExpr, image: Callable[[Atom], Monomial | None]) -> JetExpr:
     """The derivation of e that sends each argument-free atom a (a
-    coordinate or a constant) to on_coord(a): Leibniz over every
-    monomial, and the chain rule through function arguments.
+    coordinate or a constant) to the monomial image(a), with coefficient
+    1, or to 0 where image(a) is None: Leibniz over every monomial, and
+    the chain rule through function arguments.
 
-    The integer numerators of the result are accumulated in one dict
-    over the denominator of e times the lcm of the atom derivatives'
-    denominators: the factor a^k of a monomial c*m contributes
-    c*k * (m / a) * t for every term t of the atom's derivative.  Each
-    atom is differentiated once per call.
+    The integer numerators of the result are accumulated in one dict over
+    the denominator of e times den, the lcm of the denominators of the
+    function atoms' derivatives met so far.  The factor a^k of a monomial
+    n*m adds n*k*den at (m / a) * image(a) for an argument-free atom, and
+    n*k * (m / a) * t for every term t of a function atom's derivative,
+    which is a JetExpr; where that derivative has a fractional coefficient
+    (``sqrt``, ``log``) den grows and every entry so far is scaled up to
+    it.  Each function atom is differentiated once per call.
     """
     memo: dict[Atom, JetExpr] = {}
-
-    def d_atom(atom: Atom) -> JetExpr:
-        if not atom.args:
-            return on_coord(atom)
-        pieces = []
-        for slot, arg in enumerate(atom.args):
-            d_arg = derive(arg, on_coord)
-            if not d_arg.is_zero:
-                pieces.append(mul(atom.d_arg(slot), d_arg))
-        return add_many(pieces)
-
     acc: dict[Monomial, int] = {}
-    den = 1   # the lcm of the denominators of the atom derivatives met
+    den = 1   # the lcm of the function atoms' derivative denominators met
     for m, n in e._terms:
         for idx, (atom, k) in enumerate(m):
-            da = memo.get(atom)
-            if da is None:
-                da = memo[atom] = d_atom(atom)
-            if not da._terms:
+            if atom.args:
+                da = memo.get(atom)
+                if da is None:
+                    da = memo[atom] = _chain_rule(atom, image)
+                if not da._terms:
+                    continue
+            else:
+                da = image(atom)
+                if da is None:
+                    continue
+            # m with the exponent of this factor lowered by one
+            lowered = ((atom, k - 1),) if k != 1 else ()
+            rest = m[:idx] + lowered + m[idx + 1:]
+            if da.__class__ is tuple:   # a monomial with coefficient 1
+                mm = _mono_mul(rest, da) if da else rest
+                acc[mm] = acc.get(mm, 0) + n * k * den
                 continue
             if den % da._den:
                 grown = math.lcm(den, da._den)
@@ -753,14 +769,23 @@ def derive(e: JetExpr, on_coord: Callable[[Atom], JetExpr]) -> JetExpr:
                 for mm in acc:
                     acc[mm] *= f
                 den = grown
-            # m with the exponent of this factor lowered by one
-            lowered = ((atom, k - 1),) if k != 1 else ()
-            rest = m[:idx] + lowered + m[idx + 1:]
             nk = n * k * (den // da._den)
             for m2, n2 in da._terms:
                 mm = _mono_mul(rest, m2)
                 acc[mm] = acc.get(mm, 0) + nk * n2
     return _normalized(acc, e._den * den)
+
+
+def _chain_rule(atom: Atom, image: Callable[[Atom], Monomial | None]
+                ) -> JetExpr:
+    """The derivation of ``derive`` applied to a function atom: the sum
+    over its arguments of d_arg(slot) times the argument's derivative."""
+    pieces = []
+    for slot, arg in enumerate(atom.args):
+        d_arg = derive(arg, image)
+        if not d_arg.is_zero:
+            pieces.append(mul(atom.d_arg(slot), d_arg))
+    return add_many(pieces)
 
 
 def partial(e: JetExpr, coord: Atom) -> JetExpr:
@@ -769,11 +794,12 @@ def partial(e: JetExpr, coord: Atom) -> JetExpr:
     All jet coordinates are treated as independent; the chain rule is
     applied through elementary functions, and opaque functions
     differentiate into formal-partial atoms with respect to their
-    declared arguments only.
+    declared arguments only.  It is ``derive`` with the image 1 on coord
+    and 0 on every other coordinate.
     """
     if not isinstance(coord, (BaseCoord, JetCoord)):
         raise ExprError("partial derivative target must be a coordinate")
-    return derive(e, lambda a: ONE if a == coord else ZERO)
+    return derive(e, lambda a: () if a == coord else None)
 
 
 _ELEM_DERIVATIVE: dict[str, Callable[[JetExpr], JetExpr]] = {

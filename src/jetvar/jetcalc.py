@@ -4,9 +4,14 @@ vertical differential of functions on jet space.
 The total derivative along the lam-th base direction is the derivation
 D_lam f = partial_lam f + sum over jet coordinates of
 y^j_{sigma+lam} * partial^sigma_j f.  It is computed in a single pass over
-f (``expr.derive``): each jet coordinate y^j_sigma goes to its lift
-y^j_{sigma+lam}, the base coordinate x^lam to 1, and function applications
-follow by the chain rule.
+f (``expr.derive``), which takes the image of each coordinate as a
+monomial with coefficient 1, or None for 0: each jet coordinate
+y^j_sigma goes to its lift y^j_{sigma+lam}, the base coordinate x^lam to
+the empty monomial 1, every other atom without arguments to None, and
+function applications follow by the chain rule.  The vertical
+differential ``d_v`` takes the fibre partial (``expr.partial``, the image
+1 on one coordinate) of each jet coordinate that occurs, each of only
+the terms that hold it.
 
 Where a call needs D_tau of one expression for many tau, it takes them
 from a derivative lattice: the targets closed downward along the parent
@@ -19,11 +24,12 @@ lattice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .expr import (ONE, ZERO, Atom, JetContext, JetCoord, JetExpr, atom_expr,
-                   derive, jet_coords, jet_order, partial)
+from .expr import (Atom, BaseCoord, JetContext, JetCoord, JetExpr, Monomial,
+                   UnknownCoordinate, all_atoms, derive, jet_order, partial)
 from .multiindex import MultiIndex
 
 
@@ -50,16 +56,21 @@ class VerticalField:
 
 
 def total_derivative(e: JetExpr, axis: int | str, ctx: JetContext) -> JetExpr:
-    """Total (formal) derivative D_lam of an expression."""
+    """Total (formal) derivative D_lam of an expression: ``derive`` with a
+    jet coordinate's image its lift along lam, x^lam's image 1 and every
+    other coordinate's 0.  A zero expression is returned as it is."""
     ax = axis if isinstance(axis, int) else ctx.axis(axis)
-    base = ctx.base_atom(ax)
+    if not 0 <= ax < ctx.n:
+        raise UnknownCoordinate(f"base axis {axis!r} out of range")
+    if e.is_zero:
+        return e
 
-    def on_coord(a: Atom) -> JetExpr:
-        if isinstance(a, JetCoord):
-            return atom_expr(a.lifted(ax))
-        return ONE if a == base else ZERO
+    def image(a: Atom) -> Monomial | None:
+        if a.__class__ is JetCoord:
+            return ((a.lifted(ax), 1),)
+        return () if a.__class__ is BaseCoord and a.axis == ax else None
 
-    return derive(e, on_coord)
+    return derive(e, image)
 
 
 def total_derivative_multi(e: JetExpr, sigma: MultiIndex, ctx: JetContext
@@ -106,10 +117,36 @@ def derivative_lattice(e: JetExpr, targets: Iterable[MultiIndex],
 
 def d_v(f: JetExpr, ctx: JetContext) -> dict[tuple[int, MultiIndex], JetExpr]:
     """Vertical differential of a function: nonzero coefficients of the
-    contact basis, keyed by (fiber index, sigma)."""
+    contact basis, keyed by (fiber index, sigma).
+
+    One pass over f files each term under every jet coordinate it holds,
+    as a factor or inside a function atom's arguments; each coordinate's
+    partial is then taken of its own bucket, the canonical sum of those
+    terms, since no other term depends on it.
+    """
+    inside: dict[Atom, set[JetCoord]] = {}
+    buckets: dict[JetCoord, list[tuple[Monomial, int]]] = {}
+    for term in f._terms:
+        held = set()
+        for atom, _k in term[0]:
+            if atom.args:
+                coords = inside.get(atom)
+                if coords is None:
+                    coords = inside[atom] = {
+                        a for arg in atom.args for a in all_atoms(arg)
+                        if a.__class__ is JetCoord}
+                held |= coords
+            elif atom.__class__ is JetCoord:
+                held.add(atom)
+        for jc in held:
+            buckets.setdefault(jc, []).append(term)
     out: dict[tuple[int, MultiIndex], JetExpr] = {}
-    for jc in jet_coords(f):
-        p = partial(f, jc)
+    for jc in sorted(buckets):
+        terms = buckets[jc]
+        g = math.gcd(f._den, *(n for _m, n in terms))
+        if g != 1:
+            terms = [(m, n // g) for m, n in terms]
+        p = partial(JetExpr(tuple(terms), f._den // g), jc)
         if not p.is_zero:
             out[(jc.index, jc.sigma)] = p
     return out

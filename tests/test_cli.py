@@ -8,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -517,6 +518,24 @@ def test_deepest_accepted_nesting_runs(capsys, tmp_path):
                           _nested_edit(accepted).write(tmp_path),
                           "--section", "sol", "--fields", "b1")
     assert code == 3 and out.startswith("max residual: 1.0\n")
+
+
+# seconds allowed for el on sin nested 100 deep around y_t, about 1 s on a
+# 2-core Xeon; before function atoms kept their nesting height in their
+# key the same run took about 20 minutes
+NESTED_EL_BUDGET = 30
+
+
+def test_el_on_deeply_nested_functions_is_bounded(capsys, tmp_path):
+    """el on L = sin(sin(...sin(y_t)...)), 100 deep, exits 0 within its
+    budget: comparing two cos factors of different depths, as the chain
+    rule's products do, takes one step."""
+    lag = _Edited("1/2*(y_t^2 - y^2)", "sin(" * 100 + "y_t" + ")" * 100)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "el", lag.write(tmp_path))
+    elapsed = time.perf_counter() - start
+    assert code == 0 and out.startswith("e_1 = ") and not err
+    assert elapsed < NESTED_EL_BUDGET
 
 
 # recorded at the order-4 limit, where the bump's exponent is still 4

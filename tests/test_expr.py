@@ -352,13 +352,14 @@ def test_sort_key_compares_rational_values(xy_ctx):
     assert [a.arg for a in atoms] == [c * y for c in sorted(cs)]
     y_atom = xy_ctx.jet_atom("y")
     assert ElemFn("sin", y / 2 + 1).sort_key() == (
-        3, "sin", ((_mono_key(()), 1), (_mono_key(((y_atom, 1),)),
-                                         Fraction(1, 2))))
+        3, 1, "sin", ((_mono_key(()), 1), (_mono_key(((y_atom, 1),)),
+                                            Fraction(1, 2))))
 
 
 def _old_key(a):
     """The plain-tuple sort key of an atom, rebuilt from its attributes as
-    it was stored before atoms were their own keys."""
+    it was stored before atoms were their own keys, with the nesting
+    height after the kind of a function atom."""
     if isinstance(a, ConstSym):
         return (0, a.name)
     if isinstance(a, BaseCoord):
@@ -366,10 +367,18 @@ def _old_key(a):
     if isinstance(a, JetCoord):
         return (2, a.sigma.order(), a.index, a.sigma.counts, a.field)
     if isinstance(a, ElemFn):
-        return (3, a.fn, _old_expr_key(a.arg))
+        return (3, _nesting(a), a.fn, _old_expr_key(a.arg))
     if isinstance(a, OpaqueFn):
-        return (4, a.name, a.orders, tuple(_old_expr_key(x) for x in a.args))
-    return (5, _old_expr_key(a.body))
+        return (4, _nesting(a), a.name, a.orders,
+                tuple(_old_expr_key(x) for x in a.args))
+    return (5, _nesting(a), _old_expr_key(a.body))
+
+
+def _nesting(a):
+    """How deep function atoms nest in a, a itself included: 0 for a
+    coordinate or a constant."""
+    inner = [_nesting(b) for x in a.args for m, _c in x.terms for b, _k in m]
+    return 1 + max(inner, default=0) if a.args else 0
 
 
 def _old_mono_key(m):

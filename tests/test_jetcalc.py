@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from jetvar import (JetContext, VerticalField, d_v, total_derivative,
                     total_derivative_multi)
-from jetvar.expr import cos, elem, sin
+from jetvar.expr import all_atoms, cos, elem, jet_coords, partial, sin, sqrt
 from jetvar.jetcalc import derivative_lattice
 from jetvar.multiindex import MultiIndex
 from jetvar.randgen import random_polynomial
@@ -157,3 +157,87 @@ def test_total_derivative_of_powers_matches_sympy(k1, k2, to_sympy):
                    ctx, sp)
     want = sp.diff(lhs, *[(x, c) for x, c in zip(xs, sigma) if c])
     assert sp.cancel(got - want) == 0
+
+
+def _jet_symbols(e, ctx, sp):
+    """Each jet coordinate of e as its sympy image under to_sympy, mapped
+    to a free symbol of its own: the jet coordinates as independent
+    variables, as the fibre partials treat them.  The base symbols go to
+    positive ones too, so that sympy merges powers such as
+    sqrt(y_t^3)^3 = y_t^(9/2) when it cancels."""
+    xs = [sp.Symbol(nm) for nm in ctx.base_names]
+    out = {x: sp.Symbol(x.name, positive=True) for x in xs}
+    out.update({sp.diff(sp.Function(c.field)(*xs), *zip(xs, c.sigma)):
+                sp.Symbol(c.plain(), positive=True) for c in jet_coords(e)})
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_partial_matches_sympy(seed, to_sympy):
+    """The partial along every jet coordinate and every base coordinate
+    of poly * f(arg) / den, f elementary, agrees with sympy.diff with the
+    jet coordinates read as independent symbols."""
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(1000 + seed)
+    ctx = rng.choice([JetContext.make("t", "y"), JetContext.make("t", "y z"),
+                      JetContext.make("x1 x2", "y"),
+                      JetContext.make("x1 x2", "y z")])
+    e = _random_quotient(rng, ctx)
+    symbols = _jet_symbols(e, ctx, sp)
+    lhs = to_sympy(e, ctx, sp).xreplace(symbols)
+    coords = jet_coords(e) + [ctx.base_atom(ax) for ax in range(ctx.n)]
+    for c in coords:
+        wrt = sp.Symbol(c.plain(), positive=True)
+        got = to_sympy(partial(e, c), ctx, sp).xreplace(symbols)
+        assert sp.cancel(got - sp.diff(lhs, wrt)) == 0
+
+
+def test_partial_scales_coordinate_terms_by_a_fractional_chain_rule():
+    """In sqrt(y)/3 + y^2/2 the sqrt term comes first, and the 1/2 of its
+    derivative grows the common denominator before y^2 adds its term,
+    which must be scaled to it; likewise for sqrt(t) under D_t."""
+    ctx = JetContext.make("t", "y")
+    y = ctx.fiber("y")
+    e = sqrt(y) / 3 + y ** 2 / 2
+    assert [type(m[0][0]).__name__ for m, _c in e.terms] == \
+        ["ElemFn", "JetCoord"]
+    assert partial(e, ctx.jet_atom("y")) == sqrt(y) ** -1 / 6 + y
+    t = ctx.base("t")
+    e = sqrt(t) + t ** 2 * ctx.jet("y", "t")
+    assert total_derivative(e, 0, ctx) == (
+        sqrt(t) ** -1 / 2 + 2 * t * ctx.jet("y", "t")
+        + t ** 2 * ctx.jet("y", "tt"))
+
+
+def _random_composite(rng, ctx):
+    """A sum whose terms hold elementary, opaque and inverse-sum atoms,
+    nested two deep, of random polynomials with rational coefficients."""
+    def poly():
+        return random_polynomial(rng, ctx, max_order=2, max_monomials=3,
+                                 max_factors=2)
+
+    e = poly()
+    for _level in range(2):
+        p, q = poly(), poly()
+        e = (elem(rng.choice(["sin", "cos", "exp", "log", "sqrt"]), e + p) * q
+             + ctx.opaque("g", args=(e, q)) * p + poly() / (e * p + q + 1))
+    return e
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_d_v_is_the_partial_along_each_coordinate(seed):
+    """d_v, which takes each coordinate's partial of only the terms that
+    hold it, equals the partial of the whole expression along every jet
+    coordinate that occurs, the zero ones left out."""
+    rng = random.Random(seed)
+    ctx = JetContext.make("x1 x2", "y z", opaque={"g": ["y", "z"]})
+    e = _random_composite(rng, ctx)
+    kinds = {type(a).__name__ for a in all_atoms(e)}
+    assert {"ElemFn", "OpaqueFn", "InvSum"} <= kinds
+    want = {}
+    for c in jet_coords(e):
+        p = partial(e, c)
+        if not p.is_zero:
+            want[(c.index, c.sigma)] = p
+    assert d_v(e, ctx) == want
+    assert list(d_v(e, ctx)) == list(want)
