@@ -2,8 +2,7 @@
 Helmholtz morphisms, adjoints, Jacobi morphisms, iterated quotient
 variations, and a finite-difference/quadrature oracle along sections."""
 
-from .expr import (JetContext, JetExpr, jet_order, partial, simplify,
-                   substitute, to_plain)
+from .expr import JetContext, JetExpr, jet_order, partial, substitute, to_plain
 from .jetcalc import (VerticalField, d_v, total_derivative,
                       total_derivative_multi)
 from .multiindex import MultiIndex, enumerate_up_to
@@ -34,7 +33,7 @@ __all__ = [
     "JetContext", "JetExpr", "MultiIndex", "VerticalField",
     "Lagrangian", "SourceForm", "BilinearForm",
     "NumericConfig", "NumericSection",
-    "enumerate_up_to", "jet_order", "partial", "simplify", "substitute",
+    "enumerate_up_to", "jet_order", "partial", "substitute",
     "to_plain", "total_derivative", "total_derivative_multi", "d_v",
     "euler_lagrange", "helmholtz", "adjoint",
     "vertical_differential", "jacobi", "contract", "contract_source",

@@ -8,6 +8,10 @@ A call pays only for its own subcommand: the parser builder adds that
 one subparser (all of them for help, an unknown command or no arguments),
 and only the numeric ones (check-critical, second-var, jacobi --section)
 import ``numeric``, and with it numpy.
+
+A subcommand's handler computes and does not print: it returns the
+structured payload, the text lines and the check's verdict, and ``run``
+alone renders them in the requested format.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_SEMANTIC = 2
 EXIT_CHECK_FAILED = 3
+
+# the payload values that run writes through object_to_dict
+_FORMS = (JetExpr, SourceForm, BilinearForm)
 
 
 class SemanticError(ValueError):
@@ -137,9 +144,12 @@ def _source(pf: ProblemFile, args) -> SourceForm:
 def _variations(pf: ProblemFile, args, count: int | None = None
                 ) -> list[tuple[str, tuple[JetExpr, ...]]]:
     """(name, components) of each field named by --fields, in order."""
-    names = [w.strip() for w in (args.fields or "").split(",") if w.strip()]
-    if not names:
+    names = [w.strip() for w in (args.fields or "").split(",")]
+    if names == [""]:
         raise SemanticError("this command needs --fields NAME[,NAME...]")
+    if "" in names:
+        raise SemanticError(f"--fields {args.fields!r}: entry "
+                            f"{names.index('') + 1} is empty")
     if count is not None and len(names) != count:
         raise SemanticError(f"this command needs exactly {count} field names")
     for nm in names:
@@ -149,7 +159,11 @@ def _variations(pf: ProblemFile, args, count: int | None = None
     return [(nm, pf.variations[nm]) for nm in names]
 
 
-def _numeric_config(pf: ProblemFile, args) -> NumericConfig:
+def _numeric_setup(pf: ProblemFile, args):
+    """(lagrangian, numeric config, section) of a numeric check, each
+    refused, when it cannot be had, in that order."""
+    from .numeric import NumericSection
+    lag = _lagrangian(pf, args)
     if pf.numeric is None:
         raise SemanticError("this command needs a numeric block in the "
                             "problem file")
@@ -157,13 +171,9 @@ def _numeric_config(pf: ProblemFile, args) -> NumericConfig:
     nodes = cfg.nodes if args.nodes is None else args.nodes
     step = cfg.step if args.step is None else args.step
     tol = cfg.tol if args.tol is None else args.tol
-    return NumericConfig(cfg.domain, nodes, step, tol)
-
-
-def _section(pf: ProblemFile, args, cfg: NumericConfig):
-    from .numeric import NumericSection
+    cfg = NumericConfig(cfg.domain, nodes, step, tol)
     exprs = _pick(pf.sections, args.section, "section")
-    return NumericSection(pf.ctx, exprs, cfg.domain, cfg.nodes)
+    return lag, cfg, NumericSection(pf.ctx, exprs, cfg.domain, cfg.nodes)
 
 
 def _read(path: str | None) -> str:
@@ -190,150 +200,109 @@ def _emit(args, text: str) -> None:
         raise _UsageError(f"cannot write {args.output!r}: {err}") from None
 
 
-def _structured(args, payload: dict) -> str:
-    return dump_structured({"command": args.command, **payload})
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (payload, lines, held) for run to render.
+# payload holds the structured keys, a form as the object itself; each of
+# lines is a text line or a (form, name) pair; held is the check's verdict.
 # ---------------------------------------------------------------------------
 
 
-def _cmd_el(pf: ProblemFile, args) -> str:
+def _cmd_el(pf: ProblemFile, args):
     e = euler_lagrange(_lagrangian(pf, args))
-    if args.format == "structured":
-        return _structured(args, {"source_form": object_to_dict(e)})
-    return print_object(e, args.format)
+    return {"source_form": e}, [(e, "A")], True
 
 
-def _cmd_helmholtz(pf: ProblemFile, args) -> str:
+def _cmd_helmholtz(pf: ProblemFile, args):
     # H* = -H (see variational.helmholtz): the skew slots, kept, repeat H
     h = helmholtz(_source(pf, args))
     variational = h.is_zero
-    verdict = "locally variational" if variational else "not locally variational"
-    if args.format == "structured":
-        return _structured(args, {"helmholtz": object_to_dict(h),
-                                  "helmholtz_skew": object_to_dict(h),
-                                  "locally_variational": variational})
-    out = [print_object(h, args.format, name="H")]
+    lines = [(h, "H")]
     if not variational:
-        out += ["skew part:", out[0]]
-    out.append(f"verdict: {verdict}")
-    return "\n".join(out)
+        lines += ["skew part:", (h, "H")]
+    lines.append("verdict: " + ("locally variational" if variational
+                                else "not locally variational"))
+    return ({"helmholtz": h, "helmholtz_skew": h,
+             "locally_variational": variational}, lines, True)
 
 
-def _cmd_jacobi(pf: ProblemFile, args) -> str:
-    lag = _lagrangian(pf, args)
+def _cmd_jacobi(pf: ProblemFile, args):
     # J = V* = V by the Helmholtz conditions: J repeats V, the verdict is yes
-    ve = vertical_differential(lag)
-    onshell = None
-    if args.section is not None:
-        from .numeric import check_onshell_symmetry
-        cfg = _numeric_config(pf, args)
-        sec = _section(pf, args, cfg)
-        if not args.fields:
-            raise SemanticError("--section also needs --fields A,B for the "
-                                "on-shell report")
-        (_, xi1), (_, xi2) = _variations(pf, args, 2)
-        rep = check_onshell_symmetry(lag, sec, xi1, xi2, crit_tol=cfg.tol)
-        onshell = {"lhs": rep.lhs, "rhs": rep.rhs,
-                   "difference": rep.difference,
-                   "pointwise_max": rep.pointwise_max,
-                   "criticality_residual": rep.residual}
-        if not rep.symmetric(cfg.tol):
-            raise CheckFailed(
-                f"on-shell symmetry violated: lhs={rep.lhs!r} rhs={rep.rhs!r}")
-    if args.format == "structured":
-        v = object_to_dict(ve)
-        payload = {"vertical_differential": v, "jacobi": v,
-                   "formally_self_adjoint": True}
-        if onshell is not None:
-            payload["onshell_symmetry"] = onshell
-        return _structured(args, payload)
-    out = [print_object(ve, args.format, name="V"), "",
-           print_object(ve, args.format, name="J"), "",
-           "formally self-adjoint: yes"]
-    if onshell is not None:
-        out.append(f"on-shell symmetry: lhs = {onshell['lhs']!r}, "
-                   f"rhs = {onshell['rhs']!r}, "
-                   f"difference = {onshell['difference']!r}")
-    return "\n".join(out)
+    ve = vertical_differential(_lagrangian(pf, args))
+    payload = {"vertical_differential": ve, "jacobi": ve,
+               "formally_self_adjoint": True}
+    lines = [(ve, "V"), "", (ve, "J"), "", "formally self-adjoint: yes"]
+    if args.section is None:
+        return payload, lines, True
+    from .numeric import check_onshell_symmetry
+    lag, cfg, sec = _numeric_setup(pf, args)
+    if not args.fields:
+        raise SemanticError("--section also needs --fields A,B for the "
+                            "on-shell report")
+    (_, xi1), (_, xi2) = _variations(pf, args, 2)
+    rep = check_onshell_symmetry(lag, sec, xi1, xi2, crit_tol=cfg.tol)
+    if not rep.symmetric(cfg.tol):
+        raise CheckFailed(
+            f"on-shell symmetry violated: lhs={rep.lhs!r} rhs={rep.rhs!r}")
+    payload["onshell_symmetry"] = {
+        "lhs": rep.lhs, "rhs": rep.rhs, "difference": rep.difference,
+        "pointwise_max": rep.pointwise_max,
+        "criticality_residual": rep.residual}
+    lines.append(f"on-shell symmetry: lhs = {rep.lhs!r}, rhs = {rep.rhs!r}, "
+                 f"difference = {rep.difference!r}")
+    return payload, lines, True
 
 
-def _cmd_variation(pf: ProblemFile, args, count: int | None = None) -> str:
+def _cmd_variation(pf: ProblemFile, args, count: int | None = None):
     lag = _lagrangian(pf, args)
     fields = [VerticalField(pf.ctx, comps)
               for _, comps in _variations(pf, args, count)]
     v = quotient_variation(lag, fields)
-    if args.format == "structured":
-        return _structured(args, {"order": len(fields),
-                                  "density": object_to_dict(v.density)})
-    return print_object(v.density, args.format)
+    return {"order": len(fields), "density": v.density}, [(v.density, "A")], True
 
 
-def _cmd_check_critical(pf: ProblemFile, args) -> str:
+def _cmd_check_critical(pf: ProblemFile, args):
     from .numeric import check_critical, first_variation_pair
-    lag = _lagrangian(pf, args)
-    cfg = _numeric_config(pf, args)
-    sec = _section(pf, args, cfg)
+    lag, cfg, sec = _numeric_setup(pf, args)
     rep = check_critical(lag, sec, tol=cfg.tol)
     first_vars = {}
+    lines = [f"max residual: {rep.max_residual!r}",
+             "per component: " + ", ".join(map(repr, rep.per_component)),
+             f"critical (tol {cfg.tol:g}): "
+             f"{'yes' if rep.is_critical else 'no'}"]
     if args.fields:
         for nm, comps in _variations(pf, args):
             fd, sym = first_variation_pair(lag, sec, comps, step=cfg.step)
             first_vars[nm] = {"finite_difference": fd, "integral": sym}
-    payload = {"max_residual": rep.max_residual,
-               "per_component": list(rep.per_component),
-               "tol": rep.tol, "critical": rep.is_critical,
-               "first_variations": first_vars}
-    if args.format == "structured":
-        text = _structured(args, payload)
-    else:
-        lines = [f"max residual: {rep.max_residual!r}",
-                 f"per component: "
-                 + ", ".join(repr(x) for x in rep.per_component),
-                 f"critical (tol {cfg.tol:g}): "
-                 f"{'yes' if rep.is_critical else 'no'}"]
-        for nm, d in first_vars.items():
-            lines.append(f"first variation [{nm}]: fd = "
-                         f"{d['finite_difference']!r}, "
-                         f"integral = {d['integral']!r}")
-        text = "\n".join(lines)
-    if not rep.is_critical:
-        raise CheckFailed(text)
-    return text
+            lines.append(f"first variation [{nm}]: fd = {fd!r}, "
+                         f"integral = {sym!r}")
+    return ({"max_residual": rep.max_residual,
+             "per_component": list(rep.per_component),
+             "tol": rep.tol, "critical": rep.is_critical,
+             "first_variations": first_vars}, lines, rep.is_critical)
 
 
-def _cmd_second_var(pf: ProblemFile, args) -> str:
+def _cmd_second_var(pf: ProblemFile, args):
     from .numeric import second_variation_check
-    lag = _lagrangian(pf, args)
-    cfg = _numeric_config(pf, args)
-    sec = _section(pf, args, cfg)
+    lag, cfg, sec = _numeric_setup(pf, args)
     (_, xi1), (_, xi2) = _variations(pf, args, 2)
     rep = second_variation_check(lag, sec, xi1, xi2, step=cfg.step,
                                  crit_tol=cfg.tol)
-    payload = {"finite_difference": rep.finite_difference,
-               "integral_vertical_differential":
-                   rep.integral_vertical_differential,
-               "integral_jacobi": rep.integral_jacobi,
-               "criticality_residual": rep.residual,
-               "consistent": rep.consistent(cfg.tol)}
-    if args.format == "structured":
-        text = _structured(args, payload)
-    else:
-        text = "\n".join([
-            f"finite-difference second variation: {rep.finite_difference!r}",
-            f"integral against vertical differential: "
-            f"{rep.integral_vertical_differential!r}",
-            f"integral against jacobi morphism: {rep.integral_jacobi!r}",
-            f"consistent (rel tol {cfg.tol:g}): "
-            f"{'yes' if rep.consistent(cfg.tol) else 'no'}"])
-    if not rep.consistent(cfg.tol):
-        raise CheckFailed(text)
-    return text
+    held = rep.consistent(cfg.tol)
+    lines = [
+        f"finite-difference second variation: {rep.finite_difference!r}",
+        f"integral against vertical differential: "
+        f"{rep.integral_vertical_differential!r}",
+        f"integral against jacobi morphism: {rep.integral_jacobi!r}",
+        f"consistent (rel tol {cfg.tol:g}): {'yes' if held else 'no'}"]
+    return ({"finite_difference": rep.finite_difference,
+             "integral_vertical_differential":
+                 rep.integral_vertical_differential,
+             "integral_jacobi": rep.integral_jacobi,
+             "criticality_residual": rep.residual,
+             "consistent": held}, lines, held)
 
 
-def _cmd_adjoint(pf: ProblemFile, args) -> str:
+def _cmd_adjoint(pf: ProblemFile, args):
     text = _read(None if args.bilinear == "-" else args.bilinear)
     try:
         form = parse_structured(text, pf.ctx)
@@ -342,9 +311,7 @@ def _cmd_adjoint(pf: ProblemFile, args) -> str:
     if not isinstance(form, BilinearForm):
         raise SemanticError("--bilinear input is not a bilinear form")
     out = adjoint(form)
-    if args.format == "structured":
-        return _structured(args, {"adjoint": object_to_dict(out)})
-    return print_object(out, args.format, name="A")
+    return {"adjoint": out}, [(out, "A")], True
 
 
 # (name, handler, help, numeric): numeric subcommands take --nodes, --step
@@ -370,14 +337,25 @@ COMMANDS = (
 
 
 def run(args) -> tuple[str, int]:
-    """The command's output and exit code: a failed check's report, or a
-    check's refusal of a section that is not critical, is still the
-    requested output."""
+    """The command's output, rendered in the requested format, and exit
+    code: a failed check's report, or a check's refusal of a section that
+    is not critical, is still the requested output."""
     pf = parse_problem_file(_read(args.input))
     try:
-        return args.handler(pf, args), EXIT_OK
+        payload, lines, held = args.handler(pf, args)
     except (CheckFailed, NotCritical) as err:
         return str(err), EXIT_CHECK_FAILED
+    if args.format == "structured":
+        # each form once, though V fills the J key too and H the skew one
+        forms = {id(v): v for v in payload.values() if isinstance(v, _FORMS)}
+        dicts = {i: object_to_dict(v) for i, v in forms.items()}
+        text = dump_structured({"command": args.command, **{
+            k: dicts.get(id(v), v) for k, v in payload.items()}})
+    else:
+        text = "\n".join(ln if isinstance(ln, str)
+                         else print_object(ln[0], args.format, ln[1])
+                         for ln in lines)
+    return text, EXIT_OK if held else EXIT_CHECK_FAILED
 
 
 def main(argv=None) -> int:

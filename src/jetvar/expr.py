@@ -16,9 +16,9 @@ otherwise.  No coefficient is ever a float.
 
 Canonicalization is ring-level only: no trigonometric or radical
 identities are applied, function applications are atomic generators.
-Because constructors normalize, ``simplify`` is the identity and two
-expressions are mathematically equal as (Laurent) polynomials in the
-generators exactly when they compare equal.
+Because constructors normalize, two expressions are mathematically equal
+as (Laurent) polynomials in the generators exactly when they compare
+equal.
 """
 
 from __future__ import annotations
@@ -83,9 +83,6 @@ class Atom(tuple):
     """
 
     args: tuple["JetExpr", ...] = ()
-
-    def sort_key(self):
-        return self
 
     def __repr__(self):
         return to_plain(atom_expr(self))
@@ -712,18 +709,6 @@ def log(arg: JetExpr) -> JetExpr:
 
 def sqrt(arg: JetExpr) -> JetExpr:
     return elem("sqrt", arg)
-
-
-def simplify(e: JetExpr) -> JetExpr:
-    """Return the canonical form of ``e``.
-
-    Constructors normalize eagerly, so this is the identity; it exists as
-    the explicit entry point of the normal-form contract (idempotent by
-    construction).
-    """
-    if not isinstance(e, JetExpr):
-        raise ExprError("simplify expects a JetExpr")
-    return e
 
 
 def derive(e: JetExpr, image: Callable[[Atom], Monomial | None]) -> JetExpr:

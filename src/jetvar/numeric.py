@@ -639,8 +639,12 @@ def check_onshell_symmetry(lag: Lagrangian, section: NumericSection,
 class SecondVariationReport:
     finite_difference: float
     integral_vertical_differential: float
-    integral_jacobi: float
     residual: float
+
+    @property
+    def integral_jacobi(self) -> float:
+        """The integral against J, which is V (see variational.jacobi)."""
+        return self.integral_vertical_differential
 
     def consistent(self, rel: float = 1e-6, floor: float = 1e-8) -> bool:
         return rel_close(self.finite_difference,
@@ -657,7 +661,7 @@ def second_variation_check(lag: Lagrangian, section: NumericSection,
     res, f1, f2, ve = _critical_pair(lag, section, xi1, xi2, crit_tol)
     fd = _difference_quotient(lag, section, (f1, f2), step)
     ive = section._integral(_contraction(ve, section, f1, f2))
-    return SecondVariationReport(fd, ive, ive, res)
+    return SecondVariationReport(fd, ive, res)
 
 
 def first_variation_pair(lag: Lagrangian, section: NumericSection,

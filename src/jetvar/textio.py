@@ -462,36 +462,29 @@ def _json_text(o, nl: str) -> str:
 def print_object(obj, fmt: str = "plain", name: str = "A") -> str:
     """Render an expression, source form, or bilinear form.
 
-    plain and latex follow the canonical term order; structured is the
-    lossless JSON tree that round-trips through parse_structured.
+    plain and latex follow the canonical term order and one template,
+    which differ only in the expression printer, the subscript braces and
+    the index separator; structured is the lossless JSON tree that
+    round-trips through parse_structured.
     """
     if fmt == "structured":
         return dump_structured(object_to_dict(obj))
+    show, sub, sep = ((to_plain, "{}", " ") if fmt == "plain"
+                      else (to_latex, "{{{}}}", "\\,"))
     if isinstance(obj, Lagrangian):
         obj = obj.density
     if isinstance(obj, JetExpr):
-        return to_plain(obj) if fmt == "plain" else to_latex(obj)
+        return show(obj)
     if isinstance(obj, SourceForm):
-        lines = []
-        for i, c in enumerate(obj.components):
-            if fmt == "plain":
-                lines.append(f"e_{i + 1} = {to_plain(c)}")
-            else:
-                lines.append(f"e_{{{i + 1}}} = {to_latex(c)}")
-        return "\n".join(lines)
+        return "\n".join(f"e_{sub.format(i + 1)} = {show(c)}"
+                         for i, c in enumerate(obj.components))
     if isinstance(obj, BilinearForm):
-        base = obj.ctx.base_names
         if obj.is_zero:
             return f"{name} = 0"
-        lines = []
-        for (s, i, j), v in obj.entries():
-            label = _sigma_label(s, base)
-            if fmt == "plain":
-                lines.append(f"{name}^{{{label}}}_{{{i + 1} {j + 1}}} = {to_plain(v)}")
-            else:
-                lines.append(
-                    f"{name}^{{{label}}}_{{{i + 1}\\,{j + 1}}} = {to_latex(v)}")
-        return "\n".join(lines)
+        base = obj.ctx.base_names
+        return "\n".join(
+            f"{name}^{{{_sigma_label(s, base)}}}_{{{i + 1}{sep}{j + 1}}} = "
+            f"{show(v)}" for (s, i, j), v in obj.entries())
     raise ValueError(f"cannot print {type(obj).__name__}")
 
 

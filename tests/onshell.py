@@ -20,7 +20,7 @@ def prolong_relations(ctx: JetContext,
     max_order.  Right-hand sides are kept reduced with respect to the
     accumulated relations."""
     bindings: dict[JetCoord, JetExpr] = {}
-    for key, rhs in sorted(relations.items(), key=lambda kv: kv[0].sort_key()):
+    for key, rhs in sorted(relations.items()):
         bindings[key] = substitute(rhs, bindings)
     frontier = list(bindings.items())
     while frontier:

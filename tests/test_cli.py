@@ -475,6 +475,15 @@ NUMERIC_BLOCK_EDITS = (
        (1, "nested too deeply"))
       for lagrangian in ("-" * 1200 + "y_t^2",
                          "sin(" * 180 + "y_t" + ")" * 180)),
+    # an empty name in --fields is refused, not dropped: b1,,b2 is not the
+    # pair (b1, b2), nor b1, the single b1
+    *(([cmd, OSC, "--section", "sol", "--fields", fields], None,
+       (2, f"--fields {fields!r}: entry {entry} is empty"))
+      for cmd, fields, entry in (("hessian", "b1,,b2", 2),
+                                 ("hessian", "b1,", 2),
+                                 ("variation", ",b1", 1),
+                                 ("variation", ",", 1),
+                                 ("check-critical", "b1,b2, ", 3))),
 ])
 def test_exit_code_contract(capsys, monkeypatch, tmp_path, argv, stdin, code):
     """Exit code, and a phrase of the error where code is (code, phrase),

@@ -119,7 +119,22 @@ def _random_quotient(rng, ctx, k1=1, k2=1):
     return poly() * elem(fn, arg) ** k1 * den ** -k2
 
 
-@pytest.mark.parametrize("seed", range(40))
+def _positive(e, ctx, sp):
+    """e, a sympy image under to_sympy, with each derivative, applied
+    function and base symbol replaced by a positive symbol of its own, so
+    that sympy merges powers such as sqrt(u^3)^3 = u^(9/2) when it
+    cancels."""
+    from sympy.core.function import AppliedUndef
+    out = {x: sp.Symbol(x.name, positive=True)
+           for x in map(sp.Symbol, ctx.base_names)}
+    out.update({a: sp.Symbol(str(a), positive=True)
+                for a in e.atoms(sp.Derivative, AppliedUndef)})
+    return e.xreplace(out)
+
+
+# seeds 184, 197 and 354 hold differences that cancel to 0 only over
+# positive symbols
+@pytest.mark.parametrize("seed", [*range(40), 184, 197, 354])
 def test_total_derivative_matches_sympy(seed, to_sympy):
     sp = pytest.importorskip("sympy")
     rng = random.Random(seed)
@@ -130,7 +145,8 @@ def test_total_derivative_matches_sympy(seed, to_sympy):
     lhs = to_sympy(e, ctx, sp)
     for ax, name in enumerate(ctx.base_names):
         got = to_sympy(total_derivative(e, ax, ctx), ctx, sp)
-        assert sp.cancel(got - sp.diff(lhs, sp.Symbol(name))) == 0
+        diff = got - sp.diff(lhs, sp.Symbol(name))
+        assert sp.cancel(_positive(diff, ctx, sp)) == 0
 
 
 @pytest.mark.parametrize("k1", [-2, -1, 2, 3])
@@ -149,14 +165,14 @@ def test_total_derivative_of_powers_matches_sympy(k1, k2, to_sympy):
     xs = [sp.Symbol(name) for name in ctx.base_names]
     ax = rng.randrange(ctx.n)
     got = to_sympy(total_derivative(e, ax, ctx), ctx, sp)
-    assert sp.cancel(got - sp.diff(lhs, xs[ax])) == 0
+    assert sp.cancel(_positive(got - sp.diff(lhs, xs[ax]), ctx, sp)) == 0
     sigma = [0] * ctx.n
     sigma[ax] += 1
     sigma[rng.randrange(ctx.n)] += 1
     got = to_sympy(total_derivative_multi(e, MultiIndex(tuple(sigma)), ctx),
                    ctx, sp)
     want = sp.diff(lhs, *[(x, c) for x, c in zip(xs, sigma) if c])
-    assert sp.cancel(got - want) == 0
+    assert sp.cancel(_positive(got - want, ctx, sp)) == 0
 
 
 def _jet_symbols(e, ctx, sp):

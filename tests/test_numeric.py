@@ -116,8 +116,7 @@ def _environments(e: JetExpr, rng: random.Random) -> list[dict]:
     """A scalar and an array environment for the coordinates of e, each
     value 0.0, -0.0 or uniform on [-1.5, 1.5]."""
     coords = sorted((a for a in all_atoms(e)
-                     if isinstance(a, (BaseCoord, JetCoord))),
-                    key=Atom.sort_key)
+                     if isinstance(a, (BaseCoord, JetCoord))))
 
     def value():
         return rng.choice((0.0, -0.0, rng.uniform(-1.5, 1.5)))

@@ -1,9 +1,10 @@
 """The numeric CLI subcommands against recorded outputs.
 
 ``check-critical``, ``second-var`` and ``jacobi --section`` are run with
-``--format structured`` on every section of each problem file that has a
-numeric block, at 7, 64 and 1024 Gauss nodes, and compared with
-``numeric_golden.json``.  Exit codes and verdicts must match exactly.
+``--format structured`` and ``--format plain`` on every section of each
+problem file that has a numeric block, at 7, 64 and 1024 Gauss nodes, and
+compared with ``numeric_golden.json``.  Exit codes and verdicts must match
+exactly, and so must the words of a plain report, its numbers masked.
 Floats cannot be pinned byte for byte, since they move with the last bits
 of the quadrature rule and of the numpy build, so they are compared with
 tolerances instead:
@@ -20,6 +21,7 @@ Regenerate the fixture with ``python tests/test_numeric_golden.py``.
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import pathlib
@@ -36,6 +38,8 @@ FIXTURE = pathlib.Path(__file__).resolve().parent / "numeric_golden.json"
 
 NODES = (7, 64, 1024)
 COMMANDS = ("check-critical", "second-var", "jacobi")
+# the key of a structured case carries no format suffix
+FORMATS = (("structured", ""), ("plain", " plain"))
 
 
 def _cases():
@@ -46,12 +50,13 @@ def _cases():
         fields = ",".join(sorted(pf.variations)[:2])
         for section in sorted(pf.sections):
             for command in COMMANDS:
-                for nodes in NODES:
+                for nodes, (fmt, suffix) in itertools.product(NODES,
+                                                              FORMATS):
                     argv = [command, str(path), "--section", section,
                             "--fields", fields, "--nodes", str(nodes),
-                            "--format", "structured"]
+                            "--format", fmt]
                     key = " ".join([path.name, command, section, str(nodes)])
-                    yield key, argv
+                    yield key + suffix, argv
 
 
 CASES = dict(_cases())
