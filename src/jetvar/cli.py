@@ -17,16 +17,17 @@ alone renders them in the requested format.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 
 from . import expr as ex
 from .expr import JetExpr
 from .jetcalc import VerticalField
-from .numconfig import NotCritical, NumericConfig, NumericError
-from .textio import (ParseError, ProblemFile, dump_structured, object_to_dict,
-                     parse_problem_file, parse_setting, parse_structured,
-                     print_object)
+from .numconfig import NotCritical, NumericError
+from .textio import (SETTINGS, ParseError, ProblemFile, dump_structured,
+                     object_to_dict, parse_problem_file, parse_setting,
+                     parse_structured, print_object)
 from .variational import (BilinearForm, Lagrangian, SourceForm, adjoint,
                           euler_lagrange, helmholtz, quotient_variation,
                           vertical_differential)
@@ -41,10 +42,6 @@ _FORMS = (JetExpr, SourceForm, BilinearForm)
 
 
 class SemanticError(ValueError):
-    pass
-
-
-class CheckFailed(RuntimeError):
     pass
 
 
@@ -93,9 +90,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sp.add_argument("--output", metavar="PATH",
                         help="write output to PATH instead of stdout")
         if numeric:
-            sp.add_argument("--nodes", type=_checked("nodes"), metavar="N")
-            sp.add_argument("--step", type=_checked("step"), metavar="H")
-            sp.add_argument("--tol", type=_checked("tol"), metavar="T")
+            for setting, metavar in zip(SETTINGS, "NHT"):
+                sp.add_argument(f"--{setting}", type=_checked(setting),
+                                metavar=metavar)
         if name == "adjoint":
             sp.add_argument("--bilinear", metavar="PATH", required=True,
                             help="structured-format bilinear form "
@@ -167,11 +164,8 @@ def _numeric_setup(pf: ProblemFile, args):
     if pf.numeric is None:
         raise SemanticError("this command needs a numeric block in the "
                             "problem file")
-    cfg = pf.numeric.config()
-    nodes = cfg.nodes if args.nodes is None else args.nodes
-    step = cfg.step if args.step is None else args.step
-    tol = cfg.tol if args.tol is None else args.tol
-    cfg = NumericConfig(cfg.domain, nodes, step, tol)
+    cfg = dataclasses.replace(pf.numeric.config(), **{
+        k: v for k in SETTINGS if (v := getattr(args, k)) is not None})
     exprs = _pick(pf.sections, args.section, "section")
     return lag, cfg, NumericSection(pf.ctx, exprs, cfg.domain, cfg.nodes)
 
@@ -240,16 +234,13 @@ def _cmd_jacobi(pf: ProblemFile, args):
                             "on-shell report")
     (_, xi1), (_, xi2) = _variations(pf, args, 2)
     rep = check_onshell_symmetry(lag, sec, xi1, xi2, crit_tol=cfg.tol)
-    if not rep.symmetric(cfg.tol):
-        raise CheckFailed(
-            f"on-shell symmetry violated: lhs={rep.lhs!r} rhs={rep.rhs!r}")
     payload["onshell_symmetry"] = {
         "lhs": rep.lhs, "rhs": rep.rhs, "difference": rep.difference,
         "pointwise_max": rep.pointwise_max,
         "criticality_residual": rep.residual}
     lines.append(f"on-shell symmetry: lhs = {rep.lhs!r}, rhs = {rep.rhs!r}, "
                  f"difference = {rep.difference!r}")
-    return payload, lines, True
+    return payload, lines, rep.symmetric(cfg.tol)
 
 
 def _cmd_variation(pf: ProblemFile, args, count: int | None = None):
@@ -343,7 +334,7 @@ def run(args) -> tuple[str, int]:
     pf = parse_problem_file(_read(args.input))
     try:
         payload, lines, held = args.handler(pf, args)
-    except (CheckFailed, NotCritical) as err:
+    except NotCritical as err:
         return str(err), EXIT_CHECK_FAILED
     if args.format == "structured":
         # each form once, though V fills the J key too and H the skew one

@@ -14,14 +14,15 @@ divergence terms drop from every integration by parts, is the separable
 product prod_axis b(s_a), b(s) = (1 - s^2)^p with p = max(4, r) for a
 Lagrangian of order r; in raw coordinates it has huge cancelling
 coefficients away from the origin.  The bump is never
-expanded into a field: a bumped field's jet entry is the Leibniz sum of
-the compiled derivatives of each b times those of the field.  A section
-keeps one table of exact derivatives d/dx_a, from which each D_tau is one
-derivative of its parent's, and one of compiled factors; its bumped
-fields share both, and are read only as jet entries at the nodes.  A
-finite-difference action is the compiled integrand applied to jet arrays,
-since j(s + t phi) = j s + t j phi.  Faults and non-finite values raise
-NumericError."""
+expanded into a field: a field is a pair (xi, per-axis weights), b(s_a)
+for a bumped field and 1 for the section itself, and its jet entry is
+the Leibniz sum of the compiled derivatives of each weight times those
+of xi.  A section keeps one table of exact derivatives d/dx_a, from which
+each D_tau is one derivative of its parent's, one of compiled factors,
+and one of jet entries by (pair, jet coordinate), all shared by its
+bumped fields.  A finite-difference action is the compiled integrand
+applied to jet arrays, since j(s + t phi) = j s + t j phi.  Faults and
+non-finite values raise NumericError."""
 
 from __future__ import annotations
 
@@ -310,17 +311,15 @@ class NumericSection:
         self._box = {a: JetExpr.constant(m)
                      + JetExpr.constant(h) * ex.atom_expr(a)
                      for a, m, h in zip(self._axes, self._mid, self._half)}
-        self._scaled_exprs = tuple(self._scaled(e) for e in self.exprs)
-        # the section is w * s with w = prod_axis w_a(s_a), the bump for a
-        # bumped field (see _field), else 1
-        self._weight = (ex.ONE,) * ctx.n
-        # d e / dx_a by (e, a), and e as a factor (see _compiled): tables
-        # shared with the bumped fields of this section
+        # the section as a field (see _field), weighted by 1
+        self._own = (tuple(self._scaled(e) for e in self.exprs),
+                     (ex.ONE,) * ctx.n)
+        # d e / dx_a by (e, a), e as a factor (see _compiled), and jet
+        # entries by (field, jc): shared by the section and its fields
         self._derivatives: dict[tuple[JetExpr, int], JetExpr] = {}
         self._factors: dict[JetExpr, tuple] = {}
-        self._jets: dict[ex.JetCoord, Callable] = {}
+        self._jets: dict[tuple[tuple, ex.JetCoord], Callable] = {}
         self._bound: dict[JetExpr, Callable] = {}
-        self._fields: dict[tuple, NumericSection] = {}   # by (comps, p)
         self._grid: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- prolongation ---------------------------------------------------
@@ -356,29 +355,32 @@ class NumericSection:
             self._factors[e] = got
         return got
 
-    def _jet(self, jc: ex.JetCoord) -> Callable:
-        """The compiled jet entry d_sigma(w s^i) for jc = y^i_sigma, by the
-        Leibniz rule over the separable weight:
-        sum_(rho <= sigma) C(sigma, rho) prod_a w_a^(rho_a) d_(sigma-rho) s^i.
+    def _jet(self, jc: ex.JetCoord, field: tuple | None = None) -> Callable:
+        """The compiled jet entry d_sigma(w xi^i) for jc = y^i_sigma of the
+        field (xi, w) of _field, else of the section, by the Leibniz rule
+        over the separable weight w = prod_axis w_a(s_a):
+        sum_(rho <= sigma) C(sigma, rho) prod_a w_a^(rho_a) d_(sigma-rho) xi^i.
         Constant factors fold into each term's coefficient, and a term
         with a vanishing factor is dropped, so with w = 1 only rho = 0
-        is left and the entry is the compiled d_sigma s^i itself."""
-        got = self._jets.get(jc)
+        is left and the section's entry is the compiled d_sigma s^i itself."""
+        field = self._own if field is None else field
+        got = self._jets.get((field, jc))
         if got is None:
+            exprs, weight = field
             terms = []
             for rho, rest, binom in jc.sigma.splits():
                 # d^k w_a / dx_a^k: k steps along axis a
                 factors = [self._compiled(functools.reduce(
-                    self._d_dx, [a] * k, self._weight[a]))
+                    self._d_dx, [a] * k, weight[a]))
                     for a, k in enumerate(rho)]
                 if any(w == 0.0 for w, _ in factors):
                     continue
                 factors.append(self._compiled(self._partial(
-                    self._scaled_exprs[jc.index], rest)))
+                    exprs[jc.index], rest)))
                 c = binom * math.prod(w for w, _ in factors)
                 if c != 0.0:
                     terms.append((c, [f for _, f in factors if f is not None]))
-            got = self._jets[jc] = _leibniz_sum(terms)
+            got = self._jets[field, jc] = _leibniz_sum(terms)
         return got
 
     def bind(self, e: JetExpr) -> Callable[[Sequence[Any]], Any]:
@@ -406,29 +408,23 @@ class NumericSection:
         return {a: (xa - float(m)) / float(h) for a, m, h, xa
                 in zip(self._axes, self._mid, self._half, x)}
 
-    def _field(self, comps: Sequence[JetExpr], order: int) -> "NumericSection":
+    def _field(self, comps: Sequence[JetExpr], order: int) -> tuple:
         """The bumped field bump * xi for a Lagrangian of the given order,
-        as a section over the same box, built once per field and bump: the
-        section of xi weighted by the bump, whose jet entries _jet takes by
-        the Leibniz rule, to any order.  The bump is separable and written
-        directly in scaled coordinates, prod_axis (1 - s_a^2)^p with
+        as the pair (xi in scaled coordinates, per-axis bump factors) whose
+        jet entries _jet takes.  The bump is separable and written directly
+        in scaled coordinates, prod_axis (1 - s_a^2)^p with
         p = max(BUMP_ORDER, order), which for p = 4 is bump_factor rescaled
-        exactly.  A field shares this section's derivative and compile
-        tables, so each derivative of a bump is taken and compiled once per
-        section."""
-        comps, p = tuple(comps), max(BUMP_ORDER, order)
-        got = self._fields.get((comps, p))
-        if got is None:
-            if len(comps) != self.ctx.m:
-                raise ValueError(
-                    f"variation fields need {self.ctx.m} components")
-            got = NumericSection(self.ctx, comps, self.domain, self.nodes)
-            got._weight = tuple((1 - ex.atom_expr(a) ** 2) ** p
-                                for a in self._axes)
-            got._derivatives, got._factors = self._derivatives, self._factors
-            got._grid = self.grid()
-            self._fields[comps, p] = got
-        return got
+        exactly.  Equal pairs share jet entries, and all share the
+        section's derivative and compile tables, so each derivative of a
+        bump is taken and compiled once per section."""
+        if len(comps) != self.ctx.m:
+            raise ValueError(f"variation fields need {self.ctx.m} components")
+        if any(jet_coords(e) for e in comps):
+            raise ValueError(
+                "section expressions must use base coordinates only")
+        p = max(BUMP_ORDER, order)
+        return (tuple(self._scaled(e) for e in comps),
+                tuple((1 - ex.atom_expr(a) ** 2) ** p for a in self._axes))
 
     # -- quadrature -------------------------------------------------------
 
@@ -508,8 +504,7 @@ def finite_diff_variation(lag: Lagrangian, section: NumericSection,
 
 
 def _difference_quotient(lag: Lagrangian, section: NumericSection,
-                         fields: Sequence[NumericSection], step: float
-                         ) -> float:
+                         fields: Sequence[tuple], step: float) -> float:
     """The central difference of finite_diff_variation along one or two
     bumped fields.  Prolongation is linear in the fibre,
     j(s + t phi) = j s + t j phi, so each action is the compiled integrand
@@ -519,8 +514,8 @@ def _difference_quotient(lag: Lagrangian, section: NumericSection,
         raise ValueError("finite-difference step must be positive")
     f = compile_expr(section._scaled(lag.density))
     scaled = section._scaled_point(section.grid()[0].T)
-    jets = [(jc, section._jet(jc)(scaled), [fs._jet(jc)(scaled)
-                                            for fs in fields])
+    jets = [(jc, section._jet(jc)(scaled),
+             [section._jet(jc, fs)(scaled) for fs in fields])
             for jc in jet_coords(lag.density)]
 
     def a(*ts: float) -> float:
@@ -550,12 +545,13 @@ def _difference_quotient(lag: Lagrangian, section: NumericSection,
 
 
 def _contraction(a: BilinearForm, section: NumericSection,
-                 f1: NumericSection, f2: NumericSection):
+                 f1: tuple, f2: tuple):
     """sum A^sigma_ij xi1^i D_sigma xi2^j at the nodes, factor by factor."""
     ctx = section.ctx
     nodes = section._scaled_point(section.grid()[0].T)
-    factors = [(section._at_nodes(val), f1._jet(ctx.jet_atom(i))(nodes),
-                f2._jet(ctx.jet_atom(j, sigma))(nodes))
+    factors = [(section._at_nodes(val),
+                section._jet(ctx.jet_atom(i), f1)(nodes),
+                section._jet(ctx.jet_atom(j, sigma), f2)(nodes))
                for (sigma, i, j), val in a.entries()]
     with _float_guard():
         return sum(v * p * q for v, p, q in factors)
@@ -594,7 +590,7 @@ def _critical_pair(lag: Lagrangian, section: NumericSection,
                    crit_tol: float):
     """The common start of the checks on two bumped fields: refuse a
     section that is not critical, then (its criticality residual, both
-    bumped fields, V), from one Euler-Lagrange form E."""
+    bumped fields as pairs of _field, V), from one Euler-Lagrange form E."""
     e = euler_lagrange(lag)
     crit = _residual(e, section, crit_tol)
     if not crit.is_critical:
@@ -673,7 +669,8 @@ def first_variation_pair(lag: Lagrangian, section: NumericSection,
     fd = finite_diff_variation(lag, section, (xi,), step)
     f = section._field(xi, lag.order)
     nodes = section._scaled_point(section.grid()[0].T)
-    factors = [(f._jet(section.ctx.jet_atom(i))(nodes), section._at_nodes(c))
+    factors = [(section._jet(section.ctx.jet_atom(i), f)(nodes),
+                section._at_nodes(c))
                for i, c in enumerate(euler_lagrange(lag).components)]
     with _float_guard():
         pairing = sum(p * e for p, e in factors)

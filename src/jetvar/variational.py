@@ -49,7 +49,7 @@ from typing import Mapping, Sequence
 
 # ``partial`` is not called here; perfbench's tracing tests look it up as
 # ``variational.partial``.
-from .expr import (JetContext, JetExpr, ZERO, add, add_many, add_scaled,
+from .expr import (JetContext, JetExpr, ZERO, add_many, add_scaled,
                    jet_order, mul, partial)
 from .jetcalc import (VerticalField, d_v, derivative_lattice, lattice_edges,
                       total_derivative)
@@ -129,21 +129,8 @@ class BilinearForm:
         """Maximal |sigma| with a nonzero component."""
         return max((s.order() for (s, _i, _j), _v in self._entries), default=0)
 
-    def transpose(self) -> "BilinearForm":
-        return BilinearForm(self.ctx, {(s, j, i): v
-                                       for (s, i, j), v in self._entries})
-
-    def __add__(self, other: "BilinearForm") -> "BilinearForm":
-        acc: dict[tuple[MultiIndex, int, int], JetExpr] = dict(self._entries)
-        for k, v in other._entries:
-            acc[k] = add(acc[k], v) if k in acc else v
-        return BilinearForm(self.ctx, acc)
-
     def __neg__(self) -> "BilinearForm":
         return BilinearForm(self.ctx, {k: -v for k, v in self._entries})
-
-    def __sub__(self, other: "BilinearForm") -> "BilinearForm":
-        return self + -other
 
     def __eq__(self, other):
         return (isinstance(other, BilinearForm)
@@ -201,11 +188,17 @@ def _sum(exprs: list[JetExpr]) -> JetExpr:
 
 def helmholtz(src: SourceForm) -> BilinearForm:
     """Local-variationality obstruction H = (V - V*)^T of a source form,
-    with V its linearization: the source form is locally variational iff
-    V is formally self-adjoint, i.e. iff every component vanishes.  H* = -H,
-    as the adjoint is an involution that commutes with the transpose."""
+    H^sigma_ji = V^sigma_ij - (V*)^sigma_ij with V its linearization: the
+    source form is locally variational iff V is formally self-adjoint,
+    i.e. iff every component vanishes.  H* = -H, as the adjoint is an
+    involution that commutes with the transpose."""
     ve = linearize(src)
-    return (ve - adjoint(ve)).transpose()
+    acc: dict[tuple[MultiIndex, int, int], list[tuple[int, JetExpr]]] = {}
+    for sign, form in ((1, ve), (-1, adjoint(ve))):
+        for (s, i, j), v in form.entries():
+            acc.setdefault((s, j, i), []).append((sign, v))
+    return BilinearForm(src.ctx, {k: add_scaled(pairs)
+                                  for k, pairs in acc.items()})
 
 
 def adjoint(a: BilinearForm) -> BilinearForm:

@@ -144,6 +144,22 @@ def test_jacobi_noncritical_section_exit_3(capsys, problems_dir):
     assert "check failed" in err
 
 
+def test_jacobi_asymmetric_report_exit_3(capsys):
+    """At 7 nodes the b1, b3 contractions disagree: the report is still
+    printed, as JSON in structured form, and the check exits 3."""
+    argv = ("jacobi", OSC, "--lagrangian", "osc", "--section", "sol",
+            "--nodes", "7", "--fields", "b1,b3")
+    code, out, err = run(capsys, *argv, "--format", "structured")
+    assert code == 3 and "check failed" in err
+    rep = json.loads(out)["onshell_symmetry"]
+    assert not math.isclose(rep["lhs"], rep["rhs"], rel_tol=1e-6)
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert "formally self-adjoint: yes" in out
+    assert re.search(r"^on-shell symmetry: lhs = \S+, rhs = \S+, "
+                     r"difference = \S+$", out, re.M)
+
+
 def test_hessian(capsys, problems_dir):
     code, out, _ = run(capsys, "hessian", path(problems_dir, "oscillator.vp"),
                        "--fields", "b1,b1")

@@ -477,9 +477,9 @@ def test_fd_matches_actions_of_varied_sections(ode_ctx, domain):
     sec = NumericSection(ode_ctx, (sin(t),), [domain])
     bump = bump_factor(ode_ctx, [domain])
     fields = ((ONE,), (t,))
-    field = sec._field(fields[1], lag.order)
-    assert math.prod(field._weight, start=ONE) == sec._scaled(bump)
-    assert field._scaled_exprs == (sec._scaled(t),)
+    exprs, weight = sec._field(fields[1], lag.order)
+    assert math.prod(weight, start=ONE) == sec._scaled(bump)
+    assert exprs == (sec._scaled(t),)
 
     def a(*ts):
         varied = sin(t)
@@ -509,10 +509,10 @@ def test_fd_matches_actions_of_varied_sections(ode_ctx, domain):
 def test_scaled_bump_is_the_rescaled_bump_factor(pde_ctx):
     domain = [(0.1, 0.7), (-3.0, 5.5)]
     sec = NumericSection(pde_ctx, (pde_ctx.base("u"),), domain)
-    field = sec._field((ONE,), 0)
-    assert math.prod(field._weight, start=ONE) == \
+    exprs, weight = sec._field((ONE,), 0)
+    assert math.prod(weight, start=ONE) == \
         sec._scaled(bump_factor(pde_ctx, domain))
-    assert field._scaled_exprs == (sec._scaled(ONE),)
+    assert exprs == (sec._scaled(ONE),)
 
 
 @pytest.mark.parametrize("field", range(4))
@@ -537,7 +537,7 @@ def test_leibniz_jets_match_expanded_bump_partials(ode_ctx, pde_ctx, domain,
             for _ in range(count):
                 d = partial(d, ctx.base_atom(axis)) / JetExpr.constant(h)
         want = compile_expr(d)(env)
-        got = sec._field((xi,), 0)._jet(ctx.jet_atom(0, sigma))(env)
+        got = sec._jet(ctx.jet_atom(0, sigma), sec._field((xi,), 0))(env)
         assert np.max(np.abs(got - want)) <= \
             1e-12 * np.max(np.abs(want)), sigma
 
@@ -546,17 +546,19 @@ def test_field_jets_compile_each_partial_once(ode_ctx, monkeypatch):
     """The jets of order 0-4 of the bumped field sin(t) compile the five
     bump derivatives and the four distinct partials of sin (the fourth is
     sin again) once each: 9 compilations, where one per Leibniz term
-    would be 20."""
+    would be 20.  The same field built again compiles nothing new
+    and reads the very jet entries built first."""
     from jetvar import numeric
     calls = []
     original = numeric.compile_expr
     monkeypatch.setattr(numeric, "compile_expr",
                         lambda e: calls.append(e) or original(e))
     sec = NumericSection(ode_ctx, (ode_ctx.base("t"),), [(0.0, 1.0)])
-    field = sec._field((sin(ode_ctx.base("t")),), 0)
-    for k in range(5):
-        field._jet(ode_ctx.jet_atom(0, (k,)))
+    jets = [[sec._jet(ode_ctx.jet_atom(0, (k,)),
+                      sec._field((sin(ode_ctx.base("t")),), 0))
+             for k in range(5)] for _ in range(2)]
     assert len(calls) == len(set(calls)) == 9
+    assert all(a is b for a, b in zip(*jets))
 
 
 @pytest.mark.parametrize("base, sigmas, section, xi1, xi2, nodes", [
