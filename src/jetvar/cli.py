@@ -234,13 +234,14 @@ def _cmd_jacobi(pf: ProblemFile, args):
                             "on-shell report")
     (_, xi1), (_, xi2) = _variations(pf, args, 2)
     rep = check_onshell_symmetry(lag, sec, xi1, xi2, crit_tol=cfg.tol)
+    held = rep.symmetric(cfg.tol)
     payload["onshell_symmetry"] = {
         "lhs": rep.lhs, "rhs": rep.rhs, "difference": rep.difference,
         "pointwise_max": rep.pointwise_max,
-        "criticality_residual": rep.residual}
+        "criticality_residual": rep.residual, "symmetric": held}
     lines.append(f"on-shell symmetry: lhs = {rep.lhs!r}, rhs = {rep.rhs!r}, "
                  f"difference = {rep.difference!r}")
-    return payload, lines, rep.symmetric(cfg.tol)
+    return payload, lines, held
 
 
 def _cmd_variation(pf: ProblemFile, args, count: int | None = None):

@@ -3,26 +3,25 @@ integrals by Gauss-Legendre quadrature, finite-difference variations of
 the action along linear variations, criticality and on-shell symmetry
 checks.
 
-Evaluation is composition, L o j^r s: an integrand L with the jet
-coordinates as inputs, and each jet entry d_sigma s^i it needs from exact
-partials of the section's closed form, are evaluated term by term in
-canonical order, with the floats of their Python source, on numpy arrays
-at the Gauss nodes.  Each compiled piece is first
-rewritten exactly in the box's scaled coordinates s = (x - mid)/half,
-where the bump factor below, which variation fields carry so that
-divergence terms drop from every integration by parts, is the separable
-product prod_axis b(s_a), b(s) = (1 - s^2)^p with p = max(4, r) for a
-Lagrangian of order r; in raw coordinates it has huge cancelling
-coefficients away from the origin.  The bump is never
+A section is only ever read at its tensor Gauss-Legendre nodes, and it
+keeps what it evaluates as values there, each taken once: the factors
+below, each jet entry d_sigma s^i, and each bound expression L o j^r s,
+which is L with the arrays of its jet entries as jet coordinates.  An
+expression is evaluated term by term in canonical order, with the floats
+of its Python source, after an exact rewrite in the box's scaled
+coordinates s = (x - mid)/half.  There the bump that variation fields
+carry, so that divergence terms drop from every integration by parts, is
+the separable product prod_axis b(s_a), b(s) = (1 - s^2)^p with
+p = max(4, r) for a Lagrangian of order r; in raw coordinates it has huge
+cancelling coefficients away from the origin.  The bump is never
 expanded into a field: a field is a pair (xi, per-axis weights), b(s_a)
-for a bumped field and 1 for the section itself, and its jet entry is
-the Leibniz sum of the compiled derivatives of each weight times those
-of xi.  A section keeps one table of exact derivatives d/dx_a, from which
-each D_tau is one derivative of its parent's, one of compiled factors,
-and one of jet entries by (pair, jet coordinate), all shared by its
-bumped fields.  A finite-difference action is the compiled integrand
-applied to jet arrays, since j(s + t phi) = j s + t j phi.  Faults and
-non-finite values raise NumericError."""
+for a bumped field and 1 for the section itself, whose jet entry is the
+Leibniz sum of the derivatives of each weight times those of xi, the
+factors, all from one table of exact derivatives d/dx_a that the section
+shares with its bumped fields.  A finite-difference action is the
+compiled integrand applied to jet arrays, since
+j(s + t phi) = j s + t j phi.  Opaque functions are refused before
+anything is evaluated; faults and non-finite values raise NumericError."""
 
 from __future__ import annotations
 
@@ -66,21 +65,11 @@ def _float_guard():
         raise NumericError(f"numeric evaluation failed: {err}") from None
 
 
-def _guarded(f: Callable[[Mapping[ex.Atom, Any]], Any]) -> Callable:
-    """f with its faults, non-finite values and unbound coordinates
-    raised as NumericError."""
-    @_float_guard()
-    def run(env: Mapping[ex.Atom, Any]):
-        try:
-            out = f(env)
-        except KeyError as err:
-            raise NumericError(f"coordinate {err.args[0]!r} left unbound") \
-                from None
-        if not np.all(np.isfinite(out)):
-            raise NumericError("evaluation gave a value that is not finite")
-        return out
-
-    return run
+def _finite(out):
+    """out, or NumericError if any of its values is not finite."""
+    if not np.all(np.isfinite(out)):
+        raise NumericError("evaluation gave a value that is not finite")
+    return out
 
 
 def _refuse_opaque(e: JetExpr) -> None:
@@ -124,34 +113,36 @@ def compile_expr(e: JetExpr) -> Callable[[Mapping[ex.Atom, Any]], Any]:
     arrays.  Opaque functions, faults, non-finite values and unbound
     coordinates raise NumericError.  Reentrant and deterministic."""
     _refuse_opaque(e)
-    return _guarded(functools.partial(_value, e))
+
+    @_float_guard()
+    def run(env: Mapping[ex.Atom, Any]):
+        try:
+            return _finite(_value(e, env))
+        except KeyError as err:
+            raise NumericError(f"coordinate {err.args[0]!r} left unbound") \
+                from None
+
+    return run
 
 
-def _leibniz_sum(terms: Sequence[tuple[float, Sequence[Callable]]]
-                 ) -> Callable[[Mapping[ex.Atom, Any]], Any]:
-    """env -> sum of c * prod_f f(env) over the terms (c, fs); a lone term
-    1 * f is f itself.  Faults and non-finite values raise NumericError."""
-    if len(terms) == 1 and terms[0][0] == 1.0 and len(terms[0][1]) == 1:
-        return terms[0][1][0]
-
-    def total(env: Mapping[ex.Atom, Any]):
-        out = 0.0
-        for c, fns in terms:
-            term = c
-            for f in fns:
-                term = term * f(env)
-            out = out + term
-        return out
-
-    return _guarded(total)
+def _factor(e: JetExpr) -> tuple[float, JetExpr | None]:
+    """e as a factor of a Leibniz term: (c, None) if e is the constant c,
+    else (1.0, e) with its opaque functions refused."""
+    c = e.constant_value()
+    if c is None:
+        _refuse_opaque(e)
+        return 1.0, e
+    with _float_guard():
+        return float(c), None
 
 
 # ---------------------------------------------------------------------------
 # quadrature rule
 # ---------------------------------------------------------------------------
 
-# points per section; bounds grid memory, and with it the time to build
-# the 1-D rule (about 0.1 s at this size)
+# points per section; bounds the memory of the grid and of the arrays a
+# section keeps at its nodes (one per factor, jet entry and bound
+# expression), and the time to build the 1-D rule (about 0.1 s here)
 MAX_POINTS = 65536
 
 # Terms kept of the Stieltjes series of P_n(cos theta); a node takes the
@@ -314,12 +305,12 @@ class NumericSection:
         # the section as a field (see _field), weighted by 1
         self._own = (tuple(self._scaled(e) for e in self.exprs),
                      (ex.ONE,) * ctx.n)
-        # d e / dx_a by (e, a), e as a factor (see _compiled), and jet
-        # entries by (field, jc): shared by the section and its fields
+        # d e / dx_a by (e, a), and values at the nodes by factor (see
+        # _values), jet entry (field, jc) and bound expression
         self._derivatives: dict[tuple[JetExpr, int], JetExpr] = {}
-        self._factors: dict[JetExpr, tuple] = {}
-        self._jets: dict[tuple[tuple, ex.JetCoord], Callable] = {}
-        self._bound: dict[JetExpr, Callable] = {}
+        self._factors: dict[JetExpr, Any] = {}
+        self._jets: dict[tuple[tuple, ex.JetCoord], Any] = {}
+        self._bound: dict[JetExpr, Any] = {}
         self._grid: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- prolongation ---------------------------------------------------
@@ -344,69 +335,83 @@ class NumericSection:
         axis, parent = tau.parent()
         return self._d_dx(self._partial(e, parent), axis)
 
-    def _compiled(self, e: JetExpr) -> tuple[float, Callable | None]:
-        """e as a factor of a term of _leibniz_sum, made once: (c, None) if
-        e is the constant c, else (1.0, e compiled)."""
-        got = self._factors.get(e)
-        if got is None:
-            with _float_guard():
-                c = e.constant_value()
-                got = (1.0, compile_expr(e)) if c is None else (float(c), None)
-            self._factors[e] = got
-        return got
+    def _terms(self, jc: ex.JetCoord, field: tuple
+               ) -> list[tuple[float, list[JetExpr]]]:
+        """The Leibniz terms of the jet entry d_sigma(w xi^i), jc =
+        y^i_sigma, of the field (xi, w) over its separable weight
+        w = prod_axis w_a(s_a):
+        sum_(rho <= sigma) C(sigma, rho) prod_a w_a^(rho_a) d_(sigma-rho) xi^i,
+        as pairs (c, factors).  Constant factors fold into c and a term
+        with a vanishing factor is dropped, so with w = 1 only d_sigma s^i
+        is left.  Each factor's opaque functions are refused here."""
+        exprs, weight = field
+        terms = []
+        for rho, rest, binom in jc.sigma.splits():
+            # d^k w_a / dx_a^k: k steps along axis a
+            factors = [_factor(functools.reduce(self._d_dx, [a] * k,
+                                                weight[a]))
+                       for a, k in enumerate(rho)]
+            if any(w == 0.0 for w, _ in factors):
+                continue
+            factors.append(_factor(self._partial(exprs[jc.index], rest)))
+            c = binom * math.prod(w for w, _ in factors)
+            if c != 0.0:
+                terms.append((c, [f for _, f in factors if f is not None]))
+        return terms
 
-    def _jet(self, jc: ex.JetCoord, field: tuple | None = None) -> Callable:
-        """The compiled jet entry d_sigma(w xi^i) for jc = y^i_sigma of the
-        field (xi, w) of _field, else of the section, by the Leibniz rule
-        over the separable weight w = prod_axis w_a(s_a):
-        sum_(rho <= sigma) C(sigma, rho) prod_a w_a^(rho_a) d_(sigma-rho) xi^i.
-        Constant factors fold into each term's coefficient, and a term
-        with a vanishing factor is dropped, so with w = 1 only rho = 0
-        is left and the section's entry is the compiled d_sigma s^i itself."""
+    def _jet(self, jc: ex.JetCoord, field: tuple | None = None):
+        """The jet entry of jc for the field of _field, else for the
+        section, at the nodes: sum c * prod(factors) over its terms from
+        the first on, a lone 1 * f being f's values; once per section."""
         field = self._own if field is None else field
         got = self._jets.get((field, jc))
         if got is None:
-            exprs, weight = field
-            terms = []
-            for rho, rest, binom in jc.sigma.splits():
-                # d^k w_a / dx_a^k: k steps along axis a
-                factors = [self._compiled(functools.reduce(
-                    self._d_dx, [a] * k, weight[a]))
-                    for a, k in enumerate(rho)]
-                if any(w == 0.0 for w, _ in factors):
-                    continue
-                factors.append(self._compiled(self._partial(
-                    exprs[jc.index], rest)))
-                c = binom * math.prod(w for w, _ in factors)
-                if c != 0.0:
-                    terms.append((c, [f for _, f in factors if f is not None]))
-            got = self._jets[field, jc] = _leibniz_sum(terms)
+            terms = self._terms(jc, field)
+            if (len(terms) == 1 and terms[0][0] == 1.0
+                    and len(terms[0][1]) == 1):
+                got = self._values(terms[0][1][0])
+            else:
+                with _float_guard():
+                    out = 0.0
+                    for c, factors in terms:
+                        out = out + math.prod(map(self._values, factors),
+                                              start=c)
+                    got = _finite(out)
+            self._jets[field, jc] = got
         return got
 
-    def bind(self, e: JetExpr) -> Callable[[Sequence[Any]], Any]:
-        """Evaluator of e along the prolonged section, as a function of
-        the base point (one float or array per axis): e compiled once with
-        the jet coordinates as inputs, composed with its jet entries."""
+    def _values(self, e: JetExpr):
+        """e, free of jet coordinates and in the scaled coordinates, at the
+        nodes; evaluated once per section."""
+        got = self._factors.get(e)
+        if got is None:
+            got = self._factors[e] = compile_expr(e)(self._nodes)
+        return got
+
+    def bind(self, e: JetExpr):
+        """e along the prolonged section at every quadrature node: e with
+        the jet coordinates as inputs, evaluated once on the arrays of its
+        jet entries.  Opaque functions, in e or in those entries, are
+        refused before anything is evaluated.  Callers never write into
+        the values, which the section keeps."""
         got = self._bound.get(e)
-        if got is not None:
-            return got
-        entries = [(jc, self._jet(jc)) for jc in jet_coords(e)]
-        f = compile_expr(self._scaled(e))
-
-        def got(x):
-            env = self._scaled_point(x)
-            for jc, g in entries:
-                env[jc] = g(env)
-            return f(env)
-
-        self._bound[e] = got
+        if got is None:
+            jcs = jet_coords(e)
+            for jc in jcs:      # refuses opaque functions, evaluates nothing
+                self._terms(jc, self._own)
+            f = compile_expr(self._scaled(e))
+            env = dict(self._nodes)
+            for jc in jcs:
+                env[jc] = self._jet(jc)
+            got = self._bound[e] = f(env)
         return got
 
-    def _scaled_point(self, x) -> dict[ex.Atom, Any]:
-        """The scaled coordinates of a base point (one float or array per
-        axis), keyed by the axis atoms."""
-        return {a: (xa - float(m)) / float(h) for a, m, h, xa
-                in zip(self._axes, self._mid, self._half, x)}
+    @functools.cached_property
+    def _nodes(self) -> dict[ex.Atom, np.ndarray]:
+        """The scaled coordinates of the quadrature nodes, one array per
+        axis, keyed by the axis atoms."""
+        return {a: (x - float(m)) / float(h) for a, m, h, x
+                in zip(self._axes, self._mid, self._half, self.grid()[0].T)}
 
     def _field(self, comps: Sequence[JetExpr], order: int) -> tuple:
         """The bumped field bump * xi for a Lagrangian of the given order,
@@ -415,8 +420,8 @@ class NumericSection:
         in scaled coordinates, prod_axis (1 - s_a^2)^p with
         p = max(BUMP_ORDER, order), which for p = 4 is bump_factor rescaled
         exactly.  Equal pairs share jet entries, and all share the
-        section's derivative and compile tables, so each derivative of a
-        bump is taken and compiled once per section."""
+        section's derivative and value tables, so each derivative of a
+        bump is taken and evaluated once per section."""
         if len(comps) != self.ctx.m:
             raise ValueError(f"variation fields need {self.ctx.m} components")
         if any(jet_coords(e) for e in comps):
@@ -441,10 +446,6 @@ class NumericSection:
                           np.multiply.reduce(weights).ravel())
         return self._grid
 
-    def _at_nodes(self, e: JetExpr):
-        """e along the prolonged section at every quadrature node."""
-        return self.bind(e)(self.grid()[0].T)
-
     @_float_guard()
     def _integral(self, values) -> float:
         """Quadrature of values at the nodes, as a compensated sum."""
@@ -452,7 +453,7 @@ class NumericSection:
 
 
 def integrate_on_section(e: JetExpr, section: NumericSection) -> float:
-    return section._integral(section._at_nodes(e))
+    return section._integral(section.bind(e))
 
 
 def action(lag: Lagrangian, section: NumericSection) -> float:
@@ -513,13 +514,11 @@ def _difference_quotient(lag: Lagrangian, section: NumericSection,
     if step <= 0:
         raise ValueError("finite-difference step must be positive")
     f = compile_expr(section._scaled(lag.density))
-    scaled = section._scaled_point(section.grid()[0].T)
-    jets = [(jc, section._jet(jc)(scaled),
-             [section._jet(jc, fs)(scaled) for fs in fields])
+    jets = [(jc, section._jet(jc), [section._jet(jc, fs) for fs in fields])
             for jc in jet_coords(lag.density)]
 
     def a(*ts: float) -> float:
-        env = dict(scaled)
+        env = dict(section._nodes)
         for jc, j0, js in jets:
             env[jc] = j0 + sum(t * j for t, j in zip(ts, js))
         return section._integral(f(env))
@@ -548,10 +547,8 @@ def _contraction(a: BilinearForm, section: NumericSection,
                  f1: tuple, f2: tuple):
     """sum A^sigma_ij xi1^i D_sigma xi2^j at the nodes, factor by factor."""
     ctx = section.ctx
-    nodes = section._scaled_point(section.grid()[0].T)
-    factors = [(section._at_nodes(val),
-                section._jet(ctx.jet_atom(i), f1)(nodes),
-                section._jet(ctx.jet_atom(j, sigma), f2)(nodes))
+    factors = [(section.bind(val), section._jet(ctx.jet_atom(i), f1),
+                section._jet(ctx.jet_atom(j, sigma), f2))
                for (sigma, i, j), val in a.entries()]
     with _float_guard():
         return sum(v * p * q for v, p, q in factors)
@@ -580,7 +577,7 @@ def check_critical(lag: Lagrangian, section: NumericSection,
 
 
 def _residual(e: SourceForm, section: NumericSection, tol: float):
-    per = tuple(float(np.max(np.abs(section._at_nodes(c))))
+    per = tuple(float(np.max(np.abs(section.bind(c))))
                 for c in e.components)
     return CriticalityReport(max(per), per, tol)
 
@@ -668,9 +665,7 @@ def first_variation_pair(lag: Lagrangian, section: NumericSection,
     both vanish on critical sections."""
     fd = finite_diff_variation(lag, section, (xi,), step)
     f = section._field(xi, lag.order)
-    nodes = section._scaled_point(section.grid()[0].T)
-    factors = [(section._jet(section.ctx.jet_atom(i), f)(nodes),
-                section._at_nodes(c))
+    factors = [(section._jet(section.ctx.jet_atom(i), f), section.bind(c))
                for i, c in enumerate(euler_lagrange(lag).components)]
     with _float_guard():
         pairing = sum(p * e for p, e in factors)

@@ -153,6 +153,7 @@ def test_jacobi_asymmetric_report_exit_3(capsys):
     assert code == 3 and "check failed" in err
     rep = json.loads(out)["onshell_symmetry"]
     assert not math.isclose(rep["lhs"], rep["rhs"], rel_tol=1e-6)
+    assert rep["symmetric"] is False
     code, out, _ = run(capsys, *argv)
     assert code == 3
     assert "formally self-adjoint: yes" in out

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -42,15 +44,18 @@ def sin_section(ode_ctx):
 
 
 def test_eval_examples(ode_ctx, oscillator, sin_section):
+    """A bound expression is its closed form along the section at every
+    node: y_t = cos t and y_tt + y = 0 on sin t, E = -2 - t^2 on t^2."""
     yt = ode_ctx.jet("y", "t")
     y = ode_ctx.fiber("y")
     ytt = ode_ctx.jet("y", "tt")
-    assert float(sin_section.bind(yt)((0.0,))) == pytest.approx(1.0)
-    for t in (0.3, 1.1, 2.9):
-        assert float(sin_section.bind(ytt + y)((t,))) == pytest.approx(0.0)
+    t = sin_section.grid()[0][:, 0]
+    assert sin_section.bind(yt) == pytest.approx(np.cos(t))
+    assert sin_section.bind(ytt + y) == pytest.approx(np.zeros_like(t))
     e = euler_lagrange(oscillator)
     quad = NumericSection(ode_ctx, (ode_ctx.base("t") ** 2,), [(0.0, math.pi)])
-    assert float(quad.bind(e.components[0])((1.0,))) == pytest.approx(-3.0)
+    t = quad.grid()[0][:, 0]
+    assert quad.bind(e.components[0]) == pytest.approx(-2 - t ** 2)
 
 
 def test_eval_domain_error(ode_ctx):
@@ -58,14 +63,14 @@ def test_eval_domain_error(ode_ctx):
     t = ode_ctx.base("t")
     sec = NumericSection(ode_ctx, (t,), [(0.0, 1.0)])
     with pytest.raises(NumericError):
-        float(sec.bind(log(0 - ode_ctx.fiber("y")))((0.5,)))
+        sec.bind(log(0 - ode_ctx.fiber("y")))
 
 
 def test_opaque_not_evaluable():
     ctx = JetContext.make("t", "q", opaque={"g": ["q"]})
     sec = NumericSection(ctx, (ctx.base("t"),), [(0.0, 1.0)])
     with pytest.raises(NumericError, match="has no numeric value"):
-        float(sec.bind(ctx.opaque("g"))((0.5,)))
+        sec.bind(ctx.opaque("g"))
 
 
 def test_long_coefficient_is_its_float_value(ode_ctx):
@@ -530,14 +535,13 @@ def test_leibniz_jets_match_expanded_bump_partials(ode_ctx, pde_ctx, domain,
     sec = NumericSection(ctx, (u,), domain, nodes=9)
     bumped = sec._scaled(bump_factor(ctx, domain) * xi)
     halves = [(Fraction(hi) - Fraction(lo)) / 2 for lo, hi in domain]
-    env = sec._scaled_point(sec.grid()[0].T)
     for sigma in enumerate_up_to(ctx.n, 9 if ctx.n == 1 else 4):
         d = bumped
         for axis, h, count in zip(range(ctx.n), halves, sigma.counts):
             for _ in range(count):
                 d = partial(d, ctx.base_atom(axis)) / JetExpr.constant(h)
-        want = compile_expr(d)(env)
-        got = sec._jet(ctx.jet_atom(0, sigma), sec._field((xi,), 0))(env)
+        want = compile_expr(d)(sec._nodes)
+        got = sec._jet(ctx.jet_atom(0, sigma), sec._field((xi,), 0))
         assert np.max(np.abs(got - want)) <= \
             1e-12 * np.max(np.abs(want)), sigma
 
@@ -559,6 +563,57 @@ def test_field_jets_compile_each_partial_once(ode_ctx, monkeypatch):
              for k in range(5)] for _ in range(2)]
     assert len(calls) == len(set(calls)) == 9
     assert all(a is b for a, b in zip(*jets))
+
+
+def test_section_evaluates_each_entry_once(pde_ctx, monkeypatch):
+    """A section keeps the values at the nodes of what it evaluates: a
+    second integral of the same expression evaluates nothing, and the
+    second-variation check evaluates every factor, jet entry and bound
+    expression once; only the integrand runs once per action of the
+    central difference, four times for two fields."""
+    from jetvar import numeric
+    calls = []
+    original = numeric._value
+    monkeypatch.setattr(numeric, "_value",
+                        lambda e, env: calls.append(e) or original(e, env))
+    u, v = pde_ctx.base("u"), pde_ctx.base("v")
+    lag = Lagrangian(pde_ctx, (pde_ctx.jet("w", "u") ** 2
+                               + pde_ctx.jet("w", "v") ** 2) / 2)
+    box = [(0.0, 1.0), (0.0, 1.0)]
+    sec = NumericSection(pde_ctx, (u * v,), box, nodes=8)
+    first = integrate_on_section(lag.density, sec)
+    assert calls
+    calls.clear()
+    assert integrate_on_section(lag.density, sec) == first
+    assert calls == []
+    sec = NumericSection(pde_ctx, (u * v,), box, nodes=8)
+    second_variation_check(lag, sec, (ONE,), (1 + u * v,))
+    counts = Counter(calls)
+    assert counts.pop(sec._scaled(lag.density)) == 4
+    assert set(counts.values()) == {1}
+
+
+@pytest.mark.parametrize("density, section, message", [
+    # the Lagrangian's opaque g before the section's pole at the node 1/2
+    ("y_t^2/2 + g(y) + z_t^2", ("1/(t - 1/2)", "t"), "g(y)"),
+    # the second component's opaque f before the first one's pole
+    ("y_t^2/2 + y*z + z_t^2", ("1/(t - 1/2)", "f(t)"),
+     "f(1/2 + 1/2*t)"),
+    # with both, the entries of the section come first
+    ("y_t^2/2 + g(y) + z_t^2", ("1/(t - 1/2)", "f(t)"),
+     "f_t(1/2 + 1/2*t)"),
+])
+def test_opaque_refusal_precedes_evaluation_faults(density, section,
+                                                   message):
+    """An opaque function in a bound expression or in any jet entry it
+    reads is refused before any value is taken, so a fault elsewhere in
+    the same expression does not hide it."""
+    ctx = JetContext.make("t", "y z", opaque={"f": ["t"], "g": ["y"]})
+    sec = NumericSection(ctx, [parse_expr(c, ctx) for c in section],
+                         [(0.0, 1.0)], nodes=7)
+    with pytest.raises(NumericError, match=re.escape(
+            f"opaque function {message} has no numeric value")):
+        integrate_on_section(parse_expr(density, ctx), sec)
 
 
 @pytest.mark.parametrize("base, sigmas, section, xi1, xi2, nodes", [
@@ -639,31 +694,35 @@ def test_onshell_symmetry_refuses_noncritical(ode_ctx, oscillator):
 @given(seeds)
 def test_contact_compatibility(seed):
     """Along a prolonged section the total derivative agrees with the
-    base derivative of the restriction (finite-difference check)."""
+    base derivative of the restriction (finite-difference check): on the
+    box shifted by +-h every node moves by +-h."""
     rng = random.Random(seed)
     ctx = JetContext.make("t", "y")
     f = random_polynomial(rng, ctx, max_order=2, max_monomials=3)
     t = ctx.base("t")
-    sec = NumericSection(ctx, (sin(t) + t ** 2 / 3,), [(0.0, 2.0)])
-    df = total_derivative(f, 0, ctx)
-    pt = 0.7 + 0.6 * rng.random()
     h = 1e-6
-    approx = (float(sec.bind(f)((pt + h,)))
-              - float(sec.bind(f)((pt - h,)))) / (2 * h)
-    exact = float(sec.bind(df)((pt,)))
-    assert abs(approx - exact) < 1e-6 * max(1.0, abs(exact))
+
+    def along(e, shift):
+        sec = NumericSection(ctx, (sin(t) + t ** 2 / 3,),
+                             [(shift, 2.0 + shift)])
+        return sec.bind(e)
+
+    approx = (along(f, h) - along(f, -h)) / (2 * h)
+    exact = along(total_derivative(f, 0, ctx), 0.0)
+    assert np.all(np.abs(approx - exact)
+                  < 1e-6 * np.maximum(1.0, np.abs(exact)))
 
 
 def test_bump_factor_properties(ode_ctx):
     bump = bump_factor(ode_ctx, [(0.0, 2.0)])
-    sec = NumericSection(ode_ctx, (ode_ctx.base("t"),), [(0.0, 2.0)])
-    assert float(sec.bind(bump)((1.0,))) == pytest.approx(1.0)
+    t = ode_ctx.base_atom(0)
+    assert float(compile_expr(bump)({t: 1.0})) == pytest.approx(1.0)
     for pt in (0.0, 2.0):
-        assert float(sec.bind(bump)((pt,))) == 0.0
+        assert float(compile_expr(bump)({t: pt})) == 0.0
     d3 = bump
     for _ in range(3):
         d3 = total_derivative(d3, 0, ode_ctx)
-    assert float(sec.bind(d3)((0.0,))) == pytest.approx(0.0, abs=1e-12)
+    assert float(compile_expr(d3)({t: 0.0})) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_integrate_on_section_matches_action(ode_ctx, oscillator, sin_section):
@@ -717,10 +776,8 @@ def test_second_variation_2d(pde_ctx):
 
 
 def test_inverse_sum_evaluates(ode_ctx):
-    t = ode_ctx.base("t")
     y = ode_ctx.fiber("y")
-    sec = NumericSection(ode_ctx, (t,), [(0.0, 1.0)])
-    val = float(sec.bind(ONE / (1 + y ** 2))((2.0,)))
+    val = float(compile_expr(ONE / (1 + y ** 2))({ode_ctx.jet_atom(0): 2.0}))
     assert val == pytest.approx(1 / 5)
 
 

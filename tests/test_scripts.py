@@ -40,17 +40,19 @@ def test_oscillator_demo_runs():
     assert done.returncode == 0, done.stderr
 
 
-def test_cli_sweep_covers_every_subcommand():
+@pytest.mark.parametrize("name", ["oscillator.vp", "laplace2d.vp"])
+def test_cli_sweep_covers_every_subcommand(name):
     """One line per argv, argv, exit code and two SHA-256 digests, with
-    every subcommand present and no exception escaping cli.main."""
+    every subcommand present and no exception escaping cli.main, on a
+    1-D problem and on the 2-D tensor grid."""
     from jetvar.cli import COMMANDS
-    done = _run("cli_sweep.py", str(ROOT / "problems" / "oscillator.vp"))
+    done = _run("cli_sweep.py", str(ROOT / "problems" / name))
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert done.stderr == f"{len(lines)} argv\n"
     for line in lines:
         argv, code, out, err = line.split("\t")
-        assert argv.split()[1] == "problems/oscillator.vp"
+        assert argv.split()[1] == f"problems/{name}"
         assert code in ("0", "1", "2", "3"), line
         assert len(out) == len(err) == 64
         assert "Traceback" not in line
