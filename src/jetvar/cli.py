@@ -239,8 +239,9 @@ def _cmd_jacobi(pf: ProblemFile, args):
         "lhs": rep.lhs, "rhs": rep.rhs, "difference": rep.difference,
         "pointwise_max": rep.pointwise_max,
         "criticality_residual": rep.residual, "symmetric": held}
-    lines.append(f"on-shell symmetry: lhs = {rep.lhs!r}, rhs = {rep.rhs!r}, "
-                 f"difference = {rep.difference!r}")
+    lines += [f"on-shell symmetry: lhs = {rep.lhs!r}, rhs = {rep.rhs!r}, "
+              f"difference = {rep.difference!r}",
+              f"symmetric (rel tol {cfg.tol:g}): {'yes' if held else 'no'}"]
     return payload, lines, held
 
 

@@ -1086,16 +1086,14 @@ class JetContext:
     def jet(self, field: int | str, sigma) -> JetExpr:
         return atom_expr(self.jet_atom(field, sigma))
 
-    def opaque(self, name: str, orders=None, args: Sequence[JetExpr] | None = None
-               ) -> JetExpr:
+    def opaque(self, name: str, orders: Sequence[int] | None = None,
+               args: Sequence[JetExpr] | None = None) -> JetExpr:
         table = self.opaque_table
         if name not in table:
             raise UnknownCoordinate(f"unknown opaque function {name!r}")
         argnames = table[name]
         if orders is None:
             ordt = (0,) * len(argnames)
-        elif isinstance(orders, Mapping):
-            ordt = tuple(orders.get(a, 0) for a in argnames)
         else:
             ordt = tuple(orders)
             if len(ordt) != len(argnames):

@@ -20,7 +20,8 @@ Leibniz sum of the derivatives of each weight times those of xi, the
 factors, all from one table of exact derivatives d/dx_a that the section
 shares with its bumped fields.  A finite-difference action is the
 compiled integrand applied to jet arrays, since
-j(s + t phi) = j s + t j phi.  Opaque functions are refused before
+j(s + t phi) = j s + t j phi.  Opaque functions are refused where a
+section or bumped field is built, and in a bound expression before
 anything is evaluated; faults and non-finite values raise NumericError."""
 
 from __future__ import annotations
@@ -127,13 +128,23 @@ def compile_expr(e: JetExpr) -> Callable[[Mapping[ex.Atom, Any]], Any]:
 
 def _factor(e: JetExpr) -> tuple[float, JetExpr | None]:
     """e as a factor of a Leibniz term: (c, None) if e is the constant c,
-    else (1.0, e) with its opaque functions refused."""
+    else (1.0, e)."""
     c = e.constant_value()
     if c is None:
-        _refuse_opaque(e)
         return 1.0, e
-    with _float_guard():
+    try:
         return float(c), None
+    except OverflowError as err:
+        raise NumericError(f"numeric evaluation failed: {err}") from None
+
+
+def _components(exprs: Sequence[JetExpr]) -> None:
+    """Refuse components that use a jet coordinate, then any opaque
+    function in them, so that no jet entry of a section or field has one."""
+    if any(jet_coords(e) for e in exprs):
+        raise ValueError("section expressions must use base coordinates only")
+    for e in exprs:
+        _refuse_opaque(e)
 
 
 # ---------------------------------------------------------------------------
@@ -267,17 +278,14 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class NumericSection:
-    """Closed-form section, one base-coordinate expression per field,
-    with quadrature configuration."""
+    """Closed-form section, one expression per field in the base
+    coordinates and free of opaque functions, with quadrature settings."""
 
     def __init__(self, ctx: JetContext, exprs: Sequence[JetExpr],
                  domain: Sequence[tuple[float, float]], nodes: int = 64):
         if len(exprs) != ctx.m:
             raise ValueError(f"section needs {ctx.m} component expressions")
-        for e in exprs:
-            if jet_coords(e):
-                raise ValueError(
-                    "section expressions must use base coordinates only")
+        _components(exprs)
         if len(domain) != ctx.n:
             raise ValueError(f"domain needs {ctx.n} axis intervals")
         for lo, hi in domain:
@@ -335,38 +343,30 @@ class NumericSection:
         axis, parent = tau.parent()
         return self._d_dx(self._partial(e, parent), axis)
 
-    def _terms(self, jc: ex.JetCoord, field: tuple
-               ) -> list[tuple[float, list[JetExpr]]]:
-        """The Leibniz terms of the jet entry d_sigma(w xi^i), jc =
-        y^i_sigma, of the field (xi, w) over its separable weight
-        w = prod_axis w_a(s_a):
-        sum_(rho <= sigma) C(sigma, rho) prod_a w_a^(rho_a) d_(sigma-rho) xi^i,
-        as pairs (c, factors).  Constant factors fold into c and a term
-        with a vanishing factor is dropped, so with w = 1 only d_sigma s^i
-        is left.  Each factor's opaque functions are refused here."""
-        exprs, weight = field
-        terms = []
-        for rho, rest, binom in jc.sigma.splits():
-            # d^k w_a / dx_a^k: k steps along axis a
-            factors = [_factor(functools.reduce(self._d_dx, [a] * k,
-                                                weight[a]))
-                       for a, k in enumerate(rho)]
-            if any(w == 0.0 for w, _ in factors):
-                continue
-            factors.append(_factor(self._partial(exprs[jc.index], rest)))
-            c = binom * math.prod(w for w, _ in factors)
-            if c != 0.0:
-                terms.append((c, [f for _, f in factors if f is not None]))
-        return terms
-
     def _jet(self, jc: ex.JetCoord, field: tuple | None = None):
-        """The jet entry of jc for the field of _field, else for the
-        section, at the nodes: sum c * prod(factors) over its terms from
-        the first on, a lone 1 * f being f's values; once per section."""
+        """The jet entry d_sigma(w xi^i), jc = y^i_sigma, of the field
+        (xi, w) of _field, else of the section, at the nodes, once per
+        section: over w = prod_axis w_a(s_a), the Leibniz sum
+        sum_(rho <= sigma) C(sigma, rho) prod_a w_a^(rho_a) d_(sigma-rho) xi^i
+        of terms c * prod(factors), from the first on.  Constant factors
+        fold into c, a term with a vanishing factor is dropped (with w = 1
+        only d_sigma s^i is left), and a lone 1 * f is f's values."""
         field = self._own if field is None else field
         got = self._jets.get((field, jc))
         if got is None:
-            terms = self._terms(jc, field)
+            exprs, weight = field
+            terms = []
+            for rho, rest, binom in jc.sigma.splits():
+                # d^k w_a / dx_a^k: k steps along axis a
+                factors = [_factor(functools.reduce(self._d_dx, [a] * k,
+                                                    weight[a]))
+                           for a, k in enumerate(rho)]
+                if any(w == 0.0 for w, _ in factors):
+                    continue
+                factors.append(_factor(self._partial(exprs[jc.index], rest)))
+                c = binom * math.prod(w for w, _ in factors)
+                if c != 0.0:
+                    terms.append((c, [f for _, f in factors if f is not None]))
             if (len(terms) == 1 and terms[0][0] == 1.0
                     and len(terms[0][1]) == 1):
                 got = self._values(terms[0][1][0])
@@ -391,17 +391,14 @@ class NumericSection:
     def bind(self, e: JetExpr):
         """e along the prolonged section at every quadrature node: e with
         the jet coordinates as inputs, evaluated once on the arrays of its
-        jet entries.  Opaque functions, in e or in those entries, are
-        refused before anything is evaluated.  Callers never write into
-        the values, which the section keeps."""
+        jet entries.  An opaque function in e is refused before anything
+        is evaluated; the section's components hold none.  Callers never
+        write into the values, which the section keeps."""
         got = self._bound.get(e)
         if got is None:
-            jcs = jet_coords(e)
-            for jc in jcs:      # refuses opaque functions, evaluates nothing
-                self._terms(jc, self._own)
             f = compile_expr(self._scaled(e))
             env = dict(self._nodes)
-            for jc in jcs:
+            for jc in jet_coords(e):
                 env[jc] = self._jet(jc)
             got = self._bound[e] = f(env)
         return got
@@ -421,12 +418,11 @@ class NumericSection:
         p = max(BUMP_ORDER, order), which for p = 4 is bump_factor rescaled
         exactly.  Equal pairs share jet entries, and all share the
         section's derivative and value tables, so each derivative of a
-        bump is taken and evaluated once per section."""
+        bump is taken and evaluated once per section.  Components are
+        refused as the section's are."""
         if len(comps) != self.ctx.m:
             raise ValueError(f"variation fields need {self.ctx.m} components")
-        if any(jet_coords(e) for e in comps):
-            raise ValueError(
-                "section expressions must use base coordinates only")
+        _components(comps)
         p = max(BUMP_ORDER, order)
         return (tuple(self._scaled(e) for e in comps),
                 tuple((1 - ex.atom_expr(a) ** 2) ** p for a in self._axes))
@@ -663,8 +659,8 @@ def first_variation_pair(lag: Lagrangian, section: NumericSection,
     """(finite-difference first variation, integral of xi | E along the
     section) for a bump-localized field; the two agree as step -> 0 and
     both vanish on critical sections."""
-    fd = finite_diff_variation(lag, section, (xi,), step)
     f = section._field(xi, lag.order)
+    fd = _difference_quotient(lag, section, (f,), step)
     factors = [(section._jet(section.ctx.jet_atom(i), f), section.bind(c))
                for i, c in enumerate(euler_lagrange(lag).components)]
     with _float_guard():

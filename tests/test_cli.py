@@ -146,7 +146,8 @@ def test_jacobi_noncritical_section_exit_3(capsys, problems_dir):
 
 def test_jacobi_asymmetric_report_exit_3(capsys):
     """At 7 nodes the b1, b3 contractions disagree: the report is still
-    printed, as JSON in structured form, and the check exits 3."""
+    printed, as JSON in structured form, and the check exits 3; the plain
+    report ends with its verdict."""
     argv = ("jacobi", OSC, "--lagrangian", "osc", "--section", "sol",
             "--nodes", "7", "--fields", "b1,b3")
     code, out, err = run(capsys, *argv, "--format", "structured")
@@ -159,6 +160,7 @@ def test_jacobi_asymmetric_report_exit_3(capsys):
     assert "formally self-adjoint: yes" in out
     assert re.search(r"^on-shell symmetry: lhs = \S+, rhs = \S+, "
                      r"difference = \S+$", out, re.M)
+    assert out.endswith("\nsymmetric (rel tol 1e-06): no\n")
 
 
 def test_hessian(capsys, problems_dir):
@@ -396,6 +398,39 @@ class _Raw:
 
 
 NOT_UTF8 = b"\xff\xfe\x00"
+# sections opq and shifted and field opq hold an opaque function; section
+# sol and fields b1 and b2 hold none
+OPAQUE_PROBLEM = _Raw("opaque.vp", b"""\
+context
+  base t
+  field y
+  opaque g(t)
+
+lagrangian osc
+  1/2*(y_t^2 - y^2)
+
+section sol
+  y = sin(t)
+
+section opq
+  y = g(t)
+
+section shifted
+  y = t + g(1)
+
+variation b1
+  y = 1
+
+variation b2
+  y = t
+
+variation opq
+  y = g(t)
+
+numeric
+  domain t 0 pi
+  nodes 7
+""")
 MISSING_DIR = "no/such/dir"
 
 # argv that argparse refuses; each exits 1
@@ -446,9 +481,12 @@ NUMERIC_BLOCK_EDITS = (
        (2, "numeric evaluation failed"))
       for cmd, fields in (("second-var", "b1,b3"), ("check-critical", "b3"),
                           ("jacobi", "b1,b3"))),
+    # an opaque function in a section or field is refused where it is
+    # built, named as the file writes it, not in the box's scaled
+    # coordinates
     *(([cmd, _Edited("1 + t^2", "f(t)", ("field y", "field y\n  opaque f(t)")),
         "--section", "sol", "--fields", fields, "--nodes", "7"], None,
-       (2, "has no numeric value"))
+       (2, "opaque function f(t) has no numeric value"))
       for cmd, fields in (("second-var", "b1,b3"), ("check-critical", "b3"),
                           ("jacobi", "b1,b3"))),
     # past order 4 the bump's exponent is the Lagrangian's order, so an
@@ -501,6 +539,14 @@ NUMERIC_BLOCK_EDITS = (
                                  ("variation", ",b1", 1),
                                  ("variation", ",", 1),
                                  ("check-critical", "b1,b2, ", 3))),
+    # likewise for sections and a field of a file of their own, with a
+    # coordinate or a constant as the opaque function's argument
+    *(([cmd, OPAQUE_PROBLEM, "--section", section, "--fields", fields], None,
+       (2, f"opaque function {atom} has no numeric value"))
+      for cmd in ("check-critical", "second-var", "jacobi")
+      for section, fields, atom in (("opq", "b1,b2", "g(t)"),
+                                    ("sol", "b1,opq", "g(t)"),
+                                    ("shifted", "b1,b2", "g(1)"))),
 ])
 def test_exit_code_contract(capsys, monkeypatch, tmp_path, argv, stdin, code):
     """Exit code, and a phrase of the error where code is (code, phrase),
@@ -582,7 +628,8 @@ ORDER_FOUR_OUTPUT = {
         "J^{t t t t t t t t}_{1 1} = 1\n\n"
         "formally self-adjoint: yes\n"
         "on-shell symmetry: lhs = 2097151.9999999963, "
-        "rhs = 2097151.999999996, difference = 2.3283064365386963e-10\n"),
+        "rhs = 2097151.999999996, difference = 2.3283064365386963e-10\n"
+        "symmetric (rel tol 1e-06): yes\n"),
 }
 
 

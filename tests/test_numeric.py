@@ -76,12 +76,17 @@ def test_opaque_not_evaluable():
 def test_long_coefficient_is_its_float_value(ode_ctx):
     """A coefficient with more digits than the interpreter turns into
     text is its correctly rounded float: one beyond the float range is a
-    NumericError when evaluated, and (10^5000 + 1)/10^5000 is 1.0."""
+    NumericError when evaluated, in an expression or as the constant
+    factor of a jet entry, and (10^5000 + 1)/10^5000 is 1.0."""
     y = ode_ctx.fiber("y")
     env = {ode_ctx.jet_atom("y"): np.array([0.5, -2.0])}
     f = compile_expr(JetExpr.constant(10 ** 5000) * y)
     with pytest.raises(NumericError, match="numeric evaluation failed"):
         f(env)
+    sec = NumericSection(ode_ctx, (JetExpr.constant(10 ** 400)
+                                   * ode_ctx.base("t"),), [(0.0, 1.0)])
+    with pytest.raises(NumericError, match="numeric evaluation failed"):
+        sec.bind(ode_ctx.jet("y", "t"))
     near_one = JetExpr.constant(Fraction(10 ** 5000 + 1, 10 ** 5000))
     got = compile_expr(near_one * y)(env)
     assert np.array_equal(got, compile_expr(y)(env))
@@ -593,27 +598,56 @@ def test_section_evaluates_each_entry_once(pde_ctx, monkeypatch):
     assert set(counts.values()) == {1}
 
 
-@pytest.mark.parametrize("density, section, message", [
+@pytest.mark.parametrize("density, section, field, refused_at, message", [
     # the Lagrangian's opaque g before the section's pole at the node 1/2
-    ("y_t^2/2 + g(y) + z_t^2", ("1/(t - 1/2)", "t"), "g(y)"),
-    # the second component's opaque f before the first one's pole
-    ("y_t^2/2 + y*z + z_t^2", ("1/(t - 1/2)", "f(t)"),
-     "f(1/2 + 1/2*t)"),
-    # with both, the entries of the section come first
-    ("y_t^2/2 + g(y) + z_t^2", ("1/(t - 1/2)", "f(t)"),
-     "f_t(1/2 + 1/2*t)"),
+    ("y_t^2/2 + g(y) + z_t^2", ("1/(t - 1/2)", "t"), None, "bind", "g(y)"),
+    # the second component's opaque f, as written, before the first one's
+    # pole: the section is refused when it is built
+    ("y_t^2/2 + y*z + z_t^2", ("1/(t - 1/2)", "f(t)"), None, "section",
+     "f(t)"),
+    # with the Lagrangian's g too, the section is still refused first
+    ("y_t^2/2 + g(y) + z_t^2", ("1/(t - 1/2)", "f(t)"), None, "section",
+     "f(t)"),
+    # a bumped field's opaque f before the section's pole: the field is
+    # refused when it is built
+    ("y_t^2/2 + y*z + z_t^2", ("1/(t - 1/2)", "t"), ("1", "f(t)"), "field",
+     "f(t)"),
 ])
-def test_opaque_refusal_precedes_evaluation_faults(density, section,
-                                                   message):
-    """An opaque function in a bound expression or in any jet entry it
-    reads is refused before any value is taken, so a fault elsewhere in
-    the same expression does not hide it."""
+def test_opaque_refusal_precedes_evaluation_faults(density, section, field,
+                                                   refused_at, message):
+    """An opaque function is refused before any value is taken, so a
+    fault elsewhere does not hide it: one in a section's or bumped
+    field's components when the section or field is built, naming the
+    atom as written, and one in a bound expression when it is bound."""
     ctx = JetContext.make("t", "y z", opaque={"f": ["t"], "g": ["y"]})
-    sec = NumericSection(ctx, [parse_expr(c, ctx) for c in section],
-                         [(0.0, 1.0)], nodes=7)
-    with pytest.raises(NumericError, match=re.escape(
-            f"opaque function {message} has no numeric value")):
-        integrate_on_section(parse_expr(density, ctx), sec)
+    lag = Lagrangian(ctx, parse_expr(density, ctx))
+    refused = pytest.raises(NumericError, match=re.escape(
+        f"opaque function {message} has no numeric value"))
+    exprs = [parse_expr(c, ctx) for c in section]
+    if refused_at == "section":
+        with refused:
+            NumericSection(ctx, exprs, [(0.0, 1.0)], nodes=7)
+        return
+    sec = NumericSection(ctx, exprs, [(0.0, 1.0)], nodes=7)
+    with refused:
+        if refused_at == "bind":
+            integrate_on_section(lag.density, sec)
+        else:
+            finite_diff_variation(
+                lag, sec, [tuple(parse_expr(c, ctx) for c in field)])
+    assert sec._factors == {} and sec._jets == {}
+
+
+def test_first_variation_pair_builds_its_field_once(oscillator, sin_section,
+                                                    monkeypatch):
+    """The finite difference and the pairing with E read one bumped
+    field."""
+    calls = []
+    original = NumericSection._field
+    monkeypatch.setattr(NumericSection, "_field",
+                        lambda self, *a: calls.append(a) or original(self, *a))
+    first_variation_pair(oscillator, sin_section, (ONE,))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("base, sigmas, section, xi1, xi2, nodes", [
