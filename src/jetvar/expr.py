@@ -1111,14 +1111,3 @@ class JetContext:
         if name in self.base_names:
             return self.base(name)
         return self.fiber(name)
-
-    def coord(self, designator) -> Atom:
-        """Coordinate designator: a base/fiber name, or (field, sigma)."""
-        if isinstance(designator, (BaseCoord, JetCoord)):
-            return designator
-        if isinstance(designator, str):
-            if designator in self.base_names:
-                return self.base_atom(designator)
-            return self.jet_atom(designator)
-        field, sigma = designator
-        return self.jet_atom(field, sigma)

@@ -97,11 +97,6 @@ class MultiIndex(tuple):
             out *= math.comb(a, b)
         return out
 
-    def subindices(self) -> Iterator["MultiIndex"]:
-        """All rho with rho <= sigma componentwise, in graded-lex order."""
-        for tau, _rest, _binom in self.splits():
-            yield tau
-
     def splits(self) -> Iterator[tuple["MultiIndex", "MultiIndex", int]]:
         """(tau, sigma - tau, C(sigma, tau)) for every tau <= sigma, in the
         graded-lex order of tau: the box below sigma, walked once.  The

@@ -4,21 +4,22 @@ the action along linear variations, criticality and on-shell symmetry
 checks.
 
 A section is only ever read at its tensor Gauss-Legendre nodes, and it
-keeps what it evaluates as values there, each taken once: the factors
-below, each jet entry d_sigma s^i, and each bound expression L o j^r s,
-which is L with the arrays of its jet entries as jet coordinates.  An
-expression is evaluated term by term in canonical order, with the floats
-of its Python source, after an exact rewrite in the box's scaled
-coordinates s = (x - mid)/half.  There the bump that variation fields
-carry, so that divergence terms drop from every integration by parts, is
-the separable product prod_axis b(s_a), b(s) = (1 - s^2)^p with
-p = max(4, r) for a Lagrangian of order r; in raw coordinates it has huge
-cancelling coefficients away from the origin.  The bump is never
-expanded into a field: a field is a pair (xi, per-axis weights), b(s_a)
-for a bumped field and 1 for the section itself, whose jet entry is the
-Leibniz sum of the derivatives of each weight times those of xi, the
-factors, all from one table of exact derivatives d/dx_a that the section
-shares with its bumped fields.  A finite-difference action is the
+keeps one table of values there, keyed by expression in scaled
+coordinates and each evaluated once: the factors below, and each bound
+expression L o j^r s, which is L with the arrays of its jet entries as
+jet coordinates.  An expression is evaluated term by term in canonical
+order, with the floats of its Python source, after an exact rewrite in
+the box's scaled coordinates s = (x - mid)/half.  There the bump that
+variation fields carry, so that divergence terms drop from every
+integration by parts, is the separable product prod_axis b(s_a),
+b(s) = (1 - s^2)^p with p = max(4, r) for a Lagrangian of order r; in
+raw coordinates it has huge cancelling coefficients away from the
+origin.  The bump is never expanded into a field: a field is a pair
+(xi, per-axis weights), b(s_a) for a bumped field and 1 for the section
+itself, whose jet entry is the Leibniz sum of the derivatives of each
+weight times those of xi, the factors.  A derivative d/dx_a is jetcalc's
+total derivative along s_a over half_a, taken once per section and
+shared with its bumped fields.  A finite-difference action is the
 compiled integrand applied to jet arrays, since
 j(s + t phi) = j s + t j phi.  Opaque functions are refused where a
 section or bumped field is built, and in a bound expression before
@@ -29,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +39,8 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from . import expr as ex
-from .expr import JetContext, JetExpr, jet_coords, partial, substitute
+from .expr import JetContext, JetExpr, jet_coords, substitute
+from .jetcalc import total_derivative
 from .multiindex import MultiIndex
 # NumericConfig is re-exported; these names live apart so that a
 # symbolic command can use them without importing numpy
@@ -109,21 +112,22 @@ def _value(e: JetExpr, env: Mapping[ex.Atom, Any]):
     return 0.0 if out is None else out
 
 
-def compile_expr(e: JetExpr) -> Callable[[Mapping[ex.Atom, Any]], Any]:
-    """e as a function of a mapping from its coordinates to floats or
-    arrays.  Opaque functions, faults, non-finite values and unbound
-    coordinates raise NumericError.  Reentrant and deterministic."""
-    _refuse_opaque(e)
-
-    @_float_guard()
-    def run(env: Mapping[ex.Atom, Any]):
+def _evaluate(e: JetExpr, env: Mapping[ex.Atom, Any]):
+    """e at env, a mapping from its coordinates to floats or arrays.
+    Faults, non-finite values and unbound coordinates raise NumericError."""
+    with _float_guard():
         try:
             return _finite(_value(e, env))
         except KeyError as err:
             raise NumericError(f"coordinate {err.args[0]!r} left unbound") \
                 from None
 
-    return run
+
+def compile_expr(e: JetExpr) -> Callable[[Mapping[ex.Atom, Any]], Any]:
+    """e as a function of a mapping from its coordinates to floats or
+    arrays (see _evaluate), once an opaque function in e is refused."""
+    _refuse_opaque(e)
+    return lambda env: _evaluate(e, env)
 
 
 def _factor(e: JetExpr) -> tuple[float, JetExpr | None]:
@@ -313,27 +317,29 @@ class NumericSection:
         # the section as a field (see _field), weighted by 1
         self._own = (tuple(self._scaled(e) for e in self.exprs),
                      (ex.ONE,) * ctx.n)
-        # d e / dx_a by (e, a), and values at the nodes by factor (see
-        # _values), jet entry (field, jc) and bound expression
+        # d e / dx_a by (e, a), jet entries by (field, jc), and values at
+        # the nodes by scaled expression (see _values)
         self._derivatives: dict[tuple[JetExpr, int], JetExpr] = {}
-        self._factors: dict[JetExpr, Any] = {}
         self._jets: dict[tuple[tuple, ex.JetCoord], Any] = {}
-        self._bound: dict[JetExpr, Any] = {}
+        self._evaluated: dict[JetExpr, Any] = {}
         self._grid: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- prolongation ---------------------------------------------------
 
     def _scaled(self, e: JetExpr) -> JetExpr:
-        """e rewritten exactly in the scaled coordinates of the box."""
+        """e rewritten exactly in the scaled coordinates of the box; e
+        itself if it holds no base coordinate."""
+        if ex.all_atoms(e).isdisjoint(self._axes):
+            return e
         return substitute(e, self._box)
 
     def _d_dx(self, e: JetExpr, axis: int) -> JetExpr:
-        """d e / dx_a for a = axis, e in scaled coordinates, where
-        d/dx = (1/half) d/ds; taken once per (e, axis)."""
+        """d e / dx_a = (1/half_a) D_(s_a) e, a = axis, by jetcalc's total
+        derivative, for e base-only in scaled coordinates; once per (e, a)."""
         got = self._derivatives.get((e, axis))
         if got is None:
-            got = self._derivatives[e, axis] = partial(
-                e, self._axes[axis]) / JetExpr.constant(self._half[axis])
+            got = self._derivatives[e, axis] = total_derivative(
+                e, axis, self.ctx) / JetExpr.constant(self._half[axis])
         return got
 
     def _partial(self, e: JetExpr, tau: MultiIndex) -> JetExpr:
@@ -348,9 +354,10 @@ class NumericSection:
         (xi, w) of _field, else of the section, at the nodes, once per
         section: over w = prod_axis w_a(s_a), the Leibniz sum
         sum_(rho <= sigma) C(sigma, rho) prod_a w_a^(rho_a) d_(sigma-rho) xi^i
-        of terms c * prod(factors), from the first on.  Constant factors
-        fold into c, a term with a vanishing factor is dropped (with w = 1
-        only d_sigma s^i is left), and a lone 1 * f is f's values."""
+        of terms c * prod(factor values), added from the first on (an
+        empty sum is 0.0).  Constant factors fold into c, and a term with
+        a vanishing factor is dropped, so with w = 1 only 1.0 * d_sigma s^i
+        is left."""
         field = self._own if field is None else field
         got = self._jets.get((field, jc))
         if got is None:
@@ -367,41 +374,33 @@ class NumericSection:
                 c = binom * math.prod(w for w, _ in factors)
                 if c != 0.0:
                     terms.append((c, [f for _, f in factors if f is not None]))
-            if (len(terms) == 1 and terms[0][0] == 1.0
-                    and len(terms[0][1]) == 1):
-                got = self._values(terms[0][1][0])
-            else:
-                with _float_guard():
-                    out = 0.0
-                    for c, factors in terms:
-                        out = out + math.prod(map(self._values, factors),
-                                              start=c)
-                    got = _finite(out)
-            self._jets[field, jc] = got
+            with _float_guard():
+                values = (math.prod(map(self._values, factors), start=c)
+                          for c, factors in terms)
+                got = self._jets[field, jc] = _finite(functools.reduce(
+                    operator.add, values, next(values, 0.0)))
         return got
 
     def _values(self, e: JetExpr):
-        """e, free of jet coordinates and in the scaled coordinates, at the
-        nodes; evaluated once per section."""
-        got = self._factors.get(e)
+        """e, in the scaled coordinates, at the nodes, each jet coordinate
+        bound to the section's own jet entry: the one table of values a
+        section keeps, of jet-entry factors and bound expressions alike,
+        each evaluated once per section.  e holds no opaque function."""
+        got = self._evaluated.get(e)
         if got is None:
-            got = self._factors[e] = compile_expr(e)(self._nodes)
+            env = self._nodes | {jc: self._jet(jc) for jc in jet_coords(e)}
+            got = self._evaluated[e] = _evaluate(e, env)
         return got
 
     def bind(self, e: JetExpr):
-        """e along the prolonged section at every quadrature node: e with
-        the jet coordinates as inputs, evaluated once on the arrays of its
-        jet entries.  An opaque function in e is refused before anything
-        is evaluated; the section's components hold none.  Callers never
-        write into the values, which the section keeps."""
-        got = self._bound.get(e)
-        if got is None:
-            f = compile_expr(self._scaled(e))
-            env = dict(self._nodes)
-            for jc in jet_coords(e):
-                env[jc] = self._jet(jc)
-            got = self._bound[e] = f(env)
-        return got
+        """e along the prolonged section at every quadrature node, as the
+        values of e in scaled coordinates (see _values), which callers never
+        write into.  An opaque function in e is refused before anything is
+        evaluated; the section's components hold none."""
+        scaled = self._scaled(e)
+        if scaled not in self._evaluated:
+            _refuse_opaque(scaled)
+        return self._values(scaled)
 
     @functools.cached_property
     def _nodes(self) -> dict[ex.Atom, np.ndarray]:

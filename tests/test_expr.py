@@ -45,17 +45,17 @@ def test_no_trig_rewriting(xy_ctx):
 
 def test_partial_examples(ode_ctx):
     yt = ode_ctx.jet("y", "t")
-    assert partial(yt ** 2, ode_ctx.coord(("y", "t"))) == 2 * yt
-    assert partial(yt ** 2, ode_ctx.coord("y")).is_zero
+    assert partial(yt ** 2, ode_ctx.jet_atom("y", "t")) == 2 * yt
+    assert partial(yt ** 2, ode_ctx.jet_atom("y")).is_zero
 
 
 def test_partial_opaque_chain_rule():
     ctx = JetContext.make("t", "q", opaque={"g": ["q"]})
     qt = ctx.jet("q", "t")
     e = ctx.opaque("g") * qt
-    dq = partial(e, ctx.coord("q"))
+    dq = partial(e, ctx.jet_atom("q"))
     assert dq == ctx.opaque("g", (1,)) * qt
-    assert partial(e, ctx.coord(("q", "t"))) == ctx.opaque("g")
+    assert partial(e, ctx.jet_atom("q", "t")) == ctx.opaque("g")
 
 
 def test_substitute_examples(ode_ctx):

@@ -79,7 +79,7 @@ def test_zero_neutral(a):
 @given(counts2)
 def test_subindices_and_binom(a):
     sigma = MultiIndex(a)
-    subs = list(sigma.subindices())
+    subs = [tau for tau, _r, _b in sigma.splits()]
     expected = 1
     for c in sigma.counts:
         expected *= c + 1
@@ -92,6 +92,11 @@ def test_subindices_and_binom(a):
         for s, r in zip(sigma.counts, rho.counts):
             want *= math.comb(s, r)
         assert sigma.binom(rho) == want
+    # graded-lex: lower order first, then earlier axes loaded first
+    assert subs == sorted(subs, key=lambda r: (r.order(),
+                                               [-c for c in r.counts]))
+    assert [(r, b) for _t, r, b in sigma.splits()] == \
+        [(sigma.sub(t), sigma.binom(t)) for t in subs]
 
 
 def test_render():

@@ -21,6 +21,7 @@ from jetvar.numeric import (MAX_POINTS, NotCritical, NumericError,
                             gauss_legendre, integrate_on_section, rel_close)
 from jetvar.randgen import random_polynomial
 from jetvar.textio import parse_expr
+from jetvar.variational import linearize
 
 seeds = st.integers(0, 10**9)
 
@@ -552,16 +553,16 @@ def test_leibniz_jets_match_expanded_bump_partials(ode_ctx, pde_ctx, domain,
 
 
 def test_field_jets_compile_each_partial_once(ode_ctx, monkeypatch):
-    """The jets of order 0-4 of the bumped field sin(t) compile the five
+    """The jets of order 0-4 of the bumped field sin(t) evaluate the five
     bump derivatives and the four distinct partials of sin (the fourth is
-    sin again) once each: 9 compilations, where one per Leibniz term
-    would be 20.  The same field built again compiles nothing new
+    sin again) once each: 9 evaluations, where one per Leibniz term
+    would be 20.  The same field built again evaluates nothing new
     and reads the very jet entries built first."""
     from jetvar import numeric
     calls = []
-    original = numeric.compile_expr
-    monkeypatch.setattr(numeric, "compile_expr",
-                        lambda e: calls.append(e) or original(e))
+    original = numeric._evaluate
+    monkeypatch.setattr(numeric, "_evaluate",
+                        lambda e, env: calls.append(e) or original(e, env))
     sec = NumericSection(ode_ctx, (ode_ctx.base("t"),), [(0.0, 1.0)])
     jets = [[sec._jet(ode_ctx.jet_atom(0, (k,)),
                       sec._field((sin(ode_ctx.base("t")),), 0))
@@ -596,6 +597,51 @@ def test_section_evaluates_each_entry_once(pde_ctx, monkeypatch):
     counts = Counter(calls)
     assert counts.pop(sec._scaled(lag.density)) == 4
     assert set(counts.values()) == {1}
+
+
+def test_bound_expression_and_jet_factor_share_one_table(ode_ctx,
+                                                          monkeypatch):
+    """A section keeps one table of values at its nodes: once the jet
+    entry y of the section y = t^2 is taken, binding t^2 evaluates
+    nothing, for its factor d_0 s = t^2 is already there."""
+    from jetvar import numeric
+    t = ode_ctx.base("t")
+    sec = NumericSection(ode_ctx, (t ** 2,), [(0.0, 1.0)], nodes=8)
+    sec._jet(ode_ctx.jet_atom(0))
+    calls = []
+    original = numeric._value
+    monkeypatch.setattr(numeric, "_value",
+                        lambda e, env: calls.append(e) or original(e, env))
+    got = sec.bind(t ** 2)
+    assert calls == []
+    assert got == pytest.approx(sec.grid()[0][:, 0] ** 2, rel=1e-14)
+
+
+def test_no_jet_factor_is_walked_for_opaque_functions(pde_ctx, monkeypatch):
+    """A second-variation check on 2-D Laplace walks for opaque functions
+    only what enters it from outside: the components of the section and of
+    both fields as written, and the scaled density, E components and V
+    entries it binds; never a derivative of a component or of a bump
+    factor, which cannot hold one.  (No expression here has a function
+    atom, so every walk is a top-level one.)"""
+    from jetvar import numeric
+    walked = []
+    original = numeric._refuse_opaque
+    monkeypatch.setattr(numeric, "_refuse_opaque",
+                        lambda e: walked.append(e) or original(e))
+    u, v = pde_ctx.base("u"), pde_ctx.base("v")
+    lag = Lagrangian(pde_ctx, (pde_ctx.jet("w", "u") ** 2
+                               + pde_ctx.jet("w", "v") ** 2) / 2)
+    xi1, xi2 = (ONE,), (1 + u * v,)
+    sec = NumericSection(pde_ctx, (u * v,), [(0.0, 1.0), (0.0, 1.0)],
+                         nodes=8)
+    second_variation_check(lag, sec, xi1, xi2)
+    e = euler_lagrange(lag)
+    bound = ([lag.density] + list(e.components)
+             + [val for _key, val in linearize(e).entries()])
+    allowed = set(sec.exprs + xi1 + xi2) | {sec._scaled(b) for b in bound}
+    assert walked and set(walked) <= allowed
+    assert sec._scaled(lag.density) in walked
 
 
 @pytest.mark.parametrize("density, section, field, refused_at, message", [
@@ -635,7 +681,7 @@ def test_opaque_refusal_precedes_evaluation_faults(density, section, field,
         else:
             finite_diff_variation(
                 lag, sec, [tuple(parse_expr(c, ctx) for c in field)])
-    assert sec._factors == {} and sec._jets == {}
+    assert sec._evaluated == {} and sec._jets == {}
 
 
 def test_first_variation_pair_builds_its_field_once(oscillator, sin_section,

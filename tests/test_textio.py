@@ -146,7 +146,7 @@ def test_plain_roundtrip_opaque_partial(metric_ctx):
 
 def test_plain_roundtrip_sqrt_derivative(ode_ctx):
     from jetvar import partial
-    d = partial(sqrt(ode_ctx.fiber("y")), ode_ctx.coord("y"))
+    d = partial(sqrt(ode_ctx.fiber("y")), ode_ctx.jet_atom("y"))
     assert to_plain(d) == "1/2*sqrt(y)^-1"
     assert parse_expr(to_plain(d), ode_ctx) == d
 
