@@ -538,8 +538,11 @@ def add_many(exprs: Iterable[JetExpr]) -> JetExpr:
 
 def add_scaled(pairs: Iterable[tuple[int, JetExpr]]) -> JetExpr:
     """sum of c * e over the (c, e) pairs, each c an int: every numerator
-    is brought to the lcm of the denominators and summed as an integer."""
+    is brought to the lcm of the denominators and summed as an integer;
+    a lone (1, e) is e itself, already canonical."""
     pairs = list(pairs)
+    if len(pairs) == 1 and pairs[0][0] == 1:
+        return pairs[0][1]
     den = math.lcm(*(e._den for _c, e in pairs))
     acc: dict[Monomial, int] = {}
     for c, e in pairs:

@@ -356,8 +356,9 @@ class NumericSection:
         sum_(rho <= sigma) C(sigma, rho) prod_a w_a^(rho_a) d_(sigma-rho) xi^i
         of terms c * prod(factor values), added from the first on (an
         empty sum is 0.0).  Constant factors fold into c, and a term with
-        a vanishing factor is dropped, so with w = 1 only 1.0 * d_sigma s^i
-        is left."""
+        a vanishing factor is dropped; a unit c multiplies nothing, since
+        1.0 * x == x, so with w = 1 the entry is the value-table array of
+        d_sigma s^i itself.  Callers never write into a jet entry."""
         field = self._own if field is None else field
         got = self._jets.get((field, jc))
         if got is None:
@@ -375,7 +376,10 @@ class NumericSection:
                 if c != 0.0:
                     terms.append((c, [f for _, f in factors if f is not None]))
             with _float_guard():
-                values = (math.prod(map(self._values, factors), start=c)
+                values = (functools.reduce(operator.mul,
+                                           map(self._values, factors))
+                          if c == 1.0 and factors else
+                          math.prod(map(self._values, factors), start=c)
                           for c, factors in terms)
                 got = self._jets[field, jc] = _finite(functools.reduce(
                     operator.add, values, next(values, 0.0)))

@@ -10,11 +10,14 @@ Expression grammar (whitespace-insensitive)::
     factor := base ('^' ['-'] int)?
     base   := number | ident | ident suffix | fn '(' args ')' | '(' expr ')'
     suffix := '_' letters | '_{' ident+ '}'
+    number := digits ['.' digits] [('e'|'E') ['+'|'-'] digits]
+    ident  := letter (letter | digit)*
 
+over Unicode decimal digits and letters.  Line comments start with ``#``.
 Jet coordinates are written as a field name with a derivative suffix:
 ``y_tt`` when base variables are single letters, ``y_{x1 x1}`` otherwise.
 The same suffix syntax on a declared opaque function denotes its formal
-partial derivatives, e.g. ``g_q(q)``.  Line comments start with ``#``.
+partial derivatives, e.g. ``g_q(q)``.
 
 The structured format is the only stability-guaranteed machine
 interface; its schema is documented in the README.
@@ -52,12 +55,17 @@ class ParseError(ValueError):
 # lexer
 # ---------------------------------------------------------------------------
 
-_SYMBOLS = "+-*/^(){},=_"
+# One match per token, after blanks; the last group starts no token.  Not
+# re.ASCII: \d is str.isdecimal, [^\W_] str.isalnum and \s str.isspace.
+_TOKEN = re.compile(
+    r"[^\S\n]*(?:([^\W\d_][^\W_]*)|([-+*/^(){},=_])"
+    r"|(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(\n)|(#[^\n]*)|(\S))")
+_IDENT, _SYMBOL, _NUM, _NEWLINE, _COMMENT = range(1, 6)
 
 
 @dataclass
 class _Token:
-    kind: str  # NUM | IDENT | one of _SYMBOLS | EOF
+    kind: str  # NUM | IDENT | the symbol itself | EOF
     text: str
     line: int
     col: int
@@ -65,61 +73,26 @@ class _Token:
 
 def _lex(src: str, line: int = 1, col: int = 1) -> list[_Token]:
     toks: list[_Token] = []
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < len(src) and src[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isdecimal():
-            j = i
-            while j < len(src) and src[j].isdecimal():
-                j += 1
-            if j < len(src) and src[j] == "." and j + 1 < len(src) \
-                    and src[j + 1].isdecimal():
-                j += 1
-                while j < len(src) and src[j].isdecimal():
-                    j += 1
-            if j < len(src) and src[j] in "eE":
-                k = j + 1
-                if k < len(src) and src[k] in "+-":
-                    k += 1
-                if k < len(src) and src[k].isdecimal():
-                    j = k
-                    while j < len(src) and src[j].isdecimal():
-                        j += 1
-            text = src[i:j]
-            toks.append(_Token("NUM", text, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(src) and (src[j].isalnum()):
-                j += 1
-            text = src[i:j]
-            toks.append(_Token("IDENT", text, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            toks.append(_Token(ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    toks.append(_Token("EOF", "", line, col))
+    before = -col         # the index just before column 1 of the line
+    end = len(src)        # the index of the EOF token
+    for m in _TOKEN.finditer(src):
+        group = m.lastindex
+        text, i = m[group], m.start(group)
+        # [^\W\d_] also matches a digit that is not decimal, such as ²
+        if group == _IDENT and text[0].isalpha() or group == _NUM:
+            toks.append(_Token("NUM" if group == _NUM else "IDENT", text,
+                               line, i - before))
+        elif group == _SYMBOL:
+            toks.append(_Token(text, text, line, i - before))
+        elif group == _NEWLINE:
+            line, before = line + 1, i
+        elif group == _COMMENT:
+            # a comment takes no columns: one that ends the source holds EOF
+            end = i if m.end() == len(src) else end
+        else:
+            raise ParseError(f"unexpected character {text[0]!r}", line,
+                             i - before)
+    toks.append(_Token("EOF", "", line, end - before))
     return toks
 
 
@@ -570,19 +543,21 @@ def _parse_opaque_decl(text: str, lineno: int, col: int
                        ) -> tuple[str, tuple[str, ...]]:
     """name(arg, ...) written from the given column; a refusal names the
     column of the first token that breaks the form."""
-    toks = _lex(text, lineno, col)
-    i = int(toks[0].kind == "IDENT")      # the token to refuse
-    if i and toks[1].kind == "(":
-        while toks[i + 1].kind == "IDENT" and toks[i + 2].kind == ",":
-            i += 2
-        for kind in ("IDENT", ")", "EOF"):    # the last argument, the end
-            i += 1
-            if toks[i].kind != kind:
-                break
-        else:
-            return toks[0].text, tuple(t.text for t in toks[2:i:2])
-    raise ParseError("opaque declaration must be name(arg, ...)",
-                     toks[i].line, toks[i].col)
+    p = _Parser(_lex(text, lineno, col), None)
+    try:
+        name = p.expect("IDENT").text
+        p.expect("(")
+        args = [p.expect("IDENT").text]
+        while p.peek().kind == ",":
+            p.next()
+            args.append(p.expect("IDENT").text)
+        p.expect(")")
+        p.expect("EOF")
+    except ParseError:
+        t = p.peek()
+        raise ParseError("opaque declaration must be name(arg, ...)",
+                         t.line, t.col) from None
+    return name, tuple(args)
 
 
 def _parse_components(ctx: JetContext, body, *, what: str, require_all: bool,

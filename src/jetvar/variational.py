@@ -175,15 +175,10 @@ def _euler_operator(pieces: Mapping[tuple[int, MultiIndex], JetExpr],
             if k == i:
                 acc[sigma] = [p]
         for tau, axis, parent in reversed(lattice_edges(list(acc))):
-            q = total_derivative(_sum(acc.pop(tau)), axis, ctx)
+            q = total_derivative(add_many(acc.pop(tau)), axis, ctx)
             acc.setdefault(parent, []).append(-q)
-        comps.append(_sum(acc.get(MultiIndex.zero(ctx.n), [])))
+        comps.append(add_many(acc.get(MultiIndex.zero(ctx.n), [])))
     return SourceForm(ctx, tuple(comps))
-
-
-def _sum(exprs: list[JetExpr]) -> JetExpr:
-    """add_many, without re-sorting a lone canonical summand."""
-    return exprs[0] if len(exprs) == 1 else add_many(exprs)
 
 
 def helmholtz(src: SourceForm) -> BilinearForm:

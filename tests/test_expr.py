@@ -9,8 +9,9 @@ from jetvar import JetContext, JetExpr, jet_order, partial, substitute, \
 from jetvar.expr import (ELEMENTARY_FUNCTIONS, Atom, BaseCoord, ConstSym,
                          DivisionByZeroExpr, ElemFn, ExprError, InvSum,
                          JetCoord, ONE, OpaqueFn, UnknownCoordinate, ZERO,
-                         _mono_key, add_many, all_atoms, atom_expr, atom_pow,
-                         cos, elem, evaluate_exact, jet_coords, pow_int, sin)
+                         _mono_key, add_many, add_scaled, all_atoms,
+                         atom_expr, atom_pow, cos, elem, evaluate_exact,
+                         jet_coords, pow_int, sin)
 from jetvar.multiindex import MultiIndex
 from jetvar.randgen import random_polynomial
 from jetvar.variational import (Lagrangian, adjoint, euler_lagrange,
@@ -310,6 +311,18 @@ def test_random_build_order_independence(seed):
     halves = e / 2 + e / 2
     assert halves == e and hash(halves) == hash(e)
     assert e - e == ZERO and (e - e).is_zero
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds)
+def test_a_lone_summand_is_kept(seed):
+    """A sum of one canonical expression is that expression, not a copy;
+    a scaled one is rebuilt."""
+    rng = random.Random(seed)
+    e = _rational_polynomial(rng, JetContext.make("x1 x2", "y z"))
+    assert add_many([e]) is e
+    assert add_scaled([(2, e)]) == 2 * e
+    assert add_many([e, -e]).is_zero
 
 
 @settings(max_examples=80, deadline=None)

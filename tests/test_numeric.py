@@ -617,6 +617,14 @@ def test_bound_expression_and_jet_factor_share_one_table(ode_ctx,
     assert got == pytest.approx(sec.grid()[0][:, 0] ** 2, rel=1e-14)
 
 
+def test_section_jet_entry_is_its_value_array(ode_ctx):
+    """A Leibniz sum of one unit-coefficient factor is that factor's array
+    in the value table, not a 1.0 * values copy."""
+    t = ode_ctx.base("t")
+    sec = NumericSection(ode_ctx, (t ** 2,), [(0.0, 1.0)], nodes=8)
+    assert sec._jet(ode_ctx.jet_atom(0)) is sec.bind(t ** 2)
+
+
 def test_no_jet_factor_is_walked_for_opaque_functions(pde_ctx, monkeypatch):
     """A second-variation check on 2-D Laplace walks for opaque functions
     only what enters it from outside: the components of the section and of

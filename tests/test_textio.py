@@ -9,7 +9,7 @@ from jetvar import JetContext, Lagrangian, euler_lagrange, to_plain
 from jetvar.expr import ONE, exp, sin, sqrt
 from jetvar.multiindex import MultiIndex
 from jetvar.randgen import random_polynomial
-from jetvar.textio import (ParseError, dump_structured, parse_expr,
+from jetvar.textio import (ParseError, _lex, dump_structured, parse_expr,
                            parse_problem_file, parse_structured, print_object,
                            to_latex)
 from jetvar.variational import BilinearForm
@@ -94,6 +94,89 @@ def test_superscript_digit_is_an_unexpected_character(ode_ctx):
         parse_expr("y^²", ode_ctx)
     assert err.value.message == "unexpected character '²'"
     assert (err.value.line, err.value.col) == (1, 3)
+
+
+EOF = "EOF", ""
+
+
+@pytest.mark.parametrize("src, start, lexed", [
+    ("2.5e-3*t", (1, 1), [("NUM", "2.5e-3", 1, 1), ("*", "*", 1, 7),
+                          ("IDENT", "t", 1, 8), (*EOF, 1, 9)]),
+    ("1.5.3", (1, 1), ("unexpected character '.'", 1, 4)),
+    # an exponent needs its digits; a number ends before a bare 'e'
+    ("2e", (1, 1), [("NUM", "2", 1, 1), ("IDENT", "e", 1, 2), (*EOF, 1, 3)]),
+    ("2e+1", (1, 1), [("NUM", "2e+1", 1, 1), (*EOF, 1, 5)]),
+    # digits and letters are Unicode decimal digits and letters
+    ("\u0663*y", (1, 1), [("NUM", "\u0663", 1, 1), ("*", "*", 1, 2),
+                          ("IDENT", "y", 1, 3), (*EOF, 1, 4)]),
+    ("x\u00b2", (1, 1), [("IDENT", "x\u00b2", 1, 1), (*EOF, 1, 3)]),
+    ("\u00b2", (1, 1), ("unexpected character '\u00b2'", 1, 1)),
+    ("\u00bd", (1, 1), ("unexpected character '\u00bd'", 1, 1)),
+    # a comment takes no columns
+    ("y # c", (1, 1), [("IDENT", "y", 1, 1), (*EOF, 1, 3)]),
+    ("y # c\nz", (1, 1),
+     [("IDENT", "y", 1, 1), ("IDENT", "z", 2, 1), (*EOF, 2, 2)]),
+    # any blank but a newline is one column
+    ("a\tb", (1, 1), [("IDENT", "a", 1, 1), ("IDENT", "b", 1, 3),
+                      (*EOF, 1, 4)]),
+    ("a\u2028b", (1, 1), [("IDENT", "a", 1, 1), ("IDENT", "b", 1, 3),
+                          (*EOF, 1, 4)]),
+    ("a\n  b", (1, 1), [("IDENT", "a", 1, 1), ("IDENT", "b", 2, 3),
+                        (*EOF, 2, 4)]),
+    ("a  ", (1, 1), [("IDENT", "a", 1, 1), (*EOF, 1, 4)]),
+    ("", (1, 1), [(*EOF, 1, 1)]),
+    # lexed from line 4, col 7
+    ("y_{t x}", (4, 7),
+     [("IDENT", "y", 4, 7), ("_", "_", 4, 8), ("{", "{", 4, 9),
+      ("IDENT", "t", 4, 10), ("IDENT", "x", 4, 12), ("}", "}", 4, 13),
+      (*EOF, 4, 14)]),
+    ("y\n @", (4, 7), ("unexpected character '@'", 5, 2)),
+])
+def test_lexer_tokens_and_positions(src, start, lexed):
+    """The tokens of src lexed from (line, col) = start, each as (kind,
+    text, line, col), or a refusal as (message, line, col)."""
+    if isinstance(lexed, tuple):
+        with pytest.raises(ParseError) as err:
+            _lex(src, *start)
+        assert (err.value.message, err.value.line, err.value.col) == lexed
+    else:
+        assert [(t.kind, t.text, t.line, t.col)
+                for t in _lex(src, *start)] == lexed
+
+
+_LEXER_ALPHABET = [
+    *"0123456789eE.+-*/^(){},=_ytx#", " ", "\t", "\r", "\x0c", "\x1c",
+    "\u00a0", "\u2028", "\u3000", "\u00b2", "\u00bd", "\u0663", "\u216b",
+    "\U0001d7d9", "\u01c5", "\u02b0", "\u0301", "\u00e9", *"$@;:'\"\\",
+    "1e+", "1.e5", ".5", "y_{t x}", "# c"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_LEXER_ALPHABET), max_size=16).map("".join))
+def test_lexer_tokens_are_the_source(src):
+    """On one line, either the lexer refuses a character that starts no
+    token, where it stands, or its tokens are slices of the source, in
+    order, and what they leave out is blank or a trailing comment."""
+    try:
+        toks = _lex(src)
+    except ParseError as err:
+        ch = src[err.col - 1]
+        assert (err.message, err.line) == (f"unexpected character {ch!r}", 1)
+        assert not (ch.isspace() or ch.isdecimal() or ch.isalpha()
+                    or ch in "+-*/^(){},=_#")
+        return
+    covered, end = set(), 0
+    for t in toks[:-1]:
+        assert t.line == 1 and t.col - 1 >= end and t.text
+        assert src[t.col - 1:t.col - 1 + len(t.text)] == t.text
+        end = t.col - 1 + len(t.text)
+        covered.update(range(t.col - 1, end))
+    left = [i for i in range(len(src)) if i not in covered]
+    comment = next((i for i in left if src[i] == "#"), len(src))
+    assert end <= comment
+    assert all(src[i].isspace() for i in left if i < comment)
+    assert (toks[-1].kind, toks[-1].line, toks[-1].col) == ("EOF", 1,
+                                                           comment + 1)
 
 
 def test_opaque_arity_error(metric_ctx):
