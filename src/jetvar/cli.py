@@ -4,6 +4,12 @@ operation or a numeric check, print the result.
 Exit codes: 0 success; 1 usage or parse error; 2 semantic error (unknown
 name, arity/order mismatch); 3 a numeric check failed beyond tolerance.
 
+Each subcommand accepts ``input``, ``--format``, ``--output`` and only
+the flags its handler reads, as ``COMMANDS`` lists them; any other flag
+is refused as a usage error.  Some take effect only beside another:
+jacobi's ``--fields``, ``--nodes`` and ``--tol`` with ``--section``, and
+check-critical's ``--step`` with ``--fields``.
+
 A call pays only for its own subcommand: the parser builder adds that
 one subparser (all of them for help, an unknown command or no arguments),
 and only the numeric ones (check-critical, second-var, jacobi --section)
@@ -64,6 +70,21 @@ def _checked(name: str):
     return parse
 
 
+# argparse keywords of each flag a subcommand may read
+_FLAGS = {
+    "lagrangian": dict(metavar="NAME"),
+    "source": dict(metavar="NAME"),
+    "section": dict(metavar="NAME"),
+    "fields": dict(metavar="NAME,NAME",
+                   help="comma-separated variation field names"),
+    "nodes": dict(metavar="N", type=_checked("nodes")),
+    "step": dict(metavar="H", type=_checked("step")),
+    "tol": dict(metavar="T", type=_checked("tol")),
+    "bilinear": dict(metavar="PATH", required=True,
+                     help="structured-format bilinear form ('-' for stdin)"),
+}
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The command-line parser.  When ``command`` names a subcommand, only
     its subparser is built; otherwise (help, an unknown command, no
@@ -74,7 +95,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
     known = any(command == name for name, *_ in COMMANDS)
-    for name, handler, help, numeric in COMMANDS:
+    for name, handler, help, flags in COMMANDS:
         if known and name != command:
             continue
         sp = sub.add_parser(name, help=help)
@@ -82,21 +103,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sp.add_argument("input", help="problem file path")
         sp.add_argument("--format", choices=("plain", "latex", "structured"),
                         default="plain")
-        sp.add_argument("--lagrangian", metavar="NAME")
-        sp.add_argument("--source", metavar="NAME")
-        sp.add_argument("--section", metavar="NAME")
-        sp.add_argument("--fields", metavar="NAME,NAME",
-                        help="comma-separated variation field names")
         sp.add_argument("--output", metavar="PATH",
                         help="write output to PATH instead of stdout")
-        if numeric:
-            for setting, metavar in zip(SETTINGS, "NHT"):
-                sp.add_argument(f"--{setting}", type=_checked(setting),
-                                metavar=metavar)
-        if name == "adjoint":
-            sp.add_argument("--bilinear", metavar="PATH", required=True,
-                            help="structured-format bilinear form "
-                                 "('-' for stdin)")
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **_FLAGS[flag])
     return p
 
 
@@ -165,7 +175,7 @@ def _numeric_setup(pf: ProblemFile, args):
         raise SemanticError("this command needs a numeric block in the "
                             "problem file")
     cfg = dataclasses.replace(pf.numeric.config(), **{
-        k: v for k in SETTINGS if (v := getattr(args, k)) is not None})
+        k: v for k in SETTINGS if (v := getattr(args, k, None)) is not None})
     exprs = _pick(pf.sections, args.section, "section")
     return lag, cfg, NumericSection(pf.ctx, exprs, cfg.domain, cfg.nodes)
 
@@ -307,20 +317,25 @@ def _cmd_adjoint(pf: ProblemFile, args):
     return {"adjoint": out}, [(out, "A")], True
 
 
-# (name, handler, help, numeric): numeric subcommands take --nodes, --step
-# and --tol
+# the flags of a numeric check
+_CHECK = ("lagrangian", "section", "fields", "nodes", "step", "tol")
+
+# (name, handler, help, the flags of _FLAGS that the handler reads)
 COMMANDS = (
-    ("el", _cmd_el, "Euler-Lagrange source form", False),
+    ("el", _cmd_el, "Euler-Lagrange source form", ("lagrangian",)),
     ("jacobi", _cmd_jacobi, "vertical differential, its adjoint, and an "
-                            "on-shell report", True),
+                            "on-shell report",
+     ("lagrangian", "section", "fields", "nodes", "tol")),
     ("helmholtz", _cmd_helmholtz, "Helmholtz obstruction and "
-                                  "local-variationality verdict", False),
+                                  "local-variationality verdict",
+     ("lagrangian", "source")),
     ("hessian", functools.partial(_cmd_variation, count=2),
-     "Hessian density for two fields", False),
-    ("variation", _cmd_variation, "iterated quotient variation", False),
-    ("check-critical", _cmd_check_critical, "criticality residuals", True),
-    ("second-var", _cmd_second_var, "numeric second-variation check", True),
-    ("adjoint", _cmd_adjoint, "adjoint of a bilinear form", False),
+     "Hessian density for two fields", ("lagrangian", "fields")),
+    ("variation", _cmd_variation, "iterated quotient variation",
+     ("lagrangian", "fields")),
+    ("check-critical", _cmd_check_critical, "criticality residuals", _CHECK),
+    ("second-var", _cmd_second_var, "numeric second-variation check", _CHECK),
+    ("adjoint", _cmd_adjoint, "adjoint of a bilinear form", ("bilinear",)),
 )
 
 

@@ -563,14 +563,27 @@ def mul(a: JetExpr, b: JetExpr) -> JetExpr:
     return _normalized(d, a._den * b._den)
 
 
+# the bit length past which pow_int refuses to raise a coefficient (about
+# 1.26 million decimal digits)
+MAX_POWER_BITS = 1 << 22
+
+
 def pow_int(e: JetExpr, k: int) -> JetExpr:
-    """Integer power; negative exponents go through division."""
+    """Integer power; negative exponents go through division.  Raises
+    ExprError when |k| times the bit length of e's largest numerator or
+    denominator passes MAX_POWER_BITS; a power of an expression whose
+    coefficients are all 1 or -1 is never refused."""
     if k == 0:
         return ONE
     if e.is_zero:
         if k > 0:
             return ZERO
         raise DivisionByZeroExpr("zero expression raised to a negative power")
+    bits = max(e._den.bit_length(),
+               *(abs(n).bit_length() for _m, n in e._terms))
+    if bits > 1 and abs(k) * bits > MAX_POWER_BITS:
+        raise ExprError(f"power {k} of a {bits}-bit coefficient would pass "
+                        f"{MAX_POWER_BITS} bits")
     if k < 0:
         return pow_int(div(ONE, e), -k)
     out = ONE

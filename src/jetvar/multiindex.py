@@ -16,10 +16,6 @@ from operator import getitem, sub
 from typing import Iterable, Iterator, Sequence
 
 
-class DimensionMismatch(ValueError):
-    """Combination of multi-indices over incompatible base spaces."""
-
-
 class MultiIndex(tuple):
     """A multi-index: the tuple of its counts, one per base variable.
 
@@ -28,8 +24,8 @@ class MultiIndex(tuple):
     truncated), none negative, and there must be at least one.  Being a
     tuple, a multi-index hashes, compares and orders as its counts do, in
     C.  So it equals the plain tuple of its counts, ``<`` orders it
-    lexicographically, and ``+`` concatenates (use ``union`` to add
-    counts).  ``counts`` gives the counts as a plain tuple.
+    lexicographically, and ``+`` concatenates.  ``counts`` gives the
+    counts as a plain tuple.
     """
 
     __slots__ = ()
@@ -58,10 +54,6 @@ class MultiIndex(tuple):
     def order(self) -> int:
         return sum(self)
 
-    def union(self, other: "MultiIndex") -> "MultiIndex":
-        self._check_dim(other)
-        return _valid(a + b for a, b in zip(self, other))
-
     def bump(self, axis: int) -> "MultiIndex":
         """The multi-index with one extra derivative along ``axis``."""
         c = list(self)
@@ -79,24 +71,6 @@ class MultiIndex(tuple):
                 return axis, _valid(c)
         raise ValueError("the zero multi-index has no parent")
 
-    def contains(self, other: "MultiIndex") -> bool:
-        self._check_dim(other)
-        return all(a >= b for a, b in zip(self, other))
-
-    def sub(self, other: "MultiIndex") -> "MultiIndex":
-        if not self.contains(other):
-            raise ValueError(f"{other.counts} is not contained in {self.counts}")
-        return _valid(a - b for a, b in zip(self, other))
-
-    def binom(self, other: "MultiIndex") -> int:
-        """Product of the per-axis binomial coefficients C(sigma_a, rho_a)."""
-        if not self.contains(other):
-            return 0
-        out = 1
-        for a, b in zip(self, other):
-            out *= math.comb(a, b)
-        return out
-
     def splits(self) -> Iterator[tuple["MultiIndex", "MultiIndex", int]]:
         """(tau, sigma - tau, C(sigma, tau)) for every tau <= sigma, in the
         graded-lex order of tau: the box below sigma, walked once.  The
@@ -113,13 +87,6 @@ class MultiIndex(tuple):
         for name, count in zip(base_names, self):
             parts.extend([name] * count)
         return " ".join(parts)
-
-    def _check_dim(self, other: "MultiIndex") -> None:
-        if self.dimension != other.dimension:
-            raise DimensionMismatch(
-                f"multi-indices over incompatible base spaces: "
-                f"dimension {self.dimension} vs {other.dimension}"
-            )
 
     def __repr__(self):
         return f"MultiIndex{tuple(self)}"

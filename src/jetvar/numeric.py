@@ -603,8 +603,8 @@ class OnshellSymmetryReport:
     pointwise_max: float
     residual: float
 
-    def symmetric(self, rel: float = 1e-6, floor: float = 1e-8) -> bool:
-        return rel_close(self.lhs, self.rhs, rel, floor)
+    def symmetric(self, rel: float = 1e-6) -> bool:
+        return rel_close(self.lhs, self.rhs, rel)
 
 
 def check_onshell_symmetry(lag: Lagrangian, section: NumericSection,
@@ -638,9 +638,9 @@ class SecondVariationReport:
         """The integral against J, which is V (see variational.jacobi)."""
         return self.integral_vertical_differential
 
-    def consistent(self, rel: float = 1e-6, floor: float = 1e-8) -> bool:
+    def consistent(self, rel: float = 1e-6) -> bool:
         return rel_close(self.finite_difference,
-                         self.integral_vertical_differential, rel, floor)
+                         self.integral_vertical_differential, rel)
 
 
 def second_variation_check(lag: Lagrangian, section: NumericSection,

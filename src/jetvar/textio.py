@@ -171,8 +171,8 @@ class _Parser:
         k = self.number(t, int)
         try:
             return base ** (-k if neg else k)
-        except ex.DivisionByZeroExpr:
-            self.fail("zero expression raised to a negative power", caret)
+        except ex.ExprError as err:   # a zero or too large a power
+            self.fail(str(err), caret)
 
     def base(self) -> JetExpr:
         t = self.peek()

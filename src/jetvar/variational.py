@@ -129,9 +129,6 @@ class BilinearForm:
         """Maximal |sigma| with a nonzero component."""
         return max((s.order() for (s, _i, _j), _v in self._entries), default=0)
 
-    def __neg__(self) -> "BilinearForm":
-        return BilinearForm(self.ctx, {k: -v for k, v in self._entries})
-
     def __eq__(self, other):
         return (isinstance(other, BilinearForm)
                 and self._entries == other._entries)

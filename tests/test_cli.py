@@ -532,13 +532,14 @@ NUMERIC_BLOCK_EDITS = (
                          "sin(" * 180 + "y_t" + ")" * 180)),
     # an empty name in --fields is refused, not dropped: b1,,b2 is not the
     # pair (b1, b2), nor b1, the single b1
-    *(([cmd, OSC, "--section", "sol", "--fields", fields], None,
+    *(([cmd, OSC, *more, "--fields", fields], None,
        (2, f"--fields {fields!r}: entry {entry} is empty"))
-      for cmd, fields, entry in (("hessian", "b1,,b2", 2),
-                                 ("hessian", "b1,", 2),
-                                 ("variation", ",b1", 1),
-                                 ("variation", ",", 1),
-                                 ("check-critical", "b1,b2, ", 3))),
+      for cmd, more, fields, entry in (
+          ("hessian", (), "b1,,b2", 2),
+          ("hessian", (), "b1,", 2),
+          ("variation", (), ",b1", 1),
+          ("variation", (), ",", 1),
+          ("check-critical", ("--section", "sol"), "b1,b2, ", 3))),
     # likewise for sections and a field of a file of their own, with a
     # coordinate or a constant as the opaque function's argument
     *(([cmd, OPAQUE_PROBLEM, "--section", section, "--fields", fields], None,
@@ -547,6 +548,10 @@ NUMERIC_BLOCK_EDITS = (
       for section, fields, atom in (("opq", "b1,b2", "g(t)"),
                                     ("sol", "b1,opq", "g(t)"),
                                     ("shifted", "b1,b2", "g(1)"))),
+    # a constant power within expr.MAX_POWER_BITS is not refused (see
+    # test_el_on_a_huge_constant_power_exits_1_within_5_s)
+    (["el", _Edited("1/2*(y_t^2 - y^2)", "10^5000*y - 10^5000*y + y")], None,
+     0),
 ])
 def test_exit_code_contract(capsys, monkeypatch, tmp_path, argv, stdin, code):
     """Exit code, and a phrase of the error where code is (code, phrase),
@@ -608,6 +613,21 @@ def test_el_on_deeply_nested_functions_is_bounded(capsys, tmp_path):
     elapsed = time.perf_counter() - start
     assert code == 0 and out.startswith("e_1 = ") and not err
     assert elapsed < NESTED_EL_BUDGET
+
+
+def test_el_on_a_huge_constant_power_exits_1_within_5_s(tmp_path):
+    """The power is refused at its caret, from its exponent and the base's
+    bit length, before any squaring; in a fresh process, so that a hang
+    is a timeout."""
+    target = _Edited("1/2*(y_t^2 - y^2)", "10^99999999999999999999")
+    env = {**os.environ, "PYTHONPATH": str(PROBLEMS.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "jetvar.cli", "el", target.write(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=5)
+    assert done.returncode == 1
+    assert done.stderr == (
+        "parse error: line 7, col 5: power 99999999999999999999 of a 4-bit "
+        "coefficient would pass 4194304 bits\n")
 
 
 # recorded at the order-4 limit, where the bump's exponent is still 4
@@ -901,13 +921,49 @@ _OPTIONS = {
     "--bilinear": ("{bilinear}", "{bilinear}", "{missing}/form.json"),
     "--output": ("{output}", "{output}", "{missing}/out.txt"),
 }
-_COMMON = ("--format", "--lagrangian", "--source", "--section", "--fields",
-           "--output")
-_NUMERIC = _COMMON + ("--nodes", "--step", "--tol")
-_FLAGS = {"el": _COMMON, "helmholtz": _COMMON, "hessian": _COMMON,
-          "variation": _COMMON, "jacobi": _NUMERIC, "check-critical": _NUMERIC,
-          "second-var": _NUMERIC, "adjoint": _COMMON + ("--bilinear",),
-          "nope": _COMMON}
+
+# the flags each subcommand reads besides --format and --output, written
+# out here rather than read from cli.COMMANDS
+_CHECK_FLAGS = ("--lagrangian", "--section", "--fields", "--nodes", "--step",
+                "--tol")
+READ_FLAGS = {
+    "el": ("--lagrangian",),
+    "helmholtz": ("--lagrangian", "--source"),
+    "hessian": ("--lagrangian", "--fields"),
+    "variation": ("--lagrangian", "--fields"),
+    "jacobi": ("--lagrangian", "--section", "--fields", "--nodes", "--tol"),
+    "check-critical": _CHECK_FLAGS,
+    "second-var": _CHECK_FLAGS,
+    "adjoint": ("--bilinear",),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(_OPTIONS))
+@pytest.mark.parametrize("command", sorted(READ_FLAGS))
+def test_each_subcommand_accepts_only_the_flags_it_reads(
+        capsys, monkeypatch, tmp_path, command, flag):
+    """A flag the subcommand reads gets past argparse; any other exits 1,
+    naming the flag.  adjoint always gets its required --bilinear, so that
+    argparse gets as far as the flag."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    value = _OPTIONS[flag][0].format(bilinear="-", output=tmp_path / "out.txt")
+    argv = [command, OSC, flag, value]
+    if command == "adjoint" and flag != "--bilinear":
+        argv += ["--bilinear", "-"]
+    code, _out, err = run(capsys, *argv)
+    assert "Traceback" not in err
+    if flag in ("--format", "--output", *READ_FLAGS[command]):
+        assert "unrecognized arguments" not in err
+    else:
+        assert code == 1
+        assert err == f"error: unrecognized arguments: {flag} {value}\n"
+
+
+# each subcommand draws only the flags it reads, so that a draw gets past
+# argparse to the handler; the unknown command draws every flag
+_FLAGS = {**{cmd: ("--format", "--output", *flags)
+             for cmd, flags in READ_FLAGS.items()},
+          "nope": tuple(_OPTIONS)}
 _commands = st.sampled_from(sorted(_FLAGS)).flatmap(lambda cmd: st.tuples(
     st.just(cmd),
     st.fixed_dictionaries({}, optional={

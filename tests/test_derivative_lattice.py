@@ -84,10 +84,12 @@ def _reference_adjoint(a: BilinearForm) -> BilinearForm:
     acc = {}
     for (sigma, i, j), val in a.entries():
         sign = -1 if sigma.order() % 2 else 1
-        for rho, _rest, _binom in sigma.splits():
-            t = mul(JetExpr.constant(sign * sigma.binom(rho)),
-                    total_derivative_multi(val, sigma.sub(rho), a.ctx))
-            acc.setdefault((rho, j, i), []).append(t)
+        for rho in itertools.product(*(range(c + 1) for c in sigma)):
+            rest = MultiIndex([s - r for s, r in zip(sigma, rho)])
+            t = mul(JetExpr.constant(sign * math.prod(map(math.comb, sigma,
+                                                          rho))),
+                    total_derivative_multi(val, rest, a.ctx))
+            acc.setdefault((MultiIndex(rho), j, i), []).append(t)
     return BilinearForm(a.ctx, {k: add_many(v) for k, v in acc.items()})
 
 

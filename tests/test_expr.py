@@ -11,7 +11,7 @@ from jetvar.expr import (ELEMENTARY_FUNCTIONS, Atom, BaseCoord, ConstSym,
                          JetCoord, ONE, OpaqueFn, UnknownCoordinate, ZERO,
                          _mono_key, add_many, add_scaled, all_atoms,
                          atom_expr, atom_pow, cos, elem, evaluate_exact,
-                         jet_coords, pow_int, sin)
+                         MAX_POWER_BITS, jet_coords, pow_int, sin)
 from jetvar.multiindex import MultiIndex
 from jetvar.randgen import random_polynomial
 from jetvar.variational import (Lagrangian, adjoint, euler_lagrange,
@@ -99,6 +99,24 @@ def test_pow_edges(ode_ctx):
     with pytest.raises(DivisionByZeroExpr):
         pow_int(ZERO, -1)
     assert pow_int(y, -2) == ONE / y ** 2
+
+
+def test_pow_bounds_the_coefficient_not_the_exponent(ode_ctx):
+    """|k| times the base's largest bit length may reach MAX_POWER_BITS,
+    not pass it; coefficients 1 and -1 have no bound."""
+    y = ode_ctx.fiber("y")
+    half = MAX_POWER_BITS // 2
+    assert pow_int(JetExpr.constant(2) * y, half) == \
+        JetExpr.constant(2 ** half) * y ** half
+    for base, k in ((JetExpr.constant(2) * y, half + 1),
+                    (JetExpr.constant(Fraction(-1, 3)) + y, half + 1),
+                    (JetExpr.constant(Fraction(1, 10)), -10 ** 20),
+                    (y / 10 ** 9, 10 ** 20)):
+        with pytest.raises(ExprError, match=f"power {k} of a"):
+            pow_int(base, k)
+    ((((atom, _e),), _c),) = y.terms
+    assert pow_int(y, 10 ** 8) == atom_pow(atom, 10 ** 8)
+    assert pow_int(-y, 10 ** 20 + 1) == -pow_int(y, 10 ** 20 + 1)
 
 
 def test_constant_takes_only_exact_numbers(ode_ctx):
