@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jetvar import (JetContext, JetExpr, Lagrangian, NumericSection, action,
-                    check_critical, check_onshell_symmetry, euler_lagrange,
-                    finite_diff_variation, second_variation_check,
-                    total_derivative)
+                    check_critical, check_onshell_symmetry, cli,
+                    euler_lagrange, finite_diff_variation, numeric,
+                    second_variation_check, total_derivative)
 from jetvar.expr import (KNOWN_CONSTANTS, ONE, ZERO, Atom, BaseCoord,
                          ConstSym, ElemFn, InvSum, JetCoord, all_atoms, cos,
                          exp, partial, sin, sqrt, to_plain)
@@ -333,6 +333,103 @@ def test_gauss_legendre_at_the_point_cap():
         xi, wi = _multiprecision_node(mpmath, n, x[i])
         assert abs(x[i] - xi) <= 1e-15
         assert abs(w[i] / wi - 1) <= 1e-13
+
+
+@pytest.mark.parametrize("n, nodes", [
+    (128, range(128)),
+    (129, range(129)),
+    (1024, random.Random(1024).sample(range(10, 1014), 16)),
+    (4096, random.Random(4096).sample(range(10, 4086), 4))],
+    ids=["128-all", "129-all", "1024-seeded", "4096-seeded"])
+def test_gauss_legendre_nodes_match_multiprecision(n, nodes):
+    """Every node of the first rules that take the series, and seeded
+    interior nodes of larger ones (few at 4096, where the reference is
+    slow inside the interval), each settled by one Newton step, against
+    a 40-digit reference: nodes within 1e-15 absolute, weights within
+    1e-13 relative."""
+    mpmath = pytest.importorskip("mpmath")
+    x, w = gauss_legendre(n)
+    for i in nodes:
+        xi, wi = _multiprecision_node(mpmath, n, x[i])
+        assert abs(x[i] - xi) <= 1e-15
+        assert abs(w[i] / wi - 1) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+def test_gauss_legendre_weights_after_the_longest_step(n):
+    """The 31st to 34th nodes from the end, the first from Tricomi's
+    guess, take the longest Newton steps relative to 1/n, about 8e-11 at
+    n = 1024; with dP_n/dtheta carried over that step to first order
+    only, their weights would be off by up to 4e-15.  They are within
+    2e-15 of the 40-digit reference."""
+    mpmath = pytest.importorskip("mpmath")
+    x, w = gauss_legendre(n)
+    for i in range(n - 34, n - 30):
+        xi, wi = _multiprecision_node(mpmath, n, x[i])
+        assert abs(w[i] / wi - 1) <= 2e-15
+
+
+def test_bessel_zeros_table():
+    """The tabulated zeros of J_0 behind Olver's guesses are the floats
+    of the multiprecision ones."""
+    mpmath = pytest.importorskip("mpmath")
+    table = numeric._BESSEL_J0_ZEROS
+    assert len(table) == 30
+    for k, z in enumerate(table, start=1):
+        assert z == float(mpmath.besseljzero(0, k))
+
+
+@pytest.mark.parametrize("n", [1024, 65536])
+def test_gauss_legendre_settles_in_one_sweep(monkeypatch, n):
+    """Each set of nodes, the exact sum's near +-1 and the series' in
+    between, is evaluated at most twice, and all evaluations together
+    cover the n // 2 nodes Newton's method runs on (the middle node of an
+    odd rule is exact) plus at most the 30 guessed from Bessel zeros."""
+    sizes = {"_legendre_sum": [], "_legendre_series": []}
+    for name, calls in sizes.items():
+        def counted(theta, *args, evaluate=getattr(numeric, name),
+                    calls=calls):
+            calls.append(len(theta))
+            return evaluate(theta, *args)
+        monkeypatch.setattr(numeric, name, counted)
+    gauss_legendre(n)
+    assert all(1 <= len(calls) <= 2 for calls in sizes.values())
+    evaluated = sum(map(sum, sizes.values()))
+    assert n // 2 <= evaluated <= n // 2 + 30
+
+
+def _constant_step(theta, *args):
+    return np.ones_like(theta), np.ones_like(theta)
+
+
+def _nan_step(theta, *args):
+    return np.full_like(theta, np.nan), np.ones_like(theta)
+
+
+@pytest.mark.parametrize("evaluator", [_constant_step, _nan_step])
+@pytest.mark.parametrize("name, n", [("_legendre_sum", 7),
+                                     ("_legendre_series", 1024)])
+def test_gauss_legendre_that_never_settles_is_a_numeric_error(
+        monkeypatch, evaluator, name, n):
+    """Steps that never shrink, or are NaN, exhaust Newton's budget and
+    raise NumericError; no node leaves the loop on a NaN."""
+    monkeypatch.setattr(numeric, name, evaluator)
+    with pytest.raises(NumericError, match=f"the {n}-point Gauss-Legendre "
+                                           "rule did not converge"):
+        gauss_legendre(n)
+
+
+def test_unsettled_rule_exits_2_from_the_cli(monkeypatch, capsys,
+                                             problems_dir):
+    """Through the command line the same fault is exit 2 with its
+    message and no traceback."""
+    monkeypatch.setattr(numeric, "_legendre_sum", _constant_step)
+    code = cli.main(["check-critical", str(problems_dir / "oscillator.vp"),
+                     "--section", "sol", "--fields", "b1", "--nodes", "7"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "the 7-point Gauss-Legendre rule did not converge" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
