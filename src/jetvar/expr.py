@@ -340,7 +340,7 @@ class JetExpr:
     with ``_den``, which is 1 exactly when every coefficient is an integer.
     """
 
-    __slots__ = ("_terms", "_den", "_hash", "_key", "_order")
+    __slots__ = ("_terms", "_den", "_hash", "_key")
 
     def __init__(self, terms: tuple[tuple[Monomial, int], ...], den: int = 1):
         # terms must already be canonical (sorted, nonzero numerators that
@@ -349,7 +349,6 @@ class JetExpr:
         self._den = den
         self._hash = None
         self._key = None
-        self._order = None
 
     # -- construction -------------------------------------------------------
 
@@ -512,8 +511,6 @@ def atom_expr(a: Atom) -> JetExpr:
 
 
 def atom_pow(a: Atom, k: int) -> JetExpr:
-    if k == 0:
-        return ONE
     if isinstance(a, InvSum) and k < 0:
         return pow_int(a.body, -k)
     return JetExpr(((((a, k),), 1),))
@@ -674,14 +671,17 @@ def _exact_div(a: JetExpr, b: JetExpr) -> JetExpr | None:
     bterms = sorted(((dense(m), c) for m, c in b.terms), key=lambda t: key(t[0]))
     lead_b, lead_bc = bterms[-1]
     rem = {dense(m): c for m, c in a.terms}
-    quo: dict[tuple[int, ...], Number] = {}
+    # the leading terms of rem fall strictly in graded-lex order, so each
+    # quotient monomial is met once, with a nonzero coefficient
+    quo: dict[Monomial, Number] = {}
     while rem:
         lead = max(rem, key=key)
         qv = tuple(x - y for x, y in zip(lead, lead_b))
         if any(x < 0 for x in qv):
             return None
         qc = Fraction(rem[lead], lead_bc)
-        quo[qv] = quo.get(qv, 0) + qc
+        # gens is sorted, so the monomial is in atom order
+        quo[tuple((gens[i], e) for i, e in enumerate(qv) if e != 0)] = qc
         for bv, bc in bterms:
             mv = tuple(x + y for x, y in zip(qv, bv))
             nc = rem.get(mv, 0) - qc * bc
@@ -689,13 +689,7 @@ def _exact_div(a: JetExpr, b: JetExpr) -> JetExpr | None:
                 rem.pop(mv, None)
             else:
                 rem[mv] = nc
-    out: dict[Monomial, Number] = {}
-    for qv, qc in quo.items():
-        if qc == 0:
-            continue
-        # gens is sorted, so m is in atom order
-        out[tuple((gens[i], e) for i, e in enumerate(qv) if e != 0)] = qc
-    return JetExpr._from_dict(out)
+    return JetExpr._from_dict(quo)
 
 
 # ---------------------------------------------------------------------------
@@ -863,10 +857,7 @@ def jet_coords(e: JetExpr) -> list[JetCoord]:
 
 def jet_order(e: JetExpr) -> int:
     """Maximal |sigma| among jet coordinates occurring in e (0 if none)."""
-    if e._order is None:
-        coords = jet_coords(e)
-        e._order = max((c.order for c in coords), default=0)
-    return e._order
+    return max((c.order for c in jet_coords(e)), default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .expr import (Atom, BaseCoord, JetContext, JetCoord, JetExpr, Monomial,
-                   UnknownCoordinate, all_atoms, derive, jet_order, partial)
+                   UnknownCoordinate, all_atoms, derive, partial)
 from .multiindex import MultiIndex
 
 
@@ -49,10 +49,6 @@ class VerticalField:
             raise ValueError(
                 f"vertical field needs {self.ctx.m} components, "
                 f"got {len(self.components)}")
-
-    @property
-    def order(self) -> int:
-        return max((jet_order(c) for c in self.components), default=0)
 
 
 def total_derivative(e: JetExpr, axis: int | str, ctx: JetContext) -> JetExpr:

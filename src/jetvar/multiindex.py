@@ -81,13 +81,6 @@ class MultiIndex(tuple):
             yield (_valid(tau), _valid(map(sub, self, tau)),
                    math.prod(map(getitem, rows, tau)))
 
-    def render(self, base_names: Sequence[str]) -> str:
-        """Juxtaposition of base-variable names, e.g. ``x1 x1 x2`` for (2, 1)."""
-        parts = []
-        for name, count in zip(base_names, self):
-            parts.extend([name] * count)
-        return " ".join(parts)
-
     def __repr__(self):
         return f"MultiIndex{tuple(self)}"
 

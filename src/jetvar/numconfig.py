@@ -27,7 +27,10 @@ class NotCritical(NumericError):
 @dataclass(frozen=True)
 class NumericConfig:
     """Numeric block of a problem file: domain box, quadrature nodes per
-    axis, finite-difference step, acceptance tolerance."""
+    axis, finite-difference step, acceptance tolerance.  The tolerance
+    bounds max|E| absolutely where a section must be critical, and is
+    relative, with a 1e-8 floor, in the consistency and symmetry
+    verdicts."""
 
     domain: tuple[tuple[float, float], ...]
     nodes: int = 64

@@ -49,9 +49,9 @@ from .variational import (BilinearForm, Lagrangian, SourceForm,
                           euler_lagrange, linearize)
 
 
-def rel_close(a: float, b: float, rel: float = 1e-6, floor: float = 1e-8) -> bool:
-    """|a - b| within rel * max(|a|, |b|), with an absolute floor."""
-    return abs(a - b) <= max(rel * max(abs(a), abs(b)), floor)
+def rel_close(a: float, b: float, rel: float = 1e-6) -> bool:
+    """|a - b| within rel * max(|a|, |b|), with an absolute floor of 1e-8."""
+    return abs(a - b) <= max(rel * max(abs(a), abs(b)), 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +444,9 @@ class NumericSection:
         """e along the prolonged section at every quadrature node, as the
         values of e in scaled coordinates (see _values), which callers never
         write into.  An opaque function in e is refused before anything is
-        evaluated; the section's components hold none."""
-        scaled = self._scaled(e)
-        if scaled not in self._evaluated:
-            _refuse_opaque(scaled)
-        return self._values(scaled)
+        evaluated, named as written; the section's components hold none."""
+        _refuse_opaque(e)
+        return self._values(self._scaled(e))
 
     @functools.cached_property
     def _nodes(self) -> dict[ex.Atom, np.ndarray]:
@@ -556,6 +554,7 @@ def _difference_quotient(lag: Lagrangian, section: NumericSection,
     bumped field, at the Gauss nodes."""
     if step <= 0:
         raise ValueError("finite-difference step must be positive")
+    _refuse_opaque(lag.density)
     f = compile_expr(section._scaled(lag.density))
     jets = [(jc, section._jet(jc), [section._jet(jc, fs) for fs in fields])
             for jc in jet_coords(lag.density)]

@@ -335,8 +335,6 @@ def object_to_dict(obj) -> dict:
     """Structured representation of an expression or a derived form."""
     if isinstance(obj, JetExpr):
         return {"type": "expr", **expr_to_dict(obj)}
-    if isinstance(obj, Lagrangian):
-        return {"type": "lagrangian", "density": expr_to_dict(obj.density)}
     if isinstance(obj, SourceForm):
         return {"type": "source_form",
                 "components": [expr_to_dict(c) for c in obj.components]}
@@ -354,8 +352,6 @@ def object_from_dict(d: dict, ctx: JetContext):
     t = d.get("type")
     if t == "expr":
         return _expr_from_dict(d, ctx)
-    if t == "lagrangian":
-        return Lagrangian(ctx, _expr_from_dict(d["density"], ctx))
     if t == "source_form":
         comps = tuple(_expr_from_dict(c, ctx) for c in d["components"])
         return SourceForm(ctx, comps)
@@ -444,8 +440,6 @@ def print_object(obj, fmt: str = "plain", name: str = "A") -> str:
         return dump_structured(object_to_dict(obj))
     show, sub, sep = ((to_plain, "{}", " ") if fmt == "plain"
                       else (to_latex, "{{{}}}", "\\,"))
-    if isinstance(obj, Lagrangian):
-        obj = obj.density
     if isinstance(obj, JetExpr):
         return show(obj)
     if isinstance(obj, SourceForm):
@@ -560,8 +554,11 @@ def _parse_opaque_decl(text: str, lineno: int, col: int
     return name, tuple(args)
 
 
-def _parse_components(ctx: JetContext, body, *, what: str, require_all: bool,
-                      base_only: bool, block_line: int) -> tuple[JetExpr, ...]:
+def _parse_components(ctx: JetContext, body, what: str, block_line: int
+                      ) -> tuple[JetExpr, ...]:
+    """The components of a source, section or variation block, ZERO for a
+    field it omits.  A section must define every field, and the
+    expressions of a section or variation hold base coordinates only."""
     comps: dict[int, JetExpr] = {}
     for ln, line in body:
         if "=" not in line:
@@ -577,12 +574,12 @@ def _parse_components(ctx: JetContext, body, *, what: str, require_all: bool,
             raise ParseError(f"duplicate component for field {fname!r}", ln,
                              col)
         value = parse_expr(rhs, ctx, line=ln, col=len(lhs) + 2)
-        if base_only and jet_coords(value):
+        if what != "source" and jet_coords(value):
             raise ParseError(
                 f"{what} expressions must be closed forms in the base "
                 f"coordinates only", ln, 1)
         comps[idx] = value
-    if require_all:
+    if what == "section":
         missing = [ctx.fiber_names[i] for i in range(ctx.m) if i not in comps]
         if missing:
             raise ParseError(f"{what} must define every field; missing "
@@ -739,9 +736,6 @@ def parse_problem_file(text: str) -> ProblemFile:
             toks = [t for ts in lexed for t in ts[:-1]] + lexed[-1][-1:]
             table[name] = Lagrangian(ctx, _parse_tokens(toks, ctx))
             continue
-        comps = _parse_components(ctx, body, what=head,
-                                  require_all=head == "section",
-                                  base_only=head != "source",
-                                  block_line=lineno)
+        comps = _parse_components(ctx, body, head, lineno)
         table[name] = SourceForm(ctx, comps) if head == "source" else comps
     return pf

@@ -144,8 +144,11 @@ class BilinearForm:
 
 
 def _sigma_label(sigma: MultiIndex, base_names: Sequence[str]) -> str:
-    """The printed upper index of A^sigma: base names, or 0 for sigma = 0."""
-    return sigma.render(base_names) or "0"
+    """The printed upper index of A^sigma: the base names juxtaposed, each
+    as often as sigma counts it (``x1 x1 x2`` for (2, 1)), or 0 for
+    sigma = 0."""
+    return " ".join(name for name, count in zip(base_names, sigma)
+                    for _ in range(count)) or "0"
 
 
 # ---------------------------------------------------------------------------

@@ -431,6 +431,39 @@ numeric
   domain t 0 pi
   nodes 7
 """)
+# a file that defines source forms and no Lagrangian
+SOURCES_ONLY = _Raw("sources.vp", b"""\
+context
+  base t
+  field y
+
+source drift
+  y = y_t
+""")
+# a Lagrangian with an opaque function of the base coordinate; no section
+# or field holds one
+OPAQUE_DENSITY = _Raw("density.vp", b"""\
+context
+  base t
+  field y
+  opaque f(t)
+
+lagrangian L
+  f(t)*y_t^2
+
+section s
+  y = t
+
+variation b1
+  y = 1
+
+variation b2
+  y = t
+
+numeric
+  domain t 0 1
+  nodes 7
+""")
 MISSING_DIR = "no/such/dir"
 
 # argv that argparse refuses; each exits 1
@@ -552,6 +585,32 @@ NUMERIC_BLOCK_EDITS = (
     # test_el_on_a_huge_constant_power_exits_1_within_5_s)
     (["el", _Edited("1/2*(y_t^2 - y^2)", "10^5000*y - 10^5000*y + y")], None,
      0),
+    # problem-file refusals
+    (["el", _Raw("argument.vp", b"context x\n  base t\n  field y\n")], None,
+     (1, "context declaration takes no argument")),
+    (["el", _Edited("variation b3", "numeric\n  domain t 0 1\n\nvariation b3")],
+     None, (1, "duplicate numeric block")),
+    (["el", _Edited("lagrangian osc\n  1/2*(y_t^2 - y^2)", "lagrangian osc")],
+     None, (1, "lagrangian 'osc' has no expression")),
+    # names and blocks a command needs and the file lacks
+    (["el", SOURCES_ONLY], None, (2, "defines no lagrangian")),
+    (["hessian", _Edited("variation b1", "variation b"), "--fields", "b,c"],
+     None, (2, "unknown variation field 'c'")),
+    (["check-critical", GEO, "--section", "s"], None,
+     (2, "needs a numeric block")),
+    # helmholtz takes the one source form of a file without a Lagrangian
+    (["helmholtz", SOURCES_ONLY], None, 0),
+    # the Lagrangian's opaque function is named as the file writes it, not
+    # in the box's scaled coordinates
+    *(([cmd, OPAQUE_DENSITY, "--section", "s", *more], None,
+       (2, "opaque function f_t(t) has no numeric value"))
+      for cmd, *more in (["check-critical"],
+                         ["second-var", "--fields", "b1,b2"])),
+    # the structured reader knows expressions, source forms and bilinear
+    # forms only
+    (["adjoint", OSC, "--bilinear", "-"],
+     '{"type": "lagrangian", "density": {"terms": []}}',
+     (2, "unknown structured object type 'lagrangian'")),
 ])
 def test_exit_code_contract(capsys, monkeypatch, tmp_path, argv, stdin, code):
     """Exit code, and a phrase of the error where code is (code, phrase),

@@ -64,12 +64,6 @@ def test_subindices_and_binom(a):
         for tau in subs]
 
 
-def test_render():
-    assert MultiIndex((2, 1)).render(["x1", "x2"]) == "x1 x1 x2"
-    assert MultiIndex((0, 0)).render(["x1", "x2"]) == ""
-    assert MultiIndex((3,)).render(["t"]) == "t t t"
-
-
 counts_upto3 = st.integers(1, 3).flatmap(
     lambda n: st.tuples(*[st.integers(0, 3)] * n))
 

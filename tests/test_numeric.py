@@ -470,7 +470,7 @@ def test_first_variation_generic_matches_integral(ode_ctx, oscillator):
     sec = NumericSection(ode_ctx, (t ** 2,), [(0.0, 1.0)])
     fd, sym = first_variation_pair(oscillator, sec, (1 + t,))
     # quadratic action: the central difference is exact up to roundoff
-    assert rel_close(fd, sym, rel=1e-9, floor=1e-9)
+    assert math.isclose(fd, sym, rel_tol=1e-9, abs_tol=1e-9)
 
 
 def test_first_variation_rate(ode_ctx):
@@ -611,7 +611,7 @@ def test_fd_matches_actions_of_varied_sections(ode_ctx, domain):
                 got = (4 * fd(i, h / 2) - fd(i, h)) / 3
             else:
                 ref, got = diff(i, h), fd(i, h)
-            assert rel_close(got, ref, rel=1e-9, floor=0.0), (i, richardson)
+            assert math.isclose(got, ref, rel_tol=1e-9), (i, richardson)
 
 
 def test_scaled_bump_is_the_rescaled_bump_factor(pde_ctx):
@@ -725,10 +725,11 @@ def test_section_jet_entry_is_its_value_array(ode_ctx):
 def test_no_jet_factor_is_walked_for_opaque_functions(pde_ctx, monkeypatch):
     """A second-variation check on 2-D Laplace walks for opaque functions
     only what enters it from outside: the components of the section and of
-    both fields as written, and the scaled density, E components and V
-    entries it binds; never a derivative of a component or of a bump
-    factor, which cannot hold one.  (No expression here has a function
-    atom, so every walk is a top-level one.)"""
+    both fields, the density, and the E components and V entries it binds,
+    all as written, and the scaled density it compiles; never a derivative
+    of a component or of a bump factor, which cannot hold one.  (No
+    expression here has a function atom, so every walk is a top-level
+    one.)"""
     from jetvar import numeric
     walked = []
     original = numeric._refuse_opaque
@@ -744,9 +745,10 @@ def test_no_jet_factor_is_walked_for_opaque_functions(pde_ctx, monkeypatch):
     e = euler_lagrange(lag)
     bound = ([lag.density] + list(e.components)
              + [val for _key, val in linearize(e).entries()])
-    allowed = set(sec.exprs + xi1 + xi2) | {sec._scaled(b) for b in bound}
+    allowed = set(sec.exprs + xi1 + xi2 + tuple(bound)) | {
+        sec._scaled(lag.density)}
     assert walked and set(walked) <= allowed
-    assert sec._scaled(lag.density) in walked
+    assert lag.density in walked
 
 
 @pytest.mark.parametrize("density, section, field, refused_at, message", [
@@ -763,13 +765,20 @@ def test_no_jet_factor_is_walked_for_opaque_functions(pde_ctx, monkeypatch):
     # refused when it is built
     ("y_t^2/2 + y*z + z_t^2", ("1/(t - 1/2)", "t"), ("1", "f(t)"), "field",
      "f(t)"),
+    # the Lagrangian's opaque f of a base coordinate before the section's
+    # pole, named as written, not in the box's scaled coordinates: when the
+    # density is bound, and when the finite difference takes it
+    ("f(t)*y_t^2 + z_t^2", ("1/(t - 1/2)", "t"), None, "bind", "f(t)"),
+    ("f(t)*y_t^2 + z_t^2", ("1/(t - 1/2)", "t"), ("1", "t"), "difference",
+     "f(t)"),
 ])
 def test_opaque_refusal_precedes_evaluation_faults(density, section, field,
                                                    refused_at, message):
     """An opaque function is refused before any value is taken, so a
     fault elsewhere does not hide it: one in a section's or bumped
-    field's components when the section or field is built, naming the
-    atom as written, and one in a bound expression when it is bound."""
+    field's components when the section or field is built, and one in a
+    bound expression or in the density of a finite difference when it is
+    bound or differenced, each naming the atom as written."""
     ctx = JetContext.make("t", "y z", opaque={"f": ["t"], "g": ["y"]})
     lag = Lagrangian(ctx, parse_expr(density, ctx))
     refused = pytest.raises(NumericError, match=re.escape(
@@ -824,8 +833,9 @@ def test_bumped_checks_cover_lagrangians_past_order_four(
     exact = float(bumped_pairing(base, sigmas, xi1, xi2, lag.order))
     rep = second_variation_check(lag, sec, *fields)
     assert rep.consistent()
-    assert rel_close(rep.integral_vertical_differential, exact, 1e-9, 0.0)
-    assert rel_close(rep.integral_jacobi, exact, 1e-9, 0.0)
+    assert math.isclose(rep.integral_vertical_differential, exact,
+                        rel_tol=1e-9)
+    assert math.isclose(rep.integral_jacobi, exact, rel_tol=1e-9)
     assert rel_close(finite_diff_variation(lag, sec, fields), exact)
     assert check_onshell_symmetry(lag, sec, *fields).symmetric()
     for xi in fields:

@@ -12,7 +12,7 @@ from jetvar.randgen import random_polynomial
 from jetvar.textio import (ParseError, _lex, dump_structured, parse_expr,
                            parse_problem_file, parse_structured, print_object,
                            to_latex)
-from jetvar.variational import BilinearForm
+from jetvar.variational import BilinearForm, _sigma_label
 
 seeds = st.integers(0, 10**9)
 
@@ -323,6 +323,14 @@ def test_print_bilinear_labels(ode_ctx):
     assert print_object(bf, "plain", name="H") == "H^{t}_{1 1} = 2"
     zero = BilinearForm(ode_ctx, {})
     assert print_object(zero, "plain", name="H") == "H = 0"
+
+
+def test_sigma_label():
+    """The upper index of A^sigma juxtaposes the base names, each as often
+    as sigma counts it; sigma = 0 prints as 0."""
+    assert _sigma_label(MultiIndex((2, 1)), ["x1", "x2"]) == "x1 x1 x2"
+    assert _sigma_label(MultiIndex((0, 0)), ["x1", "x2"]) == "0"
+    assert _sigma_label(MultiIndex((3,)), ["t"]) == "t t t"
 
 
 # ---------------------------------------------------------------------------
