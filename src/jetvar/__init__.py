@@ -6,7 +6,6 @@ from .expr import JetContext, JetExpr, jet_order, partial, substitute, to_plain
 from .jetcalc import (VerticalField, d_v, total_derivative,
                       total_derivative_multi)
 from .multiindex import MultiIndex, enumerate_up_to
-from .numconfig import NumericConfig
 from .textio import parse_expr, parse_problem_file, parse_structured, print_object
 from .variational import (BilinearForm, Lagrangian, SourceForm, adjoint,
                           contract, contract_source, euler_lagrange, helmholtz,
@@ -31,8 +30,7 @@ def __getattr__(name: str):
 
 __all__ = [
     "JetContext", "JetExpr", "MultiIndex", "VerticalField",
-    "Lagrangian", "SourceForm", "BilinearForm",
-    "NumericConfig", "NumericSection",
+    "Lagrangian", "SourceForm", "BilinearForm", "NumericSection",
     "enumerate_up_to", "jet_order", "partial", "substitute",
     "to_plain", "total_derivative", "total_derivative_multi", "d_v",
     "euler_lagrange", "helmholtz", "adjoint",

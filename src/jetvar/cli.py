@@ -23,17 +23,15 @@ alone renders them in the requested format.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 
 from . import expr as ex
 from .expr import JetExpr
 from .jetcalc import VerticalField
-from .numconfig import NotCritical, NumericError
-from .textio import (SETTINGS, ParseError, ProblemFile, dump_structured,
-                     object_to_dict, parse_problem_file, parse_setting,
-                     parse_structured, print_object)
+from .numconfig import NotCritical, NumericError, parse_setting
+from .textio import (ParseError, ProblemFile, dump_structured, object_to_dict,
+                     parse_problem_file, parse_structured, print_object)
 from .variational import (BilinearForm, Lagrangian, SourceForm, adjoint,
                           euler_lagrange, helmholtz, quotient_variation,
                           vertical_differential)
@@ -167,17 +165,21 @@ def _variations(pf: ProblemFile, args, count: int | None = None
 
 
 def _numeric_setup(pf: ProblemFile, args):
-    """(lagrangian, numeric config, section) of a numeric check, each
-    refused, when it cannot be had, in that order."""
+    """(lagrangian, section) of a numeric check; the lagrangian, the
+    numeric block, its bounds and the section are refused, when they
+    cannot be had, in that order.  Each setting that no flag gave is set
+    on args from the block."""
     from .numeric import NumericSection
     lag = _lagrangian(pf, args)
     if pf.numeric is None:
         raise SemanticError("this command needs a numeric block in the "
                             "problem file")
-    cfg = dataclasses.replace(pf.numeric.config(), **{
-        k: v for k in SETTINGS if (v := getattr(args, k, None)) is not None})
+    domain = pf.numeric.bounds()
+    for name, value in pf.numeric.settings.items():
+        if getattr(args, name, None) is None:
+            setattr(args, name, value)
     exprs = _pick(pf.sections, args.section, "section")
-    return lag, cfg, NumericSection(pf.ctx, exprs, cfg.domain, cfg.nodes)
+    return lag, NumericSection(pf.ctx, exprs, domain, args.nodes)
 
 
 def _read(path: str | None) -> str:
@@ -238,20 +240,20 @@ def _cmd_jacobi(pf: ProblemFile, args):
     if args.section is None:
         return payload, lines, True
     from .numeric import check_onshell_symmetry
-    lag, cfg, sec = _numeric_setup(pf, args)
+    lag, sec = _numeric_setup(pf, args)
     if not args.fields:
         raise SemanticError("--section also needs --fields A,B for the "
                             "on-shell report")
     (_, xi1), (_, xi2) = _variations(pf, args, 2)
-    rep = check_onshell_symmetry(lag, sec, xi1, xi2, crit_tol=cfg.tol)
-    held = rep.symmetric(cfg.tol)
+    rep = check_onshell_symmetry(lag, sec, xi1, xi2, crit_tol=args.tol)
+    held = rep.symmetric(args.tol)
     payload["onshell_symmetry"] = {
         "lhs": rep.lhs, "rhs": rep.rhs, "difference": rep.difference,
         "pointwise_max": rep.pointwise_max,
         "criticality_residual": rep.residual, "symmetric": held}
     lines += [f"on-shell symmetry: lhs = {rep.lhs!r}, rhs = {rep.rhs!r}, "
               f"difference = {rep.difference!r}",
-              f"symmetric (rel tol {cfg.tol:g}): {'yes' if held else 'no'}"]
+              f"symmetric (rel tol {args.tol:g}): {'yes' if held else 'no'}"]
     return payload, lines, held
 
 
@@ -263,40 +265,45 @@ def _cmd_variation(pf: ProblemFile, args, count: int | None = None):
     return {"order": len(fields), "density": v.density}, [(v.density, "A")], True
 
 
+def _criticality(rep) -> dict:
+    """The structured keys of a criticality report."""
+    return {"max_residual": rep.max_residual,
+            "per_component": list(rep.per_component),
+            "tol": rep.tol, "critical": rep.is_critical}
+
+
 def _cmd_check_critical(pf: ProblemFile, args):
     from .numeric import check_critical, first_variation_pair
-    lag, cfg, sec = _numeric_setup(pf, args)
-    rep = check_critical(lag, sec, tol=cfg.tol)
+    lag, sec = _numeric_setup(pf, args)
+    rep = check_critical(lag, sec, tol=args.tol)
     first_vars = {}
     lines = [f"max residual: {rep.max_residual!r}",
              "per component: " + ", ".join(map(repr, rep.per_component)),
-             f"critical (tol {cfg.tol:g}): "
+             f"critical (tol {args.tol:g}): "
              f"{'yes' if rep.is_critical else 'no'}"]
     if args.fields:
         for nm, comps in _variations(pf, args):
-            fd, sym = first_variation_pair(lag, sec, comps, step=cfg.step)
+            fd, sym = first_variation_pair(lag, sec, comps, step=args.step)
             first_vars[nm] = {"finite_difference": fd, "integral": sym}
             lines.append(f"first variation [{nm}]: fd = {fd!r}, "
                          f"integral = {sym!r}")
-    return ({"max_residual": rep.max_residual,
-             "per_component": list(rep.per_component),
-             "tol": rep.tol, "critical": rep.is_critical,
-             "first_variations": first_vars}, lines, rep.is_critical)
+    return ({**_criticality(rep), "first_variations": first_vars}, lines,
+            rep.is_critical)
 
 
 def _cmd_second_var(pf: ProblemFile, args):
     from .numeric import second_variation_check
-    lag, cfg, sec = _numeric_setup(pf, args)
+    lag, sec = _numeric_setup(pf, args)
     (_, xi1), (_, xi2) = _variations(pf, args, 2)
-    rep = second_variation_check(lag, sec, xi1, xi2, step=cfg.step,
-                                 crit_tol=cfg.tol)
-    held = rep.consistent(cfg.tol)
+    rep = second_variation_check(lag, sec, xi1, xi2, step=args.step,
+                                 crit_tol=args.tol)
+    held = rep.consistent(args.tol)
     lines = [
         f"finite-difference second variation: {rep.finite_difference!r}",
         f"integral against vertical differential: "
         f"{rep.integral_vertical_differential!r}",
         f"integral against jacobi morphism: {rep.integral_jacobi!r}",
-        f"consistent (rel tol {cfg.tol:g}): {'yes' if held else 'no'}"]
+        f"consistent (rel tol {args.tol:g}): {'yes' if held else 'no'}"]
     return ({"finite_difference": rep.finite_difference,
              "integral_vertical_differential":
                  rep.integral_vertical_differential,
@@ -347,12 +354,13 @@ COMMANDS = (
 def run(args) -> tuple[str, int]:
     """The command's output, rendered in the requested format, and exit
     code: a failed check's report, or a check's refusal of a section that
-    is not critical, is still the requested output."""
+    is not critical (its criticality report, or the refusal as a line), is
+    still the requested output."""
     pf = parse_problem_file(_read(args.input))
     try:
         payload, lines, held = args.handler(pf, args)
     except NotCritical as err:
-        return str(err), EXIT_CHECK_FAILED
+        payload, lines, held = _criticality(err.report), [str(err)], False
     if args.format == "structured":
         # each form once, though V fills the J key too and H the skew one
         forms = {id(v): v for v in payload.values() if isinstance(v, _FORMS)}

@@ -3,11 +3,11 @@
 A problem file and the command line need these before any numeric check
 runs, and the symbolic commands need nothing else of ``numeric``; keeping
 them here keeps numpy out of those commands.  ``numeric`` re-exports
-every name."""
+the errors."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 
 class NumericError(RuntimeError):
@@ -24,15 +24,27 @@ class NotCritical(NumericError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class NumericConfig:
-    """Numeric block of a problem file: domain box, quadrature nodes per
-    axis, finite-difference step, acceptance tolerance.  The tolerance
-    bounds max|E| absolutely where a section must be critical, and is
-    relative, with a 1e-8 floor, in the consistency and symmetry
-    verdicts."""
+# The numeric block's settings, which the command-line flags override:
+# (conversion, condition, description of the accepted values, default).
+SETTINGS = {
+    # Gauss-Legendre nodes per axis
+    "nodes": (int, lambda v: v >= 1, "an integer >= 1", 64),
+    "step": (float, lambda v: math.isfinite(v) and v > 0,
+             "a finite number > 0", 1e-3),
+    # bounds max|E| absolutely where a section must be critical, and is
+    # relative, with a 1e-8 floor, in the consistency and symmetry verdicts
+    "tol": (float, lambda v: math.isfinite(v) and v >= 0,
+            "a finite number >= 0", 1e-6),
+}
 
-    domain: tuple[tuple[float, float], ...]
-    nodes: int = 64
-    step: float = 1e-3
-    tol: float = 1e-6
+
+def parse_setting(name: str, text: str):
+    """The value of the numeric setting ``name`` written as text;
+    ValueError when it is not accepted."""
+    convert, ok, expected, _default = SETTINGS[name]
+    try:
+        if ok(value := convert(text)):
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"expected {expected}, got {text!r}")

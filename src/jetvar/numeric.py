@@ -42,9 +42,9 @@ from . import expr as ex
 from .expr import JetContext, JetExpr, jet_coords, substitute
 from .jetcalc import total_derivative
 from .multiindex import MultiIndex
-# NumericConfig is re-exported; these names live apart so that a
-# symbolic command can use them without importing numpy
-from .numconfig import NotCritical, NumericConfig, NumericError  # noqa: F401
+# these names live apart so that a symbolic command can use them
+# without importing numpy
+from .numconfig import NotCritical, NumericError
 from .variational import (BilinearForm, Lagrangian, SourceForm,
                           euler_lagrange, linearize)
 

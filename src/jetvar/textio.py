@@ -37,7 +37,7 @@ from .expr import (BaseCoord, ConstSym, JetContext, JetCoord, JetExpr, OpaqueFn,
                    all_atoms, atom_expr, expr_to_dict, jet_coords, to_latex,
                    to_plain)
 from .multiindex import MultiIndex
-from .numconfig import NumericConfig, NumericError
+from .numconfig import SETTINGS, NumericError, parse_setting
 from .variational import BilinearForm, Lagrangian, SourceForm, _sigma_label
 
 
@@ -587,42 +587,20 @@ def _parse_components(ctx: JetContext, body, what: str, block_line: int
     return tuple(comps.get(i, ex.ZERO) for i in range(ctx.m))
 
 
-# Accepted values of the numeric block's settings, shared with the
-# command-line flags: (conversion, condition, description).
-SETTINGS = {
-    "nodes": (int, lambda v: v >= 1, "an integer >= 1"),
-    "step": (float, lambda v: math.isfinite(v) and v > 0,
-             "a finite number > 0"),
-    "tol": (float, lambda v: math.isfinite(v) and v >= 0,
-            "a finite number >= 0"),
-}
-
-
-def parse_setting(name: str, text: str):
-    """The value of the numeric setting ``name`` written as text;
-    ValueError when it is not accepted."""
-    convert, ok, expected = SETTINGS[name]
-    try:
-        if ok(value := convert(text)):
-            return value
-    except ValueError:
-        pass
-    raise ValueError(f"expected {expected}, got {text!r}")
-
-
 @dataclass
 class NumericBlock:
     """The numeric block of a problem file as written.  Each domain bound
     stays an exact constant expression, with its text, line and column,
-    until ``config`` evaluates it: only a numeric command pays for that,
+    until ``bounds`` evaluates it: only a numeric command pays for that,
     and for numpy."""
 
     # per axis: (line, (lo text, col, lo), (hi text, col, hi))
     domain: tuple[tuple[int, tuple, tuple], ...]
+    # every setting of SETTINGS: the block's value, else the default
     settings: dict[str, int | float]
 
-    def config(self) -> NumericConfig:
-        """The block with each bound evaluated to a float by
+    def bounds(self) -> tuple[tuple[float, float], ...]:
+        """The (lo, hi) of each axis, evaluated to floats by
         ``numeric.compile_expr``.  A bound that is not a finite constant,
         or a pair with lo >= hi, raises ParseError at its position."""
         from .numeric import compile_expr   # numpy: numeric commands only
@@ -636,7 +614,7 @@ class NumericBlock:
                     raise _not_finite(text, line, col) from None
             _require_ordered(*pair, line, bounds[0][1])
             domain.append(tuple(pair))
-        return NumericConfig(domain=tuple(domain), **self.settings)
+        return tuple(domain)
 
 
 def _parse_numeric_block(ctx: JetContext, body, block_line: int) -> NumericBlock:
@@ -678,7 +656,8 @@ def _parse_numeric_block(ctx: JetContext, body, block_line: int) -> NumericBlock
         raise ParseError(
             f"numeric block must give a domain for every base variable; "
             f"missing {', '.join(missing)}", block_line, 1)
-    return NumericBlock(tuple(domain[a] for a in range(ctx.n)), settings)
+    return NumericBlock(tuple(domain[a] for a in range(ctx.n)), {
+        name: settings.get(name, row[-1]) for name, row in SETTINGS.items()})
 
 
 def _domain_bound(text: str, ctx: JetContext, line: int, col: int

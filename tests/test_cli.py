@@ -11,7 +11,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jetvar import BilinearForm, JetContext
 from jetvar.cli import COMMANDS, _UsageError, build_parser, main
@@ -836,25 +836,32 @@ SYMBOLIC_COMMANDS = ("el", "helmholtz", "jacobi", "hessian", "variation",
 
 def test_symbolic_subcommands_load_no_numpy(tmp_path):
     """Each symbolic subcommand, in every format, runs without importing
-    numpy, on a problem file that has a numeric block."""
+    numpy, on a problem file that has a numeric block; check-critical
+    then loads it."""
     ctx = JetContext.make("t", "y")
-    form = tmp_path / "form.json"
-    form.write_text(print_object(
+    form = print_object(
         BilinearForm(ctx, {(MultiIndex((2,)), 0, 0): ctx.fiber("y")}),
-        "structured"))
+        "structured")
+    (tmp_path / "form.json").write_text(form)
     extra = {"helmholtz": ["--source", "drift"],
              "hessian": ["--fields", "b1,b2"], "variation": ["--fields", "b1"],
-             "adjoint": ["--bilinear", str(form)]}
+             "adjoint": ["--bilinear", str(tmp_path / "form.json")]}
     calls = [[cmd, OSC, *extra.get(cmd, ()), "--format", fmt]
              for cmd in SYMBOLIC_COMMANDS
              for fmt in ("plain", "latex", "structured")]
+    calls += [["helmholtz", OSC, "--lagrangian", "osc"],
+              ["adjoint", OSC, "--bilinear", "-"]]
     script = "\n".join([
         "import contextlib, io, sys",
         "from jetvar.cli import main",
+        f"sys.stdin = io.StringIO({form!r})",
         f"for argv in {calls!r}:",
         "    with contextlib.redirect_stdout(io.StringIO()):",
         "        assert main(argv) == 0, argv",
         "assert 'numpy' not in sys.modules",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    assert main(['check-critical', {OSC!r}, '--section', 'sol']) == 0",
+        "assert 'numpy' in sys.modules",
     ])
     _run_fresh(script)
 
@@ -930,6 +937,71 @@ def test_explicit_zero_tolerance_is_not_replaced(capsys):
                        "--tol", "0")
     assert code == 0
     assert "critical (tol 0): yes" in out
+
+
+# oscillator.vp with a quartic potential, so that the finite difference
+# moves with the step
+_QUARTIC = ("1/2*(y_t^2 - y^2)", "1/2*y_t^2 - 1/4*y^4")
+# each numeric setting: its default, a value for the numeric block and one
+# for the flag, each telling apart in a check-critical report
+_SETTING_VALUES = {"nodes": ("64", "16", "7"), "step": ("1e-3", "1e-2", "1e-1"),
+                   "tol": ("1e-6", "1e-3", "2")}
+
+
+@pytest.mark.parametrize("name", sorted(_SETTING_VALUES))
+def test_a_flag_beats_the_block_and_the_block_the_default(capsys, tmp_path,
+                                                          name):
+    default, block, flag = _SETTING_VALUES[name]
+    runs = iter(range(8))
+
+    def report(value, *argv):
+        """The structured check-critical report on the file whose block
+        gives the setting value (None: no line for it)."""
+        directory = tmp_path / str(next(runs))
+        directory.mkdir()
+        # oscillator.vp's block gives each setting its default
+        line = f"  {name} {value}" if value else ""
+        target = _Edited(f"  {name} {default}", line, _QUARTIC).write(directory)
+        code, out, _ = run(capsys, "check-critical", target, "--section", "bad",
+                           "--fields", "b1", "--format", "structured", *argv)
+        assert code == 3
+        return json.loads(out)
+
+    bare = report(None)
+    assert bare == report(None, f"--{name}", default)
+    in_block = report(block)
+    assert in_block != bare
+    assert in_block == report(None, f"--{name}", block)
+    flagged = report(block, f"--{name}", flag)
+    assert flagged not in (bare, in_block)
+    assert flagged == report(None, f"--{name}", flag)
+
+
+def test_a_block_of_domains_only_runs_at_the_defaults(capsys, tmp_path):
+    """64 nodes, step 1e-3 and tolerance 1e-6 when the block names none."""
+    target = _Edited("  nodes 64", "", ("  step 1e-3", ""), ("  tol 1e-6", ""),
+                     _QUARTIC).write(tmp_path)
+    argv = ("check-critical", target, "--section", "bad", "--fields", "b1")
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert "critical (tol 1e-06): no" in out
+    code, out, err = run(capsys, *argv, "--format", "structured")
+    assert code == 3
+    assert '"tol": 1e-06' in out
+    explicit = run(capsys, *argv, "--nodes", "64", "--step", "1e-3",
+                   "--format", "structured")
+    assert explicit == (3, out, err)
+    # the step moves this finite difference, so the one above is at 1e-3
+    assert json.loads(out) != json.loads(
+        run(capsys, *argv, "--step", "1e-2", "--format", "structured")[1])
+
+
+def test_bounds_are_refused_before_the_section(capsys, tmp_path):
+    target = _Edited("domain t 0 pi", "domain t log(0) 2").write(tmp_path)
+    code, _out, err = run(capsys, "second-var", target, "--section", "nosuch",
+                          "--fields", "b1,b2")
+    assert code == 1
+    assert "domain bound 'log(0)'" in err
 
 
 # ---------------------------------------------------------------------------
@@ -1069,10 +1141,18 @@ def property_dir(tmp_path_factory):
            (PROBLEMS / "oscillator.vp", PROBLEMS / "beam.vp",
             PROBLEMS / "missing.vp"))),
        payload=_payloads)
+# a refused check of a section that is not critical
+@example(command=("second-var", {"--section": "bad", "--fields": "b1,b2",
+                                 "--format": "structured"}, ()),
+         source=PROBLEMS / "oscillator.vp", payload="{")
+@example(command=("jacobi", {"--section": "bad", "--fields": "b1,b2",
+                             "--format": "structured"}, ()),
+         source=PROBLEMS / "oscillator.vp", payload="{")
 def test_main_returns_an_exit_code_and_never_raises(property_dir, command,
                                                    source, payload):
     """For any argv, problem-file text and --bilinear payload, main()
-    returns 0, 1, 2 or 3; it never raises."""
+    returns 0, 1, 2 or 3; it never raises.  What it prints in structured
+    format, other than help, is one JSON document."""
     problem = source
     if isinstance(source, str):
         problem = property_dir / "problem.vp"
@@ -1085,7 +1165,11 @@ def test_main_returns_an_exit_code_and_never_raises(property_dir, command,
         argv += [flag, value.format(bilinear=bilinear,
                                     output=property_dir / "out.txt",
                                     missing=property_dir / "missing")]
-    with contextlib.redirect_stdout(io.StringIO()), \
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2, 3)
+    if (flags.get("--format") == "structured" and "-h" not in extra
+            and out.getvalue()):
+        json.loads(out.getvalue())

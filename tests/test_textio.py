@@ -345,9 +345,8 @@ def test_problem_file_fixture(problems_dir):
     assert set(pf.sections) == {"sol", "bad"}
     assert set(pf.variations) == {"b1", "b2", "b3"}
     assert pf.numeric is not None
-    cfg = pf.numeric.config()
-    assert cfg.nodes == 64
-    lo, hi = cfg.domain[0]
+    assert pf.numeric.settings == {"nodes": 64, "step": 1e-3, "tol": 1e-6}
+    (lo, hi), = pf.numeric.bounds()
     assert lo == 0.0 and abs(hi - 3.141592653589793) < 1e-15
 
 
@@ -408,7 +407,9 @@ numeric
   nodes 8
 """
     pf = parse_problem_file(text)
-    assert abs(pf.numeric.config().domain[0][1] - 6.283185307179586) < 1e-15
+    assert abs(pf.numeric.bounds()[0][1] - 6.283185307179586) < 1e-15
+    # the block's value where it gives one, else the default
+    assert pf.numeric.settings == {"nodes": 8, "step": 1e-3, "tol": 1e-6}
 
 
 def test_problem_file_multiline_lagrangian():
@@ -497,6 +498,6 @@ def test_evaluated_domain_bounds_are_refused_at_their_column(bounds, message,
     """A bound refused only when evaluated keeps its column."""
     pf = parse_problem_file(CONTEXT + f"numeric\n  domain t {bounds}\n")
     with pytest.raises(ParseError) as err:
-        pf.numeric.config()
+        pf.numeric.bounds()
     assert message in err.value.message
     assert (err.value.line, err.value.col) == (5, col)
