@@ -12,6 +12,7 @@ from jetvar import (JetContext, Lagrangian, NumericSection, SourceForm,
                     helmholtz, jacobi, print_object, second_variation_check,
                     vertical_differential)
 from jetvar.expr import ONE, sin
+from jetvar.numconfig import SETTINGS
 from jetvar.numeric import first_variation_pair
 
 
@@ -52,7 +53,8 @@ def main():
     print(f"  integral against V        : "
           f"{rep.integral_vertical_differential:.10f}")
     print(f"  integral against Jacobi   : {rep.integral_jacobi:.10f}")
-    print(f"  consistent at 1e-6 rel    : {rep.consistent()}")
+    label = f"consistent at {SETTINGS['tol'][-1]:g} rel"
+    print(f"  {label:<26}: {rep.consistent()}")
 
     sym = check_onshell_symmetry(lag, sec, (ONE,), (t,))
     print("\nOn-shell symmetry of the vertical differential:")

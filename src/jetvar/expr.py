@@ -563,13 +563,18 @@ def mul(a: JetExpr, b: JetExpr) -> JetExpr:
 # the bit length past which pow_int refuses to raise a coefficient (about
 # 1.26 million decimal digits)
 MAX_POWER_BITS = 1 << 22
+# the term pairs past which pow_int refuses one product of its squarings;
+# (y + y_t + y_tt)^100 forms at most 1.5 million, in 3-4 s on a 2-core Xeon
+MAX_POWER_PAIRS = 1 << 22
 
 
 def pow_int(e: JetExpr, k: int) -> JetExpr:
     """Integer power; negative exponents go through division.  Raises
     ExprError when |k| times the bit length of e's largest numerator or
     denominator passes MAX_POWER_BITS; a power of an expression whose
-    coefficients are all 1 or -1 is never refused."""
+    coefficients are all 1 or -1 is never refused for that.  Raises
+    ExprError before a product whose factors' term counts multiply past
+    MAX_POWER_PAIRS."""
     if k == 0:
         return ONE
     if e.is_zero:
@@ -583,13 +588,20 @@ def pow_int(e: JetExpr, k: int) -> JetExpr:
                         f"{MAX_POWER_BITS} bits")
     if k < 0:
         return pow_int(div(ONE, e), -k)
-    out = ONE
-    base = e
-    while k:
-        if k & 1:
-            out = mul(out, base)
-        base = mul(base, base) if k > 1 else base
-        k >>= 1
+
+    def product(a: JetExpr, b: JetExpr) -> JetExpr:
+        if len(a._terms) * len(b._terms) > MAX_POWER_PAIRS:
+            raise ExprError(f"power {k} of a sum of {len(e._terms)} terms "
+                            f"would multiply more than {MAX_POWER_PAIRS} "
+                            "pairs of terms")
+        return mul(a, b)
+
+    out, base, n = ONE, e, k
+    while n:
+        if n & 1:
+            out = product(out, base)
+        base = product(base, base) if n > 1 else base
+        n >>= 1
     return out
 
 

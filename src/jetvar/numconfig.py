@@ -3,7 +3,9 @@
 A problem file and the command line need these before any numeric check
 runs, and the symbolic commands need nothing else of ``numeric``; keeping
 them here keeps numpy out of those commands.  ``numeric`` re-exports
-the errors."""
+the errors, and reads every keyword default of its sections, checks and
+verdicts from SETTINGS, so that a Python call and a command judge a
+section alike."""
 
 from __future__ import annotations
 

@@ -44,12 +44,18 @@ from .jetcalc import total_derivative
 from .multiindex import MultiIndex
 # these names live apart so that a symbolic command can use them
 # without importing numpy
-from .numconfig import NotCritical, NumericError
+from .numconfig import SETTINGS, NotCritical, NumericError
 from .variational import (BilinearForm, Lagrangian, SourceForm,
                           euler_lagrange, linearize)
 
 
-def rel_close(a: float, b: float, rel: float = 1e-6) -> bool:
+def _default(name: str):
+    """The default of the numeric setting name: numconfig.SETTINGS is the
+    one place that writes it, for the library and the command line alike."""
+    return SETTINGS[name][-1]
+
+
+def rel_close(a: float, b: float, rel: float = _default("tol")) -> bool:
     """|a - b| within rel * max(|a|, |b|), with an absolute floor of 1e-8."""
     return abs(a - b) <= max(rel * max(abs(a), abs(b)), 1e-8)
 
@@ -330,7 +336,8 @@ class NumericSection:
     coordinates and free of opaque functions, with quadrature settings."""
 
     def __init__(self, ctx: JetContext, exprs: Sequence[JetExpr],
-                 domain: Sequence[tuple[float, float]], nodes: int = 64):
+                 domain: Sequence[tuple[float, float]],
+                 nodes: int = _default("nodes")):
         if len(exprs) != ctx.m:
             raise ValueError(f"section needs {ctx.m} component expressions")
         _components(exprs)
@@ -531,7 +538,7 @@ def bump_factor(ctx: JetContext, domain: Sequence[tuple[float, float]]
 
 def finite_diff_variation(lag: Lagrangian, section: NumericSection,
                           fields: Sequence[tuple[JetExpr, ...]],
-                          step: float = 1e-3) -> float:
+                          step: float = _default("step")) -> float:
     """The len(fields)-th variation of the action along
     s + sum_k t_k * bump * xi_k, as a central finite difference at t = 0:
     the first variation for one field, the second for two.  Each field is
@@ -613,7 +620,7 @@ class CriticalityReport:
 
 
 def check_critical(lag: Lagrangian, section: NumericSection,
-                   tol: float = 1e-8) -> CriticalityReport:
+                   tol: float = _default("tol")) -> CriticalityReport:
     """Max over quadrature nodes of |e_i| along the prolonged section."""
     return _residual(euler_lagrange(lag), section, tol)
 
@@ -646,13 +653,14 @@ class OnshellSymmetryReport:
     pointwise_max: float
     residual: float
 
-    def symmetric(self, rel: float = 1e-6) -> bool:
+    def symmetric(self, rel: float = _default("tol")) -> bool:
         return rel_close(self.lhs, self.rhs, rel)
 
 
 def check_onshell_symmetry(lag: Lagrangian, section: NumericSection,
                            xi1: tuple[JetExpr, ...], xi2: tuple[JetExpr, ...],
-                           crit_tol: float = 1e-8) -> OnshellSymmetryReport:
+                           crit_tol: float = _default("tol")
+                           ) -> OnshellSymmetryReport:
     """Integrated symmetry of the vertical differential along a critical
     section, for compactly supported fields.
 
@@ -681,14 +689,15 @@ class SecondVariationReport:
         """The integral against J, which is V (see variational.jacobi)."""
         return self.integral_vertical_differential
 
-    def consistent(self, rel: float = 1e-6) -> bool:
+    def consistent(self, rel: float = _default("tol")) -> bool:
         return rel_close(self.finite_difference,
                          self.integral_vertical_differential, rel)
 
 
 def second_variation_check(lag: Lagrangian, section: NumericSection,
                            xi1: tuple[JetExpr, ...], xi2: tuple[JetExpr, ...],
-                           step: float = 1e-3, crit_tol: float = 1e-8
+                           step: float = _default("step"),
+                           crit_tol: float = _default("tol")
                            ) -> SecondVariationReport:
     """Compare the finite-difference second variation of the action along
     a critical section against the integrated contraction of the fields
@@ -700,7 +709,8 @@ def second_variation_check(lag: Lagrangian, section: NumericSection,
 
 
 def first_variation_pair(lag: Lagrangian, section: NumericSection,
-                         xi: tuple[JetExpr, ...], step: float = 1e-3
+                         xi: tuple[JetExpr, ...],
+                         step: float = _default("step")
                          ) -> tuple[float, float]:
     """(finite-difference first variation, integral of xi | E along the
     section) for a bump-localized field; the two agree as step -> 0 and

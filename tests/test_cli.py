@@ -13,10 +13,11 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from jetvar import BilinearForm, JetContext
+from jetvar import (BilinearForm, JetContext, NumericSection, check_critical,
+                    second_variation_check)
 from jetvar.cli import COMMANDS, _UsageError, build_parser, main
 from jetvar.multiindex import MultiIndex
-from jetvar.textio import print_object
+from jetvar.textio import parse_problem_file, print_object
 
 PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
 OSC = str(PROBLEMS / "oscillator.vp")
@@ -611,6 +612,23 @@ NUMERIC_BLOCK_EDITS = (
     (["adjoint", OSC, "--bilinear", "-"],
      '{"type": "lagrangian", "density": {"terms": []}}',
      (2, "unknown structured object type 'lagrangian'")),
+    # problem-file and structured-reader refusals
+    (["el", _Raw("orphan.vp", b"  y = 1\ncontext\n  base t\n  field y\n")],
+     None, (1, "line 1, col 1: expected a section keyword (context, ")),
+    (["el", _Edited("  y = sin(t)", "  y t")], None,
+     (1, "line 18, col 1: section lines must read 'field = expression'")),
+    (["el", _Edited("1/2*(y_t^2 - y^2)", "y_{}^2")], None,
+     (1, "line 7, col 4: empty derivative suffix")),
+    (["el", _Edited("1/2*(y_t^2 - y^2)", "y_+1")], None,
+     (1, "line 7, col 5: malformed derivative suffix")),
+    (["adjoint", OSC, "--bilinear", "-"], _bilinear("y", {"kind": "zzz"}, 1),
+     (2, "cannot read bilinear form: unknown atom kind 'zzz'")),
+    # a power of a sum whose largest product stays within
+    # expr.MAX_POWER_PAIRS pairs of terms is not refused (see
+    # test_el_on_a_huge_power_of_a_sum_exits_1_within_5_s)
+    *((["el", _Edited("1/2*(y_t^2 - y^2)", power)], None, 0)
+      for power in ("(y + y_t + y_tt)^100", "(y + y^2 + y^3)^300",
+                    "(1 + y)^1000")),
 ])
 def test_exit_code_contract(capsys, monkeypatch, tmp_path, argv, stdin, code):
     """Exit code, and a phrase of the error where code is (code, phrase),
@@ -687,6 +705,51 @@ def test_el_on_a_huge_constant_power_exits_1_within_5_s(tmp_path):
     assert done.stderr == (
         "parse error: line 7, col 5: power 99999999999999999999 of a 4-bit "
         "coefficient would pass 4194304 bits\n")
+
+
+def test_el_on_a_huge_power_of_a_sum_exits_1_within_5_s(tmp_path):
+    """The power is refused at its caret before a product of its squarings
+    multiplies more than expr.MAX_POWER_PAIRS pairs of terms; in a fresh
+    process, so that a hang is a timeout."""
+    target = _Edited("1/2*(y_t^2 - y^2)", "(y + y_t + y_tt)^300")
+    env = {**os.environ, "PYTHONPATH": str(PROBLEMS.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "jetvar.cli", "el", target.write(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=5)
+    assert done.returncode == 1
+    assert done.stderr == (
+        "parse error: line 7, col 19: power 300 of a sum of 3 terms would "
+        "multiply more than 4194304 pairs of terms\n")
+
+
+# oscillator.vp with a section whose max |E| residual at 64 nodes,
+# 1.19e-07, lies between 1e-8 and the default tolerance 1e-6, and with
+# no tol line, so that the command takes the default as the library does
+NEAR_CRITICAL = _Edited("y = sin(t)", "y = sin(t) + 1/100000000*t^2",
+                        ("\n  tol 1e-6", ""))
+
+
+def test_library_and_cli_judge_a_near_critical_section_alike(capsys,
+                                                             tmp_path):
+    """With no tolerance given, check_critical and check-critical give one
+    verdict, and second_variation_check and second-var both accept the
+    section, from the same default in numconfig.SETTINGS."""
+    target = NEAR_CRITICAL.write(tmp_path)
+    pf = parse_problem_file(pathlib.Path(target).read_text())
+    lag = pf.lagrangians["osc"]
+    sec = NumericSection(pf.ctx, pf.sections["sol"], pf.numeric.bounds())
+    crit = check_critical(lag, sec)
+    assert 1e-8 < crit.max_residual < 1e-6
+    code, out, _ = run(capsys, "check-critical", target, "--section", "sol")
+    assert (code, out.splitlines()[-1]) == (0, "critical (tol 1e-06): yes")
+    assert crit.is_critical
+    rep = second_variation_check(lag, sec, pf.variations["b1"],
+                                 pf.variations["b2"])
+    code, out, _ = run(capsys, "second-var", target, "--section", "sol",
+                       "--fields", "b1,b2")
+    assert (code, out.splitlines()[-1]) == (
+        0, "consistent (rel tol 1e-06): yes")
+    assert rep.consistent()
 
 
 # recorded at the order-4 limit, where the bump's exponent is still 4

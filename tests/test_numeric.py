@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 import re
@@ -16,6 +17,7 @@ from jetvar.expr import (KNOWN_CONSTANTS, ONE, ZERO, Atom, BaseCoord,
                          ConstSym, ElemFn, InvSum, JetCoord, all_atoms, cos,
                          exp, partial, sin, sqrt, to_plain)
 from jetvar.multiindex import MultiIndex, enumerate_up_to
+from jetvar.numconfig import SETTINGS
 from jetvar.numeric import (MAX_POINTS, NotCritical, NumericError,
                             bump_factor, compile_expr, first_variation_pair,
                             gauss_legendre, integrate_on_section, rel_close)
@@ -450,6 +452,28 @@ def test_check_critical_examples(ode_ctx, plane_ctx, oscillator, sin_section):
     line = NumericSection(plane_ctx, (3 * plane_ctx.base("t") + 1,
                                       plane_ctx.base("t")), [(0.0, 1.0)])
     assert check_critical(free, line).max_residual < 1e-12
+
+
+# the setting whose default each numeric keyword of the library takes
+SETTING_OF_KEYWORD = {"nodes": "nodes", "step": "step", "tol": "tol",
+                      "crit_tol": "tol", "rel": "tol"}
+
+
+@pytest.mark.parametrize("fn", [
+    NumericSection, finite_diff_variation, check_critical,
+    check_onshell_symmetry, second_variation_check, first_variation_pair,
+    numeric.OnshellSymmetryReport.symmetric,
+    numeric.SecondVariationReport.consistent, rel_close])
+def test_numeric_keyword_defaults_are_the_settings_defaults(fn):
+    """Each nodes, step, tol, crit_tol and rel default of a section, check
+    or verdict is its setting's default in numconfig.SETTINGS, as a
+    command without the flag and a numeric block without the line take."""
+    params = [p for p in inspect.signature(fn).parameters.values()
+              if p.name in SETTING_OF_KEYWORD]
+    assert params
+    for p in params:
+        default = SETTINGS[SETTING_OF_KEYWORD[p.name]][-1]
+        assert (type(p.default), p.default) == (type(default), default), p
 
 
 # ---------------------------------------------------------------------------

@@ -114,26 +114,52 @@ def test_el_order_bound(seed):
     assert e.order <= 2 * lag.order
 
 
+def _assert_euler_lagrange_matches_sympy(lag, to_sympy, sp):
+    """Each component of euler_lagrange(lag) equals the Euler operator
+    sum over |sigma| <= order of (-1)^|sigma| D_sigma dF/dy_sigma, written
+    out with sympy.diff on F = lag.density; sympy's euler_equations is not
+    the reference, since it drops an equation that is constant (it gives
+    none for 3*y(t))."""
+    ctx = lag.ctx
+    xs = [sp.Symbol(nm) for nm in ctx.base_names]
+    density = to_sympy(lag.density, ctx, sp)
+
+    def d(e, sigma):
+        pairs = [(x, c) for x, c in zip(xs, sigma.counts) if c]
+        return sp.diff(e, *pairs) if pairs else e
+
+    for nm, ours in zip(ctx.fiber_names, euler_lagrange(lag).components):
+        f = sp.Function(nm)(*xs)
+        ref = sum((-1) ** sigma.order()
+                  * d(sp.diff(density, d(f, sigma)), sigma)
+                  for sigma in enumerate_up_to(ctx.n, lag.order))
+        assert sp.expand(ref - to_sympy(ours, ctx, sp)) == 0
+
+
 @pytest.mark.parametrize("seed", range(24))
 def test_euler_lagrange_matches_sympy(seed, to_sympy):
-    """euler_lagrange agrees with sympy's euler_equations on random
-    polynomial Lagrangians with up to three base variables and jet order
-    up to three."""
+    """euler_lagrange agrees with the Euler operator written out in sympy
+    on random polynomial Lagrangians with up to three base variables and
+    jet order up to three."""
     sp = pytest.importorskip("sympy")
-    from sympy.calculus.euler import euler_equations
     rng = random.Random(seed)
     n = rng.randint(1, 3)
     ctx = JetContext.make(["x1", "x2", "x3"][:n],
                           ["y", "z"][:rng.randint(1, 2)])
     lag = Lagrangian(ctx, random_polynomial(
         rng, ctx, max_order=rng.randint(1, 3), max_monomials=4))
-    xs = [sp.Symbol(nm) for nm in ctx.base_names]
-    funcs = [sp.Function(nm)(*xs) for nm in ctx.fiber_names]
-    density = to_sympy(lag.density, ctx, sp)
-    for f, ours in zip(funcs, euler_lagrange(lag).components):
-        # sympy returns no equation for a field the density lacks
-        ref = [eq.lhs - eq.rhs for eq in euler_equations(density, f, xs)]
-        assert sp.expand(sum(ref) - to_sympy(ours, ctx, sp)) == 0
+    _assert_euler_lagrange_matches_sympy(lag, to_sympy, sp)
+
+
+@pytest.mark.parametrize("density", ["3*y", "t*y_t", "y_t*y_tt + 2*y"])
+def test_euler_lagrange_matches_sympy_on_constant_equations(ode_ctx,
+                                                            to_sympy,
+                                                            density):
+    """Euler-Lagrange expressions that are constants (3, -1 and 2) are
+    compared too, where sympy's euler_equations returns no equation."""
+    sp = pytest.importorskip("sympy")
+    _assert_euler_lagrange_matches_sympy(
+        Lagrangian(ode_ctx, parse_expr(density, ode_ctx)), to_sympy, sp)
 
 
 # ---------------------------------------------------------------------------
