@@ -25,17 +25,16 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .multiindex import MultiIndex
 
 ELEMENTARY_FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 KNOWN_CONSTANTS = {"pi": math.pi}
 
-Number = Union[int, Fraction]
+Number = int | Fraction
 
 
 class ExprError(ValueError):
@@ -563,18 +562,29 @@ def mul(a: JetExpr, b: JetExpr) -> JetExpr:
 # the bit length past which pow_int refuses to raise a coefficient (about
 # 1.26 million decimal digits)
 MAX_POWER_BITS = 1 << 22
-# the term pairs past which pow_int refuses one product of its squarings;
+# the term pairs past which bounded_mul refuses a product;
 # (y + y_t + y_tt)^100 forms at most 1.5 million, in 3-4 s on a 2-core Xeon
 MAX_POWER_PAIRS = 1 << 22
+
+
+def bounded_mul(a: JetExpr, b: JetExpr, what: str | None = None) -> JetExpr:
+    """a * b, or ExprError, before multiplying, when the term counts of a
+    and b multiply past MAX_POWER_PAIRS; what names the product in the
+    message, by default from those counts."""
+    if len(a._terms) * len(b._terms) > MAX_POWER_PAIRS:
+        what = what or (f"a product of sums of {len(a._terms)} and "
+                        f"{len(b._terms)} terms")
+        raise ExprError(f"{what} would multiply more than {MAX_POWER_PAIRS} "
+                        "pairs of terms")
+    return mul(a, b)
 
 
 def pow_int(e: JetExpr, k: int) -> JetExpr:
     """Integer power; negative exponents go through division.  Raises
     ExprError when |k| times the bit length of e's largest numerator or
     denominator passes MAX_POWER_BITS; a power of an expression whose
-    coefficients are all 1 or -1 is never refused for that.  Raises
-    ExprError before a product whose factors' term counts multiply past
-    MAX_POWER_PAIRS."""
+    coefficients are all 1 or -1 is never refused for that.  Each product
+    of the repeated squaring goes through bounded_mul."""
     if k == 0:
         return ONE
     if e.is_zero:
@@ -589,18 +599,12 @@ def pow_int(e: JetExpr, k: int) -> JetExpr:
     if k < 0:
         return pow_int(div(ONE, e), -k)
 
-    def product(a: JetExpr, b: JetExpr) -> JetExpr:
-        if len(a._terms) * len(b._terms) > MAX_POWER_PAIRS:
-            raise ExprError(f"power {k} of a sum of {len(e._terms)} terms "
-                            f"would multiply more than {MAX_POWER_PAIRS} "
-                            "pairs of terms")
-        return mul(a, b)
-
+    what = f"power {k} of a sum of {len(e._terms)} terms"
     out, base, n = ONE, e, k
     while n:
         if n & 1:
-            out = product(out, base)
-        base = product(base, base) if n > 1 else base
+            out = bounded_mul(out, base, what)
+        base = bounded_mul(base, base, what) if n > 1 else base
         n >>= 1
     return out
 
@@ -992,41 +996,29 @@ def expr_to_dict(e: JetExpr) -> dict:
 _RESERVED = set(ELEMENTARY_FUNCTIONS) | set(KNOWN_CONSTANTS)
 
 
-@dataclass(frozen=True)
 class JetContext:
     """Chart data: base variables x^lam, fiber variables y^i, and the
-    catalog of opaque smooth function symbols with their argument lists.
+    catalog ``opaque_table`` of opaque smooth function symbols with their
+    argument lists.
 
     Opaque symbols depend on order-0 coordinates only; they model
     coefficient functions such as metric components g_ab(q).
     """
 
-    base_names: tuple[str, ...]
-    fiber_names: tuple[str, ...]
-    opaques: tuple[tuple[str, tuple[str, ...]], ...] = ()
+    __slots__ = ("base_names", "fiber_names", "opaque_table")
 
-    @staticmethod
-    def make(base, fibers, opaque: Mapping[str, Sequence[str]] | None = None
-             ) -> "JetContext":
-        if isinstance(base, str):
-            base = base.split()
-        if isinstance(fibers, str):
-            fibers = fibers.split()
-        ops = tuple((name, tuple(args)) for name, args in (opaque or {}).items())
-        return JetContext(tuple(base), tuple(fibers), ops)
-
-    def __post_init__(self):
-        if len(self.base_names) < 1 or len(self.fiber_names) < 1:
+    def __init__(self, base_names: tuple[str, ...], fiber_names: tuple[str, ...],
+                 opaque_table: dict[str, tuple[str, ...]]):
+        if not base_names or not fiber_names:
             raise ExprError("need at least one base and one fiber variable")
-        names = list(self.base_names) + list(self.fiber_names) + \
-            [nm for nm, _ in self.opaques]
+        names = list(base_names) + list(fiber_names) + list(opaque_table)
         if len(set(names)) != len(names):
             raise ExprError(f"coordinate/function names not distinct: {names}")
         clash = set(names) & _RESERVED
         if clash:
             raise ExprError(f"reserved names used as identifiers: {sorted(clash)}")
-        order0 = set(self.base_names) | set(self.fiber_names)
-        for nm, args in self.opaques:
+        order0 = set(base_names) | set(fiber_names)
+        for nm, args in opaque_table.items():
             if len(args) < 1:
                 raise ExprError(f"opaque function {nm!r} needs arguments")
             bad = [a for a in args if a not in order0]
@@ -1034,6 +1026,16 @@ class JetContext:
                 raise ExprError(
                     f"opaque function {nm!r} depends on unknown order-0 "
                     f"coordinates {bad}")
+        self.base_names, self.fiber_names = base_names, fiber_names
+        self.opaque_table = opaque_table
+
+    @staticmethod
+    def make(base, fibers, opaque: Mapping[str, Sequence[str]] | None = None
+             ) -> JetContext:
+        base = base.split() if isinstance(base, str) else base
+        fibers = fibers.split() if isinstance(fibers, str) else fibers
+        table = {name: tuple(args) for name, args in (opaque or {}).items()}
+        return JetContext(tuple(base), tuple(fibers), table)
 
     # -- lookups ------------------------------------------------------------
 
@@ -1044,10 +1046,6 @@ class JetContext:
     @property
     def m(self) -> int:
         return len(self.fiber_names)
-
-    @property
-    def opaque_table(self) -> dict[str, tuple[str, ...]]:
-        return dict(self.opaques)
 
     def axis(self, name: str) -> int:
         try:
@@ -1107,10 +1105,9 @@ class JetContext:
 
     def opaque(self, name: str, orders: Sequence[int] | None = None,
                args: Sequence[JetExpr] | None = None) -> JetExpr:
-        table = self.opaque_table
-        if name not in table:
+        argnames = self.opaque_table.get(name)
+        if argnames is None:
             raise UnknownCoordinate(f"unknown opaque function {name!r}")
-        argnames = table[name]
         if orders is None:
             ordt = (0,) * len(argnames)
         else:

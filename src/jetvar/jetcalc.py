@@ -25,15 +25,13 @@ lattice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
 from .expr import (Atom, BaseCoord, JetContext, JetCoord, JetExpr, Monomial,
                    UnknownCoordinate, all_atoms, derive, partial)
 from .multiindex import MultiIndex
 
 
-@dataclass(frozen=True)
 class VerticalField:
     """Vertical vector field xi = xi^i d/dy^i with JetExpr components.
 
@@ -41,14 +39,13 @@ class VerticalField:
     orders give generalized vector fields.
     """
 
-    ctx: JetContext
-    components: tuple[JetExpr, ...]
+    __slots__ = ("ctx", "components")
 
-    def __post_init__(self):
-        if len(self.components) != self.ctx.m:
-            raise ValueError(
-                f"vertical field needs {self.ctx.m} components, "
-                f"got {len(self.components)}")
+    def __init__(self, ctx: JetContext, components: tuple[JetExpr, ...]):
+        if len(components) != ctx.m:
+            raise ValueError(f"vertical field needs {ctx.m} components, "
+                             f"got {len(components)}")
+        self.ctx, self.components = ctx, components
 
 
 def total_derivative(e: JetExpr, axis: int | str, ctx: JetContext) -> JetExpr:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from operator import getitem, sub
-from typing import Iterable, Iterator, Sequence
 
 
 class MultiIndex(tuple):

@@ -31,10 +31,9 @@ import functools
 import itertools
 import math
 import operator
+from collections.abc import Callable, Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -93,7 +92,7 @@ def _refuse_opaque(e: JetExpr) -> None:
                 _refuse_opaque(arg)
 
 
-def _value(e: JetExpr, env: Mapping[ex.Atom, Any]):
+def _value(e: JetExpr, env: Mapping[ex.Atom, object]):
     """e at env by the float operations of its Python source
     p/q*a*b**k*1.0/(c)*(1.0/(d))**j + ...: each term is p/q times its
     factors from left to right, and the terms are added in canonical
@@ -118,7 +117,7 @@ def _value(e: JetExpr, env: Mapping[ex.Atom, Any]):
     return 0.0 if out is None else out
 
 
-def _evaluate(e: JetExpr, env: Mapping[ex.Atom, Any]):
+def _evaluate(e: JetExpr, env: Mapping[ex.Atom, object]):
     """e at env, a mapping from its coordinates to floats or arrays.
     Faults, non-finite values and unbound coordinates raise NumericError."""
     with _float_guard():
@@ -129,7 +128,7 @@ def _evaluate(e: JetExpr, env: Mapping[ex.Atom, Any]):
                 from None
 
 
-def compile_expr(e: JetExpr) -> Callable[[Mapping[ex.Atom, Any]], Any]:
+def compile_expr(e: JetExpr) -> Callable[[Mapping[ex.Atom, object]], object]:
     """e as a function of a mapping from its coordinates to floats or
     arrays (see _evaluate), once an opaque function in e is refused."""
     _refuse_opaque(e)
@@ -371,8 +370,8 @@ class NumericSection:
         # d e / dx_a by (e, a), jet entries by (field, jc), and values at
         # the nodes by scaled expression (see _values)
         self._derivatives: dict[tuple[JetExpr, int], JetExpr] = {}
-        self._jets: dict[tuple[tuple, ex.JetCoord], Any] = {}
-        self._evaluated: dict[JetExpr, Any] = {}
+        self._jets: dict[tuple[tuple, ex.JetCoord], object] = {}
+        self._evaluated: dict[JetExpr, object] = {}
         self._grid: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- prolongation ---------------------------------------------------
@@ -608,11 +607,13 @@ def _contraction(a: BilinearForm, section: NumericSection,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CriticalityReport:
-    max_residual: float
-    per_component: tuple[float, ...]
-    tol: float
+    __slots__ = ("max_residual", "per_component", "tol")
+
+    def __init__(self, max_residual: float, per_component: tuple[float, ...],
+                 tol: float):
+        self.max_residual, self.per_component = max_residual, per_component
+        self.tol = tol
 
     @property
     def is_critical(self) -> bool:
@@ -645,13 +646,13 @@ def _critical_pair(lag: Lagrangian, section: NumericSection,
             section._field(xi2, lag.order), linearize(e))
 
 
-@dataclass(frozen=True)
 class OnshellSymmetryReport:
-    lhs: float
-    rhs: float
-    difference: float
-    pointwise_max: float
-    residual: float
+    __slots__ = ("lhs", "rhs", "difference", "pointwise_max", "residual")
+
+    def __init__(self, lhs: float, rhs: float, difference: float,
+                 pointwise_max: float, residual: float):
+        self.lhs, self.rhs, self.difference = lhs, rhs, difference
+        self.pointwise_max, self.residual = pointwise_max, residual
 
     def symmetric(self, rel: float = _default("tol")) -> bool:
         return rel_close(self.lhs, self.rhs, rel)
@@ -678,11 +679,14 @@ def check_onshell_symmetry(lag: Lagrangian, section: NumericSection,
     return OnshellSymmetryReport(lhs, rhs, lhs - rhs, pointwise, res)
 
 
-@dataclass(frozen=True)
 class SecondVariationReport:
-    finite_difference: float
-    integral_vertical_differential: float
-    residual: float
+    __slots__ = ("finite_difference", "integral_vertical_differential", "residual")
+
+    def __init__(self, finite_difference: float,
+                 integral_vertical_differential: float, residual: float):
+        self.finite_difference = finite_difference
+        self.integral_vertical_differential = integral_vertical_differential
+        self.residual = residual
 
     @property
     def integral_jacobi(self) -> float:

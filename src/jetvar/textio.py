@@ -29,7 +29,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import expr as ex
@@ -63,12 +62,11 @@ _TOKEN = re.compile(
 _IDENT, _SYMBOL, _NUM, _NEWLINE, _COMMENT = range(1, 6)
 
 
-@dataclass
 class _Token:
-    kind: str  # NUM | IDENT | the symbol itself | EOF
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")  # kind: NUM, IDENT, EOF or a symbol
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind, self.text, self.line, self.col = kind, text, line, col
 
 
 def _lex(src: str, line: int = 1, col: int = 1) -> list[_Token]:
@@ -141,13 +139,13 @@ class _Parser:
         while self.peek().kind in "*/":
             op = self.next()
             rhs = self.unary()
-            if op.kind == "*":
-                node = node * rhs
-            else:
-                try:
-                    node = node / rhs
-                except ex.DivisionByZeroExpr:
-                    self.fail("division by an identically zero expression", op)
+            # a zero divisor, too large a product, or too large a power
+            # that dividing by an inverse sum takes, is refused here
+            try:
+                node = (ex.bounded_mul(node, rhs) if op.kind == "*"
+                        else node / rhs)
+            except ex.ExprError as err:
+                self.fail(str(err), op)
         return node
 
     def unary(self) -> JetExpr:
@@ -218,9 +216,8 @@ class _Parser:
             for nm in names:
                 counts[ctx.axis(nm)] += 1
             return ctx.jet(name, MultiIndex(tuple(counts)))
-        table = ctx.opaque_table
-        if name in table:
-            argnames = table[name]
+        argnames = ctx.opaque_table.get(name)
+        if argnames is not None:
             orders = [0] * len(argnames)
             if self.peek().kind == "_":
                 for nm in self.suffix(set(argnames)):
@@ -321,14 +318,14 @@ def _atom_from_dict(d: dict, ctx: JetContext) -> JetExpr:
 
 
 def _expr_from_dict(d: dict, ctx: JetContext) -> JetExpr:
-    total = ex.ZERO
+    pieces = []
     for t in d["terms"]:
         piece = JetExpr.constant(Fraction(_json(t["coeff"], str)))
         for f in t["factors"]:
             piece = piece * (_atom_from_dict(f["atom"], ctx)
                              ** _json(f["power"], int))
-        total = total + piece
-    return total
+        pieces.append(piece)
+    return ex.add_many(pieces)
 
 
 def object_to_dict(obj) -> dict:
@@ -382,8 +379,14 @@ def parse_structured(text: str, ctx: JetContext):
 
 def dump_structured(payload: dict) -> str:
     """The structured-format text of a JSON-ready payload: keys sorted,
-    two-space indent.  Every structured output is written here."""
-    return _json_text(payload, "\n")
+    two-space indent.  Every structured output is written here.  A payload
+    nested too deeply for the writer's recursion raises ExprError, as a
+    coefficient with too many digits does in ``expr``."""
+    try:
+        return _json_text(payload, "\n")
+    except RecursionError:
+        raise ex.ExprError("the output is nested too deeply to write") \
+            from None
 
 
 _json_str = json.encoder.encode_basestring_ascii
@@ -463,14 +466,16 @@ _KEYWORDS = {"context", "lagrangian", "source", "section", "variation",
              "numeric"}
 
 
-@dataclass
 class ProblemFile:
-    ctx: JetContext
-    lagrangians: dict[str, Lagrangian] = field(default_factory=dict)
-    sources: dict[str, SourceForm] = field(default_factory=dict)
-    sections: dict[str, tuple[JetExpr, ...]] = field(default_factory=dict)
-    variations: dict[str, tuple[JetExpr, ...]] = field(default_factory=dict)
-    numeric: NumericBlock | None = None
+    __slots__ = ("ctx", "lagrangians", "sources", "sections", "variations", "numeric")
+
+    def __init__(self, ctx: JetContext):
+        self.ctx = ctx
+        self.lagrangians: dict[str, Lagrangian] = {}
+        self.sources: dict[str, SourceForm] = {}
+        self.sections: dict[str, tuple[JetExpr, ...]] = {}
+        self.variations: dict[str, tuple[JetExpr, ...]] = {}
+        self.numeric: NumericBlock | None = None
 
 
 def _strip_comment(line: str) -> str:
@@ -587,17 +592,20 @@ def _parse_components(ctx: JetContext, body, what: str, block_line: int
     return tuple(comps.get(i, ex.ZERO) for i in range(ctx.m))
 
 
-@dataclass
 class NumericBlock:
     """The numeric block of a problem file as written.  Each domain bound
     stays an exact constant expression, with its text, line and column,
     until ``bounds`` evaluates it: only a numeric command pays for that,
     and for numpy."""
 
-    # per axis: (line, (lo text, col, lo), (hi text, col, hi))
-    domain: tuple[tuple[int, tuple, tuple], ...]
-    # every setting of SETTINGS: the block's value, else the default
-    settings: dict[str, int | float]
+    __slots__ = ("domain", "settings")
+
+    def __init__(self, domain: tuple[tuple[int, tuple, tuple], ...],
+                 settings: dict[str, int | float]):
+        # per axis: (line, (lo text, col, lo), (hi text, col, hi))
+        self.domain = domain
+        # every setting of SETTINGS: the block's value, else the default
+        self.settings = settings
 
     def bounds(self) -> tuple[tuple[float, float], ...]:
         """The (lo, hi) of each axis, evaluated to floats by

@@ -44,8 +44,7 @@ No table outlives the call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 # ``partial`` is not called here; perfbench's tracing tests look it up as
 # ``variational.partial``.
@@ -56,30 +55,29 @@ from .jetcalc import (VerticalField, d_v, derivative_lattice, lattice_edges,
 from .multiindex import MultiIndex
 
 
-@dataclass(frozen=True)
 class Lagrangian:
     """Lagrangian density L in lambda = L v_X."""
 
-    ctx: JetContext
-    density: JetExpr
+    __slots__ = ("ctx", "density")
+
+    def __init__(self, ctx: JetContext, density: JetExpr):
+        self.ctx, self.density = ctx, density
 
     @property
     def order(self) -> int:
         return jet_order(self.density)
 
 
-@dataclass(frozen=True)
 class SourceForm:
     """Components e_i of a source form e_i omega^i wedge v_X."""
 
-    ctx: JetContext
-    components: tuple[JetExpr, ...]
+    __slots__ = ("ctx", "components")
 
-    def __post_init__(self):
-        if len(self.components) != self.ctx.m:
-            raise ValueError(
-                f"source form needs {self.ctx.m} components, "
-                f"got {len(self.components)}")
+    def __init__(self, ctx: JetContext, components: tuple[JetExpr, ...]):
+        if len(components) != ctx.m:
+            raise ValueError(f"source form needs {ctx.m} components, "
+                             f"got {len(components)}")
+        self.ctx, self.components = ctx, components
 
     @property
     def order(self) -> int:
@@ -88,6 +86,13 @@ class SourceForm:
     @property
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.components)
+
+    def __eq__(self, other):
+        return (isinstance(other, SourceForm)
+                and self.components == other.components)
+
+    def __hash__(self):
+        return hash(self.components)
 
 
 class BilinearForm:

@@ -629,6 +629,9 @@ NUMERIC_BLOCK_EDITS = (
     *((["el", _Edited("1/2*(y_t^2 - y^2)", power)], None, 0)
       for power in ("(y + y_t + y_tt)^100", "(y + y^2 + y^3)^300",
                     "(1 + y)^1000")),
+    # a power that a division takes is refused at the /, with a position
+    (["el", _Edited("1/2*(y_t^2 - y^2)", "y/(1/(y + y_t + y_tt))^300")],
+     None, (1, "line 7, col 4: power 300 of a sum of 3 terms would")),
 ])
 def test_exit_code_contract(capsys, monkeypatch, tmp_path, argv, stdin, code):
     """Exit code, and a phrase of the error where code is (code, phrase),
@@ -649,7 +652,8 @@ def test_exit_code_contract(capsys, monkeypatch, tmp_path, argv, stdin, code):
 def test_deepest_accepted_nesting_runs(capsys, tmp_path):
     """At the deepest nesting of the potential that the parser accepts,
     el and check-critical run to their answers; one level deeper is a
-    parse error with a position."""
+    parse error with a position.  el's structured output, there and at 81
+    deep, is written or refused with exit 2 and one error line."""
     def el(depth):
         return run(capsys, "el", _nested_edit(depth).write(tmp_path))
 
@@ -672,6 +676,11 @@ def test_deepest_accepted_nesting_runs(capsys, tmp_path):
                           _nested_edit(accepted).write(tmp_path),
                           "--section", "sol", "--fields", "b1")
     assert code == 3 and out.startswith("max residual: 1.0\n")
+    for depth in (81, accepted):
+        code, out, err = run(capsys, "el", _nested_edit(depth).write(tmp_path),
+                             "--format", "structured")
+        assert (code, err) in (
+            (0, ""), (2, "error: the output is nested too deeply to write\n"))
 
 
 # seconds allowed for el on sin nested 100 deep around y_t, about 1 s on a
@@ -720,6 +729,26 @@ def test_el_on_a_huge_power_of_a_sum_exits_1_within_5_s(tmp_path):
     assert done.stderr == (
         "parse error: line 7, col 19: power 300 of a sum of 3 terms would "
         "multiply more than 4194304 pairs of terms\n")
+
+
+def test_el_on_a_huge_product_of_sums_exits_1_within_5_s(capsys, tmp_path):
+    """A product is refused at its * before it multiplies more than
+    expr.MAX_POWER_PAIRS pairs of terms, here 2556^2; in a fresh process,
+    so that a hang is a timeout.  A product within the bound runs, to the
+    answer of the one power it equals."""
+    cube = "(y + y_t + y_tt)"
+    target = _Edited("1/2*(y_t^2 - y^2)", f"{cube}^70*{cube}^70")
+    env = {**os.environ, "PYTHONPATH": str(PROBLEMS.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "jetvar.cli", "el", target.write(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=5)
+    assert done.returncode == 1
+    assert done.stderr == (
+        "parse error: line 7, col 22: a product of sums of 2556 and 2556 "
+        "terms would multiply more than 4194304 pairs of terms\n")
+    outs = [run(capsys, "el", _Edited("1/2*(y_t^2 - y^2)", lag).write(tmp_path))
+            for lag in (f"{cube}^20*{cube}^20", f"{cube}^40")]
+    assert outs[0] == outs[1] and outs[0][0] == 0
 
 
 # oscillator.vp with a section whose max |E| residual at 64 nodes,
@@ -886,11 +915,12 @@ def test_top_level_help_lists_every_subcommand(capsys):
     assert len(listed) == 8
 
 
-def _run_fresh(script: str) -> None:
-    """Run script in a fresh interpreter; it fails by raising."""
+def _run_fresh(script: str, *flags: str) -> None:
+    """Run script in a fresh interpreter started with the given flags; it
+    fails by raising."""
     env = {**os.environ, "PYTHONPATH": str(PROBLEMS.parent / "src")}
-    subprocess.run([sys.executable, "-c", script], env=env, timeout=300,
-                   check=True)
+    subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                   timeout=300, check=True)
 
 
 SYMBOLIC_COMMANDS = ("el", "helmholtz", "jacobi", "hessian", "variation",
@@ -900,7 +930,9 @@ SYMBOLIC_COMMANDS = ("el", "helmholtz", "jacobi", "hessian", "variation",
 def test_symbolic_subcommands_load_no_numpy(tmp_path):
     """Each symbolic subcommand, in every format, runs without importing
     numpy, on a problem file that has a numeric block; check-critical
-    then loads it."""
+    then loads it.  Neither importing the command line nor running those
+    subcommands loads dataclasses, typing or inspect: under -S, since a
+    site .pth file may import typing on its own."""
     ctx = JetContext.make("t", "y")
     form = print_object(
         BilinearForm(ctx, {(MultiIndex((2,)), 0, 0): ctx.fiber("y")}),
@@ -914,19 +946,22 @@ def test_symbolic_subcommands_load_no_numpy(tmp_path):
              for fmt in ("plain", "latex", "structured")]
     calls += [["helmholtz", OSC, "--lagrangian", "osc"],
               ["adjoint", OSC, "--bilinear", "-"]]
-    script = "\n".join([
+    symbolic = [
         "import contextlib, io, sys",
         "from jetvar.cli import main",
         f"sys.stdin = io.StringIO({form!r})",
         f"for argv in {calls!r}:",
         "    with contextlib.redirect_stdout(io.StringIO()):",
         "        assert main(argv) == 0, argv",
-        "assert 'numpy' not in sys.modules",
+        "assert 'numpy' not in sys.modules"]
+    _run_fresh("\n".join(symbolic + [
         "with contextlib.redirect_stdout(io.StringIO()):",
         f"    assert main(['check-critical', {OSC!r}, '--section', 'sol']) == 0",
-        "assert 'numpy' in sys.modules",
-    ])
-    _run_fresh(script)
+        "assert 'numpy' in sys.modules"]))
+    unused = ("loaded = {'dataclasses', 'typing', 'inspect'} & "
+              "sys.modules.keys()\nassert not loaded, loaded")
+    _run_fresh("\n".join(symbolic[:2] + [unused] + symbolic[2:] + [unused]),
+               "-S")
 
 
 def test_import_jetvar_loads_no_numpy():
