@@ -331,6 +331,19 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(out) + m1[i:] + m2[j:]
 
 
+def _coercing(method):
+    """The JetExpr method method(self, other) for an other that is a
+    JetExpr, or an int or Fraction taken as a constant; NotImplemented
+    for any other type."""
+    def coerced(self, other):
+        if not isinstance(other, JetExpr):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = JetExpr.constant(other)
+        return method(self, other)
+    return coerced
+
+
 class JetExpr:
     """Immutable canonical expression; see the module docstring.
 
@@ -406,11 +419,8 @@ class JetExpr:
             self._key = tuple((_mono_key(m), c) for m, c in self.terms)
         return self._key
 
+    @_coercing
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = JetExpr.constant(other)
-        if not isinstance(other, JetExpr):
-            return NotImplemented
         return self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
@@ -426,10 +436,8 @@ class JetExpr:
 
     # -- arithmetic ---------------------------------------------------------
 
+    @_coercing
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return add(self, other)
 
     __radd__ = __add__
@@ -437,36 +445,26 @@ class JetExpr:
     def __neg__(self):
         return JetExpr(tuple((m, -n) for m, n in self._terms), self._den)
 
+    @_coercing
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return add(self, -other)
 
+    @_coercing
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return add(other, -self)
 
+    @_coercing
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return mul(self, other)
 
     __rmul__ = __mul__
 
+    @_coercing
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return div(self, other)
 
+    @_coercing
     def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return div(other, self)
 
     def __pow__(self, k):
@@ -495,14 +493,6 @@ def _normalized(acc: dict[Monomial, int], den: int) -> JetExpr:
     items = sorted([(sum(map(_exponent, m)), m, n // g)
                     for m, n in acc.items() if n])
     return JetExpr(tuple([(m, n) for _d, m, n in items]), den // g)
-
-
-def _coerce(x):
-    if isinstance(x, JetExpr):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return JetExpr.constant(x)
-    return NotImplemented
 
 
 def atom_expr(a: Atom) -> JetExpr:
@@ -548,9 +538,23 @@ def add_scaled(pairs: Iterable[tuple[int, JetExpr]]) -> JetExpr:
     return _normalized(acc, den)
 
 
+# the bit length past which pow_int refuses to raise a coefficient (about
+# 1.26 million decimal digits)
+MAX_POWER_BITS = 1 << 22
+# the term pairs past which mul refuses a product;
+# (y + y_t + y_tt)^100 forms at most 1.5 million, in 3-4 s on a 2-core Xeon
+MAX_POWER_PAIRS = 1 << 22
+
+
 def mul(a: JetExpr, b: JetExpr) -> JetExpr:
+    """a * b, or ExprError, before multiplying, when the term counts of a
+    and b multiply past MAX_POWER_PAIRS."""
     if a.is_zero or b.is_zero:
         return ZERO
+    if len(a._terms) * len(b._terms) > MAX_POWER_PAIRS:
+        raise ExprError(f"a product of sums of {len(a._terms)} and "
+                        f"{len(b._terms)} terms would multiply more than "
+                        f"{MAX_POWER_PAIRS} pairs of terms")
     d: dict[Monomial, int] = {}
     for m1, n1 in a._terms:
         for m2, n2 in b._terms:
@@ -559,32 +563,12 @@ def mul(a: JetExpr, b: JetExpr) -> JetExpr:
     return _normalized(d, a._den * b._den)
 
 
-# the bit length past which pow_int refuses to raise a coefficient (about
-# 1.26 million decimal digits)
-MAX_POWER_BITS = 1 << 22
-# the term pairs past which bounded_mul refuses a product;
-# (y + y_t + y_tt)^100 forms at most 1.5 million, in 3-4 s on a 2-core Xeon
-MAX_POWER_PAIRS = 1 << 22
-
-
-def bounded_mul(a: JetExpr, b: JetExpr, what: str | None = None) -> JetExpr:
-    """a * b, or ExprError, before multiplying, when the term counts of a
-    and b multiply past MAX_POWER_PAIRS; what names the product in the
-    message, by default from those counts."""
-    if len(a._terms) * len(b._terms) > MAX_POWER_PAIRS:
-        what = what or (f"a product of sums of {len(a._terms)} and "
-                        f"{len(b._terms)} terms")
-        raise ExprError(f"{what} would multiply more than {MAX_POWER_PAIRS} "
-                        "pairs of terms")
-    return mul(a, b)
-
-
 def pow_int(e: JetExpr, k: int) -> JetExpr:
     """Integer power; negative exponents go through division.  Raises
     ExprError when |k| times the bit length of e's largest numerator or
     denominator passes MAX_POWER_BITS; a power of an expression whose
-    coefficients are all 1 or -1 is never refused for that.  Each product
-    of the repeated squaring goes through bounded_mul."""
+    coefficients are all 1 or -1 is never refused for that.  A product of
+    the repeated squaring that mul refuses is refused as this power."""
     if k == 0:
         return ONE
     if e.is_zero:
@@ -599,66 +583,59 @@ def pow_int(e: JetExpr, k: int) -> JetExpr:
     if k < 0:
         return pow_int(div(ONE, e), -k)
 
-    what = f"power {k} of a sum of {len(e._terms)} terms"
     out, base, n = ONE, e, k
-    while n:
-        if n & 1:
-            out = bounded_mul(out, base, what)
-        base = bounded_mul(base, base, what) if n > 1 else base
-        n >>= 1
+    try:
+        while n:
+            if n & 1:
+                out = mul(out, base)
+            base = mul(base, base) if n > 1 else base
+            n >>= 1
+    except ExprError:
+        raise ExprError(f"power {k} of a sum of {len(e._terms)} terms would "
+                        f"multiply more than {MAX_POWER_PAIRS} pairs of "
+                        f"terms") from None
     return out
 
 
 def div(a: JetExpr, b: JetExpr) -> JetExpr:
+    """a / b: the exact quotient where b is a sum that divides a, else a
+    over b's content and common monomial, times the inverse of the monic
+    remainder where b is a sum (see _factor_sum)."""
     if b.is_zero:
         raise DivisionByZeroExpr("division by an identically zero expression")
     if a.is_zero:
         return ZERO
-    if len(b._terms) == 1:
-        m, c = b.terms[0]
-        out = mul(a, JetExpr.constant(Fraction(1, c)))
-        for atom, e in m:
-            out = mul(out, atom_pow(atom, -e))
-        return out
-    q = _exact_div(a, b)
-    if q is not None:
-        return q
-    content, mono, body = _factor_sum(b)
-    out = mul(a, JetExpr.constant(Fraction(1, content)))
+    many = len(b._terms) > 1
+    if many:
+        q = _exact_div(a, b)
+        if q is not None:
+            return q
+    scale, mono, body = _factor_sum(b)
+    out = mul(a, scale)
     for atom, e in mono:
         out = mul(out, atom_pow(atom, -e))
-    return mul(out, atom_expr(InvSum(body)))
+    return mul(out, atom_expr(InvSum(body))) if many else out
 
 
-def _factor_sum(b: JetExpr) -> tuple[Number, Monomial, JetExpr]:
-    """Split a multi-term sum as content * common-monomial * monic remainder."""
-    common: dict[Atom, int] | None = None
-    for m, _n in b._terms:
-        exps = dict(m)
-        if common is None:
-            common = exps
-        else:
-            common = {a: min(e, common[a]) for a, e in exps.items()
-                      if a in common}
-            common = {a: e for a, e in common.items() if e != 0}
+def _factor_sum(b: JetExpr) -> tuple[JetExpr, Monomial, JetExpr]:
+    """Split a sum as content * common monomial * monic remainder and
+    return (1/content, common monomial, remainder): the common monomial
+    holds each atom that every term holds, at its least exponent, and the
+    remainder has leading coefficient 1, so a single term's is ONE."""
+    common = dict(b._terms[0][0])
+    for m, _n in b._terms[1:]:
         if not common:
-            common = {}
             break
-    mono: Monomial = tuple(sorted(common.items()))
-    stripped: dict[Monomial, Number] = {}
-    for m, c in b.terms:
         exps = dict(m)
-        for a, e in mono:
-            ne = exps[a] - e
-            if ne == 0:
-                del exps[a]
-            else:
-                exps[a] = ne
-        stripped[tuple(sorted(exps.items()))] = c
-    rest = JetExpr._from_dict(stripped)
-    content = rest.terms[-1][1]  # leading (largest) coefficient
-    body = mul(rest, JetExpr.constant(Fraction(1, content)))
-    return content, mono, body
+        common = {a: min(e, exps[a]) for a, e in common.items() if a in exps}
+    mono: Monomial = tuple(sorted(common.items()))
+    inverse = tuple((a, -e) for a, e in mono)
+    # b's numerators on the stripped monomials, in canonical order
+    rest = _normalized({_mono_mul(m, inverse): n for m, n in b._terms}, 1)
+    lead = rest._terms[-1][1]
+    g = math.gcd(*(n for _m, n in rest._terms)) * (1 if lead > 0 else -1)
+    body = JetExpr(tuple((m, n // g) for m, n in rest._terms), lead // g)
+    return JetExpr.constant(Fraction(b._den, lead)), mono, body
 
 
 def _exact_div(a: JetExpr, b: JetExpr) -> JetExpr | None:

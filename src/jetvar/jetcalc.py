@@ -68,14 +68,11 @@ def total_derivative(e: JetExpr, axis: int | str, ctx: JetContext) -> JetExpr:
 
 def total_derivative_multi(e: JetExpr, sigma: MultiIndex, ctx: JetContext
                            ) -> JetExpr:
-    """Iterated total derivative D_sigma; D_0 is the identity."""
+    """Iterated total derivative D_sigma, the top of sigma's derivative
+    lattice; D_0 is the identity."""
     if sigma.dimension != ctx.n:
         raise ValueError("multi-index dimension does not match context")
-    out = e
-    for ax, count in enumerate(sigma):
-        for _ in range(count):
-            out = total_derivative(out, ax, ctx)
-    return out
+    return derivative_lattice(e, [sigma], ctx)[sigma]
 
 
 def lattice_edges(targets: Iterable[MultiIndex]

@@ -15,11 +15,8 @@ from .multiindex import MultiIndex, enumerate_up_to
 from .variational import BilinearForm, Lagrangian
 
 
-def _coordinate_pool(ctx: JetContext, max_order: int,
-                     include_base: bool = True) -> list[JetExpr]:
-    pool: list[JetExpr] = []
-    if include_base:
-        pool.extend(ctx.base(a) for a in range(ctx.n))
+def _coordinate_pool(ctx: JetContext, max_order: int) -> list[JetExpr]:
+    pool = [ctx.base(a) for a in range(ctx.n)]
     for i in range(ctx.m):
         for sigma in enumerate_up_to(ctx.n, max_order):
             pool.append(ctx.jet(i, sigma))
@@ -28,11 +25,10 @@ def _coordinate_pool(ctx: JetContext, max_order: int,
 
 def random_polynomial(rng: random.Random, ctx: JetContext, *,
                       max_order: int = 2, max_monomials: int = 6,
-                      max_factors: int = 3, max_power: int = 2,
-                      include_base: bool = True) -> JetExpr:
-    """Random polynomial in the jet coordinates with small integer
-    coefficients; may be zero only by cancellation."""
-    pool = _coordinate_pool(ctx, max_order, include_base)
+                      max_factors: int = 3, max_power: int = 2) -> JetExpr:
+    """Random polynomial in the base and jet coordinates with small
+    rational coefficients; may be zero only by cancellation."""
+    pool = _coordinate_pool(ctx, max_order)
     total = JetExpr.constant(0)
     for _ in range(rng.randint(1, max_monomials)):
         coeff = rng.choice([c for c in range(-4, 5) if c != 0])
@@ -43,14 +39,13 @@ def random_polynomial(rng: random.Random, ctx: JetContext, *,
     return total
 
 
-def random_base_polynomial(rng: random.Random, ctx: JetContext, *,
-                           max_degree: int = 3) -> JetExpr:
-    """Random polynomial in the base coordinates only (a closed-form
-    variation-field component)."""
+def random_base_polynomial(rng: random.Random, ctx: JetContext) -> JetExpr:
+    """Random polynomial of degree at most 3 in the base coordinates only
+    (a closed-form variation-field component)."""
     total = JetExpr.constant(rng.choice([c for c in range(-3, 4) if c != 0]))
     for ax in range(ctx.n):
         x = ctx.base(ax)
-        for k in range(1, max_degree + 1):
+        for k in range(1, 4):
             c = rng.randint(-3, 3)
             if c:
                 total = total + c * x ** k
@@ -81,13 +76,15 @@ def random_vertical_field(rng: random.Random, ctx: JetContext, *,
 
 
 def random_bilinear_form(rng: random.Random, ctx: JetContext, *,
-                         max_sigma_order: int = 3, max_entries: int = 4,
-                         coeff_order: int = 1) -> BilinearForm:
+                         max_sigma_order: int = 3, max_entries: int = 4
+                         ) -> BilinearForm:
+    """Random bilinear form whose coefficients are polynomials in the
+    base coordinates and the jet coordinates of order at most 1."""
     sigmas = enumerate_up_to(ctx.n, max_sigma_order)
     comps: dict[tuple[MultiIndex, int, int], JetExpr] = {}
     for _ in range(rng.randint(1, max_entries)):
         key = (rng.choice(sigmas), rng.randrange(ctx.m), rng.randrange(ctx.m))
-        val = random_polynomial(rng, ctx, max_order=coeff_order,
+        val = random_polynomial(rng, ctx, max_order=1,
                                 max_monomials=2, max_factors=2)
         comps[key] = comps[key] + val if key in comps else val
     return BilinearForm(ctx, comps)

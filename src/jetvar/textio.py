@@ -142,8 +142,7 @@ class _Parser:
             # a zero divisor, too large a product, or too large a power
             # that dividing by an inverse sum takes, is refused here
             try:
-                node = (ex.bounded_mul(node, rhs) if op.kind == "*"
-                        else node / rhs)
+                node = node * rhs if op.kind == "*" else node / rhs
             except ex.ExprError as err:
                 self.fail(str(err), op)
         return node
@@ -187,11 +186,19 @@ class _Parser:
         self.fail(f"expected an expression, found {t.text or 'end of input'!r}")
 
     def number(self, t: _Token, kind):
+        """The literal t as kind, int or Fraction.  One whose exact value
+        needs more digits than int() reads from text, judged as its
+        mantissa's digits plus its exponent's magnitude, is refused at t:
+        Fraction would build 1e100000000 in full."""
+        limit = sys.get_int_max_str_digits()
+        mantissa, _e, exponent = t.text.lower().partition("e")
         try:
-            return kind(t.text)
-        except ValueError:   # beyond the int-from-str digit limit
-            self.fail(f"number literal has more than "
-                      f"{sys.get_int_max_str_digits()} digits", t)
+            digits = len(mantissa.replace(".", "")) + abs(int(exponent or 0))
+        except ValueError:   # an exponent of more than limit digits
+            digits = math.inf
+        if 0 < limit < digits:
+            self.fail(f"number literal has more than {limit} digits", t)
+        return kind(t.text)
 
     def identifier(self) -> JetExpr:
         t = self.next()
@@ -299,14 +306,19 @@ def _counts(values) -> tuple[int, ...]:
     return tuple(_json(c, int) for c in values)
 
 
+# a coefficient as coeff_text writes it: p or p/q in ASCII digits
+_COEFF = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def _atom_from_dict(d: dict, ctx: JetContext) -> JetExpr:
     kind = d["kind"]
     if kind == "base":
-        return ctx.base(d["name"])
+        return ctx.base(_json(d["name"], str))
     if kind == "const":
         return atom_expr(ConstSym(d["name"]))
     if kind == "jet":
-        return ctx.jet(d["field"], MultiIndex(_counts(d["counts"])))
+        return ctx.jet(_json(d["field"], str),
+                       MultiIndex(_counts(d["counts"])))
     if kind == "elem":
         return ex.elem(d["fn"], _expr_from_dict(d["arg"], ctx))
     if kind == "opaque":
@@ -320,7 +332,10 @@ def _atom_from_dict(d: dict, ctx: JetContext) -> JetExpr:
 def _expr_from_dict(d: dict, ctx: JetContext) -> JetExpr:
     pieces = []
     for t in d["terms"]:
-        piece = JetExpr.constant(Fraction(_json(t["coeff"], str)))
+        coeff = _json(t["coeff"], str)
+        if not _COEFF.fullmatch(coeff):
+            raise ValueError(f"coeff must read p or p/q, got {coeff!r}")
+        piece = JetExpr.constant(Fraction(coeff))
         for f in t["factors"]:
             piece = piece * (_atom_from_dict(f["atom"], ctx)
                              ** _json(f["power"], int))

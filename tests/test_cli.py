@@ -333,6 +333,7 @@ def _bilinear(i: str, atom: dict, power: int) -> str:
 
 GEO = str(PROBLEMS / "geodesic_metric.vp")
 OSC_FORM = _bilinear("y", {"kind": "jet", "field": "y", "counts": [1]}, 2)
+BASE_FORM = _bilinear("y", {"kind": "base", "name": "t"}, 1)
 GEO_FORM = _bilinear("q1", {
     "kind": "opaque", "name": "g11", "orders": [1, 0],
     "args": [{"terms": [{"coeff": "1", "factors": [{"atom": {
@@ -348,6 +349,8 @@ MISTYPED = (
     (OSC, OSC_FORM, '"power": 2', '"power": 2.9', "int, got 2.9"),
     (OSC, OSC_FORM, '"power": 2', '"power": "3"', "int, got '3'"),
     (OSC, OSC_FORM, '"coeff": "1"', '"coeff": 1', "str, got 1"),
+    (OSC, OSC_FORM, '"field": "y"', '"field": 0', "str, got 0"),
+    (OSC, BASE_FORM, '"name": "t"', '"name": 0', "str, got 0"),
 )
 
 
@@ -552,7 +555,8 @@ NUMERIC_BLOCK_EDITS = (
     # a structured value of the wrong JSON type is refused, not converted;
     # its well-typed twin is read
     *((["adjoint", path, "--bilinear", "-"], form, 0)
-      for path, form in ((OSC, OSC_FORM), (GEO, GEO_FORM))),
+      for path, form in ((OSC, OSC_FORM), (OSC, BASE_FORM),
+                         (GEO, GEO_FORM))),
     *((["adjoint", path, "--bilinear", "-"], form.replace(old, new),
        (2, f"expected {error}"))
       for path, form, old, new, error in MISTYPED),
@@ -632,6 +636,23 @@ NUMERIC_BLOCK_EDITS = (
     # a power that a division takes is refused at the /, with a position
     (["el", _Edited("1/2*(y_t^2 - y^2)", "y/(1/(y + y_t + y_tt))^300")],
      None, (1, "line 7, col 4: power 300 of a sum of 3 terms would")),
+    # a number literal is refused where its exact value needs more digits
+    # than int() reads from text, its mantissa's plus its exponent's
+    # magnitude (see test_el_on_a_huge_decimal_exponent_exits_1_within_5_s)
+    *((["el", _Edited("1/2*(y_t^2 - y^2)", lagrangian)], None,
+       (1, "line 7, col 3: number literal has more than 4300 digits"))
+      for lagrangian in ("1e100000000*y", "1.5E-100000000*y", "1e4300*y",
+                         "1e" + "9" * 5000 + "*y")),
+    (["el", _Edited("1/2*(y_t^2 - y^2)", "1e4299*y - 1e4299*y + y")], None,
+     0),
+    # the structured reader reads a coefficient only as coeff_text writes
+    # it: p or p/q in ASCII digits
+    *((["adjoint", OSC, "--bilinear", "-"],
+       OSC_FORM.replace('"coeff": "1"', f'"coeff": "{coeff}"'),
+       (2, f"coeff must read p or p/q, got {coeff!r}"))
+      for coeff in ("1e5", "1.5", "+2", " 1 ", "1_0", "\u0661")),
+    (["adjoint", OSC, "--bilinear", "-"],
+     OSC_FORM.replace('"coeff": "1"', '"coeff": "-3/2"'), 0),
 ])
 def test_exit_code_contract(capsys, monkeypatch, tmp_path, argv, stdin, code):
     """Exit code, and a phrase of the error where code is (code, phrase),
@@ -749,6 +770,45 @@ def test_el_on_a_huge_product_of_sums_exits_1_within_5_s(capsys, tmp_path):
     outs = [run(capsys, "el", _Edited("1/2*(y_t^2 - y^2)", lag).write(tmp_path))
             for lag in (f"{cube}^20*{cube}^20", f"{cube}^40")]
     assert outs[0] == outs[1] and outs[0][0] == 0
+
+
+def _cli_within_5_s(argv: list[str], stdin: str | None = None
+                    ) -> subprocess.CompletedProcess:
+    """jetvar's command line run on argv in a fresh process, so that a
+    hang is a timeout, with 5 s to finish."""
+    env = {**os.environ, "PYTHONPATH": str(PROBLEMS.parent / "src")}
+    return subprocess.run([sys.executable, "-m", "jetvar.cli", *argv],
+                          env=env, input=stdin, capture_output=True,
+                          text=True, timeout=5)
+
+
+def test_el_on_a_huge_decimal_exponent_exits_1_within_5_s(tmp_path):
+    """A literal whose exact value needs more digits than int() reads
+    from text is refused at its column before Fraction builds it, here
+    an integer of 330 million bits."""
+    target = _Edited("1/2*(y_t^2 - y^2)", "1e100000000*y")
+    done = _cli_within_5_s(["el", target.write(tmp_path)])
+    assert done.returncode == 1
+    assert done.stderr == ("parse error: line 7, col 3: number literal has "
+                           "more than 4300 digits\n")
+
+
+def test_adjoint_on_a_huge_structured_product_exits_2_within_5_s():
+    """The structured reader's products are bounded as the parser's are:
+    a term holding two inverses of y + y_t + y_tt at power -70 is refused
+    before its two powers, of 2556 terms each, multiply."""
+    body = {"terms": [{"coeff": "1", "factors": [{"atom": {
+        "kind": "jet", "field": "y", "counts": [c]}, "power": 1}]}
+        for c in (0, 1, 2)]}
+    inverse = {"atom": {"kind": "inv", "body": body}, "power": -70}
+    payload = json.dumps({"type": "bilinear_form", "entries": [{
+        "sigma": [1], "i": "y", "j": "y", "value": {"terms": [
+            {"coeff": "1", "factors": [inverse, inverse]}]}}]})
+    done = _cli_within_5_s(["adjoint", OSC, "--bilinear", "-"], payload)
+    assert done.returncode == 2
+    assert done.stderr == (
+        "error: cannot read bilinear form: a product of sums of 2556 and "
+        "2556 terms would multiply more than 4194304 pairs of terms\n")
 
 
 # oscillator.vp with a section whose max |E| residual at 64 nodes,
@@ -1212,11 +1272,14 @@ _entries = st.fixed_dictionaries({
     "j": st.sampled_from(("y", "z", 0)),
     "value": st.one_of(_json, st.fixed_dictionaries({"terms": st.lists(
         st.fixed_dictionaries({
-            "coeff": st.sampled_from(("1", "-1/2", "1/0", "x", 2)),
+            "coeff": st.sampled_from(("1", "-1/2", "1/0", "x", 2, "1e5")),
             "factors": st.lists(st.fixed_dictionaries({
                 "atom": st.sampled_from(({"kind": "jet", "field": "y",
                                           "counts": [1]},
                                          {"kind": "base", "name": "t"},
+                                         {"kind": "jet", "field": 0,
+                                          "counts": [1]},
+                                         {"kind": "base", "name": 0},
                                          {"kind": "elem", "fn": "sin"},
                                          {"kind": "opaque"})),
                 "power": st.sampled_from((1, 2, -1, "2"))}), max_size=2)}),

@@ -11,7 +11,8 @@ from jetvar.expr import (ELEMENTARY_FUNCTIONS, Atom, BaseCoord, ConstSym,
                          JetCoord, ONE, OpaqueFn, UnknownCoordinate, ZERO,
                          _mono_key, add_many, add_scaled, all_atoms,
                          atom_expr, atom_pow, cos, elem, evaluate_exact,
-                         MAX_POWER_BITS, jet_coords, pow_int, sin)
+                         MAX_POWER_BITS, MAX_POWER_PAIRS, jet_coords, mul,
+                         pow_int, sin)
 from jetvar.multiindex import MultiIndex
 from jetvar.randgen import random_polynomial
 from jetvar.variational import (Lagrangian, adjoint, euler_lagrange,
@@ -72,6 +73,21 @@ def test_substitute_examples(ode_ctx):
         y ** 2 + 2 * y + 1
 
 
+def test_substitute_into_an_opaque_function_and_a_vanishing_term(
+        metric_ctx):
+    """A binding inside an opaque function's arguments rebuilds the
+    function, whose partial then takes the chain rule through the new
+    argument; a term that a binding sends to zero drops out."""
+    q1, q2, t = metric_ctx.fiber("q1"), metric_ctx.fiber("q2"), \
+        metric_ctx.base("t")
+    at_q1 = metric_ctx.jet_atom("q1")
+    moved = substitute(metric_ctx.opaque("g11"), {at_q1: 2 * q1})
+    assert moved == metric_ctx.opaque("g11", args=(2 * q1, q2))
+    assert partial(moved, at_q1) == \
+        2 * metric_ctx.opaque("g11", (1, 0), (2 * q1, q2))
+    assert substitute(q1 * t + q2, {at_q1: ZERO}) == q2
+
+
 def test_jet_order(ode_ctx, metric_ctx):
     y = ode_ctx.fiber("y")
     ytt = ode_ctx.jet("y", "tt")
@@ -117,6 +133,23 @@ def test_pow_bounds_the_coefficient_not_the_exponent(ode_ctx):
     ((((atom, _e),), _c),) = y.terms
     assert pow_int(y, 10 ** 8) == atom_pow(atom, 10 ** 8)
     assert pow_int(-y, 10 ** 20 + 1) == -pow_int(y, 10 ** 20 + 1)
+
+
+def test_mul_refuses_too_many_term_pairs_before_multiplying(ode_ctx,
+                                                           monkeypatch):
+    """Two sums of 2049 terms each would multiply 2049^2 > 2^22 pairs of
+    terms: mul refuses them before it forms one product of monomials."""
+    y = ode_ctx.jet_atom("y")
+    sum_2049 = add_many(atom_pow(y, k) for k in range(1, 2050))
+    assert len(sum_2049.terms) == 2049 and 2049 ** 2 > MAX_POWER_PAIRS
+
+    def multiplied(m1, m2):
+        raise AssertionError("mul multiplied before refusing")
+
+    monkeypatch.setattr("jetvar.expr._mono_mul", multiplied)
+    with pytest.raises(ExprError, match="a product of sums of 2049 and 2049 "
+                       "terms would multiply more than 4194304 pairs"):
+        mul(sum_2049, sum_2049)
 
 
 def test_constant_takes_only_exact_numbers(ode_ctx):
