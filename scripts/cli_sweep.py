@@ -15,8 +15,12 @@ pair; on each section, check-critical bare, with each field and with
 all of them, and second-var and jacobi --section on each ordered pair,
 each at the file's node count, at 7 nodes and at a large rule (1024
 nodes in 1-D, 16 per axis otherwise); adjoint on the structured V and J
-of each lagrangian and H of each source, fed on stdin.  The jetvar it
-runs is the src/ of the checkout that holds this script.
+of each lagrangian and H of each source, fed on stdin.  Then, once per
+subcommand and in no particular format, what argparse answers: -h, a
+flag the subcommand does not read, --format without its value, a typed
+flag with a bad value, and a call in the --flag=value form.  Help is
+wrapped at COLUMNS=80.  The jetvar it runs is the src/ of the checkout
+that holds this script.
 
     python scripts/cli_sweep.py [FILES...]
 """
@@ -26,12 +30,14 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import pathlib
 import shlex
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+os.environ["COLUMNS"] = "80"   # argparse wraps help to the terminal's width
 
 from jetvar import cli  # noqa: E402
 from jetvar.textio import ParseError, parse_problem_file  # noqa: E402
@@ -110,7 +116,22 @@ def corpus(path: str) -> list[tuple[list[str], str]]:
     out += [(["adjoint", "--bilinear", "-"], form)
             for form in _bilinear_inputs(path, lags, sources)]
     return [(argv + ["--format", fmt], stdin)
-            for argv, stdin in out for fmt in FORMATS]
+            for argv, stdin in out for fmt in FORMATS] + _refusals()
+
+
+def _refusals() -> list[tuple[list[str], str]]:
+    """(argv after the file, stdin) of help, usage errors and the
+    --flag=value form, once per subcommand."""
+    calls = []
+    for name, _handler, _help, flags in cli.COMMANDS:
+        required = "bilinear" in flags   # adjoint's --bilinear
+        need = ["--bilinear", "-"] if required else []
+        unread = "lagrangian" if required else "bilinear"
+        typed = ["--nodes", "0"] if "nodes" in flags else ["--format", "yaml"]
+        calls += [[name, "-h"], [name, *need, f"--{unread}", "x"],
+                  [name, *need, "--format"], [name, *need, *typed],
+                  [name, *["--bilinear=-"] * required, "--format=structured"]]
+    return [(argv, "") for argv in calls]
 
 
 def _shown(path: str) -> str:

@@ -10,9 +10,12 @@ is refused as a usage error.  Some take effect only beside another:
 jacobi's ``--fields``, ``--nodes`` and ``--tol`` with ``--section``, and
 check-critical's ``--step`` with ``--fields``.
 
-A call pays only for its own subcommand: the parser builder adds that
-one subparser (all of them for help, an unknown command or no arguments),
-and only the numeric ones (check-critical, second-var, jacobi --section)
+A call pays only for its own subcommand.  A plain call, one input and
+flags the subcommand reads, each given once, is read straight from
+``COMMANDS`` by ``read_argv``; argparse is imported and built only for
+what that declines, help and every refusal, and then adds one subparser
+(all of them for help, an unknown command or no arguments).  Only the
+numeric subcommands (check-critical, second-var, jacobi --section)
 import ``numeric``, and with it numpy.
 
 A subcommand's handler computes and does not print: it returns the
@@ -22,14 +25,14 @@ alone renders them in the requested format.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
+from types import SimpleNamespace
 
 from . import expr as ex
 from .expr import JetExpr
 from .jetcalc import VerticalField
-from .numconfig import NotCritical, NumericError, parse_setting
+from .numconfig import SETTINGS, NotCritical, NumericError, parse_setting
 from .textio import (ParseError, ProblemFile, dump_structured, object_to_dict,
                      parse_problem_file, parse_structured, print_object)
 from .variational import (BilinearForm, Lagrangian, SourceForm, adjoint,
@@ -49,48 +52,51 @@ class SemanticError(ValueError):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage errors exit 1, not argparse's 2
-        raise _UsageError(message)
-
-
 class _UsageError(ValueError):
     pass
 
 
-def _checked(name: str):
-    """argparse type for the numeric setting ``name``."""
-    def parse(text: str):
-        try:
-            return parse_setting(name, text)
-        except ValueError as err:
-            raise argparse.ArgumentTypeError(str(err)) from None
-    return parse
+FORMATS = ("plain", "latex", "structured")
 
-
-# argparse keywords of each flag a subcommand may read
+# argparse keywords of each flag a subcommand may read; the flag of a
+# numeric setting is typed by numconfig.parse_setting
 _FLAGS = {
     "lagrangian": dict(metavar="NAME"),
     "source": dict(metavar="NAME"),
     "section": dict(metavar="NAME"),
     "fields": dict(metavar="NAME,NAME",
                    help="comma-separated variation field names"),
-    "nodes": dict(metavar="N", type=_checked("nodes")),
-    "step": dict(metavar="H", type=_checked("step")),
-    "tol": dict(metavar="T", type=_checked("tol")),
+    "nodes": dict(metavar="N"),
+    "step": dict(metavar="H"),
+    "tol": dict(metavar="T"),
     "bilinear": dict(metavar="PATH", required=True,
                      help="structured-format bilinear form ('-' for stdin)"),
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser.  When ``command`` names a subcommand, only
-    its subparser is built; otherwise (help, an unknown command, no
-    arguments) all of them are, to list or refuse them."""
+def build_parser(command: str | None = None):
+    """The command-line parser, an argparse.ArgumentParser.  When
+    ``command`` names a subcommand, only its subparser is built;
+    otherwise (help, an unknown command, no arguments) all of them are,
+    to list or refuse them."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # usage errors exit 1, not argparse's 2
+            raise _UsageError(message)
+
+    def checked(name: str):
+        def parse(text: str):
+            try:
+                return parse_setting(name, text)
+            except ValueError as err:
+                raise argparse.ArgumentTypeError(str(err)) from None
+        return parse
+
     # the help text is the docstring's first two paragraphs
     description = "\n\n".join(__doc__.split("\n\n")[:2])
-    p = _Parser(prog="jetvar", description=description,
-                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = Parser(prog="jetvar", description=description,
+               formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
     known = any(command == name for name, *_ in COMMANDS)
     for name, handler, help, flags in COMMANDS:
@@ -99,13 +105,56 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help)
         sp.set_defaults(handler=handler)
         sp.add_argument("input", help="problem file path")
-        sp.add_argument("--format", choices=("plain", "latex", "structured"),
-                        default="plain")
+        sp.add_argument("--format", choices=FORMATS, default="plain")
         sp.add_argument("--output", metavar="PATH",
                         help="write output to PATH instead of stdout")
         for flag in flags:
-            sp.add_argument(f"--{flag}", **_FLAGS[flag])
+            typed = dict(type=checked(flag)) if flag in SETTINGS else {}
+            sp.add_argument(f"--{flag}", **_FLAGS[flag], **typed)
     return p
+
+
+def read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments of a plain call, as ``build_parser(argv[0])`` parses
+    them, read from ``COMMANDS``: a subcommand, then one input and flags
+    the subcommand reads, each once, as ``--flag value`` or
+    ``--flag=value``, where the input and each value is '-' or does not
+    start with '-', and each value is one its flag accepts.  None for
+    any other argv (help, a usage error, an abbreviation, a repeated
+    flag, ``--``, a negative number), which argparse then parses,
+    answers or refuses."""
+    found = next((c for c in COMMANDS if argv and c[0] == argv[0]), None)
+    if found is None:
+        return None
+    name, handler, _help, flags = found
+    values = {"format": "plain", "output": None, **dict.fromkeys(flags)}
+    given, inputs = set(), []
+    words = iter(argv[1:])
+    for word in words:
+        if word == "-" or not word.startswith("-"):
+            inputs.append(word)
+            continue
+        flag, eq, value = word[2:].partition("=")
+        if word[1] != "-" or flag not in values or flag in given:
+            return None
+        if not eq and (value := next(words, None)) is None:
+            return None
+        if value.startswith("-") and value != "-":
+            return None
+        if flag == "format" and value not in FORMATS:
+            return None
+        if flag in SETTINGS:
+            try:
+                value = parse_setting(flag, value)
+            except ValueError:
+                return None
+        given.add(flag)
+        values[flag] = value
+    if len(inputs) != 1 or any(_FLAGS[flag].get("required")
+                               and flag not in given for flag in flags):
+        return None
+    return SimpleNamespace(command=name, handler=handler, input=inputs[0],
+                           **values)
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +425,9 @@ def run(args) -> tuple[str, int]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
+        args = (read_argv(argv)
+                or build_parser(argv[0] if argv else None).parse_args(argv))
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -583,13 +583,16 @@ def pow_int(e: JetExpr, k: int) -> JetExpr:
     if k < 0:
         return pow_int(div(ONE, e), -k)
 
-    out, base, n = ONE, e, k
+    # repeated squaring, from the lowest set bit of k
+    base, n = e, k
     try:
-        while n:
+        while not n & 1:
+            base, n = mul(base, base), n >> 1
+        out = base
+        while n := n >> 1:
+            base = mul(base, base)
             if n & 1:
                 out = mul(out, base)
-            base = mul(base, base) if n > 1 else base
-            n >>= 1
     except ExprError:
         raise ExprError(f"power {k} of a sum of {len(e._terms)} terms would "
                         f"multiply more than {MAX_POWER_PAIRS} pairs of "

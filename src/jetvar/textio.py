@@ -165,7 +165,7 @@ class _Parser:
         t = self.expect("NUM")
         if any(c in t.text for c in ".eE"):
             self.fail("exponent must be an integer", t)
-        k = self.number(t, int)
+        k = self.number(t)
         try:
             return base ** (-k if neg else k)
         except ex.ExprError as err:   # a zero or too large a power
@@ -180,16 +180,17 @@ class _Parser:
             return node
         if t.kind == "NUM":
             self.next()
-            return JetExpr.constant(self.number(t, Fraction))
+            return JetExpr.constant(self.number(t))
         if t.kind == "IDENT":
             return self.identifier()
         self.fail(f"expected an expression, found {t.text or 'end of input'!r}")
 
-    def number(self, t: _Token, kind):
-        """The literal t as kind, int or Fraction.  One whose exact value
-        needs more digits than int() reads from text, judged as its
-        mantissa's digits plus its exponent's magnitude, is refused at t:
-        Fraction would build 1e100000000 in full."""
+    def number(self, t: _Token):
+        """The literal t, an int when it is all digits, else a Fraction.
+        One whose exact value needs more digits than int() reads from
+        text, judged as its mantissa's digits plus its exponent's
+        magnitude, is refused at t: Fraction would build 1e100000000 in
+        full."""
         limit = sys.get_int_max_str_digits()
         mantissa, _e, exponent = t.text.lower().partition("e")
         try:
@@ -198,7 +199,7 @@ class _Parser:
             digits = math.inf
         if 0 < limit < digits:
             self.fail(f"number literal has more than {limit} digits", t)
-        return kind(t.text)
+        return (int if t.text.isdecimal() else Fraction)(t.text)
 
     def identifier(self) -> JetExpr:
         t = self.next()
@@ -301,9 +302,19 @@ def _json(value, kind: type):
     return value
 
 
+# The largest total order of a multi-index or opaque derivative order the
+# structured reader takes.  adjoint walks the box below sigma, up to 2^order
+# indices (one per axis): at 10, on 10 axes, it writes 32 MB in about 2 s.
+MAX_ORDER = 10
+
+
 def _counts(values) -> tuple[int, ...]:
-    """The entries of a multi-index or of an opaque derivative order."""
-    return tuple(_json(c, int) for c in values)
+    """The entries of a multi-index or of an opaque derivative order; a
+    total order past MAX_ORDER raises ValueError."""
+    counts = tuple(_json(c, int) for c in values)
+    if (order := sum(counts)) > MAX_ORDER:
+        raise ValueError(f"derivative order {order} passes {MAX_ORDER}")
+    return counts
 
 
 # a coefficient as coeff_text writes it: p or p/q in ASCII digits

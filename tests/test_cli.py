@@ -15,7 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from jetvar import (BilinearForm, JetContext, NumericSection, check_critical,
                     second_variation_check)
-from jetvar.cli import COMMANDS, _UsageError, build_parser, main
+from jetvar import cli
+from jetvar.cli import COMMANDS, _UsageError, build_parser, main, read_argv
 from jetvar.multiindex import MultiIndex
 from jetvar.textio import parse_problem_file, print_object
 
@@ -811,6 +812,33 @@ def test_adjoint_on_a_huge_structured_product_exits_2_within_5_s():
         "2556 terms would multiply more than 4194304 pairs of terms\n")
 
 
+# a derivative of order 10 million in the value, 200 bytes, which made
+# adjoint write 20 MB; a sigma of order 20000 on the value 1, 131 bytes,
+# which made adjoint write labels that grow with the square of the order
+HUGE_ORDERS = (
+    ('{"type": "bilinear_form", "entries": [{"sigma": [1], "i": "y", "j": '
+     '"y", "value": {"terms": [{"coeff": "1", "factors": [{"atom": {"kind": '
+     '"jet", "field": "y", "counts": [10000000]}, "power": 1}]}]}}]}',
+     10000000, 200),
+    ('{"type": "bilinear_form", "entries": [{"sigma": [20000], "i": "y", '
+     '"j": "y", "value": {"terms": [{"coeff": "1", "factors": []}]}}]}',
+     20000, 131),
+)
+
+
+@pytest.mark.parametrize("payload, order, size", HUGE_ORDERS)
+def test_adjoint_on_a_huge_structured_derivative_order_exits_2_within_5_s(
+        payload, order, size):
+    """The structured reader refuses a derivative order past
+    textio.MAX_ORDER as it reads it, before adjoint takes a derivative."""
+    assert len(payload) == size
+    done = _cli_within_5_s(["adjoint", OSC, "--bilinear", "-"], payload)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == ("error: cannot read bilinear form: derivative "
+                           f"order {order} passes 10\n")
+
+
 # oscillator.vp with a section whose max |E| residual at 64 nodes,
 # 1.19e-07, lies between 1e-8 and the default tolerance 1e-6, and with
 # no tol line, so that the command takes the default as the library does
@@ -991,8 +1019,10 @@ def test_symbolic_subcommands_load_no_numpy(tmp_path):
     """Each symbolic subcommand, in every format, runs without importing
     numpy, on a problem file that has a numeric block; check-critical
     then loads it.  Neither importing the command line nor running those
-    subcommands loads dataclasses, typing or inspect: under -S, since a
-    site .pth file may import typing on its own."""
+    subcommands loads dataclasses, typing, inspect, or argparse and what
+    it imports (gettext, locale): under -S, since a site .pth file may
+    import typing on its own.  Nor does check-critical add argparse.
+    Help still goes through argparse, and prints its help text."""
     ctx = JetContext.make("t", "y")
     form = print_object(
         BilinearForm(ctx, {(MultiIndex((2,)), 0, 0): ctx.fiber("y")}),
@@ -1015,13 +1045,28 @@ def test_symbolic_subcommands_load_no_numpy(tmp_path):
         "        assert main(argv) == 0, argv",
         "assert 'numpy' not in sys.modules"]
     _run_fresh("\n".join(symbolic + [
+        "before = set(sys.modules)",
         "with contextlib.redirect_stdout(io.StringIO()):",
         f"    assert main(['check-critical', {OSC!r}, '--section', 'sol']) == 0",
-        "assert 'numpy' in sys.modules"]))
-    unused = ("loaded = {'dataclasses', 'typing', 'inspect'} & "
-              "sys.modules.keys()\nassert not loaded, loaded")
-    _run_fresh("\n".join(symbolic[:2] + [unused] + symbolic[2:] + [unused]),
-               "-S")
+        "assert 'numpy' in sys.modules",
+        "assert not {'argparse', 'gettext', 'locale'} & (sys.modules.keys() "
+        "- before)"]))
+    unused = ("loaded = {'dataclasses', 'typing', 'inspect', 'argparse', "
+              "'gettext', 'locale'} & sys.modules.keys()\n"
+              "assert not loaded, loaded")
+    helps = [
+        "from jetvar.cli import build_parser",
+        f"for argv in (['-h'], ['el', '-h'], ['adjoint', {OSC!r}, '--help']):",
+        "    got, want = io.StringIO(), io.StringIO()",
+        "    with contextlib.redirect_stdout(got):",
+        "        assert main(argv) == 0",
+        "    assert 'argparse' in sys.modules",
+        "    with contextlib.redirect_stdout(want), "
+        "contextlib.suppress(SystemExit):",
+        "        build_parser(argv[0]).parse_args(argv)",
+        "    assert got.getvalue() == want.getvalue() != '', argv"]
+    _run_fresh("\n".join(symbolic[:2] + [unused] + symbolic[2:] + [unused]
+                         + helps), "-S")
 
 
 def test_import_jetvar_loads_no_numpy():
@@ -1334,3 +1379,139 @@ def test_main_returns_an_exit_code_and_never_raises(property_dir, command,
     if (flags.get("--format") == "structured" and "-h" not in extra
             and out.getvalue()):
         json.loads(out.getvalue())
+
+
+# ---------------------------------------------------------------------------
+# a plain call is read without argparse
+# ---------------------------------------------------------------------------
+
+
+class _Reached(Exception):
+    """Raised in place of running a command, with its arguments."""
+
+
+def _argparse_args(argv: list[str]) -> dict | None:
+    """The arguments argparse parses from argv; None where it prints help
+    or refuses argv."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return vars(build_parser(argv[0] if argv else None)
+                        .parse_args(argv))
+    except (_UsageError, SystemExit):
+        return None
+
+
+def _check_reader(argv: list[str]) -> None:
+    """If read_argv accepts argv, its arguments are argparse's and main
+    runs them without building a parser; if it declines argv, main hands
+    argv to build_parser."""
+    read = read_argv(argv)
+    built, real = [], cli.build_parser
+
+    def spy(command=None):
+        built.append(command)
+        return real(command)
+
+    def stop(args):
+        raise _Reached(args)
+
+    reached = None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "build_parser", spy)
+        mp.setattr(cli, "run", stop)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                main(argv)
+        except _Reached as err:
+            reached = vars(err.args[0])
+    if read is None:
+        assert built == [argv[0] if argv else None]
+        assert reached == _argparse_args(argv)
+    else:
+        assert built == []
+        assert vars(read) == reached == _argparse_args(argv)
+
+
+# the cli workload's argv, and each in the --flag=value form
+WORKLOAD_ARGVS = [
+    shape + ["--nodes", "1024"] * ("--section" in shape) + ["--format", fmt]
+    for shape in WORKLOAD_SHAPES for fmt in ("plain", "structured")]
+WORKLOAD_ARGVS += [[argv[0], argv[1], *(f"{flag}={value}" for flag, value
+                                        in zip(argv[2::2], argv[3::2]))]
+                   for argv in WORKLOAD_ARGVS]
+
+
+@pytest.mark.parametrize("argv", WORKLOAD_ARGVS)
+def test_workload_argv_are_read_without_argparse(argv):
+    """Every argv shape of the benchmark's cli workload is a plain call."""
+    assert read_argv(argv) is not None
+
+
+# values of every kind: valid for some flag, invalid for others, starting
+# with '-', empty, holding '='
+_WORDS = ("plain", "structured", "osc", "sol", "b1,b2", "16", "1e-3", "-",
+          "latex", "yaml", "0", "nan", "x", "", "-1", "-h", "--format",
+          "a=b", OSC)
+_VALID = {"--format": ("plain", "latex", "structured"), "--nodes": ("16",),
+          "--step": ("1e-3",), "--tol": ("0", "1e-6")}
+_FLAG_WORDS = ("--format", "--output", "--lagrangian", "--source",
+               "--section", "--fields", "--nodes", "--step", "--tol",
+               "--bilinear", "--form", "--lag", "--node", "--bogus", "-h",
+               "--help", "--", "-f", "--format=", "--=plain")
+
+
+def _flag(flag: str, value: str, joined: bool) -> list[str]:
+    return [f"{flag}={value}"] if joined else [flag, value]
+
+
+def _pieces(cmd: str):
+    """Pieces of an argv after the subcommand: mostly a flag the command
+    reads with a value it may accept, or any flag with any value, or a
+    lone word (a flag missing its value, an extra input)."""
+    read = st.sampled_from(("--format", "--output", *READ_FLAGS.get(cmd, ())))
+    plain = read.flatmap(lambda flag: st.builds(
+        _flag, st.just(flag), st.sampled_from(_VALID.get(flag, _WORDS[:8])),
+        st.booleans()))
+    anything = st.builds(_flag, st.sampled_from(_FLAG_WORDS),
+                         st.sampled_from(_WORDS), st.booleans())
+    lone = st.sampled_from((*_FLAG_WORDS, "-", "extra", OSC)).map(
+        lambda word: [word])
+    return st.one_of(plain, plain, plain, anything, lone)
+
+
+def _argv(cmd: str, pieces: list[list[str]], given: list[str], at: int):
+    """cmd, then the pieces with the input words given at index at."""
+    words = [*pieces[:at], given, *pieces[at:]]
+    return [cmd, *(word for piece in words for word in piece)]
+
+
+_argvs = st.one_of(st.just([]), st.sampled_from((*READ_FLAGS, "nope")).flatmap(
+    lambda cmd: st.builds(
+        _argv, st.just(cmd), st.lists(_pieces(cmd), max_size=5),
+        st.sampled_from(([OSC], [OSC], ["-"], [])), st.integers(0, 5))))
+
+
+@pytest.mark.parametrize("argv", [*PARSER_ARGVS, *WORKLOAD_ARGVS])
+def test_argv_reader_agrees_with_argparse(argv):
+    """read_argv accepts an argv only as argparse parses it, and main
+    hands every argv it declines (help, usage errors, abbreviations) to
+    argparse."""
+    _check_reader(argv)
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_argvs)
+@example(argv=["el", OSC, "--format", "plain", "--format", "latex"])
+@example(argv=["el", OSC, "--form", "latex"])
+@example(argv=["el", OSC, "--lagrangian", "-h"])
+@example(argv=["el", "--", OSC])
+@example(argv=["check-critical", OSC, "--nodes", "-1"])
+@example(argv=["adjoint", OSC, "--bilinear"])
+@example(argv=["el", OSC, "--format=", "--lagrangian", ""])
+def test_argv_reader_agrees_with_argparse_on_any_argv(argv):
+    """As above, on drawn argv: flags in any order, in either form,
+    repeated or abbreviated, help anywhere, values that start with '-',
+    missing values, '--', extra inputs."""
+    _check_reader(argv)

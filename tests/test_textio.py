@@ -10,9 +10,9 @@ from jetvar import JetContext, Lagrangian, euler_lagrange, to_plain
 from jetvar.expr import ONE, exp, sin, sqrt
 from jetvar.multiindex import MultiIndex
 from jetvar.randgen import random_polynomial
-from jetvar.textio import (ParseError, _lex, dump_structured, parse_expr,
-                           parse_problem_file, parse_structured, print_object,
-                           to_latex)
+from jetvar.textio import (MAX_ORDER, ParseError, _lex, dump_structured,
+                           parse_expr, parse_problem_file, parse_structured,
+                           print_object, to_latex)
 from jetvar.variational import BilinearForm, _sigma_label
 
 seeds = st.integers(0, 10**9)
@@ -278,6 +278,33 @@ def test_structured_roundtrip_forms(ode_ctx):
                                 (MultiIndex((0,)), 0, 0): ONE})
     back = parse_structured(print_object(bf, "structured"), ode_ctx)
     assert back == bf
+
+
+@pytest.mark.parametrize("where", ["counts", "sigma", "orders"])
+def test_structured_derivative_order_is_bounded(metric_ctx, where):
+    """A multi-index or opaque derivative order of total order MAX_ORDER is
+    read, and one past it is refused before any form is built, in the
+    value's jet coordinates, in sigma and in an opaque atom's orders."""
+    def payload(order: int) -> str:
+        split = [order // 2, order - order // 2]
+        atom = {"kind": "jet", "field": "q1",
+                "counts": [order if where == "counts" else 0]}
+        if where == "orders":
+            q = [{"terms": [{"coeff": "1", "factors": [{"atom": {
+                "kind": "jet", "field": f, "counts": [0]}, "power": 1}]}]}
+                for f in ("q1", "q2")]
+            atom = {"kind": "opaque", "name": "g11", "orders": split,
+                    "args": q}
+        sigma = [order if where == "sigma" else 0]
+        return json.dumps({"type": "bilinear_form", "entries": [{
+            "sigma": sigma, "i": "q1", "j": "q2", "value": {"terms": [
+                {"coeff": "1", "factors": [{"atom": atom, "power": 1}]}]}}]})
+
+    assert isinstance(parse_structured(payload(MAX_ORDER), metric_ctx),
+                      BilinearForm)
+    with pytest.raises(ValueError, match=f"derivative order {MAX_ORDER + 1} "
+                                         f"passes {MAX_ORDER}"):
+        parse_structured(payload(MAX_ORDER + 1), metric_ctx)
 
 
 # seconds allowed to read back the 3060 terms of (1 + t + y + y_t + y_tt)^14,
