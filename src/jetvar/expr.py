@@ -66,6 +66,7 @@ class Atom(tuple):
     kind: 1 + the largest height among the function atoms in its
     arguments.  Two function atoms of one kind and different heights
     then compare in one step instead of walking the shallower nesting.
+    No function atom is built past ``MAX_HEIGHT``: ``ExprError`` instead.
     A jet coordinate's key holds its ``MultiIndex``, a tuple that compares
     as its counts.  What the key leaves out (a jet coordinate's base
     names, a function atom's argument expressions) is kept on the
@@ -287,11 +288,24 @@ class InvSum(Atom):
         return {"kind": "inv", "body": expr_to_dict(self.body)}
 
 
+# the deepest function atoms nest: at this height every recursive walk of
+# an expression (comparison, derivation, substitution, printing, the
+# structured writer and reader, numeric evaluation) leaves more than 500
+# of the interpreter's default 1000 frames to its caller; the parser
+# bounds its open parentheses by it too
+MAX_HEIGHT = 64
+
+
 def _height(args: tuple["JetExpr", ...]) -> int:
     """The nesting height of a function atom with these arguments: 1 + the
-    largest height among the function atoms in their terms (1 if none)."""
-    return 1 + max((a[1] for arg in args for m, _n in arg._terms
-                    for a, _k in m if a.args), default=0)
+    largest height among the function atoms in their terms (1 if none);
+    ExprError past MAX_HEIGHT."""
+    height = 1 + max((a[1] for arg in args for m, _n in arg._terms
+                      for a, _k in m if a.args), default=0)
+    if height > MAX_HEIGHT:
+        raise ExprError(f"function applications nested {height} deep pass "
+                        f"the bound of {MAX_HEIGHT}")
+    return height
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,7 @@ class _Parser:
         self.toks = toks
         self.ctx = ctx
         self.pos = 0
+        self.depth = 0    # the '(' open at the current token
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
@@ -123,6 +124,18 @@ class _Parser:
     def fail(self, message: str, tok: _Token | None = None):
         t = tok or self.peek()
         raise ParseError(message, t.line, t.col)
+
+    def open(self):
+        """Take a '(', refused past expr.MAX_HEIGHT open ones: the parser
+        recurses about six frames deeper at each."""
+        t = self.expect("(")
+        self.depth += 1
+        if self.depth > ex.MAX_HEIGHT:
+            self.fail("expression nested too deeply", t)
+
+    def close(self):
+        self.expect(")")
+        self.depth -= 1
 
     # grammar ---------------------------------------------------------------
 
@@ -148,10 +161,16 @@ class _Parser:
         return node
 
     def unary(self) -> JetExpr:
-        if self.peek().kind == "-":
+        """A run of '-' before a factor, refused past expr.MAX_HEIGHT
+        signs as a nesting of as many '(' is."""
+        signs = 0
+        while self.peek().kind == "-":
+            signs += 1
+            if signs > ex.MAX_HEIGHT:
+                self.fail("expression nested too deeply")
             self.next()
-            return -self.unary()
-        return self.factor()
+        node = self.factor()
+        return -node if signs % 2 else node
 
     def factor(self) -> JetExpr:
         base = self.base()
@@ -174,9 +193,9 @@ class _Parser:
     def base(self) -> JetExpr:
         t = self.peek()
         if t.kind == "(":
-            self.next()
+            self.open()
             node = self.expression()
-            self.expect(")")
+            self.close()
             return node
         if t.kind == "NUM":
             self.next()
@@ -206,9 +225,9 @@ class _Parser:
         name = t.text
         ctx = self.ctx
         if name in ex.ELEMENTARY_FUNCTIONS:
-            self.expect("(")
+            self.open()
             arg = self.expression()
-            self.expect(")")
+            self.close()
             return ex.elem(name, arg)
         if name in ex.KNOWN_CONSTANTS:
             return atom_expr(ConstSym(name))
@@ -230,13 +249,13 @@ class _Parser:
             if self.peek().kind == "_":
                 for nm in self.suffix(set(argnames)):
                     orders[argnames.index(nm)] += 1
-            self.expect("(")
+            self.open()
             args = [self.expression()]
             while self.peek().kind == ",":
                 self.next()
                 args.append(self.expression())
             close = self.peek()
-            self.expect(")")
+            self.close()
             if len(args) != len(argnames):
                 self.fail(f"opaque function {name!r} expects {len(argnames)} "
                           f"arguments, got {len(args)}", close)
@@ -277,12 +296,7 @@ def parse_expr(src: str, ctx: JetContext, *, line: int = 1, col: int = 1
 
 def _parse_tokens(toks: list[_Token], ctx: JetContext) -> JetExpr:
     p = _Parser(toks, ctx)
-    try:
-        node = p.expression()
-    except RecursionError:
-        t = p.peek()
-        raise ParseError("expression nested too deeply", t.line, t.col) \
-            from None
+    node = p.expression()
     t = p.peek()
     if t.kind != "EOF":
         raise ParseError(f"unexpected trailing input {t.text!r}", t.line, t.col)
@@ -393,6 +407,9 @@ def parse_structured(text: str, ctx: JetContext):
     """Read a structured payload; a malformed one raises ValueError."""
     try:
         return object_from_dict(json.loads(text), ctx)
+    # json.loads raises RecursionError itself on a payload nested deeper
+    # than it reads, such as "[" * 100000, before any atom is built; a
+    # payload that it reads nests the reader less than half as deep
     except (AttributeError, ArithmeticError, KeyError, RecursionError,
             TypeError) as err:
         raise ValueError(f"malformed structured payload: {err!r}") from None
@@ -405,14 +422,10 @@ def parse_structured(text: str, ctx: JetContext):
 
 def dump_structured(payload: dict) -> str:
     """The structured-format text of a JSON-ready payload: keys sorted,
-    two-space indent.  Every structured output is written here.  A payload
-    nested too deeply for the writer's recursion raises ExprError, as a
-    coefficient with too many digits does in ``expr``."""
-    try:
-        return _json_text(payload, "\n")
-    except RecursionError:
-        raise ex.ExprError("the output is nested too deeply to write") \
-            from None
+    two-space indent.  Every structured output is written here; no
+    expression nests deeper than expr.MAX_HEIGHT, which the writer's
+    recursion fits."""
+    return _json_text(payload, "\n")
 
 
 _json_str = json.encoder.encode_basestring_ascii
@@ -423,13 +436,17 @@ def _json_text(o, nl: str) -> str:
     byte, where nl is the newline and indent of o's own line; dict keys
     must be strings.  (With indent, json.dumps leaves its C encoder for a
     pure-Python one, two to three times slower than this.)  Containers
-    are tested first, as they are the most common, and bool before int."""
+    are tested first, as they are the most common, and bool before int.
+    They are filled by loops: a comprehension is a frame of its own
+    before Python 3.12, which would double the writer's recursion and
+    take longer on the small containers of an expression."""
     if isinstance(o, dict):
         if not o:
             return "{}"
         inner = nl + "  "
-        items = [_json_str(k) + ": " + _json_text(v, inner)
-                 for k, v in sorted(o.items())]
+        items = []
+        for k, v in sorted(o.items()):
+            items.append(_json_str(k) + ": " + _json_text(v, inner))
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     if isinstance(o, str):
         return _json_str(o)
@@ -437,7 +454,9 @@ def _json_text(o, nl: str) -> str:
         if not o:
             return "[]"
         inner = nl + "  "
-        items = [_json_text(v, inner) for v in o]
+        items = []
+        for v in o:
+            items.append(_json_text(v, inner))
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     if o is None:
         return "null"

@@ -17,6 +17,7 @@ from jetvar import (BilinearForm, JetContext, NumericSection, check_critical,
                     second_variation_check)
 from jetvar import cli
 from jetvar.cli import COMMANDS, _UsageError, build_parser, main, read_argv
+from jetvar.expr import MAX_HEIGHT
 from jetvar.multiindex import MultiIndex
 from jetvar.textio import parse_problem_file, print_object
 
@@ -561,10 +562,11 @@ NUMERIC_BLOCK_EDITS = (
     *((["adjoint", path, "--bilinear", "-"], form.replace(old, new),
        (2, f"expected {error}"))
       for path, form, old, new, error in MISTYPED),
-    # a potential nested deeper than Python source may nest parentheses
-    (["check-critical", _nested_edit(100), "--section", "sol", "--fields",
-      "b1"], None, (3, "max residual: 1.0\n")),
-    # input nested deeper than the parser's stack
+    # a potential nested expr.MAX_HEIGHT deep runs (one level deeper is
+    # the last case)
+    (["check-critical", _nested_edit(MAX_HEIGHT), "--section", "sol",
+      "--fields", "b1"], None, (3, "max residual: 1.0\n")),
+    # input nested past expr.MAX_HEIGHT
     *((["el", _Edited("1/2*(y_t^2 - y^2)", lagrangian)], None,
        (1, "nested too deeply"))
       for lagrangian in ("-" * 1200 + "y_t^2",
@@ -654,6 +656,8 @@ NUMERIC_BLOCK_EDITS = (
       for coeff in ("1e5", "1.5", "+2", " 1 ", "1_0", "\u0661")),
     (["adjoint", OSC, "--bilinear", "-"],
      OSC_FORM.replace('"coeff": "1"', '"coeff": "-3/2"'), 0),
+    (["check-critical", _nested_edit(MAX_HEIGHT + 1), "--section", "sol",
+      "--fields", "b1"], None, (1, "nested too deeply")),
 ])
 def test_exit_code_contract(capsys, monkeypatch, tmp_path, argv, stdin, code):
     """Exit code, and a phrase of the error where code is (code, phrase),
@@ -672,55 +676,77 @@ def test_exit_code_contract(capsys, monkeypatch, tmp_path, argv, stdin, code):
 
 
 def test_deepest_accepted_nesting_runs(capsys, tmp_path):
-    """At the deepest nesting of the potential that the parser accepts,
-    el and check-critical run to their answers; one level deeper is a
-    parse error with a position.  el's structured output, there and at 81
-    deep, is written or refused with exit 2 and one error line."""
-    def el(depth):
-        return run(capsys, "el", _nested_edit(depth).write(tmp_path))
-
-    accepted, refused = 1, 400
-    assert el(accepted)[0] == 0
-    assert el(refused)[0] == 1
-    while refused - accepted > 1:
-        mid = (accepted + refused) // 2
-        if el(mid)[0] == 0:
-            accepted = mid
-        else:
-            refused = mid
-    code, out, err = el(accepted)
-    assert code == 0 and out.startswith("e_1 = -y_tt + sin(") and not err
-    code, _out, err = el(refused)
-    assert code == 1
-    assert re.fullmatch(r"parse error: line \d+, col \d+: expression "
-                        r"nested too deeply\n", err)
-    code, out, _err = run(capsys, "check-critical",
-                          _nested_edit(accepted).write(tmp_path),
+    """The deepest nesting of the potential that el accepts is
+    expr.MAX_HEIGHT in every format, where el writes its answer and
+    check-critical runs to its report; one level deeper is a parse error
+    at the first '(' past the bound."""
+    starts = {"plain": "e_1 = -y_tt + sin(",
+              "latex": "e_{1} = -y_{t t} + \\sin\\left(",
+              "structured": '{\n  "command": "el",'}
+    deepest = _nested_edit(MAX_HEIGHT).write(tmp_path)
+    for fmt, start in starts.items():
+        code, out, err = run(capsys, "el", deepest, "--format", fmt)
+        assert code == 0 and out.startswith(start) and not err
+    code, out, _err = run(capsys, "check-critical", deepest,
                           "--section", "sol", "--fields", "b1")
     assert code == 3 and out.startswith("max residual: 1.0\n")
-    for depth in (81, accepted):
-        code, out, err = run(capsys, "el", _nested_edit(depth).write(tmp_path),
-                             "--format", "structured")
-        assert (code, err) in (
-            (0, ""), (2, "error: the output is nested too deeply to write\n"))
+    deeper = _nested_edit(MAX_HEIGHT + 1).write(tmp_path)
+    # line 7 reads "  y_t^2/2 + y*sin(sin(..."
+    col = 14 + 4 * (MAX_HEIGHT + 1)
+    for fmt in starts:
+        code, _out, err = run(capsys, "el", deeper, "--format", fmt)
+        assert (code, err) == (1, f"parse error: line 7, col {col}: "
+                                  f"expression nested too deeply\n")
 
 
-# seconds allowed for el on sin nested 100 deep around y_t, about 1 s on a
-# 2-core Xeon; before function atoms kept their nesting height in their
-# key the same run took about 20 minutes
-NESTED_EL_BUDGET = 30
+# seconds allowed for el on sin nested expr.MAX_HEIGHT deep around y_t,
+# about 0.3 s on a 2-core Xeon; with no nesting height in function atoms'
+# keys the same run takes about 16 s
+NESTED_EL_BUDGET = 5
 
 
 def test_el_on_deeply_nested_functions_is_bounded(capsys, tmp_path):
-    """el on L = sin(sin(...sin(y_t)...)), 100 deep, exits 0 within its
-    budget: comparing two cos factors of different depths, as the chain
-    rule's products do, takes one step."""
-    lag = _Edited("1/2*(y_t^2 - y^2)", "sin(" * 100 + "y_t" + ")" * 100)
+    """el on L = sin(sin(...sin(y_t)...)), expr.MAX_HEIGHT deep, exits 0
+    within its budget: comparing two cos factors of different depths, as
+    the chain rule's products do, takes one step."""
+    lag = _Edited("1/2*(y_t^2 - y^2)",
+                  "sin(" * MAX_HEIGHT + "y_t" + ")" * MAX_HEIGHT)
     start = time.perf_counter()
     code, out, err = run(capsys, "el", lag.write(tmp_path))
     elapsed = time.perf_counter() - start
     assert code == 0 and out.startswith("e_1 = ") and not err
     assert elapsed < NESTED_EL_BUDGET
+
+
+def _sin_atom(depth: int) -> dict:
+    """The structured atom of sin nested depth deep around y."""
+    atom = {"kind": "jet", "field": "y", "counts": [0]}
+    for _ in range(depth):
+        atom = {"kind": "elem", "fn": "sin", "arg": {"terms": [
+            {"coeff": "1", "factors": [{"atom": atom, "power": 1}]}]}}
+    return atom
+
+
+def test_structured_reader_refuses_too_deep_a_payload(capsys, monkeypatch):
+    """adjoint --bilinear reads an entry that nests sin expr.MAX_HEIGHT
+    deep; one level deeper exits 2 with one error line that names the
+    bound, and so does a payload nested deeper than json.loads reads."""
+    refusals = {
+        _bilinear("y", _sin_atom(MAX_HEIGHT + 1), 1):
+            f"function applications nested {MAX_HEIGHT + 1} deep pass the "
+            f"bound of {MAX_HEIGHT}",
+        "[" * 100000: "malformed structured payload: RecursionError("}
+    monkeypatch.setattr("sys.stdin",
+                        io.StringIO(_bilinear("y", _sin_atom(MAX_HEIGHT), 1)))
+    code, out, err = run(capsys, "adjoint", OSC, "--bilinear", "-")
+    assert code == 0 and not err
+    assert out.startswith("A^{0}_{1 1} = -y_t*cos(y)*cos(sin(y))*")
+    for payload, phrase in refusals.items():
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        code, out, err = run(capsys, "adjoint", OSC, "--bilinear", "-")
+        assert code == 2 and not out
+        assert err.startswith("error: cannot read bilinear form: " + phrase)
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_el_on_a_huge_constant_power_exits_1_within_5_s(tmp_path):

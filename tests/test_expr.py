@@ -11,8 +11,8 @@ from jetvar.expr import (ELEMENTARY_FUNCTIONS, Atom, BaseCoord, ConstSym,
                          JetCoord, ONE, OpaqueFn, UnknownCoordinate, ZERO,
                          _mono_key, add_many, add_scaled, all_atoms,
                          atom_expr, atom_pow, cos, elem, evaluate_exact,
-                         MAX_POWER_BITS, MAX_POWER_PAIRS, jet_coords, mul,
-                         pow_int, sin)
+                         MAX_HEIGHT, MAX_POWER_BITS, MAX_POWER_PAIRS,
+                         jet_coords, mul, pow_int, sin)
 from jetvar.multiindex import MultiIndex
 from jetvar.randgen import random_polynomial
 from jetvar.variational import (Lagrangian, adjoint, euler_lagrange,
@@ -490,8 +490,8 @@ def test_atom_is_its_old_sort_key(seed):
 
 
 def test_deeply_nested_atom_hashes_compares_and_prints():
-    """sin nested 150 deep around y_t, built twice: the two atoms hash,
-    compare and print without a RecursionError."""
+    """sin nested MAX_HEIGHT deep around y_t, built twice: the two atoms
+    hash, compare and print; one level deeper is refused as it is built."""
     ctx = JetContext.make("t", "y")
 
     def nested(depth):
@@ -500,14 +500,18 @@ def test_deeply_nested_atom_hashes_compares_and_prints():
             e = sin(e)
         return e
 
-    a, b, shallower = nested(150), nested(150), nested(149)
+    a, b = nested(MAX_HEIGHT), nested(MAX_HEIGHT)
+    shallower = nested(MAX_HEIGHT - 1)
     ((x, _k),), _c = a.terms[0]
     ((y, _k),), _c = b.terms[0]
     ((z, _k),), _c = shallower.terms[0]
     assert x is not y and hash(x) == hash(y) and x == y
     assert not x < y and z < x and x != z
     assert a == b and hash(a) == hash(b) and a - b == ZERO
-    assert to_plain(a) == "sin(" * 150 + "y_t" + ")" * 150
+    assert to_plain(a) == "sin(" * MAX_HEIGHT + "y_t" + ")" * MAX_HEIGHT
+    with pytest.raises(ExprError, match=f"nested {MAX_HEIGHT + 1} deep pass "
+                                        f"the bound of {MAX_HEIGHT}"):
+        sin(a)
 
 
 @st.composite
