@@ -428,14 +428,10 @@ def main(argv=None) -> int:
     try:
         args = (read_argv(argv)
                 or build_parser(argv[0] if argv else None).parse_args(argv))
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit:   # argparse has printed the --help text
-        return EXIT_OK
-    try:
         text, code = run(args)
         _emit(args, text)
+    except SystemExit:   # argparse has printed the --help text
+        return EXIT_OK
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

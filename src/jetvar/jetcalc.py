@@ -10,8 +10,7 @@ y^j_sigma goes to its lift y^j_{sigma+lam}, the base coordinate x^lam to
 the empty monomial 1, every other atom without arguments to None, and
 function applications follow by the chain rule.  The vertical
 differential ``d_v`` takes the fibre partial (``expr.partial``, the image
-1 on one coordinate) of each jet coordinate that occurs, each of only
-the terms that hold it.
+1 on one coordinate) of f along each jet coordinate that occurs in it.
 
 Where a call needs D_tau of one expression for many tau, it takes them
 from a derivative lattice: the targets closed downward along the parent
@@ -24,11 +23,10 @@ lattice.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 
 from .expr import (Atom, BaseCoord, JetContext, JetCoord, JetExpr, Monomial,
-                   UnknownCoordinate, all_atoms, derive, partial)
+                   UnknownCoordinate, derive, jet_coords, partial)
 from .multiindex import MultiIndex
 
 
@@ -109,34 +107,13 @@ def d_v(f: JetExpr, ctx: JetContext) -> dict[tuple[int, MultiIndex], JetExpr]:
     """Vertical differential of a function: nonzero coefficients of the
     contact basis, keyed by (fiber index, sigma).
 
-    One pass over f files each term under every jet coordinate it holds,
-    as a factor or inside a function atom's arguments; each coordinate's
-    partial is then taken of its own bucket, the canonical sum of those
-    terms, since no other term depends on it.
+    d_V f = sum of partial(f, y^j_sigma) * omega^j_sigma, so the loop takes
+    the partial of f along each jet coordinate that occurs in it, in
+    ``jet_coords`` order, and keeps the nonzero ones.
     """
-    inside: dict[Atom, set[JetCoord]] = {}
-    buckets: dict[JetCoord, list[tuple[Monomial, int]]] = {}
-    for term in f._terms:
-        held = set()
-        for atom, _k in term[0]:
-            if atom.args:
-                coords = inside.get(atom)
-                if coords is None:
-                    coords = inside[atom] = {
-                        a for arg in atom.args for a in all_atoms(arg)
-                        if a.__class__ is JetCoord}
-                held |= coords
-            elif atom.__class__ is JetCoord:
-                held.add(atom)
-        for jc in held:
-            buckets.setdefault(jc, []).append(term)
     out: dict[tuple[int, MultiIndex], JetExpr] = {}
-    for jc in sorted(buckets):
-        terms = buckets[jc]
-        g = math.gcd(f._den, *(n for _m, n in terms))
-        if g != 1:
-            terms = [(m, n // g) for m, n in terms]
-        p = partial(JetExpr(tuple(terms), f._den // g), jc)
+    for jc in jet_coords(f):
+        p = partial(f, jc)
         if not p.is_zero:
             out[(jc.index, jc.sigma)] = p
     return out

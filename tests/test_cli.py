@@ -1129,6 +1129,8 @@ def test_every_export_resolves():
 @pytest.mark.parametrize("bound, el_code", [
     # fail only when evaluated: a parse error of the numeric subcommands
     ("log(0)", 0), ("sqrt(0-1)", 0), ("exp(1000)", 0), ("-10^5000", 0),
+    # a float product that overflows to inf without raising
+    ("1e308*pi", 0),
     # refused by every subcommand when the file is parsed: a coordinate,
     # or rational bounds with lo >= hi
     ("t", 1), ("y_t", 1), ("5", 1),
@@ -1145,7 +1147,9 @@ def test_domain_bounds_are_evaluated_by_numeric_subcommands(
     assert code == 1
     # the column of the lower bound, which each case refuses
     col = len("  domain t ") + 1
-    assert err.startswith(f"parse error: line {line}, col {col}: domain bound")
+    want = ("domain bounds must satisfy lo < hi" if bound == "5"
+            else f"domain bound {bound!r} is not a finite constant")
+    assert err == f"parse error: line {line}, col {col}: {want}\n"
 
 
 def test_long_exact_domain_bound_is_its_float_value(capsys, tmp_path):
