@@ -9,10 +9,10 @@ their formal partial derivatives, and inverses of multi-term sums.
 
 An expression stores its coefficients as ``int`` numerators over one
 positive common denominator, the least common multiple of their reduced
-denominators, so the ring operations and derivatives do integer
-arithmetic only and end in one gcd.  The public view ``terms`` gives each
-coefficient as an ``int`` while its denominator is 1 and a ``Fraction``
-otherwise.  No coefficient is ever a float.
+denominators, so the ring operations, derivatives, division and
+substitution do integer arithmetic only and end in one gcd.  The public
+view ``terms`` gives each coefficient as an ``int`` while its denominator
+is 1 and a ``Fraction`` otherwise.  No coefficient is ever a float.
 
 Canonicalization is ring-level only: no trigonometric or radical
 identities are applied, function applications are atomic generators.
@@ -379,14 +379,6 @@ class JetExpr:
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def _from_dict(d: dict[Monomial, Number]) -> "JetExpr":
-        """Canonical sum of the entries, rational coefficients keyed by
-        monomial."""
-        den = math.lcm(*(c.denominator for c in d.values()))
-        return _normalized({m: c.numerator * (den // c.denominator)
-                            for m, c in d.items()}, den)
-
-    @staticmethod
     def constant(value: Number) -> "JetExpr":
         """The constant value, an ``int`` or a ``Fraction``; anything else,
         a float say, raises TypeError, as it does in arithmetic."""
@@ -652,7 +644,8 @@ def _factor_sum(b: JetExpr) -> tuple[JetExpr, Monomial, JetExpr]:
     lead = rest._terms[-1][1]
     g = math.gcd(*(n for _m, n in rest._terms)) * (1 if lead > 0 else -1)
     body = JetExpr(tuple((m, n // g) for m, n in rest._terms), lead // g)
-    return JetExpr.constant(Fraction(b._den, lead)), mono, body
+    return (_normalized({(): b._den if lead > 0 else -b._den}, abs(lead)),
+            mono, body)
 
 
 def _exact_div(a: JetExpr, b: JetExpr) -> JetExpr | None:
@@ -660,6 +653,9 @@ def _exact_div(a: JetExpr, b: JetExpr) -> JetExpr | None:
 
     Only attempted in the honest polynomial case (no negative exponents,
     no InvSum factors); uses a dense graded-lex order for termination.
+    It divides a's numerators by b's over their gcd, which are primitive,
+    so by Gauss's lemma a step that leaves a remainder proves that b does
+    not divide a.
     """
     for e in (a, b):
         for m, _n in e._terms:
@@ -678,18 +674,22 @@ def _exact_div(a: JetExpr, b: JetExpr) -> JetExpr | None:
     def key(v: tuple[int, ...]):
         return (sum(v), v)
 
-    bterms = sorted(((dense(m), c) for m, c in b.terms), key=lambda t: key(t[0]))
+    g = math.gcd(*(n for _m, n in b._terms))
+    bterms = sorted(((dense(m), n // g) for m, n in b._terms),
+                    key=lambda t: key(t[0]))
     lead_b, lead_bc = bterms[-1]
-    rem = {dense(m): c for m, c in a.terms}
+    rem = {dense(m): n for m, n in a._terms}
     # the leading terms of rem fall strictly in graded-lex order, so each
     # quotient monomial is met once, with a nonzero coefficient
-    quo: dict[Monomial, Number] = {}
+    quo: dict[Monomial, int] = {}
     while rem:
         lead = max(rem, key=key)
         qv = tuple(x - y for x, y in zip(lead, lead_b))
         if any(x < 0 for x in qv):
             return None
-        qc = Fraction(rem[lead], lead_bc)
+        qc, r = divmod(rem[lead], lead_bc)
+        if r:
+            return None
         # gens is sorted, so the monomial is in atom order
         quo[tuple((gens[i], e) for i, e in enumerate(qv) if e != 0)] = qc
         for bv, bc in bterms:
@@ -699,7 +699,7 @@ def _exact_div(a: JetExpr, b: JetExpr) -> JetExpr | None:
                 rem.pop(mv, None)
             else:
                 rem[mv] = nc
-    return JetExpr._from_dict(quo)
+    return _normalized({m: q * b._den for m, q in quo.items()}, g * a._den)
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +812,7 @@ _ELEM_DERIVATIVE: dict[str, Callable[[JetExpr], JetExpr]] = {
     "cos": lambda u: -sin(u),
     "exp": lambda u: exp(u),
     "log": lambda u: div(ONE, u),
-    "sqrt": lambda u: mul(JetExpr.constant(Fraction(1, 2)),
+    "sqrt": lambda u: mul(JetExpr((((), 1),), 2),
                           atom_pow(ElemFn("sqrt", u), -1)),
 }
 
@@ -832,8 +832,8 @@ def substitute(e: JetExpr, bindings: Mapping[Atom, JetExpr]) -> JetExpr:
         return atom_expr(atom) if args == atom.args else atom.rebuild(args)
 
     pieces: list[JetExpr] = []
-    for m, coeff in e.terms:
-        term = JetExpr.constant(coeff)
+    for m, p, q in e._ratios():
+        term = JetExpr((((), p),), q)
         for atom, k in m:
             term = mul(term, pow_int(subst_atom(atom), k))
             if term.is_zero:

@@ -20,7 +20,7 @@ itself, whose jet entry is the Leibniz sum of the derivatives of each
 weight times those of xi, the factors.  A derivative d/dx_a is jetcalc's
 total derivative along s_a over half_a, taken once per section and
 shared with its bumped fields.  A finite-difference action is the
-compiled integrand applied to jet arrays, since
+scaled integrand evaluated on jet arrays, since
 j(s + t phi) = j s + t j phi.  Opaque functions are refused where a
 section or bumped field is built, and in a bound expression before
 anything is evaluated; faults and non-finite values raise NumericError."""
@@ -555,13 +555,13 @@ def _difference_quotient(lag: Lagrangian, section: NumericSection,
                          fields: Sequence[tuple], step: float) -> float:
     """The central difference of finite_diff_variation along one or two
     bumped fields.  Prolongation is linear in the fibre,
-    j(s + t phi) = j s + t j phi, so each action is the compiled integrand
-    applied to the jet arrays of the section plus t_k times those of each
+    j(s + t phi) = j s + t j phi, so each action is the scaled integrand
+    evaluated on the jet arrays of the section plus t_k times those of each
     bumped field, at the Gauss nodes."""
     if step <= 0:
         raise ValueError("finite-difference step must be positive")
     _refuse_opaque(lag.density)
-    f = compile_expr(section._scaled(lag.density))
+    density = section._scaled(lag.density)
     jets = [(jc, section._jet(jc), [section._jet(jc, fs) for fs in fields])
             for jc in jet_coords(lag.density)]
 
@@ -569,7 +569,7 @@ def _difference_quotient(lag: Lagrangian, section: NumericSection,
         env = dict(section._nodes)
         for jc, j0, js in jets:
             env[jc] = j0 + sum(t * j for t, j in zip(ts, js))
-        return section._integral(f(env))
+        return section._integral(_evaluate(density, env))
 
     # the k-th central difference, k = len(fields): sum over signs of
     # prod(signs) * a(signs * step), over (2 * step)^k (0 if it underflows)

@@ -238,17 +238,11 @@ class _Parser:
         if name in ctx.fiber_names:
             if self.peek().kind != "_":
                 return ctx.fiber(name)
-            names = self.suffix(set(ctx.base_names))
-            counts = [0] * ctx.n
-            for nm in names:
-                counts[ctx.axis(nm)] += 1
-            return ctx.jet(name, MultiIndex(tuple(counts)))
+            return ctx.jet(name, MultiIndex(self.suffix(ctx.base_names)))
         argnames = ctx.opaque_table.get(name)
         if argnames is not None:
-            orders = [0] * len(argnames)
-            if self.peek().kind == "_":
-                for nm in self.suffix(set(argnames)):
-                    orders[argnames.index(nm)] += 1
+            orders = ((0,) * len(argnames) if self.peek().kind != "_"
+                      else self.suffix(argnames))
             self.open()
             args = [self.expression()]
             while self.peek().kind == ",":
@@ -259,12 +253,12 @@ class _Parser:
             if len(args) != len(argnames):
                 self.fail(f"opaque function {name!r} expects {len(argnames)} "
                           f"arguments, got {len(args)}", close)
-            return ctx.opaque(name, tuple(orders), tuple(args))
+            return ctx.opaque(name, orders, tuple(args))
         self.fail(f"unknown identifier {name!r}", t)
 
-    def suffix(self, valid: set[str]) -> list[str]:
-        """Derivative suffix after '_': either '{' names '}' or a run of
-        single-letter names."""
+    def suffix(self, valid: tuple[str, ...]) -> tuple[int, ...]:
+        """Derivative suffix after '_', either '{' names '}' or a run of
+        single-letter names, as how often it names each entry of valid."""
         under = self.next()  # the '_'
         if self.peek().kind == "{":
             self.next()
@@ -280,11 +274,13 @@ class _Parser:
                 self.fail("malformed derivative suffix", t)
             self.next()
             names = list(t.text)
+        counts = [0] * len(valid)
         for nm in names:
             if nm not in valid:
                 self.fail(f"malformed derivative suffix: {nm!r} is not valid here",
                           under)
-        return names
+            counts[valid.index(nm)] += 1
+        return tuple(counts)
 
 
 def parse_expr(src: str, ctx: JetContext, *, line: int = 1, col: int = 1
@@ -523,37 +519,44 @@ class ProblemFile:
         self.numeric: NumericBlock | None = None
 
 
-def _strip_comment(line: str) -> str:
-    idx = line.find("#")
-    return line if idx < 0 else line[:idx]
-
-
 def _blocks(text: str):
     """Group a problem file into (keyword, argument, [(lineno, line), ...]);
     a body line keeps its indentation, so that its columns are the file's."""
     blocks = []
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = raw.partition("#")[0].rstrip()
         if not line:
             continue
         head = line.split()[0]
         if head in _KEYWORDS:
-            arg = line[len(head):].strip()
-            current = (head, arg, lineno, [])
+            current = (head, line.lstrip()[len(head):].strip(), lineno, [])
             blocks.append(current)
         else:
             if current is None:
                 raise ParseError(
                     f"expected a section keyword ({', '.join(sorted(_KEYWORDS))})",
                     lineno, 1)
-            current[3].append((lineno, _strip_comment(raw).rstrip()))
+            current[3].append((lineno, line))
     return blocks
 
 
 def _words(line: str) -> list[tuple[str, int]]:
     """The whitespace-separated words of a line, each with its column."""
     return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
+
+
+def _declared(word: str, line: int, col: int) -> str:
+    """word as a declared base, field or opaque name: it must lex as one
+    identifier and open no block, or no expression could write it."""
+    try:
+        one = [t.kind for t in _lex(word)] == ["IDENT", "EOF"]
+    except ParseError:
+        one = False
+    if not one or word in _KEYWORDS:
+        raise ParseError(f"a declared name must be one identifier and no "
+                         f"block keyword, not {word!r}", line, col)
+    return word
 
 
 def _parse_context_block(arg: str, lineno: int, body) -> JetContext:
@@ -563,12 +566,12 @@ def _parse_context_block(arg: str, lineno: int, body) -> JetContext:
     fibers: list[str] = []
     opaque: dict[str, tuple[str, ...]] = {}
     for ln, line in body:
-        words = line.split()
-        head, col = _words(line)[0]
+        words = _words(line)
+        head, col = words[0]
         if head == "base":
-            base.extend(words[1:])
+            base.extend(_declared(w, ln, c) for w, c in words[1:])
         elif head in ("field", "fields"):
-            fibers.extend(words[1:])
+            fibers.extend(_declared(w, ln, c) for w, c in words[1:])
         elif head == "opaque":
             start = col - 1 + len(head)
             name, args = _parse_opaque_decl(line[start:], ln, start + 1)
@@ -589,7 +592,7 @@ def _parse_opaque_decl(text: str, lineno: int, col: int
     column of the first token that breaks the form."""
     p = _Parser(_lex(text, lineno, col), None)
     try:
-        name = p.expect("IDENT").text
+        name = p.expect("IDENT")
         p.expect("(")
         args = [p.expect("IDENT").text]
         while p.peek().kind == ",":
@@ -601,7 +604,7 @@ def _parse_opaque_decl(text: str, lineno: int, col: int
         t = p.peek()
         raise ParseError("opaque declaration must be name(arg, ...)",
                          t.line, t.col) from None
-    return name, tuple(args)
+    return _declared(name.text, name.line, name.col), tuple(args)
 
 
 def _parse_components(ctx: JetContext, body, what: str, block_line: int

@@ -91,9 +91,6 @@ class SourceForm:
         return (isinstance(other, SourceForm)
                 and self.components == other.components)
 
-    def __hash__(self):
-        return hash(self.components)
-
 
 class BilinearForm:
     """Components A^sigma_{ij} of A^sigma_{ij} omega^i_sigma (x) omega^j (x) v_X,
@@ -137,9 +134,6 @@ class BilinearForm:
     def __eq__(self, other):
         return (isinstance(other, BilinearForm)
                 and self._entries == other._entries)
-
-    def __hash__(self):
-        return hash(self._entries)
 
     def __repr__(self):
         lines = ", ".join(

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -185,6 +186,34 @@ def test_variation_third_order(capsys, problems_dir):
                        "--fields", "b1,b1,b1")
     assert code == 0
     assert out.strip() == "0"
+
+
+@pytest.mark.parametrize("name, lag", [("oscillator.vp", "osc"),
+                                       ("beam.vp", "beam"),
+                                       ("geodesic_flat.vp", "free")])
+def test_symbolic_commands_build_no_fraction(capsys, monkeypatch,
+                                             problems_dir, name, lag):
+    """The kernel divides, differentiates and substitutes on integer
+    numerators: on a problem file whose numbers are integers, the symbolic
+    commands build no Fraction in any format, through the 1/2 of each
+    kinetic term included."""
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    file = path(problems_dir, name)
+    for argv in (["el"], ["jacobi"], ["helmholtz"],
+                 ["hessian", "--fields", "b1,b2"],
+                 ["variation", "--fields", "b1"]):
+        for fmt in ("plain", "latex", "structured"):
+            code, _out, err = run(capsys, argv[0], file, "--lagrangian", lag,
+                                  *argv[1:], "--format", fmt)
+            assert code == 0, err
+    assert made == []
 
 
 def test_check_critical_ok(capsys, problems_dir):

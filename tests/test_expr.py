@@ -263,6 +263,38 @@ def test_morphism_coefficients_are_exact(seed, quotient):
             assert _exact(c), (c, type(c))
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_exact_division_agrees_with_sympy(seed, to_sympy):
+    """(p*q)/q is p, and p/q is sympy's quotient when sympy's remainder is
+    0, else it holds an InvSum, for random polynomials p and sums q."""
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    ctx = JetContext.make("x1 x2", "y z")
+    p = random_polynomial(rng, ctx, max_order=1, max_monomials=4)
+    q = ZERO
+    while len(q.terms) < 2:
+        q = random_polynomial(rng, ctx, max_order=1, max_monomials=3)
+    assert (p * q) / q == p
+    for a in (p, p * q):
+        num, den = to_sympy(a, ctx, sp), to_sympy(q, ctx, sp)
+        gens = sorted(num.free_symbols | den.free_symbols, key=str)
+        gens += sorted(num.atoms(sp.Function, sp.Derivative)
+                       | den.atoms(sp.Function, sp.Derivative), key=str)
+        quo, rem = sp.div(num, den, *gens, domain="QQ")
+        if rem == 0:
+            assert sp.expand(to_sympy(a / q, ctx, sp) - quo) == 0
+        else:
+            assert any(isinstance(x, InvSum) for x in all_atoms(a / q))
+
+
+def test_evaluate_exact_through_an_inverse(ode_ctx):
+    y = ode_ctx.fiber("y")
+    at = ode_ctx.jet_atom("y")
+    got = evaluate_exact(y / (1 + y), {at: Fraction(1, 2)})
+    assert type(got) is Fraction and got == Fraction(1, 3)
+    assert evaluate_exact((1 + y) ** -2, {at: Fraction(1)}) == Fraction(1, 4)
+
+
 def test_evaluate_exact_needs_bound_polynomial(ode_ctx):
     t = ode_ctx.base("t")
     y = ode_ctx.fiber("y")

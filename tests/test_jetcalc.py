@@ -242,8 +242,7 @@ def _random_composite(rng, ctx):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_d_v_is_the_partial_along_each_coordinate(seed):
-    """d_v, which takes each coordinate's partial of only the terms that
-    hold it, equals the partial of the whole expression along every jet
+    """d_v equals the partial of the whole expression along every jet
     coordinate that occurs, the zero ones left out."""
     rng = random.Random(seed)
     ctx = JetContext.make("x1 x2", "y z", opaque={"g": ["y", "z"]})

@@ -40,11 +40,12 @@ def test_oscillator_demo_runs():
     assert done.returncode == 0, done.stderr
 
 
-@pytest.mark.parametrize("name", ["oscillator.vp", "laplace2d.vp"])
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in (ROOT / "problems").glob("*.vp")))
 def test_cli_sweep_covers_every_subcommand(name):
     """One line per argv, argv, exit code and two SHA-256 digests, with
-    every subcommand present and no exception escaping cli.main, on a
-    1-D problem and on the 2-D tensor grid."""
+    every subcommand present and no exception escaping cli.main, on each
+    problem file."""
     from jetvar.cli import COMMANDS
     done = _run("cli_sweep.py", str(ROOT / "problems" / name))
     assert done.returncode == 0, done.stderr

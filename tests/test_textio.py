@@ -503,6 +503,10 @@ def test_problem_file_errors_point_at_the_token(body, line, col):
     ("  opaque g(t,,y)\n", "must be name(arg, ...)", 4, 14),
     ("  opaque g(,t)\n", "must be name(arg, ...)", 4, 12),
     ("  odd stuff\n", "unknown context entry", 4, 3),
+    # a declared name is one identifier that opens no block
+    ("  field z,\n", "not 'z,'", 4, 9),
+    ("  field section\n", "not 'section'", 4, 9),
+    ("  opaque numeric(y)\n", "not 'numeric'", 4, 10),
     # field lines: the field name
     ("section s\n  w = t\n", "unknown field 'w'", 5, 3),
     ("section s\n  y = t\n    y = 1\n", "duplicate component", 6, 5),
