@@ -12,11 +12,10 @@ check-critical's ``--step`` with ``--fields``.
 
 A call pays only for its own subcommand.  A plain call, one input and
 flags the subcommand reads, each given once, is read straight from
-``COMMANDS`` by ``read_argv``; argparse is imported and built only for
-what that declines, help and every refusal, and then adds one subparser
-(all of them for help, an unknown command or no arguments).  Only the
-numeric subcommands (check-critical, second-var, jacobi --section)
-import ``numeric``, and with it numpy.
+``COMMANDS`` by ``read_argv``; argparse is imported and built, whole,
+only for what that declines: help and every refusal.  Only the numeric
+subcommands (check-critical, second-var, jacobi --section) import
+``numeric``, and with it numpy.
 
 A subcommand's handler computes and does not print: it returns the
 structured payload, the text lines and the check's verdict, and ``run``
@@ -74,11 +73,9 @@ _FLAGS = {
 }
 
 
-def build_parser(command: str | None = None):
-    """The command-line parser, an argparse.ArgumentParser.  When
-    ``command`` names a subcommand, only its subparser is built;
-    otherwise (help, an unknown command, no arguments) all of them are,
-    to list or refuse them."""
+def build_parser():
+    """The command-line parser, an argparse.ArgumentParser with one
+    subparser per row of ``COMMANDS``."""
     import argparse
 
     class Parser(argparse.ArgumentParser):
@@ -98,10 +95,7 @@ def build_parser(command: str | None = None):
     p = Parser(prog="jetvar", description=description,
                formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
-    known = any(command == name for name, *_ in COMMANDS)
     for name, handler, help, flags in COMMANDS:
-        if known and name != command:
-            continue
         sp = sub.add_parser(name, help=help)
         sp.set_defaults(handler=handler)
         sp.add_argument("input", help="problem file path")
@@ -115,14 +109,13 @@ def build_parser(command: str | None = None):
 
 
 def read_argv(argv: list[str]) -> SimpleNamespace | None:
-    """The arguments of a plain call, as ``build_parser(argv[0])`` parses
-    them, read from ``COMMANDS``: a subcommand, then one input and flags
-    the subcommand reads, each once, as ``--flag value`` or
-    ``--flag=value``, where the input and each value is '-' or does not
-    start with '-', and each value is one its flag accepts.  None for
-    any other argv (help, a usage error, an abbreviation, a repeated
-    flag, ``--``, a negative number), which argparse then parses,
-    answers or refuses."""
+    """The arguments of a plain call, as ``build_parser()`` parses them,
+    read from ``COMMANDS``: a subcommand, then one input and flags the
+    subcommand reads, each once, as ``--flag value`` or ``--flag=value``,
+    where the input and each value is '-' or does not start with '-', and
+    each value is one its flag accepts.  None for any other argv (help, a
+    usage error, an abbreviation, a repeated flag, ``--``, a negative
+    number), which argparse then parses, answers or refuses."""
     found = next((c for c in COMMANDS if argv and c[0] == argv[0]), None)
     if found is None:
         return None
@@ -426,8 +419,7 @@ def run(args) -> tuple[str, int]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = (read_argv(argv)
-                or build_parser(argv[0] if argv else None).parse_args(argv))
+        args = read_argv(argv) or build_parser().parse_args(argv)
         text, code = run(args)
         _emit(args, text)
     except SystemExit:   # argparse has printed the --help text

@@ -990,6 +990,12 @@ def expr_to_dict(e: JetExpr) -> dict:
 _RESERVED = set(ELEMENTARY_FUNCTIONS) | set(KNOWN_CONSTANTS)
 
 
+def is_name(word: str) -> bool:
+    """Whether an expression can write word as a name: a letter, then
+    letters or digits, as ``str.isalpha`` and ``str.isalnum`` read them."""
+    return word[:1].isalpha() and word.isalnum()
+
+
 class JetContext:
     """Chart data: base variables x^lam, fiber variables y^i, and the
     catalog ``opaque_table`` of opaque smooth function symbols with their
@@ -1006,6 +1012,10 @@ class JetContext:
         if not base_names or not fiber_names:
             raise ExprError("need at least one base and one fiber variable")
         names = list(base_names) + list(fiber_names) + list(opaque_table)
+        bad = [nm for nm in names if not is_name(nm)]
+        if bad:
+            raise ExprError(f"names must be a letter, then letters or "
+                            f"digits: {bad}")
         if len(set(names)) != len(names):
             raise ExprError(f"coordinate/function names not distinct: {names}")
         clash = set(names) & _RESERVED

@@ -321,7 +321,7 @@ MAX_ORDER = 10
 def _counts(values) -> tuple[int, ...]:
     """The entries of a multi-index or of an opaque derivative order; a
     total order past MAX_ORDER raises ValueError."""
-    counts = tuple(_json(c, int) for c in values)
+    counts = tuple(_json(c, int) for c in _json(values, list))
     if (order := sum(counts)) > MAX_ORDER:
         raise ValueError(f"derivative order {order} passes {MAX_ORDER}")
     return counts
@@ -343,8 +343,8 @@ def _atom_from_dict(d: dict, ctx: JetContext) -> JetExpr:
     if kind == "elem":
         return ex.elem(d["fn"], _expr_from_dict(d["arg"], ctx))
     if kind == "opaque":
-        return ctx.opaque(d["name"], _counts(d["orders"]),
-                          tuple(_expr_from_dict(a, ctx) for a in d["args"]))
+        return ctx.opaque(d["name"], _counts(d["orders"]), tuple(
+            _expr_from_dict(a, ctx) for a in _json(d["args"], list)))
     if kind == "inv":
         return ex.div(ex.ONE, _expr_from_dict(d["body"], ctx))
     raise ValueError(f"unknown atom kind {kind!r}")
@@ -352,12 +352,12 @@ def _atom_from_dict(d: dict, ctx: JetContext) -> JetExpr:
 
 def _expr_from_dict(d: dict, ctx: JetContext) -> JetExpr:
     pieces = []
-    for t in d["terms"]:
+    for t in _json(d["terms"], list):
         coeff = _json(t["coeff"], str)
         if not _COEFF.fullmatch(coeff):
             raise ValueError(f"coeff must read p or p/q, got {coeff!r}")
         piece = JetExpr.constant(Fraction(coeff))
-        for f in t["factors"]:
+        for f in _json(t["factors"], list):
             piece = piece * (_atom_from_dict(f["atom"], ctx)
                              ** _json(f["power"], int))
         pieces.append(piece)
@@ -386,11 +386,12 @@ def object_from_dict(d: dict, ctx: JetContext):
     if t == "expr":
         return _expr_from_dict(d, ctx)
     if t == "source_form":
-        comps = tuple(_expr_from_dict(c, ctx) for c in d["components"])
+        comps = tuple(_expr_from_dict(c, ctx)
+                      for c in _json(d["components"], list))
         return SourceForm(ctx, comps)
     if t == "bilinear_form":
         comps = {}
-        for entry in d["entries"]:
+        for entry in _json(d["entries"], list):
             key = (MultiIndex(_counts(entry["sigma"])),
                    ctx.fiber_index(entry["i"]), ctx.fiber_index(entry["j"]))
             val = _expr_from_dict(entry["value"], ctx)
@@ -547,13 +548,9 @@ def _words(line: str) -> list[tuple[str, int]]:
 
 
 def _declared(word: str, line: int, col: int) -> str:
-    """word as a declared base, field or opaque name: it must lex as one
-    identifier and open no block, or no expression could write it."""
-    try:
-        one = [t.kind for t in _lex(word)] == ["IDENT", "EOF"]
-    except ParseError:
-        one = False
-    if not one or word in _KEYWORDS:
+    """word as a declared base, field or opaque name: a name, as
+    ``expr.is_name`` reads one, that opens no block."""
+    if not ex.is_name(word) or word in _KEYWORDS:
         raise ParseError(f"a declared name must be one identifier and no "
                          f"block keyword, not {word!r}", line, col)
     return word

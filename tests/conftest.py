@@ -64,7 +64,7 @@ def _to_sympy(e, ctx, sp):
                     for m, c in e.terms))
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def to_sympy():
     """The sympy image of a jet expression, as _to_sympy(e, ctx, sp)."""
     return _to_sympy

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jetvar import JetContext, Lagrangian, euler_lagrange, to_plain
-from jetvar.expr import ONE, exp, sin, sqrt
+from jetvar.expr import ONE, ExprError, exp, is_name, sin, sqrt
 from jetvar.multiindex import MultiIndex
 from jetvar.randgen import random_polynomial
 from jetvar.textio import (MAX_ORDER, ParseError, _lex, dump_structured,
                            parse_expr, parse_problem_file, parse_structured,
                            print_object, to_latex)
-from jetvar.variational import BilinearForm, _sigma_label
+from jetvar.variational import BilinearForm, SourceForm, _sigma_label
 
 seeds = st.integers(0, 10**9)
 
@@ -182,6 +182,44 @@ def test_lexer_tokens_are_the_source(src):
                                                            comment + 1)
 
 
+def _unbroken(word: str) -> bool:
+    """Whether word holds no blank and no comment."""
+    return not any(ch.isspace() or ch == "#" for ch in word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(st.sampled_from([a for a in _LEXER_ALPHABET if _unbroken(a)]),
+             max_size=6).map("".join),
+    st.text(max_size=6).filter(_unbroken)))
+def test_a_name_is_a_word_that_lexes_as_one_identifier(word):
+    """expr.is_name holds of a word with no blank or comment exactly when
+    the lexer reads it as one identifier and then the end."""
+    try:
+        one = [t.kind for t in _lex(word)] == ["IDENT", "EOF"]
+    except ParseError:
+        one = False
+    assert is_name(word) == one
+
+
+@pytest.mark.parametrize("name, refused", [
+    ("y,", True), ("2y", True), ("y_t", True), ("", True),
+    # a block keyword is a name; only a problem file refuses it
+    ("section", False),
+])
+def test_a_context_takes_only_names_an_expression_can_write(name, refused):
+    """JetContext refuses a name that no expression can write; a name it
+    takes reads back from the printed form of its jet coordinate."""
+    if refused:
+        with pytest.raises(ExprError, match="a letter, then letters or "
+                                            "digits"):
+            JetContext.make("t", [name])
+    else:
+        ctx = JetContext.make("t", [name])
+        e = ctx.jet(name, "t") ** 2
+        assert parse_expr(to_plain(e), ctx) == e
+
+
 def test_opaque_arity_error(metric_ctx):
     with pytest.raises(ParseError) as err:
         parse_expr("g11(q1)", metric_ctx)
@@ -303,6 +341,40 @@ def test_structured_derivative_order_is_bounded(metric_ctx, where):
     with pytest.raises(ValueError, match=f"derivative order {MAX_ORDER + 1} "
                                          f"passes {MAX_ORDER}"):
         parse_structured(payload(MAX_ORDER + 1), metric_ctx)
+
+
+def _array_paths(node, path=()):
+    """The path of each array in a JSON document, outermost first."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        if isinstance(value, list):
+            yield path + (key,)
+        yield from _array_paths(value, path + (key,))
+
+
+def test_structured_reader_refuses_an_object_for_an_array(metric_ctx):
+    """Each array of a payload (terms, factors, args, counts, orders,
+    components, entries, sigma), given as an object, is refused, not read
+    as empty."""
+    g = parse_expr("g11_{q1}(q1, q2)*q1_t^2 + 1", metric_ctx)
+    forms = (SourceForm(metric_ctx, (g, g)),
+             BilinearForm(metric_ctx, {(MultiIndex((1,)), 0, 1): g}))
+    keys = set()
+    for form in forms:
+        doc = json.loads(print_object(form, "structured"))
+        for path in _array_paths(doc):
+            broken = json.loads(json.dumps(doc))
+            node = broken
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = {}
+            keys.add(path[-1])
+            with pytest.raises(ValueError, match="expected list, got {}"):
+                parse_structured(json.dumps(broken), metric_ctx)
+    assert keys == {
+        "terms", "factors", "args", "counts", "orders", "components",
+        "entries", "sigma"}
 
 
 # seconds allowed to read back the 3060 terms of (1 + t + y + y_t + y_tt)^14,

@@ -14,7 +14,7 @@ from jetvar import (BilinearForm, JetContext, Lagrangian, SourceForm,
                     quotient_variation,
                     second_variation_decomposition, total_derivative,
                     total_derivative_multi, vertical_differential)
-from jetvar.expr import ONE, ZERO, ExprError, partial, sqrt, to_plain
+from jetvar.expr import ONE, ZERO, ExprError, elem, partial, sqrt, to_plain
 from jetvar.multiindex import MultiIndex, enumerate_up_to
 from jetvar.randgen import (random_bilinear_form, random_current,
                             random_lagrangian, random_polynomial,
@@ -114,25 +114,37 @@ def test_el_order_bound(seed):
     assert e.order <= 2 * lag.order
 
 
+def _d(e, xs, sigma):
+    """D_sigma e, a sympy expression in functions of the symbols xs."""
+    pairs = [(x, c) for x, c in zip(xs, sigma.counts) if c]
+    return e.diff(*pairs) if pairs else e
+
+
+def _sympy_euler(density, f, xs, sp):
+    """The Euler operator of a sympy density F in the function f of xs:
+    the sum over sigma up to F's order in f of
+    (-1)^|sigma| D_sigma dF/d(D_sigma f), each D_sigma f read as a symbol
+    of its own for the partial derivative.  sympy's euler_equations is
+    not the reference, since it drops an equation that is constant (it
+    gives none for 3*y(t))."""
+    order = max((a.derivative_count for a in density.atoms(sp.Derivative)
+                 if a.expr == f), default=0)
+    sigmas = enumerate_up_to(len(xs), order)
+    jets = {s: sp.Dummy() for s in sigmas}
+    back = {jet: _d(f, xs, s) for s, jet in jets.items()}
+    flat = density.xreplace({v: k for k, v in back.items()})
+    return sum((-1) ** s.order() * _d(flat.diff(jet).xreplace(back), xs, s)
+               for s, jet in jets.items())
+
+
 def _assert_euler_lagrange_matches_sympy(lag, to_sympy, sp):
     """Each component of euler_lagrange(lag) equals the Euler operator
-    sum over |sigma| <= order of (-1)^|sigma| D_sigma dF/dy_sigma, written
-    out with sympy.diff on F = lag.density; sympy's euler_equations is not
-    the reference, since it drops an equation that is constant (it gives
-    none for 3*y(t))."""
+    written out in sympy on lag.density."""
     ctx = lag.ctx
     xs = [sp.Symbol(nm) for nm in ctx.base_names]
     density = to_sympy(lag.density, ctx, sp)
-
-    def d(e, sigma):
-        pairs = [(x, c) for x, c in zip(xs, sigma.counts) if c]
-        return sp.diff(e, *pairs) if pairs else e
-
     for nm, ours in zip(ctx.fiber_names, euler_lagrange(lag).components):
-        f = sp.Function(nm)(*xs)
-        ref = sum((-1) ** sigma.order()
-                  * d(sp.diff(density, d(f, sigma)), sigma)
-                  for sigma in enumerate_up_to(ctx.n, lag.order))
+        ref = _sympy_euler(density, sp.Function(nm)(*xs), xs, sp)
         assert sp.expand(ref - to_sympy(ours, ctx, sp)) == 0
 
 
@@ -160,6 +172,131 @@ def test_euler_lagrange_matches_sympy_on_constant_equations(ode_ctx,
     sp = pytest.importorskip("sympy")
     _assert_euler_lagrange_matches_sympy(
         Lagrangian(ode_ctx, parse_expr(density, ode_ctx)), to_sympy, sp)
+
+
+def _apply(form, fs, to_sympy, sp):
+    """(A f)_i = sum over sigma, j of A^sigma_ij D_sigma f^j, in sympy, for
+    sympy functions fs of the form's base variables."""
+    ctx = form.ctx
+    xs = [sp.Symbol(nm) for nm in ctx.base_names]
+    out = [sp.Integer(0)] * ctx.m
+    for (sigma, i, j), val in form.entries():
+        out[i] += to_sympy(val, ctx, sp) * _d(fs[j], xs, sigma)
+    return out
+
+
+def _assert_linearization_matches_sympy(src, to_sympy, sp, vanishes):
+    """In sympy's own conventions, V = linearize(src) is the Frechet
+    derivative of src: sum over sigma, j of V^sigma_ij D_sigma v^j is
+    d/d eps e_i[y + eps v] at eps = 0; and V* = adjoint(V) satisfies
+    Green's identity: w.(V v) - v.(V* w) is a total divergence, so its
+    Euler operator in each v^k and w^k vanishes, v and w being undefined
+    sympy functions.  vanishes(d) decides whether a sympy difference is
+    0."""
+    ctx = src.ctx
+    xs = [sp.Symbol(nm) for nm in ctx.base_names]
+    ys = [sp.Function(nm)(*xs) for nm in ctx.fiber_names]
+    vs = [sp.Function(f"v{k}")(*xs) for k in range(ctx.m)]
+    ws = [sp.Function(f"w{k}")(*xs) for k in range(ctx.m)]
+    eps = sp.Symbol("eps")
+    ve = linearize(src)
+    moved = {y: y + eps * v for y, v in zip(ys, vs)}
+    for e, got in zip(src.components, _apply(ve, vs, to_sympy, sp)):
+        varied = to_sympy(e, ctx, sp).xreplace(moved).doit()
+        assert vanishes(got - varied.diff(eps).subs(eps, 0))
+    green = (sum(w * a for w, a in zip(ws, _apply(ve, vs, to_sympy, sp)))
+             - sum(v * b for v, b in zip(
+                 vs, _apply(adjoint(ve), ws, to_sympy, sp))))
+    for f in (*vs, *ws):
+        assert vanishes(_sympy_euler(green, f, xs, sp))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_linearization_and_adjoint_match_sympy(seed, to_sympy):
+    """V and V* against sympy on random polynomial source forms with up
+    to two base variables and two fields, of jet order up to two."""
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    ctx = JetContext.make(["x1", "x2"][:rng.randint(1, 2)],
+                          ["y", "z"][:rng.randint(1, 2)])
+    src = SourceForm(ctx, tuple(
+        random_polynomial(rng, ctx, max_order=2, max_monomials=3)
+        for _ in range(ctx.m)))
+    _assert_linearization_matches_sympy(
+        src, to_sympy, sp, lambda d: sp.expand(d) == 0)
+
+
+def _vanishes_at_a_point(rng, sp):
+    """Whether a sympy difference is 0, evaluated exactly at a random
+    rational point: each base variable, applied function and derivative
+    of one replaced by a rational, so that sympy's automatic rules
+    merge the radicals and powers that it cancels only slowly in
+    symbols."""
+    from sympy.core.function import AppliedUndef
+
+    def rational():
+        return sp.Rational(rng.randint(1, 997), rng.randint(1, 991))
+
+    def vanishes(d):
+        d = d.xreplace({a: rational()
+                        for a in d.atoms(sp.Derivative, AppliedUndef)})
+        return sp.expand(d.xreplace({x: rational()
+                                     for x in d.free_symbols})) == 0
+    return vanishes
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=seeds)
+def test_linearization_and_adjoint_match_sympy_through_functions(seed,
+                                                                to_sympy):
+    """As above, on source forms p + q f(r) + s / u, f elementary and u a
+    sum, so that each holds an ElemFn and an InvSum atom."""
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    ctx = JetContext.make(["x1", "x2"][:rng.randint(1, 2)], "y")
+
+    def poly(order, monomials=2):
+        return random_polynomial(rng, ctx, max_order=order,
+                                 max_monomials=monomials, max_factors=2,
+                                 max_power=1)
+
+    arg, den = poly(1), poly(1)
+    while arg.constant_value() is not None:
+        arg = poly(1)
+    while len(den.terms) < 2:
+        den = poly(1)
+    fn = rng.choice(["sin", "cos", "exp", "log", "sqrt"])
+    src = SourceForm(ctx, (poly(2) + poly(2, 1) * elem(fn, arg)
+                           + poly(2, 1) / den,))
+    _assert_linearization_matches_sympy(src, to_sympy, sp,
+                                        _vanishes_at_a_point(rng, sp))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_hessian_matches_sympy(seed, to_sympy):
+    """hessian(lag, xi1, xi2) is xi1 . E(F), F = d/d eps L(y + eps xi2) at
+    eps = 0, with F and the Euler operator taken in sympy: F differs from
+    xi2 | E(L) by a total divergence, which the Euler operator kills.  The
+    fields have jet order 1."""
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    ctx = rng.choice([JetContext.make("t", "y"), JetContext.make("t", "y z"),
+                      JetContext.make("x1 x2", "y")])
+    lag = random_lagrangian(rng, ctx, max_order=rng.randint(1, 2),
+                            max_monomials=3)
+    xi1, xi2 = (random_vertical_field(rng, ctx, max_order=1)
+                for _ in range(2))
+    xs = [sp.Symbol(nm) for nm in ctx.base_names]
+    ys = [sp.Function(nm)(*xs) for nm in ctx.fiber_names]
+    eps = sp.Symbol("eps")
+    moved = {y: y + eps * to_sympy(c, ctx, sp)
+             for y, c in zip(ys, xi2.components)}
+    varied = to_sympy(lag.density, ctx, sp).xreplace(moved).doit()
+    first = varied.diff(eps).subs(eps, 0)
+    ref = sum(to_sympy(c, ctx, sp) * _sympy_euler(first, y, xs, sp)
+              for c, y in zip(xi1.components, ys))
+    ours = to_sympy(hessian(lag, xi1, xi2).density, ctx, sp)
+    assert sp.expand(ref - ours) == 0
 
 
 # ---------------------------------------------------------------------------
